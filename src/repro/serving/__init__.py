@@ -2,17 +2,19 @@
 
 The serving analog of the training stack: an admission queue fed by
 seeded arrival traces (:mod:`repro.serving.arrivals`), a block-allocated
-paged KV cache (:mod:`repro.serving.paged_kv`), a shared continuous-
-batching policy with overload protection (:mod:`repro.serving.scheduler`),
-the real greedy decoding engine with KV-pressure preemption
+paged KV cache (:mod:`repro.serving.paged_kv`), the admission policy
+with overload protection (:mod:`repro.serving.scheduler`), and **one**
+serving loop (:mod:`repro.serving.loop`: admit, grow, preempt, resume,
+evict) over three decoders: the serial greedy decoder
 (:mod:`repro.serving.engine`), tensor-parallel decode over the 4D grid
-(:mod:`repro.serving.tp`), and the failure-hardened TP engine that
-survives injected kills/drops/delays (:mod:`repro.serving.resilience`).
-The simulator mirror lives in :mod:`repro.simulate.serving`.
+(:mod:`repro.serving.tp`) wrapped to survive injected kills/drops/delays
+(:mod:`repro.serving.resilience`), and the analytic decoder of the
+simulator (:mod:`repro.simulate.serving`).
 """
 
 from .arrivals import Request, bursty_trace, poisson_trace, synthetic_requests
-from .engine import FinishedRequest, ServingEngine, batched_decode_step
+from .engine import ServingEngine, batched_decode_step
+from .loop import FinishedRequest, ServingLoop
 from .paged_kv import BlockAllocator, CacheOutOfBlocks, PagedKVCache
 from .resilience import ResilienceReport, ResilientTPEngine
 from .scheduler import (
@@ -39,6 +41,7 @@ __all__ = [
     "REJECT_REJECTED",
     "REJECT_SHED",
     "REJECT_DEADLINE",
+    "ServingLoop",
     "ServingEngine",
     "FinishedRequest",
     "batched_decode_step",

@@ -1,11 +1,9 @@
 """Continuous-batching serving engine over the paged KV cache.
 
-Every :meth:`ServingEngine.step` is one scheduling round of in-flight
-batching: finished sequences were evicted at the end of the previous
-round, waiting requests are admitted into the freed slots (prefill
-phase), and all running sequences advance one token together (decode
-phase).  New work never waits for the current batch to drain — the
-defining property of continuous batching.
+:class:`ServingEngine` is the :class:`~repro.serving.loop.ServingLoop`
+(scheduling and round semantics: see its module docstring) over a
+serial decoder: one :class:`~repro.serving.paged_kv.PagedKVCache`, the
+single-sequence cached prefill, and :func:`batched_decode_step`.
 
 Numerical contract: the engine's greedy output is **bitwise identical**
 to running :func:`repro.nn.generation.generate_greedy` per request.
@@ -20,8 +18,6 @@ assert logits equality with ``assert_array_equal``, not a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..nn.generation import (
@@ -30,69 +26,13 @@ from ..nn.generation import (
     prefill,
 )
 from ..nn.transformer import GPT
-from ..telemetry.spans import get_tracer
 from ..tensor import Tensor, no_grad
 from ..tensor import functional as F
-from .arrivals import Request
-from .paged_kv import CacheOutOfBlocks, PagedKVCache
-from .scheduler import (
-    REJECT_REJECTED,
-    BatchingConfig,
-    ContinuousBatcher,
-    RejectedRequest,
-)
+from .loop import FinishedRequest, ServingLoop
+from .paged_kv import PagedKVCache
+from .scheduler import BatchingConfig
 
 __all__ = ["FinishedRequest", "ServingEngine", "batched_decode_step"]
-
-
-@dataclass(frozen=True)
-class FinishedRequest:
-    """A completed request with its generation and timing metadata."""
-
-    request: Request
-    #: Generated token ids (1-D int64; prompt not included).
-    tokens: np.ndarray
-    #: Step index at which the request was admitted (prefill round).
-    admitted_step: int
-    #: Step index that produced the first output token (== admitted_step:
-    #: prefill emits it).
-    first_token_step: int
-    #: Step index after which the request left the batch.
-    finish_step: int
-    #: Virtual-clock timestamps mirroring the step indices (seconds).
-    admitted_time: float = 0.0
-    first_token_time: float = 0.0
-    finish_time: float = 0.0
-    #: How many times the sequence was preempted for KV pressure (each
-    #: preemption was followed by a bitwise-exact recompute-restart).
-    preemptions: int = 0
-
-    @property
-    def ttft(self) -> float:
-        """Time to first token: queueing delay + prefill round."""
-        return self.first_token_time - self.request.arrival_time
-
-    @property
-    def e2e_latency(self) -> float:
-        """Arrival to last token."""
-        return self.finish_time - self.request.arrival_time
-
-    @property
-    def num_tokens(self) -> int:
-        return int(self.tokens.shape[0])
-
-
-@dataclass
-class _Running:
-    """Mutable in-flight state of one admitted sequence."""
-
-    request: Request
-    seq_id: int
-    admitted_step: int
-    admitted_time: float
-    out: list[int] = field(default_factory=list)
-    done: bool = False
-    preemptions: int = 0
 
 
 def batched_decode_step(
@@ -168,25 +108,53 @@ def batched_decode_step(
     return logits[:, -1]
 
 
-class ServingEngine:
-    """Request-level serving runtime: queue -> prefill -> batched decode.
+class _SerialDecoder:
+    """The decoder surface over one :class:`PagedKVCache` and the serial
+    cached forward."""
 
-    The engine owns a :class:`ContinuousBatcher` (admission policy), a
-    :class:`PagedKVCache` (block pool sized by ``config``), and a greedy
-    sampler.  Under the default *optimistic* reservation, admission
-    reserves only ``prompt + 1`` KV tokens and each decode round grows
-    reservations one token at a time; when the pool runs dry the
-    youngest sequence is preempted (blocks freed, generated tokens
-    kept) and later recompute-restarted by replaying exactly the
-    original operation sequence — prompt prefill followed by one decode
-    step per already-emitted token — so restarted requests stay bitwise
-    identical to a lone :func:`~repro.nn.generation.generate_greedy`
-    run.  Under ``reservation="worst_case"`` the PR 7 invariant holds
-    and the preemption path is never exercised.
+    def __init__(self, model: GPT, config: BatchingConfig) -> None:
+        self.model = model
+        self.kv = PagedKVCache(
+            model.cfg.num_layers,
+            model.cfg.num_heads,
+            model.cfg.head_dim,
+            block_size=config.block_size,
+            num_blocks=config.num_blocks,
+        )
 
-    Overload never raises: requests that cannot be served end as typed
-    :class:`~repro.serving.scheduler.RejectedRequest` outcomes on
-    ``self.rejected`` (causes ``rejected`` / ``shed`` / ``deadline``).
+    def add_sequence(self, seq_id: int, reserve_tokens: int) -> None:
+        self.kv.add_sequence(seq_id)
+        self.kv.reserve(seq_id, reserve_tokens)
+
+    def free_sequence(self, seq_id: int) -> None:
+        self.kv.free_sequence(seq_id)
+
+    def reserve(self, seq_id: int, num_new: int) -> None:
+        self.kv.reserve(seq_id, num_new)
+
+    @property
+    def num_free_blocks(self) -> int:
+        return self.kv.allocator.num_free
+
+    def prefill(self, seq_id: int, prompt: np.ndarray) -> np.ndarray:
+        # Prefill IS the single-sequence cached forward; its per-layer
+        # keys/values are copied once into this sequence's KV blocks.
+        logits, cache = prefill(self.model, prompt[None, :])
+        for layer, (k, v) in enumerate(zip(cache.keys, cache.values)):
+            self.kv.write(seq_id, layer, k[0], v[0])
+        self.kv.advance(seq_id, prompt.shape[0])
+        return logits[0]
+
+    def decode_step(self, tokens: np.ndarray, seq_ids: list[int]) -> np.ndarray:
+        return batched_decode_step(self.model, tokens, self.kv, seq_ids)
+
+
+class ServingEngine(ServingLoop):
+    """The serving loop over the serial decoder.
+
+    Owns a :class:`PagedKVCache` (``self.kv``, the block pool sized by
+    ``config``) and samples greedily; scheduling, preemption and typed
+    overload outcomes are :class:`~repro.serving.loop.ServingLoop`'s.
     """
 
     def __init__(
@@ -196,287 +164,10 @@ class ServingEngine:
         *,
         eos_id: int | None = None,
     ) -> None:
+        config = config or BatchingConfig()
+        decoder = _SerialDecoder(model, config)
+        super().__init__(
+            decoder, config, context_len=model.cfg.seq_len, eos_id=eos_id
+        )
         self.model = model
-        self.config = config or BatchingConfig()
-        self.eos_id = eos_id
-        self.batcher = ContinuousBatcher(self.config)
-        self.kv = PagedKVCache(
-            model.cfg.num_layers,
-            model.cfg.num_heads,
-            model.cfg.head_dim,
-            block_size=self.config.block_size,
-            num_blocks=self.config.num_blocks,
-        )
-        self.running: list[_Running] = []
-        self.finished: list[FinishedRequest] = []
-        self.rejected: list[RejectedRequest] = []
-        self.preempted: list[_Running] = []
-        self.step_count = 0
-        self.time = 0.0
-        self._next_seq_id = 0
-
-    # -- request intake ----------------------------------------------------
-
-    def submit(self, request: Request) -> RejectedRequest | None:
-        """Queue a request for admission (FIFO).
-
-        Returns the typed rejection if the request cannot be served
-        (over the model context, over the block pool, or shed by the
-        bounded queue); ``None`` means it was queued.
-        """
-        self._count("serve.requests", 1)
-        if request.total_tokens > self.model.cfg.seq_len:
-            rej = RejectedRequest(
-                request=request, cause=REJECT_REJECTED, time=self.time
-            )
-            self.rejected.append(rej)
-            self._count("serve.rejected", 1)
-            return rej
-        rej = self.batcher.enqueue(request, now=self.time)
-        self._drain_rejections()
-        return rej
-
-    def _drain_rejections(self) -> None:
-        for rej in self.batcher.drain_rejections():
-            self.rejected.append(rej)
-            self._count(f"serve.{rej.cause}", 1)
-
-    # -- one scheduling round ---------------------------------------------
-
-    def step(self) -> list[FinishedRequest]:
-        """Resume preempted, admit, prefill, decode one token, evict;
-        returns this round's completions."""
-        self.step_count += 1
-        self._resume_preempted()
-        if self.preempted:
-            # Blocked resumes take priority over new admissions (they are
-            # older), but expired waiters are still swept.
-            self.batcher.shed_expired(self.time)
-        else:
-            for req in self.batcher.admit(
-                len(self.running), self.kv.allocator.num_free, now=self.time
-            ):
-                self._admit(req)
-        self._drain_rejections()
-        live = self._grow_blocks([r for r in self.running if not r.done])
-        if live:
-            tokens = np.asarray([r.out[-1] for r in live], dtype=np.int64)
-            logits = batched_decode_step(
-                self.model, tokens, self.kv, [r.seq_id for r in live]
-            )
-            nxt = np.argmax(logits, axis=1)
-            for r, t in zip(live, nxt):
-                r.out.append(int(t))
-                self._maybe_finish(r)
-            self._count("serve.decode_steps", 1)
-            self._count("serve.decode_tokens", len(live))
-        return self._evict()
-
-    def _admit(self, req: Request) -> None:
-        seq_id = self._next_seq_id
-        self._next_seq_id += 1
-        self.kv.add_sequence(seq_id)
-        # Reserve what admission accounted for: the worst case under
-        # "worst_case", just the prompt plus the first decode write
-        # under "optimistic".
-        self.kv.reserve(seq_id, self.config.reserve_tokens(req))
-        state = _Running(
-            request=req,
-            seq_id=seq_id,
-            admitted_step=self.step_count,
-            admitted_time=self.time,
-        )
-        # Prefill IS the single-sequence cached forward; its per-layer
-        # keys/values are copied once into this sequence's KV blocks.
-        logits, cache = prefill(self.model, req.prompt[None, :])
-        for layer, (k, v) in enumerate(zip(cache.keys, cache.values)):
-            self.kv.write(seq_id, layer, k[0], v[0])
-        self.kv.advance(seq_id, req.prompt_len)
-        state.out.append(int(np.argmax(logits[0])))
-        self.running.append(state)
-        self._count("serve.admitted", 1)
-        self._count("serve.prefill_tokens", req.prompt_len)
-        self._maybe_finish(state)
-
-    # -- KV-pressure preemption -------------------------------------------
-
-    def _grow_blocks(self, live: list[_Running]) -> list[_Running]:
-        """Ensure every live sequence can write one more token.
-
-        Oldest-first; when the pool is dry the *youngest* live sequence
-        is preempted until the current one fits (vLLM's policy).  The
-        oldest sequence is never sacrificed for a younger one, so it
-        strictly progresses and preemption cannot livelock.  Returns the
-        sequences that still decode this round, in the original order.
-        """
-        victims: set[int] = set()
-        for r in sorted(live, key=lambda r: r.seq_id):
-            if r.seq_id in victims:
-                continue
-            while True:
-                try:
-                    self.kv.reserve(r.seq_id, 1)
-                    break
-                except CacheOutOfBlocks:
-                    candidates = [
-                        c
-                        for c in self.running
-                        if not c.done and c.seq_id not in victims
-                    ]
-                    victim = max(candidates, key=lambda c: c.seq_id)
-                    victims.add(victim.seq_id)
-                    self._preempt(victim)
-                    if victim is r:
-                        break
-        return [r for r in live if r.seq_id not in victims]
-
-    def _preempt(self, r: _Running) -> None:
-        """Release a sequence's blocks; it keeps its generated tokens and
-        will be recompute-restarted by :meth:`_resume_preempted`."""
-        self.kv.free_sequence(r.seq_id)
-        self.running.remove(r)
-        r.preemptions += 1
-        self.preempted.append(r)
-        self._count("serve.preemptions", 1)
-
-    def _resume_preempted(self) -> None:
-        """Recompute-restart preempted sequences, oldest first.
-
-        The restart replays exactly the original operation sequence —
-        prompt prefill, then one single-sequence decode step per
-        already-emitted token (whose logits re-derive tokens we already
-        have and are discarded) — so the rebuilt KV is bitwise identical
-        to the state before preemption and the continuation matches a
-        lone ``generate_greedy`` run.  Head-of-line order: the first
-        resume that does not fit blocks everything younger.
-        """
-        for r in sorted(self.preempted, key=lambda r: r.seq_id):
-            ctx_len = r.request.prompt_len + len(r.out) - 1
-            need = self.kv.blocks_for(
-                r.request.total_tokens
-                if self.config.reservation == "worst_case"
-                else ctx_len + 1
-            )
-            if (
-                len(self.running) >= self.config.max_batch
-                or need > self.kv.allocator.num_free
-            ):
-                break
-            self._resume(r, ctx_len)
-
-    def _resume(self, r: _Running, ctx_len: int) -> None:
-        req = r.request
-        self.kv.add_sequence(r.seq_id)
-        self.kv.reserve(
-            r.seq_id,
-            req.total_tokens
-            if self.config.reservation == "worst_case"
-            else ctx_len + 1,
-        )
-        logits, cache = prefill(self.model, req.prompt[None, :])
-        for layer, (k, v) in enumerate(zip(cache.keys, cache.values)):
-            self.kv.write(r.seq_id, layer, k[0], v[0])
-        self.kv.advance(r.seq_id, req.prompt_len)
-        for t in r.out[:-1]:
-            batched_decode_step(
-                self.model,
-                np.asarray([t], dtype=np.int64),
-                self.kv,
-                [r.seq_id],
-            )
-        self.preempted.remove(r)
-        self.running.append(r)
-        self.running.sort(key=lambda c: c.seq_id)
-        self._count("serve.resumes", 1)
-        self._count("serve.recompute_tokens", ctx_len)
-
-    def _maybe_finish(self, r: _Running) -> None:
-        if len(r.out) >= r.request.max_new_tokens:
-            r.done = True
-        elif self.eos_id is not None and r.out[-1] == self.eos_id:
-            r.done = True
-
-    def _evict(self) -> list[FinishedRequest]:
-        out = []
-        for r in [r for r in self.running if r.done]:
-            self.kv.free_sequence(r.seq_id)
-            self.running.remove(r)
-            fin = FinishedRequest(
-                request=r.request,
-                tokens=np.asarray(r.out, dtype=np.int64),
-                admitted_step=r.admitted_step,
-                first_token_step=r.admitted_step,
-                finish_step=self.step_count,
-                admitted_time=r.admitted_time,
-                first_token_time=r.admitted_time,
-                finish_time=self.time,
-                preemptions=r.preemptions,
-            )
-            self.finished.append(fin)
-            out.append(fin)
-            self._count("serve.finished", 1)
-            self._record(
-                "serve.e2e_steps", fin.finish_step - fin.admitted_step + 1
-            )
-        return out
-
-    # -- trace driver ------------------------------------------------------
-
-    def run(
-        self,
-        requests: list[Request],
-        *,
-        step_time: float = 1.0,
-        max_steps: int = 100_000,
-    ) -> list[FinishedRequest]:
-        """Serve a whole arrival trace to completion.
-
-        The virtual clock advances ``step_time`` seconds per scheduling
-        round; a request is visible to admission once its
-        ``arrival_time`` has passed.  Returns completions in finish
-        order; requests that ended in a typed non-completion outcome
-        accumulate on ``self.rejected``.
-        """
-        pending = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-        i = 0
-        start = len(self.finished)
-        while (
-            i < len(pending)
-            or self.batcher.num_waiting
-            or self.running
-            or self.preempted
-        ):
-            while i < len(pending) and pending[i].arrival_time <= self.time:
-                self.submit(pending[i])
-                i += 1
-            if (
-                not self.batcher.num_waiting
-                and not self.running
-                and not self.preempted
-            ):
-                if i >= len(pending):
-                    break  # everything left ended in a typed rejection
-                # Idle: jump to the next arrival instead of spinning.
-                self.time = pending[i].arrival_time
-                continue
-            self.step()
-            self.time += step_time
-            if self.step_count > max_steps:
-                raise RuntimeError(
-                    f"serving did not drain within {max_steps} steps"
-                )
-        return self.finished[start:]
-
-    # -- telemetry ---------------------------------------------------------
-
-    @staticmethod
-    def _count(name: str, amount: float) -> None:
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.metrics.counter(name).add(amount)
-
-    @staticmethod
-    def _record(name: str, value: float) -> None:
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.metrics.histogram(name).record(value)
+        self.kv = decoder.kv

@@ -28,10 +28,11 @@ collectives) and recovers from what it injects:
   step per already-emitted token.  There is no KV checkpoint to restore
   — recompute *is* the buddy store of serving, because the generated
   tokens (a few int64s per sequence) are the entire recoverable state;
-* **overload** — the same bounded-queue / deadline / optimistic-
-  admission / preempt-youngest machinery as the serial
-  :class:`~repro.serving.engine.ServingEngine`, sharing its
-  :class:`~repro.serving.scheduler.ContinuousBatcher` policy class.
+* **overload** — bounded queue, deadlines, optimistic admission and
+  preempt-youngest are :class:`~repro.serving.loop.ServingLoop`'s, the
+  one loop the serial engine and the simulator also run.  Fault handling
+  is a *decoder* under that loop (:class:`FaultAbsorbingDecoder`), not a
+  second scheduler.
 
 Identity contract under chaos: every request that *completes* emits
 greedy tokens equal to a lone ``generate_greedy`` run — kills, retries,
@@ -60,18 +61,11 @@ from ..runtime.faults import (
     RankFailure,
     fault_scope,
 )
-from .arrivals import Request
-from .engine import FinishedRequest, ServingEngine, _Running
-from .paged_kv import CacheOutOfBlocks
-from .scheduler import (
-    REJECT_REJECTED,
-    BatchingConfig,
-    ContinuousBatcher,
-    RejectedRequest,
-)
+from .loop import ServingLoop, count
+from .scheduler import BatchingConfig
 from .tp import TensorParallelDecoder
 
-__all__ = ["ResilienceReport", "ResilientTPEngine"]
+__all__ = ["FaultAbsorbingDecoder", "ResilienceReport", "ResilientTPEngine"]
 
 
 @dataclass(frozen=True)
@@ -98,18 +92,173 @@ class ResilienceReport:
         return self.rank_failures + self.step_timeouts
 
 
-class ResilientTPEngine:
+@dataclass
+class _History:
+    """What it takes to rebuild one sequence's KV from nothing."""
+
+    reserve_tokens: int
+    #: Set once the prompt's prefill committed.
+    prompt: np.ndarray | None = None
+    #: Tokens fed through committed decode steps, in order.
+    fed: list[int] = field(default_factory=list)
+
+
+class FaultAbsorbingDecoder:
+    """A :class:`TensorParallelDecoder` that survives its collectives.
+
+    Same decoder surface; every forward runs inside
+    ``fault_scope(injector)`` through a guarded retry loop: comm
+    timeouts re-issue the forward, rank failures shrink the X group and
+    replay in-flight KV, and only an unservable topology (all ranks
+    dead, or the recovery budget exhausted) escapes as
+    :class:`DecodeRankFailure`.
+    """
+
+    def __init__(
+        self,
+        model: GPT,
+        grid: Grid4D,
+        config: BatchingConfig,
+        injector: FaultInjector | None,
+        max_recoveries: int,
+    ) -> None:
+        self.model = model
+        self.injector = injector
+        self.max_recoveries = max_recoveries
+        self._pool = dict(
+            block_size=config.block_size, num_blocks=config.num_blocks
+        )
+        self.inner = TensorParallelDecoder(model, grid, **self._pool)
+        self.step = 0
+        self.stats: Counter = Counter()
+        self.shrink_history: list[tuple[int, int, int]] = []
+        self._seqs: dict[int, _History] = {}
+
+    def __getattr__(self, name: str):
+        # ``reserve``, ``num_free_blocks``, ``gx``, ``grid``, ...: whatever
+        # is not intercepted here is the current inner decoder's.
+        return getattr(self.inner, name)
+
+    def start_round(self, step: int) -> None:
+        """Tell the adversary (and the recovery log) which round it is."""
+        self.step = step
+        if self.injector is not None:
+            self.injector.start_step(step)
+
+    # -- the decoder surface -----------------------------------------------
+
+    def add_sequence(self, seq_id: int, reserve_tokens: int) -> None:
+        self.inner.add_sequence(seq_id, reserve_tokens)
+        self._seqs[seq_id] = _History(reserve_tokens)
+
+    def free_sequence(self, seq_id: int) -> None:
+        self.inner.free_sequence(seq_id)
+        del self._seqs[seq_id]
+
+    def prefill(self, seq_id: int, prompt: np.ndarray) -> np.ndarray:
+        logits = self._guarded("prefill", seq_id, prompt)
+        self._seqs[seq_id].prompt = prompt
+        return logits
+
+    def decode_step(self, tokens: np.ndarray, seq_ids: list[int]) -> np.ndarray:
+        logits = self._guarded("decode_step", tokens, seq_ids)
+        for s, t in zip(seq_ids, tokens):
+            self._seqs[s].fed.append(int(t))
+        return logits
+
+    # -- guarded execution -------------------------------------------------
+
+    def _guarded(self, forward: str, *args):
+        """Run ``self.inner.<forward>(*args)`` under the injector,
+        absorbing recoverable faults.
+
+        Timeouts re-issue the forward (idempotent until commit); rank
+        failures trigger shrink-and-replay recovery, then the forward
+        retries on the re-formed decoder.
+        """
+        last: Exception | None = None
+        for _ in range(self.max_recoveries + 1):
+            try:
+                with fault_scope(self.injector):
+                    return getattr(self.inner, forward)(*args)
+            except CommTimeoutError as exc:
+                last = exc
+                self.stats["step_timeouts"] += 1
+                count("serve.tp.step_timeouts", 1)
+            except RankFailure as exc:
+                last = exc
+                self._recover_from_kill(exc)
+        raise DecodeRankFailure(
+            getattr(last, "rank", -1),
+            self.step,
+            "decode (recovery budget exhausted)",
+        ) from last
+
+    def _recover_from_kill(self, exc: RankFailure) -> None:
+        """Shrink the X group to the survivors and recompute in-flight KV.
+
+        The sweep/shrink/restart/rebuild sequence is the PR 3 elastic
+        recovery pattern applied to serving; replay runs *outside* the
+        fault scope (recovery happens on a quiesced, re-formed group).
+        """
+        assert self.injector is not None
+        old = self.grid
+        old_gx = self.gx
+        dead = self.injector.collect_armed_kills(
+            total=old.config.total, tracer=old.tracer
+        )
+        survivors = old_gx - len(dead & set(self.inner.x_ranks))
+        if survivors < 1:
+            raise DecodeRankFailure(
+                exc.rank, self.step, exc.op, exc.group
+            ) from exc
+        new_gx = next(
+            g
+            for g in range(survivors, 0, -1)
+            if grid_fits(self.model.cfg, GridConfig(g, 1, 1, 1))
+        )
+        self.stats["rank_failures"] += 1
+        count("serve.tp.rank_failures", 1)
+        self.shrink_history.append((self.step, old_gx, new_gx))
+        self.injector.restart()
+        placement = (
+            None
+            if old.placement is None
+            else Placement(old.placement.machine, new_gx, old.placement.strategy)
+        )
+        algo = old.config.collective_algo if placement is not None else "flat"
+        grid = Grid4D(
+            GridConfig(new_gx, 1, 1, 1, collective_algo=algo),
+            placement=placement,
+            tracer=old.tracer,
+        )
+        self.inner = TensorParallelDecoder(self.model, grid, **self._pool)
+        for seq_id, h in sorted(self._seqs.items()):
+            self._replay(seq_id, h)
+
+    def _replay(self, seq_id: int, h: _History) -> None:
+        """Rebuild a sequence's KV bitwise by re-running its history:
+        prompt prefill, then one decode step per fed token (whose logits
+        re-derive tokens the loop already holds and are discarded)."""
+        cached = 0 if h.prompt is None else len(h.prompt) + len(h.fed)
+        # Room for its next write, as the loop's last growth left it.
+        self.inner.add_sequence(seq_id, max(h.reserve_tokens, cached + 1))
+        if h.prompt is None:
+            return  # its first prefill is the call being retried
+        self.inner.prefill(seq_id, h.prompt)
+        for t in h.fed:
+            self.inner.decode_step(np.asarray([t], dtype=np.int64), [seq_id])
+        self.stats["recompute_tokens"] += cached
+
+
+class ResilientTPEngine(ServingLoop):
     """Chaos-hardened serving over tensor-parallel decode.
 
-    Mirrors :class:`~repro.serving.engine.ServingEngine` round for round
-    (same :class:`ContinuousBatcher`, same preempt-youngest /
-    resume-oldest policy) but executes prefill and decode on a
-    :class:`TensorParallelDecoder` whose collectives run inside
-    ``fault_scope(injector)``.  Every forward is issued through a
-    guarded retry loop: comm timeouts re-issue the forward, rank
-    failures shrink the X group and replay in-flight KV, and only an
-    unservable topology (all ranks dead, or the recovery budget
-    exhausted) escapes as :class:`DecodeRankFailure`.
+    The serving loop over a :class:`FaultAbsorbingDecoder`
+    (``self.decoder``): the schedule is
+    :class:`~repro.serving.engine.ServingEngine`'s round for round, and
+    prefill and decode execute on a :class:`TensorParallelDecoder` whose
+    collectives run under ``injector``.
     """
 
     def __init__(
@@ -122,334 +271,35 @@ class ResilientTPEngine:
         eos_id: int | None = None,
         max_recoveries: int = 8,
     ) -> None:
+        config = config or BatchingConfig()
+        super().__init__(
+            FaultAbsorbingDecoder(model, grid, config, injector, max_recoveries),
+            config,
+            context_len=model.cfg.seq_len,
+            eos_id=eos_id,
+            prefix="serve.tp.",
+        )
         self.model = model
-        self.grid = grid
-        self.config = config or BatchingConfig()
-        self.injector = injector
-        self.eos_id = eos_id
-        self.max_recoveries = max_recoveries
-        self.batcher = ContinuousBatcher(self.config)
-        self.decoder = TensorParallelDecoder(
-            model,
-            grid,
-            block_size=self.config.block_size,
-            num_blocks=self.config.num_blocks,
-        )
-        self.running: list[_Running] = []
-        self.preempted: list[_Running] = []
-        self.finished: list[FinishedRequest] = []
-        self.rejected: list[RejectedRequest] = []
-        self.step_count = 0
-        self.time = 0.0
-        self._next_seq_id = 0
-        self.stats: Counter = Counter()
-        self.shrink_history: list[tuple[int, int, int]] = []
 
-    # -- request intake ----------------------------------------------------
+    @property
+    def grid(self) -> Grid4D:
+        """The grid decode currently runs on (shrinks after a kill)."""
+        return self.decoder.grid
 
-    def submit(self, request: Request) -> RejectedRequest | None:
-        """Queue a request; returns its typed rejection if unservable."""
-        ServingEngine._count("serve.tp.requests", 1)
-        if request.total_tokens > self.model.cfg.seq_len:
-            rej = RejectedRequest(
-                request=request, cause=REJECT_REJECTED, time=self.time
-            )
-            self.rejected.append(rej)
-            return rej
-        rej = self.batcher.enqueue(request, now=self.time)
-        self._drain_rejections()
-        return rej
-
-    def _drain_rejections(self) -> None:
-        for rej in self.batcher.drain_rejections():
-            self.rejected.append(rej)
-            self.stats[rej.cause] += 1
-            ServingEngine._count(f"serve.tp.{rej.cause}", 1)
-
-    # -- guarded execution -------------------------------------------------
-
-    def _guarded(self, fn):
-        """Run ``fn`` under the injector, absorbing recoverable faults.
-
-        Timeouts re-issue ``fn`` (forwards are idempotent until commit);
-        rank failures trigger shrink-and-replay recovery, then ``fn``
-        retries on the re-formed decoder.  Units that create sequences
-        must be restartable from scratch (see ``_fresh_sequence``).
-        """
-        last: Exception | None = None
-        for _ in range(self.max_recoveries + 1):
-            try:
-                with fault_scope(self.injector):
-                    return fn()
-            except CommTimeoutError as exc:
-                last = exc
-                self.stats["step_timeouts"] += 1
-                ServingEngine._count("serve.tp.step_timeouts", 1)
-            except RankFailure as exc:
-                last = exc
-                self._recover_from_kill(exc)
-        raise DecodeRankFailure(
-            getattr(last, "rank", -1),
-            self.step_count,
-            "decode (recovery budget exhausted)",
-        ) from last
-
-    def _fresh_sequence(self, seq_id: int, reserve_tokens: int) -> None:
-        """(Re)create ``seq_id`` with an empty cache — makes replay units
-        idempotent: a retry after a mid-replay fault starts clean instead
-        of appending to half-committed state."""
-        if self.decoder.has_sequence(seq_id):
-            self.decoder.free_sequence(seq_id)
-        self.decoder.add_sequence(seq_id, reserve_tokens)
-
-    def _reserve_tokens(self, r: _Running) -> int:
-        ctx_len = r.request.prompt_len + len(r.out) - 1
-        if self.config.reservation == "worst_case":
-            return r.request.total_tokens
-        return max(ctx_len, r.request.prompt_len) + 1
-
-    def _replay(self, r: _Running) -> None:
-        """Rebuild a sequence's KV bitwise by re-running its history:
-        prompt prefill, then one decode step per emitted token (whose
-        logits re-derive tokens we already hold and are discarded)."""
-        self._fresh_sequence(r.seq_id, self._reserve_tokens(r))
-        self.decoder.prefill(r.seq_id, r.request.prompt)
-        for t in r.out[:-1]:
-            self.decoder.decode_step(np.asarray([t], dtype=np.int64), [r.seq_id])
-        self.stats["recompute_tokens"] += (
-            r.request.prompt_len + max(len(r.out) - 1, 0)
-        )
-
-    # -- rank-failure recovery ---------------------------------------------
-
-    def _recover_from_kill(self, exc: RankFailure) -> None:
-        """Shrink the X group to the survivors and recompute in-flight KV.
-
-        The sweep/shrink/restart/rebuild sequence is the PR 3 elastic
-        recovery pattern applied to serving; replay runs *outside* the
-        fault scope (recovery happens on a quiesced, re-formed group).
-        """
-        assert self.injector is not None
-        old_gx = self.decoder.gx
-        dead = self.injector.collect_armed_kills(
-            total=self.grid.config.total, tracer=self.grid.tracer
-        )
-        survivors = old_gx - len(dead & set(self.decoder.x_ranks))
-        if survivors < 1:
-            raise DecodeRankFailure(
-                exc.rank, self.step_count, exc.op, exc.group
-            ) from exc
-        new_gx = next(
-            g
-            for g in range(survivors, 0, -1)
-            if grid_fits(self.model.cfg, GridConfig(g, 1, 1, 1))
-        )
-        self.stats["rank_failures"] += 1
-        ServingEngine._count("serve.tp.rank_failures", 1)
-        self.shrink_history.append((self.step_count, old_gx, new_gx))
-        self.injector.restart()
-        old = self.grid
-        placement = (
-            None
-            if old.placement is None
-            else Placement(old.placement.machine, new_gx, old.placement.strategy)
-        )
-        algo = old.config.collective_algo if placement is not None else "flat"
-        self.grid = Grid4D(
-            GridConfig(new_gx, 1, 1, 1, collective_algo=algo),
-            placement=placement,
-            tracer=old.tracer,
-        )
-        self.decoder = TensorParallelDecoder(
-            self.model,
-            self.grid,
-            block_size=self.config.block_size,
-            num_blocks=self.config.num_blocks,
-        )
-        for r in sorted(self.running, key=lambda r: r.seq_id):
-            self._replay(r)
-
-    # -- one scheduling round ----------------------------------------------
-
-    def step(self) -> list[FinishedRequest]:
-        """Resume preempted, admit, prefill, decode one token, evict."""
-        self.step_count += 1
-        if self.injector is not None:
-            self.injector.start_step(self.step_count)
-        self._resume_preempted()
-        if self.preempted:
-            self.batcher.shed_expired(self.time)
-        else:
-            for req in self.batcher.admit(
-                len(self.running), self.decoder.num_free_blocks, now=self.time
-            ):
-                self._admit(req)
-        self._drain_rejections()
-        live = self._grow_blocks([r for r in self.running if not r.done])
-        if live:
-            tokens = np.asarray([r.out[-1] for r in live], dtype=np.int64)
-            seq_ids = [r.seq_id for r in live]
-            logits = self._guarded(
-                lambda: self.decoder.decode_step(tokens, seq_ids)
-            )
-            nxt = np.argmax(logits, axis=1)
-            for r, t in zip(live, nxt):
-                r.out.append(int(t))
-                self._maybe_finish(r)
-            ServingEngine._count("serve.tp.decode_steps", 1)
-            ServingEngine._count("serve.tp.decode_tokens", len(live))
-        return self._evict()
-
-    def _admit(self, req: Request) -> None:
-        seq_id = self._next_seq_id
-        self._next_seq_id += 1
-        state = _Running(
-            request=req,
-            seq_id=seq_id,
-            admitted_step=self.step_count,
-            admitted_time=self.time,
-        )
-        reserve = self.config.reserve_tokens(req)
-
-        def unit():
-            self._fresh_sequence(seq_id, reserve)
-            return self.decoder.prefill(seq_id, req.prompt)
-
-        logits = self._guarded(unit)
-        state.out.append(int(np.argmax(logits)))
-        self.running.append(state)
-        self.running.sort(key=lambda c: c.seq_id)
-        ServingEngine._count("serve.tp.admitted", 1)
-        self._maybe_finish(state)
-
-    # -- KV-pressure preemption (same policy as the serial engine) ---------
-
-    def _grow_blocks(self, live: list[_Running]) -> list[_Running]:
-        victims: set[int] = set()
-        for r in sorted(live, key=lambda r: r.seq_id):
-            if r.seq_id in victims:
-                continue
-            while True:
-                try:
-                    self.decoder.reserve(r.seq_id, 1)
-                    break
-                except CacheOutOfBlocks:
-                    candidates = [
-                        c
-                        for c in self.running
-                        if not c.done and c.seq_id not in victims
-                    ]
-                    victim = max(candidates, key=lambda c: c.seq_id)
-                    victims.add(victim.seq_id)
-                    self._preempt(victim)
-                    if victim is r:
-                        break
-        return [r for r in live if r.seq_id not in victims]
-
-    def _preempt(self, r: _Running) -> None:
-        self.decoder.free_sequence(r.seq_id)
-        self.running.remove(r)
-        r.preemptions += 1
-        self.preempted.append(r)
-        self.stats["preemptions"] += 1
-        ServingEngine._count("serve.tp.preemptions", 1)
-
-    def _resume_preempted(self) -> None:
-        for r in sorted(self.preempted, key=lambda r: r.seq_id):
-            need = self.config.blocks_for(self._reserve_tokens(r))
-            if (
-                len(self.running) >= self.config.max_batch
-                or need > self.decoder.num_free_blocks
-            ):
-                break
-            self._guarded(lambda r=r: self._replay(r))
-            self.preempted.remove(r)
-            self.running.append(r)
-            self.running.sort(key=lambda c: c.seq_id)
-            ServingEngine._count("serve.tp.resumes", 1)
-
-    def _maybe_finish(self, r: _Running) -> None:
-        if len(r.out) >= r.request.max_new_tokens:
-            r.done = True
-        elif self.eos_id is not None and r.out[-1] == self.eos_id:
-            r.done = True
-
-    def _evict(self) -> list[FinishedRequest]:
-        out = []
-        for r in [r for r in self.running if r.done]:
-            self.decoder.free_sequence(r.seq_id)
-            self.running.remove(r)
-            fin = FinishedRequest(
-                request=r.request,
-                tokens=np.asarray(r.out, dtype=np.int64),
-                admitted_step=r.admitted_step,
-                first_token_step=r.admitted_step,
-                finish_step=self.step_count,
-                admitted_time=r.admitted_time,
-                first_token_time=r.admitted_time,
-                finish_time=self.time,
-                preemptions=r.preemptions,
-            )
-            self.finished.append(fin)
-            out.append(fin)
-            ServingEngine._count("serve.tp.finished", 1)
-        return out
-
-    # -- trace driver ------------------------------------------------------
-
-    def run(
-        self,
-        requests: list[Request],
-        *,
-        step_time: float = 1.0,
-        max_steps: int = 100_000,
-    ) -> list[FinishedRequest]:
-        """Serve a whole arrival trace to completion under the adversary.
-
-        Same virtual-clock semantics as
-        :meth:`~repro.serving.engine.ServingEngine.run`; completions are
-        returned, typed non-completions accumulate on ``self.rejected``.
-        """
-        pending = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-        i = 0
-        start = len(self.finished)
-        while (
-            i < len(pending)
-            or self.batcher.num_waiting
-            or self.running
-            or self.preempted
-        ):
-            while i < len(pending) and pending[i].arrival_time <= self.time:
-                self.submit(pending[i])
-                i += 1
-            if (
-                not self.batcher.num_waiting
-                and not self.running
-                and not self.preempted
-            ):
-                if i >= len(pending):
-                    break
-                self.time = pending[i].arrival_time
-                continue
-            self.step()
-            self.time += step_time
-            if self.step_count > max_steps:
-                raise RuntimeError(
-                    f"serving did not drain within {max_steps} steps"
-                )
-        return self.finished[start:]
+    def _begin_round(self) -> None:
+        self.decoder.start_round(self.step_count)
 
     def report(self) -> ResilienceReport:
         """Summarize survived faults and typed outcomes so far."""
-        by_cause: Counter = Counter()
-        for rej in self.rejected:
-            by_cause[rej.cause] += 1
+        faults = self.decoder.stats
         return ResilienceReport(
             num_finished=len(self.finished),
-            rejected_by_cause=dict(by_cause),
-            preemptions=int(self.stats["preemptions"]),
-            rank_failures=int(self.stats["rank_failures"]),
-            step_timeouts=int(self.stats["step_timeouts"]),
-            recompute_tokens=int(self.stats["recompute_tokens"]),
-            shrink_history=list(self.shrink_history),
+            rejected_by_cause=dict(Counter(r.cause for r in self.rejected)),
+            preemptions=self.stats["preemptions"],
+            rank_failures=faults["rank_failures"],
+            step_timeouts=faults["step_timeouts"],
+            recompute_tokens=(
+                self.stats["recompute_tokens"] + faults["recompute_tokens"]
+            ),
+            shrink_history=list(self.decoder.shrink_history),
         )

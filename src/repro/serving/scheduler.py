@@ -1,11 +1,11 @@
-"""Admission control shared by the real engine and the simulator.
+"""Admission control: the waiting queue of the one serving loop.
 
-Continuous batching lives or dies by its scheduling policy, so the
-policy is one pure class used by both executors: the real
-:class:`~repro.serving.engine.ServingEngine` (which moves actual
-floats) and the simulator's :func:`~repro.simulate.serving.simulate_serving`
-(which moves virtual time).  Whatever workload the simulator predicts a
-latency for, the engine batches identically.
+Continuous batching lives or dies by its scheduling policy, so there is
+one :class:`~repro.serving.loop.ServingLoop` and it admits through this
+one pure class, whichever of its three decoders executes the forwards
+(serial floats, tensor-parallel floats, or the simulator's analytic
+seconds).  Whatever workload the simulator predicts a latency for, the
+engines batch identically.
 
 Policy (deliberately simple and deterministic):
 
@@ -16,7 +16,7 @@ Policy (deliberately simple and deterministic):
   - ``"optimistic"`` (default): reserve only ``prompt + 1`` tokens of
     KV at admission.  Utilization rises — sequences whose budgets would
     never overlap in time no longer exclude each other — at the cost of
-    a mid-decode out-of-blocks condition the engine must handle by
+    a mid-decode out-of-blocks condition the loop handles by
     preempting the youngest sequence and recomputing it later;
   - ``"worst_case"``: reserve ``prompt + max_new_tokens`` up front, so
     an admitted sequence can never fail an allocation mid-decode (the
@@ -139,12 +139,16 @@ class BatchingConfig:
 class ContinuousBatcher:
     """FIFO waiting queue + per-step admission/shedding decisions.
 
-    Rejections accumulate on the batcher (``drain_rejections``) so both
-    executors surface identical typed outcomes for the same trace.
+    Rejections accumulate on the batcher (``drain_rejections``); the
+    serving loop drains them after every enqueue and admission pass.
     """
 
-    def __init__(self, config: BatchingConfig) -> None:
+    def __init__(
+        self, config: BatchingConfig, context_len: float = float("inf")
+    ) -> None:
         self.config = config
+        #: The model's context: a longer request can never be served.
+        self.context_len = context_len
         self._waiting: deque[Request] = deque()
         self._rejected: list[RejectedRequest] = []
 
@@ -155,12 +159,14 @@ class ContinuousBatcher:
     def enqueue(self, request: Request, now: float | None = None) -> RejectedRequest | None:
         """Queue ``request``, or return its typed rejection.
 
-        A request that can never fit the pool is ``"rejected"``; one
-        arriving to a full bounded queue is ``"shed"``.  ``now``
-        defaults to the request's arrival time.
+        A request that can never fit the pool or the model's context is
+        ``"rejected"``; one arriving to a full bounded queue is
+        ``"shed"``.  ``now`` defaults to the request's arrival time.
         """
         t = request.arrival_time if now is None else now
-        if not self.config.fits(request):
+        if not self.config.fits(request) or (
+            request.total_tokens > self.context_len
+        ):
             return self._reject(request, REJECT_REJECTED, t)
         if (
             self.config.max_waiting is not None

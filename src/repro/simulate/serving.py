@@ -1,11 +1,11 @@
-"""Analytic serving-workload model: the simulator mirror of the engine.
+"""Analytic serving-workload model: the serving loop on modeled time.
 
 The real :class:`repro.serving.engine.ServingEngine` moves float64s; this
-module moves virtual time through the *same* admission policy
-(:class:`repro.serving.scheduler.ContinuousBatcher`, shared class, same
-head-of-line FIFO semantics, same typed rejections, same preempt-
-youngest / resume-oldest KV-pressure policy), charging each scheduling
-round its analytic cost on a target machine:
+module moves virtual time through the *same object* — the one
+:class:`repro.serving.loop.ServingLoop` (admission, typed rejections,
+preempt-youngest / resume-oldest, the round semantics in its module
+docstring) — over an :class:`AnalyticDecoder` that charges each forward
+its analytic cost on a target machine:
 
 * **prefill** is compute-bound: ``2 * params * prompt_len`` flops at the
   machine's empirical GEMM rate, divided over the tensor-parallel degree;
@@ -19,13 +19,10 @@ round its analytic cost on a target machine:
   routing decision shows up in the serving frontier exactly as it does
   in training step times;
 * **preemption restarts** are priced as one recompute prefill over the
-  preempted context (the real engine replays step by step for bitwise
-  exactness; analytically the replay is a chunked forward);
+  preempted context (see :class:`AnalyticDecoder`);
 * **instance failures** arrive as a seeded exponential process at the
-  MTBF-driven rate of :class:`repro.simulate.failures.FailureModel`:
-  every running sequence is preempted (KV lost, recomputed on resume)
-  and the instance pays ``restart_time`` — serving's version of the
-  training goodput tax.
+  MTBF-driven rate of :class:`repro.simulate.failures.FailureModel` —
+  serving's version of the training goodput tax.
 
 Sweeping offered load over a seeded arrival trace yields the
 throughput/latency frontier (p50/p99 via the telemetry histogram's
@@ -47,12 +44,15 @@ from ..cluster.topology import Placement
 from ..config import GPTConfig
 from ..perfmodel import choose_algorithm
 from ..serving.arrivals import Request, poisson_trace
-from ..serving.scheduler import BatchingConfig, ContinuousBatcher
+from ..serving.loop import ServingLoop, count
+from ..serving.paged_kv import CacheOutOfBlocks
+from ..serving.scheduler import BatchingConfig
 from ..telemetry.metrics import Histogram
 from ..telemetry.spans import get_tracer
 from .failures import FailureModel
 
 __all__ = [
+    "AnalyticDecoder",
     "ServingModel",
     "ServingResult",
     "simulate_serving",
@@ -211,14 +211,109 @@ class ServingResult:
         }
 
 
-@dataclass
-class _SimSeq:
-    request: Request
-    #: Monotone admission index — preemption order (youngest = max).
-    admit_idx: int
-    produced: int = 0
-    first_token_time: float = 0.0
-    blocks: int = 0
+class AnalyticDecoder:
+    """The decoder surface in integers and seconds.
+
+    Blocks are a count and a forward is its :class:`ServingModel` cost
+    added to ``clock``.  Logits are one wide, so every greedy token is 0
+    and a request stops on its ``max_new_tokens`` budget.  A sequence
+    added again after ``free_sequence`` (a recompute-restart) pays one
+    prefill over all the context it had computed; the loop's step-by-
+    step replay of that context is then free — the real engines replay
+    for bitwise exactness, analytically the replay is a chunked forward.
+    """
+
+    def __init__(self, model: ServingModel, config: BatchingConfig) -> None:
+        self.model = model
+        self.config = config
+        self.num_free_blocks = config.num_blocks
+        #: Seconds of modeled work so far (plus whatever the clock's
+        #: owner adds: idle jumps, restarts).
+        self.clock = 0.0
+        self._blocks: dict[int, int] = {}  # seq_id -> blocks held
+        self._cached: dict[int, int] = {}  # seq_id -> tokens in cache
+        #: seq_id -> leading tokens whose forward has been paid for.
+        self._computed: dict[int, int] = {}
+
+    def add_sequence(self, seq_id: int, reserve_tokens: int) -> None:
+        self._blocks[seq_id] = self._cached[seq_id] = 0
+        self.reserve(seq_id, reserve_tokens)
+
+    def free_sequence(self, seq_id: int) -> None:
+        self.num_free_blocks += self._blocks.pop(seq_id)
+        self._computed[seq_id] = self._cached.pop(seq_id)
+
+    def reserve(self, seq_id: int, num_new: int) -> None:
+        need = self.config.blocks_for(self._cached[seq_id] + num_new) - (
+            self._blocks[seq_id]
+        )
+        if need > self.num_free_blocks:
+            raise CacheOutOfBlocks(
+                f"requested {need} blocks but only {self.num_free_blocks} "
+                f"of {self.config.num_blocks} are free"
+            )
+        if need > 0:
+            self._blocks[seq_id] += need
+            self.num_free_blocks -= need
+
+    def prefill(self, seq_id: int, prompt: np.ndarray) -> np.ndarray:
+        ctx = self._computed.setdefault(seq_id, len(prompt))
+        self.clock += self.model.prefill_time(ctx)
+        self._cached[seq_id] = len(prompt)
+        return np.zeros(1)
+
+    def decode_step(self, tokens: np.ndarray, seq_ids: list[int]) -> np.ndarray:
+        new = [s for s in seq_ids if self._cached[s] >= self._computed[s]]
+        if new:
+            self.clock += self.model.decode_step_time(
+                len(new), sum(self._cached[s] for s in new)
+            )
+        for s in seq_ids:
+            self._cached[s] += 1
+        return np.zeros((len(seq_ids), 1))
+
+
+class _SimLoop(ServingLoop):
+    """The serving loop on modeled time.
+
+    The clock is the analytic decoder's: it moves as each prefill and
+    decode is charged, so a first token is stamped after its own prefill
+    and a finish after its last decode step.  A round may begin with an
+    instance failure: every running sequence is preempted (KV lost,
+    recomputed on resume) and the instance pays ``restart_time``.
+    """
+
+    def __init__(self, decoder, config, failure_model, nodes, seed, start):
+        super().__init__(
+            decoder, config, context_len=decoder.model.cfg.seq_len,
+            prefix="sim.serve.",
+        )
+        self.failure_model = failure_model
+        self._rate = failure_model.failure_rate(nodes) if failure_model else 0.0
+        self._rng = np.random.default_rng(seed)
+        self.time = start  # the failure process starts with the trace
+        self._next_failure = self._draw_failure()
+
+    @property
+    def time(self) -> float:
+        return self.decoder.clock
+
+    @time.setter
+    def time(self, t: float) -> None:
+        self.decoder.clock = t
+
+    def _draw_failure(self) -> float:
+        if self._rate <= 0:
+            return math.inf
+        return self.time + float(self._rng.exponential(1.0 / self._rate))
+
+    def _begin_round(self) -> None:
+        if self.time >= self._next_failure:
+            for r in list(self.running):
+                self._preempt(r)
+            self._next_failure = self._draw_failure()
+            self.time += self.failure_model.restart_time
+            self._count("instance_failures", 1)
 
 
 def simulate_serving(
@@ -232,227 +327,79 @@ def simulate_serving(
     num_instance_nodes: int = 1,
     chaos_seed: int = 0,
 ) -> ServingResult:
-    """Run an arrival trace through the virtual-time serving loop.
+    """Run an arrival trace through the serving loop on modeled time.
 
-    The loop is the engine's :meth:`~repro.serving.engine.ServingEngine.run`
-    with analytic round costs: each round resumes preempted sequences
-    (priced as a recompute prefill over the preempted context), admits
-    (prefilling the newcomers), decodes one token for every running
-    sequence, and advances the clock by the round's modeled duration.
-    With ``failure_model`` set, instance failures arrive as a seeded
-    exponential process at ``failure_model.failure_rate(num_instance_nodes)``:
-    each failure preempts every running sequence and charges
-    ``restart_time``.  Requests that cannot complete end as typed
-    rejections counted on the result, never exceptions.  Determinism:
-    identical trace + config + seeds => identical result, bit for bit.
+    The schedule is :meth:`repro.serving.loop.ServingLoop.run`'s — the
+    one the real engines execute — over an :class:`AnalyticDecoder`; only
+    the clock differs.  With ``failure_model`` set, instance failures
+    arrive at ``failure_model.failure_rate(num_instance_nodes)``.
+    Requests that cannot complete end as typed rejections counted on the
+    result, never exceptions.  Determinism: identical trace + config +
+    seeds => identical result, bit for bit.
     """
     if not requests:
         raise ValueError("cannot simulate an empty trace")
     config = config or BatchingConfig()
-    batcher = ContinuousBatcher(config)
-    pending = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-    offered = _offered_load(pending)
-
-    rng = np.random.default_rng(chaos_seed)
-    rate = (
-        failure_model.failure_rate(num_instance_nodes) if failure_model else 0.0
+    arrivals = [r.arrival_time for r in requests]
+    loop = _SimLoop(
+        AnalyticDecoder(model, config), config, failure_model,
+        num_instance_nodes, chaos_seed, start=min(arrivals),
     )
-
-    def draw_failure() -> float:
-        return float(rng.exponential(1.0 / rate)) if rate > 0 else math.inf
-
-    running: list[_SimSeq] = []
-    preempted: list[_SimSeq] = []
-    finished: list[tuple[Request, float, float]] = []  # (req, ttft, e2e)
-    causes = {"rejected": 0, "shed": 0, "deadline": 0}
-    free_blocks = config.num_blocks
-    time = pending[0].arrival_time
-    next_failure = time + draw_failure()
-    i = 0
-    steps = 0
-    batch_acc = 0
-    admit_idx = 0
-    preempt_events = 0
-    instance_failures = 0
-    recompute_tokens = 0
-
-    def count_rejections() -> None:
-        for rej in batcher.drain_rejections():
-            causes[rej.cause] += 1
-
-    def reserve_blocks(seq: _SimSeq) -> int:
-        if config.reservation == "worst_case":
-            return config.blocks_for(seq.request.total_tokens)
-        ctx = seq.request.prompt_len + max(seq.produced - 1, 0)
-        return config.blocks_for(ctx + 1)
-
-    def preempt(seq: _SimSeq) -> None:
-        nonlocal free_blocks, preempt_events
-        free_blocks += seq.blocks
-        seq.blocks = 0
-        running.remove(seq)
-        preempted.append(seq)
-        preempt_events += 1
-
-    while i < len(pending) or batcher.num_waiting or running or preempted:
-        while i < len(pending) and pending[i].arrival_time <= time:
-            batcher.enqueue(pending[i], now=time)
-            i += 1
-        count_rejections()
-        if not batcher.num_waiting and not running and not preempted:
-            if i >= len(pending):
-                break  # everything left ended in a typed rejection
-            time = pending[i].arrival_time
-            continue
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                f"serving simulation did not drain within {max_steps} steps"
-            )
-        round_time = 0.0
-        # MTBF-driven instance failure: all running KV is lost; every
-        # sequence recomputes on resume and the instance pays the restart.
-        if failure_model is not None and time >= next_failure:
-            for s in list(running):
-                preempt(s)
-            round_time += failure_model.restart_time
-            instance_failures += 1
-            next_failure = time + draw_failure()
-        # Resume preempted sequences oldest-first (priority over new
-        # admissions); the replay is priced as one recompute prefill.
-        for s in sorted(preempted, key=lambda s: s.admit_idx):
-            need = reserve_blocks(s)
-            if len(running) >= config.max_batch or need > free_blocks:
-                break
-            free_blocks -= need
-            s.blocks = need
-            ctx = s.request.prompt_len + max(s.produced - 1, 0)
-            round_time += model.prefill_time(ctx)
-            recompute_tokens += ctx
-            preempted.remove(s)
-            running.append(s)
-        if preempted:
-            batcher.shed_expired(time)
-        else:
-            for req in batcher.admit(len(running), free_blocks, now=time):
-                seq = _SimSeq(req, admit_idx)
-                admit_idx += 1
-                seq.blocks = reserve_blocks(seq)
-                free_blocks -= seq.blocks
-                round_time += model.prefill_time(req.prompt_len)
-                running.append(seq)
-        count_rejections()
-        # Grow reservations one token, preempting the youngest when the
-        # pool runs dry (same policy as ServingEngine._grow_blocks).
-        victims: list[_SimSeq] = []
-        for s in sorted(running, key=lambda s: s.admit_idx):
-            if s in victims:
-                continue
-            while True:
-                ctx = s.request.prompt_len + s.produced
-                need = config.blocks_for(ctx + 1) - s.blocks
-                if need <= 0 or need <= free_blocks:
-                    free_blocks -= max(need, 0)
-                    s.blocks += max(need, 0)
-                    break
-                victim = max(
-                    (c for c in running if c not in victims),
-                    key=lambda c: c.admit_idx,
-                )
-                victims.append(victim)
-                free_blocks += victim.blocks
-                victim.blocks = 0
-                if victim is s:
-                    break
-        for v in victims:
-            running.remove(v)
-            preempted.append(v)
-            preempt_events += 1
-        live = running
-        if live:
-            context = sum(s.request.prompt_len + s.produced for s in live)
-            round_time += model.decode_step_time(len(live), context)
-            batch_acc += len(live)
-        time += round_time
-        still = []
-        for s in live:
-            s.produced += 1
-            if s.produced == 1:
-                s.first_token_time = time
-            if s.produced >= s.request.max_new_tokens:
-                free_blocks += s.blocks
-                s.blocks = 0
-                finished.append((
-                    s.request,
-                    s.first_token_time - s.request.arrival_time,
-                    time - s.request.arrival_time,
-                ))
-            else:
-                still.append(s)
-        running = still
+    finished = loop.run(requests, step_time=0.0, max_steps=max_steps)
 
     ttft_h = Histogram("sim.serve.ttft")
     e2e_h = Histogram("sim.serve.e2e")
     met = 0
-    tokens = 0
-    for req, ttft, e2e in finished:
-        ttft_h.record(ttft)
-        e2e_h.record(e2e)
-        tokens += req.max_new_tokens
-        if e2e <= slo_multiplier * model.unloaded_latency(req):
+    for fin in finished:
+        ttft_h.record(fin.ttft)
+        e2e_h.record(fin.e2e_latency)
+        if fin.e2e_latency <= slo_multiplier * model.unloaded_latency(fin.request):
             met += 1
-    if finished:
-        makespan = max(e2e + req.arrival_time for req, _, e2e in finished) - (
-            pending[0].arrival_time
-        )
-    else:
-        # Nothing completed (everything rejected/shed/expired): a
-        # zero-request result, not a crash.
-        makespan = 0.0
+    tokens = sum(fin.num_tokens for fin in finished)
+    # Nothing completed (everything rejected/shed/expired): a
+    # zero-request result, not a crash.
+    makespan = finished[-1].finish_time - min(arrivals) if finished else 0.0
+
+    def quantile(hist: Histogram, q: float) -> float:
+        return hist.quantile(q) if finished else 0.0
+
+    stats = loop.stats
     result = ServingResult(
-        offered_load=offered,
+        offered_load=_offered_load(arrivals),
         num_requests=len(finished),
         generated_tokens=tokens,
         makespan=makespan,
         tokens_per_s=tokens / makespan if makespan > 0 else 0.0,
-        p50_ttft=ttft_h.quantile(0.5) if finished else 0.0,
-        p99_ttft=ttft_h.quantile(0.99) if finished else 0.0,
-        p50_e2e=e2e_h.quantile(0.5) if finished else 0.0,
-        p99_e2e=e2e_h.quantile(0.99) if finished else 0.0,
+        p50_ttft=quantile(ttft_h, 0.5),
+        p99_ttft=quantile(ttft_h, 0.99),
+        p50_e2e=quantile(e2e_h, 0.5),
+        p99_e2e=quantile(e2e_h, 0.99),
         mean_e2e=e2e_h.mean if finished else 0.0,
         slo_attainment=met / len(finished) if finished else 0.0,
         slo_multiplier=slo_multiplier,
-        mean_batch=batch_acc / steps if steps else 0.0,
-        decode_steps=steps,
-        rejected=causes["rejected"],
-        shed=causes["shed"],
-        deadline_exceeded=causes["deadline"],
-        preemptions=preempt_events,
-        instance_failures=instance_failures,
-        recompute_tokens=recompute_tokens,
+        mean_batch=stats["decode_tokens"] / max(loop.step_count, 1),
+        decode_steps=loop.step_count,
+        rejected=stats["rejected"],
+        shed=stats["shed"],
+        deadline_exceeded=stats["deadline"],
+        preemptions=stats["preemptions"],
+        instance_failures=stats["instance_failures"],
+        recompute_tokens=stats["recompute_tokens"],
     )
+    count("sim.serve.tokens", tokens)
+    count("sim.serve.rejections", result.num_rejections)
     tracer = get_tracer()
     if tracer is not None:
-        tracer.metrics.counter("sim.serve.requests").add(len(finished))
-        tracer.metrics.counter("sim.serve.tokens").add(tokens)
-        tracer.metrics.counter("sim.serve.decode_steps").add(steps)
-        tracer.metrics.counter("sim.serve.rejections").add(
-            result.num_rejections
-        )
-        tracer.metrics.counter("sim.serve.preemptions").add(preempt_events)
-        tracer.metrics.counter("sim.serve.instance_failures").add(
-            instance_failures
-        )
-        for _, ttft, e2e in finished:
-            tracer.metrics.histogram("sim.serve.ttft_s").record(ttft)
-            tracer.metrics.histogram("sim.serve.e2e_s").record(e2e)
+        for fin in finished:
+            tracer.metrics.histogram("sim.serve.ttft_s").record(fin.ttft)
+            tracer.metrics.histogram("sim.serve.e2e_s").record(fin.e2e_latency)
     return result
 
 
-def _offered_load(pending: list[Request]) -> float:
+def _offered_load(arrivals: list[float]) -> float:
     """Observed arrival rate of the trace (requests/second)."""
-    span = pending[-1].arrival_time - pending[0].arrival_time
-    return (len(pending) - 1) / span if span > 0 else float(len(pending))
+    span = max(arrivals) - min(arrivals)
+    return (len(arrivals) - 1) / span if span > 0 else float(len(arrivals))
 
 
 def sweep_offered_load(

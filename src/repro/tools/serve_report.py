@@ -19,7 +19,7 @@ Usage::
     python -m repro.tools serve-report MODEL TP [MACHINE]
         [--rates R1,R2,...] [--num-requests N] [--seed N]
         [--trace poisson|bursty] [--max-batch N] [--block-size N]
-        [--num-blocks N] [--algo flat|hierarchical|auto]
+        [--num-blocks N] [--collective-algo flat|hierarchical|auto]
         [--slo-multiplier F] [--max-waiting N] [--ttft-deadline S]
         [--chaos] [--mtbfs M1,M2,...] [--restart-time S]
         [--chaos-seed N] [--smoke/--no-smoke] [--out DIR]
@@ -218,13 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument("--block-size", type=int, default=16)
     parser.add_argument("--num-blocks", type=int, default=8192)
-    parser.add_argument(
-        "--algo",
-        dest="collective_algo",
-        choices=("flat", "hierarchical", "auto"),
-        default=argparse.SUPPRESS,
-        help="deprecated alias for --collective-algo",
-    )
     parser.add_argument("--slo-multiplier", type=float, default=3.0)
     parser.add_argument(
         "--max-waiting", type=int, default=None,

@@ -330,15 +330,3 @@ class TestSharedCLIFlags:
         assert plan.main(base + ["--engine", "vectorized"]) == 0
         vector = capsys.readouterr().out
         assert scalar == vector
-
-    def test_serve_report_algo_alias_still_accepted(self, capsys):
-        from repro.tools import serve_report
-
-        # The deprecated --algo spelling must land in the shared
-        # collective_algo destination.
-        rc = serve_report.main([
-            "GPT-5B", "4", "--rates", "0.5", "--num-requests", "4",
-            "--no-smoke", "--algo", "hierarchical",
-        ])
-        assert rc == 0
-        assert "algo hierarchical" in capsys.readouterr().out
