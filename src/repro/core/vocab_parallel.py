@@ -16,7 +16,7 @@ import numpy as np
 
 from ..nn.module import Module, Parameter
 from ..runtime import CommTracer, ProcessGroup
-from ..tensor import Tensor
+from ..tensor import Tensor, embedding
 from .collective_ops import all_reduce_t
 
 __all__ = ["VocabParallelEmbedding"]
@@ -93,21 +93,10 @@ class VocabParallelEmbedding(Module):
             local_ids = np.where(owned, ids - lo, 0)
             # Gather against the shard, then zero the rows this shard
             # does not own (differentiable mask multiply).
-            rows = _gather_rows(self.shards[pos], local_ids)
+            rows = embedding(self.shards[pos], local_ids)
             mask = owned.astype(np.float64)[..., None]
             partials.append(rows * Tensor(mask))
         return all_reduce_t(
             partials, self.group, tracer=self.tracer, tag="vocab_embed.AR"
         )
 
-
-def _gather_rows(table: Parameter, ids: np.ndarray) -> Tensor:
-    """Differentiable row gather (np.take + scatter-add backward)."""
-    data = table.data[ids]
-
-    def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        return (full,)
-
-    return Tensor._make(data, (table,), backward, "vocab_gather")

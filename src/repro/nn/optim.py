@@ -95,14 +95,28 @@ class AdamW:
             if p.grad is None:
                 continue
             g = p.grad
+            # Two scratch arrays per parameter instead of nine
+            # temporaries; the operations and their order are those of
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            #   update = (m/bc1) / (sqrt(v/bc2) + eps) [+ wd*p]
+            # so every bit of the trajectory is unchanged.
+            tmp = np.multiply(g, 1 - b1, out=np.empty_like(m))
             m *= b1
-            m += (1 - b1) * g
+            m += tmp
+            np.multiply(g, 1 - b2, out=tmp)
+            tmp *= g
             v *= b2
-            v += (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update = np.divide(m, bc1, out=np.empty_like(m))
+            update /= tmp
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= self.lr * update
+                np.multiply(p.data, self.weight_decay, out=tmp)
+                update += tmp
+            update *= self.lr
+            p.data -= update
 
     def zero_grad(self) -> None:
         for p in self.params:

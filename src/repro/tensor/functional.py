@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, _scatter_add
 
 __all__ = [
     "gelu",
@@ -25,19 +25,46 @@ __all__ = [
 ]
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
+_GELU_A = 0.044715
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    """``a * a`` in a fresh array for in-place use (``a * a`` itself is a
+    NumPy scalar, which no ``out=`` accepts, when ``a`` is 0-d)."""
+    return np.multiply(a, a, out=np.empty_like(a))
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU activation (tanh approximation, as used by GPT-2/3)."""
+    """GELU activation (tanh approximation, as used by GPT-2/3).
+
+    Multiplies only: ``np.power`` takes ~50x as long per element as a
+    multiply, and was most of a training step.  Temporaries are reused
+    in place; the backward closure keeps ``x`` and ``tanh`` only and
+    recomputes ``x*x``.
+    """
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd**3)
-    t = np.tanh(inner)
-    data = 0.5 * xd * (1.0 + t)
+    t = _square(xd)
+    t *= _GELU_A * _GELU_C
+    t += _GELU_C
+    t *= xd
+    np.tanh(t, out=t)  # t = tanh(c * (x + a*x^3))
+    data = t + 1.0
+    data *= xd
+    data *= 0.5
 
     def backward(g):
-        sech2 = 1.0 - t**2
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * sech2 * d_inner),)
+        d = _square(xd)
+        d *= 3.0 * _GELU_A * _GELU_C
+        d += _GELU_C  # d(inner)/dx = c * (1 + 3a*x^2)
+        sech2 = _square(t)
+        np.subtract(1.0, sech2, out=sech2)
+        d *= sech2
+        d *= xd
+        d += t
+        d += 1.0
+        d *= 0.5  # 0.5*(1 + t) + 0.5*x*sech2*d(inner)/dx
+        d *= g
+        return (d,)
 
     return Tensor._make(data, (x,), backward, "gelu")
 
@@ -54,13 +81,16 @@ def relu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - dot),)
+        gx = g * data
+        dot = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= data
+        return (gx,)
 
     return Tensor._make(data, (x,), backward, "softmax")
 
@@ -83,22 +113,28 @@ def layer_norm(
 ) -> Tensor:
     """LayerNorm over the last dimension with affine parameters."""
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    data = xhat * weight.data + bias.data
     n = xd.shape[-1]
+    xhat = xd - xd.mean(axis=-1, keepdims=True)
+    # The biased variance, as ``xd.var`` computes it, minus its second
+    # pass over ``xd`` for the mean.
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    data = xhat * weight.data
+    data += bias.data
 
     def backward(g):
-        gw = (g * xhat).reshape(-1, n).sum(axis=0)
+        tmp = g * xhat
+        gw = tmp.reshape(-1, n).sum(axis=0)
         gb = g.reshape(-1, n).sum(axis=0)
-        gx_hat = g * weight.data
-        gx = inv * (
-            gx_hat
-            - gx_hat.mean(axis=-1, keepdims=True)
-            - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        )
+        gx = g * weight.data
+        mean_g = gx.mean(axis=-1, keepdims=True)
+        np.multiply(gx, xhat, out=tmp)
+        mean_gx = tmp.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, mean_gx, out=tmp)
+        gx -= mean_g
+        gx -= tmp
+        gx *= inv
         return (gx, gw, gb)
 
     return Tensor._make(data, (x, weight, bias), backward, "layer_norm")
@@ -112,9 +148,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     data = weight.data[ids]
 
     def backward(g):
-        full = np.zeros_like(weight.data)
-        np.add.at(full, ids, g)
-        return (full,)
+        return (_scatter_add(weight.data, ids, g),)
 
     return Tensor._make(data, (weight,), backward, "embedding")
 

@@ -17,7 +17,8 @@ two.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,6 +57,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _is_basic_index(idx) -> bool:
+    """Whether ``idx`` is ints, slices, ``None`` and ``Ellipsis`` only —
+    the indexes that cannot select one element twice."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice))
+        for i in items
+    )
+
+
+def _scatter_add(like: np.ndarray, idx, g: np.ndarray) -> np.ndarray:
+    """Backward of ``like[idx]``: zeros shaped like ``like`` with ``g``
+    added at ``idx``.  Array, list and boolean indexes may repeat an
+    element and need the unbuffered ``np.add.at``; a basic index cannot,
+    so a plain assignment gives the same bits several times faster."""
+    full = np.zeros_like(like)
+    if _is_basic_index(idx):
+        full[idx] = g
+    else:
+        np.add.at(full, idx, g)
+    return full
 
 
 class Tensor:
@@ -133,21 +157,34 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
         name: str = "",
     ) -> "Tensor":
-        """Create a graph node if grad is enabled and any parent needs it."""
-        needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=needs, name=name)
-        if needs:
-            out._parents = tuple(parents)
-            out._backward = backward
+        """Create a graph node if grad is enabled and any parent needs it.
+
+        ``data`` is what an op just computed from float tensors, so its
+        dtype is not validated again (``__init__`` does that for data
+        coming from outside).
+        """
+        needs = False
+        if _GRAD_ENABLED:
+            for p in parents:
+                if p.requires_grad:
+                    needs = True
+                    break
+        out = Tensor.__new__(Tensor)
+        # Full reductions and 1-d @ 1-d return NumPy scalars.
+        out.data = data if isinstance(data, np.ndarray) else np.asarray(data)
+        out.grad = None
+        out.requires_grad = needs
+        out._parents = tuple(parents) if needs else ()
+        out._backward = backward if needs else None
+        out.name = name
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into this tensor's ``.grad`` buffer."""
         if not self.requires_grad:
             return
-        grad = np.asarray(grad, dtype=self.data.dtype)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = np.array(grad, dtype=self.data.dtype, order="C")
         else:
             self.grad += grad
 
@@ -163,7 +200,8 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
 
-        # Reverse topological order via iterative DFS.
+        # Reverse topological order via iterative DFS.  Constants are
+        # left out: no gradient ever flows to them.
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -177,7 +215,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.asarray(grad, dtype=self.data.dtype)}
@@ -185,39 +223,42 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is None or not node._parents:
+            if node._backward is None:
                 node._accumulate(g)
                 continue
             # Interior node: the backward closure maps the incoming
-            # gradient to one gradient per parent.
-            outputs = node._backward(g)
-            # The backward closure returns a sequence of per-parent grads
-            # (None for parents that don't need one).
-            for parent, pg in zip(node._parents, outputs):
+            # gradient to one gradient per parent (None for parents that
+            # don't need one).
+            for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                pid = id(parent)
-                if parent._parents or parent._backward is not None:
-                    if pid in grads:
-                        grads[pid] = grads[pid] + pg
-                    else:
-                        grads[pid] = np.asarray(pg, dtype=parent.data.dtype)
-                else:
+                if parent._backward is None:
                     parent._accumulate(pg)
+                    continue
+                pid = id(parent)
+                acc = grads.get(pid)
+                # Never ``acc += pg``: a closure may hand one array to
+                # several parents (``__add__``) or return a view of ``g``.
+                grads[pid] = (
+                    np.asarray(pg, dtype=parent.data.dtype) if acc is None else acc + pg
+                )
 
     def zero_grad(self) -> None:
         self.grad = None
 
     # -- arithmetic --------------------------------------------------------
 
+    # A gradient is computed only for the operands that need one: the
+    # other operand is usually a constant (a scale, a mask, an epsilon).
+
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = as_tensor(other, self.data.dtype)
         data = self.data + other.data
 
         def backward(g):
             return (
-                _unbroadcast(g, self.shape),
-                _unbroadcast(g, other.shape),
+                _unbroadcast(g, self.shape) if self.requires_grad else None,
+                _unbroadcast(g, other.shape) if other.requires_grad else None,
             )
 
         return Tensor._make(data, (self, other), backward, "add")
@@ -225,28 +266,30 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = as_tensor(other, self.data.dtype)
         data = self.data - other.data
 
         def backward(g):
             return (
-                _unbroadcast(g, self.shape),
-                _unbroadcast(-g, other.shape),
+                _unbroadcast(g, self.shape) if self.requires_grad else None,
+                _unbroadcast(-g, other.shape) if other.requires_grad else None,
             )
 
         return Tensor._make(data, (self, other), backward, "sub")
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) - self
+        return as_tensor(other, self.data.dtype) - self
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = as_tensor(other, self.data.dtype)
         data = self.data * other.data
 
         def backward(g):
             return (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
+                _unbroadcast(g * other.data, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(g * self.data, other.shape)
+                if other.requires_grad else None,
             )
 
         return Tensor._make(data, (self, other), backward, "mul")
@@ -254,19 +297,21 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = as_tensor(other, self.data.dtype)
         data = self.data / other.data
 
         def backward(g):
             return (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / (other.data**2), other.shape),
+                _unbroadcast(g / other.data, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(-g * self.data / (other.data**2), other.shape)
+                if other.requires_grad else None,
             )
 
         return Tensor._make(data, (self, other), backward, "div")
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
+        return as_tensor(other, self.data.dtype) / self
 
     def __neg__(self) -> "Tensor":
         def backward(g):
@@ -305,6 +350,13 @@ class Tensor:
                 gb = (np.swapaxes(a, -1, -2) @ g[..., :, None])[..., 0]
                 gb = gb.reshape(-1, b.shape[0]).sum(axis=0) if gb.ndim > 1 else gb
                 return (_unbroadcast(ga, a.shape), gb)
+            if b.ndim == 2 and a.ndim > 2:  # (..., m, k) @ (k, n)
+                # Fold the leading axes into the rows: one GEMM each,
+                # not a batched GEMM and a sum of ``gb`` over the batch.
+                g2 = g.reshape(-1, b.shape[1])
+                ga = (g2 @ b.T).reshape(a.shape)
+                gb = a.reshape(-1, b.shape[0]).T @ g2
+                return (ga, gb)
             ga = g @ np.swapaxes(b, -1, -2)
             gb = np.swapaxes(a, -1, -2) @ g
             return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
@@ -346,9 +398,7 @@ class Tensor:
         data = self.data[idx]
 
         def backward(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
-            return (full,)
+            return (_scatter_add(self.data, idx, g),)
 
         return Tensor._make(data, (self,), backward, "getitem")
 
@@ -379,7 +429,11 @@ class Tensor:
         return Tensor._make(data, (self,), backward, "sum")
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        n = self.size if axis is None else self.shape[axis]
+        if axis is None:
+            n = self.size
+        else:
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            n = math.prod(self.shape[a] for a in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def exp(self) -> "Tensor":
@@ -415,19 +469,34 @@ class Tensor:
         return Tensor._make(data, (self,), backward, "sqrt")
 
     def maximum(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = as_tensor(other, self.data.dtype)
         data = np.maximum(self.data, other.data)
 
         def backward(g):
             mask = self.data >= other.data
             return (
-                _unbroadcast(g * mask, self.shape),
-                _unbroadcast(g * ~mask, other.shape),
+                _unbroadcast(g * mask, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(g * ~mask, other.shape)
+                if other.requires_grad else None,
             )
 
         return Tensor._make(data, (self, other), backward, "maximum")
 
 
-def as_tensor(x) -> Tensor:
-    """Coerce scalars/arrays to a constant :class:`Tensor`."""
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def as_tensor(x, dtype=None) -> Tensor:
+    """Coerce scalars/arrays to a constant :class:`Tensor`.
+
+    Python scalars, NumPy scalars and 0-d arrays are *weak*: they take
+    ``dtype`` — the binary operators pass the tensor operand's — so that
+    ``x * 0.5`` on a float32 ``x`` stays float32.  Without ``dtype`` they
+    are float64.  Arrays of one or more dimensions keep a float32/float64
+    dtype of their own.
+    """
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(x, (bool, int, float, np.generic)) or (
+        isinstance(x, np.ndarray) and x.ndim == 0
+    ):
+        return Tensor(np.asarray(x, dtype=np.float64 if dtype is None else dtype))
+    return Tensor(x)

@@ -5,19 +5,22 @@ Usage::
     python -m repro.tools profile run --config tiny [--out DIR]
         [--seed N] [--steps N] [--name NAME] [--max-overhead-pct F]
 
-Runs ``steps`` forward/loss passes of a small :class:`ParallelGPT`
-under an active :class:`repro.telemetry.Tracer` and emits:
+Runs ``steps`` whole training steps of a small :class:`ParallelGPT` —
+``loss`` -> ``backward`` -> ``optimizer.step``, one span each — under an
+active :class:`repro.telemetry.Tracer` and emits:
 
 * ``<out>/trace_<name>.json`` — Chrome ``trace_event`` JSON, loadable
   in ``chrome://tracing`` / Perfetto;
 * ``<out>/BENCH_<name>.json`` — the flat benchmark summary (span
   timings, byte/call counters, telemetry overhead);
-* an ASCII flamegraph of the span hierarchy on stdout.
+* the three-way split of a step and an ASCII flamegraph of the span
+  hierarchy on stdout.
 
 Two cross-checks back the artifacts:
 
-1. the traced per-tag collective bytes must equal the analytic volumes
-   from :func:`repro.perfmodel.gpt_forward_backward_volumes`;
+1. the traced per-tag collective bytes must equal the analytic forward
+   volumes from :func:`repro.perfmodel.gpt_forward_backward_volumes`
+   (backward and the optimizer issue no collective of their own);
 2. with ``--max-overhead-pct``, the enabled-vs-disabled wall-clock
    overhead of telemetry must stay under the bound (the bench-smoke CI
    gate).
@@ -35,7 +38,7 @@ import numpy as np
 
 from ..config import GPTConfig
 from ..core import Grid4D, GridConfig, ParallelGPT
-from ..nn import GPT
+from ..nn import GPT, AdamW
 from ..perfmodel import gpt_forward_backward_volumes
 from ..telemetry import (
     Tracer,
@@ -70,10 +73,25 @@ def _preset_model(config: str) -> tuple[GPTConfig, GridConfig, int]:
     return cfg, GridConfig(gx, gy, gz, gdata), 2 * gz
 
 
-def _time_loss(model: ParallelGPT, ids: np.ndarray, steps: int) -> float:
+#: The spans of one step, in order.
+STEP_SPANS = ("loss", "backward", "optimizer.step")
+
+
+def _time_steps(
+    model: ParallelGPT, opt: AdamW, ids: np.ndarray, steps: int, tracer: Tracer
+) -> float:
+    """Wall seconds of ``steps`` training steps, each split into
+    :data:`STEP_SPANS` on ``tracer`` (a disabled tracer records nothing)."""
+    loss_span, backward_span, optimizer_span = STEP_SPANS
     t0 = time.perf_counter()
     for _ in range(steps):
-        model.loss(ids)
+        with tracer.span(loss_span, cat="profile"):
+            loss = model.loss(ids)
+        with tracer.span(backward_span, cat="profile"):
+            loss.backward()
+        with tracer.span(optimizer_span, cat="profile"):
+            opt.step()
+            model.zero_grad()
     return time.perf_counter() - t0
 
 
@@ -93,29 +111,31 @@ def profile(
     cfg, grid_cfg, batch = _preset_model(config)
     grid = Grid4D(GridConfig(grid_cfg.gx, grid_cfg.gy, grid_cfg.gz))
     model = ParallelGPT.from_serial(GPT(cfg, seed=seed), grid)
+    opt = AdamW(model.parameters())
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, cfg.vocab_size, (batch, cfg.seq_len - 1))
+    off = Tracer(enabled=False)
 
     # Metrics pass: one tracer owns the spans and counters we export.
-    model.loss(ids)  # warm-up outside the scope
+    _time_steps(model, opt, ids, 1, off)  # warm-up outside the scope
     tracer = Tracer()
     with telemetry_scope(tracer):
-        for _ in range(steps):
-            model.loss(ids)
+        _time_steps(model, opt, ids, steps, tracer)
 
     # Overhead: best-of-N wall clock, telemetry off vs on (fresh,
     # throwaway tracers so the metrics pass above stays clean).
-    t_off = min(_time_loss(model, ids, steps) for _ in range(repeats))
+    t_off = min(_time_steps(model, opt, ids, steps, off) for _ in range(repeats))
     t_on = []
     for _ in range(repeats):
-        with telemetry_scope(Tracer()):
-            t_on.append(_time_loss(model, ids, steps))
+        with telemetry_scope(Tracer()) as throwaway:
+            t_on.append(_time_steps(model, opt, ids, steps, throwaway))
     t_on = min(t_on)
     overhead_pct = (t_on - t_off) / t_off * 100.0 if t_off > 0 else 0.0
 
     # Cross-check: traced bytes vs the analytic forward volumes.  Each
-    # loss() call communicates exactly one forward's worth of bytes
-    # (backward materializes as autograd accumulation, untraced).
+    # step communicates exactly one forward's worth of bytes: backward
+    # is autograd accumulation over the one graph that holds every
+    # rank, and the optimizer updates shards in place.
     vol = gpt_forward_backward_volumes(
         cfg, batch, grid.config, dtype_bytes=8, seq_len=ids.shape[1] - 1
     )
@@ -133,8 +153,12 @@ def profile(
         for traced, analytic in checks.values()
     )
 
+    split = tracer.by_path()
+    step_ms = {name: split[name] / steps * 1e3 for name in STEP_SPANS}
     g = tracer.metrics.gauge
     g("profile.steps").set(steps)
+    for span_name, ms in step_ms.items():
+        g(f"profile.step_ms.{span_name}").set(ms)
     g("profile.time_enabled_s").set(t_on)
     g("profile.time_disabled_s").set(t_off)
     g("profile.overhead_pct").set(overhead_pct)
@@ -164,6 +188,14 @@ def profile(
         f"  telemetry overhead: {overhead_pct:+.1f}% "
         f"(on {t_on * 1e3:.1f} ms vs off {t_off * 1e3:.1f} ms, "
         f"best of {repeats})"
+    )
+    total_ms = sum(step_ms.values())
+    print(
+        f"  one step {total_ms:.1f} ms: "
+        + " | ".join(
+            f"{span_name} {ms:.1f} ms ({ms / total_ms:.0%})"
+            for span_name, ms in step_ms.items()
+        )
     )
     for k, (traced, analytic) in checks.items():
         mark = "==" if volume_ok else "!="

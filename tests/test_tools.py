@@ -171,6 +171,13 @@ class TestProfileRun:
         assert bench["schema"] == BENCH_SCHEMA
         assert bench["metrics"]["comm.calls.all_reduce"] > 0
         assert bench["metrics"]["profile.steps"] == 2
+        # A whole step is timed, as three spans: twice each, and the
+        # printed summary gives the three-way split.
+        for span in profile_run.STEP_SPANS:
+            assert bench["metrics"][f"profile.step_ms.{span}"] > 0
+            events = [e for e in trace["traceEvents"] if e.get("name") == span]
+            assert len(events) == 2
+        assert "| backward " in out and "| optimizer.step " in out
         # Byte counters in the artifact equal the analytic volumes.
         check = bench["meta"]["volume_check"]
         for entry in check.values():
