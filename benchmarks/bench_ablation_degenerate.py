@@ -11,6 +11,7 @@ import pytest
 
 from conftest import run_once
 
+from repro.autotune import PlanRequest
 from repro.cluster import FRONTIER
 from repro.config import get_model
 from repro.core import make_degenerate_grid
@@ -53,7 +54,9 @@ def test_ablation_degenerate_schemes(benchmark, report):
                 overlap=OverlapFlags.all(), kernel_tuning=True,
             ),
         )
-        auto_cfg, auto = best_configuration(cfg, BATCH, GCDS, FRONTIER)
+        auto_cfg, auto = best_configuration(
+            PlanRequest(cfg, GCDS, FRONTIER, BATCH)
+        )
         results["auto (perf model)"] = (auto_cfg, auto)
         return results
 

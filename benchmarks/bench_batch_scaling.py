@@ -12,6 +12,7 @@ import pytest
 
 from conftest import run_once
 
+from repro.autotune import PlanRequest
 from repro.cluster import FRONTIER
 from repro.config import get_model
 from repro.kernels import percent_of_peak, sustained_flops
@@ -29,8 +30,10 @@ def test_batch_scaling_amortizes_communication(benchmark, report):
         rows = []
         for batch in BATCHES:
             config, res = best_configuration(
-                cfg, batch, GCDS, FRONTIER,
-                overlap=OverlapFlags.all(), kernel_tuning=True,
+                PlanRequest(
+                    cfg, GCDS, FRONTIER, batch,
+                    overlap=OverlapFlags.all(), kernel_tuning=True,
+                )
             )
             rows.append((batch, config, res))
         return rows

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import run_once
 
+from repro.autotune import PlanRequest
 from repro.cluster import FRONTIER
 from repro.config import get_model
 from repro.simulate import OverlapFlags, best_configuration, simulate_iteration
@@ -33,8 +34,10 @@ def test_fig5_overlap_breakdown(benchmark, report, model_name):
 
     def experiment():
         config, _ = best_configuration(
-            cfg, BATCH, GCDS, FRONTIER,
-            overlap=OverlapFlags.none(), kernel_tuning=True,
+            PlanRequest(
+                cfg, GCDS, FRONTIER, BATCH,
+                overlap=OverlapFlags.none(), kernel_tuning=True,
+            )
         )
         out = []
         for label, flags in SETTINGS:

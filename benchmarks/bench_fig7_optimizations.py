@@ -19,6 +19,7 @@ import pytest
 
 from conftest import run_once
 
+from repro.autotune import PlanRequest
 from repro.cluster import FRONTIER
 from repro.config import get_model
 from repro.simulate import (
@@ -47,8 +48,10 @@ def test_fig7_optimization_impact(benchmark, report, model_name, gcds):
             overlap=OverlapFlags.none(), kernel_tuning=False,
         )
         pm_cfg, _ = best_configuration(
-            cfg, batch, gcds, FRONTIER,
-            overlap=OverlapFlags.none(), kernel_tuning=False,
+            PlanRequest(
+                cfg, gcds, FRONTIER, batch,
+                overlap=OverlapFlags.none(), kernel_tuning=False,
+            )
         )
         pm = simulate_iteration(
             cfg, batch, pm_cfg, FRONTIER,

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import run_once
 
+from repro.autotune import PlanRequest
 from repro.cluster import FRONTIER
 from repro.config import get_model
 from repro.simulate import (
@@ -35,7 +36,7 @@ def test_fig9_time_to_solution(benchmark, report, model_name, gcd_counts):
 
     def experiment():
         return [
-            run_point(model_name, g, FRONTIER, global_batch=BATCH)
+            run_point(PlanRequest(model_name, g, FRONTIER, global_batch=BATCH))
             for g in gcd_counts
         ]
 

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import run_once
 
+from repro.autotune import PlanRequest
 from repro.cluster import FRONTIER, PERLMUTTER
 from repro.config import get_model
 from repro.kernels import sustained_flops, percent_of_peak
@@ -37,7 +38,9 @@ def test_pipeline_hybrid_vs_4d(benchmark, report):
         pipe = simulate_pipeline_iteration(
             cfg, batch, pipe_cfg, PERLMUTTER, num_microbatches=32
         )
-        axonn = run_point("GPT-40B", 4096, PERLMUTTER, global_batch=batch)
+        axonn = run_point(
+            PlanRequest("GPT-40B", 4096, PERLMUTTER, global_batch=batch)
+        )
         rows.append(
             ("perlmutter", cfg, batch, 4096, pipe_cfg, pipe, axonn)
         )
@@ -53,7 +56,9 @@ def test_pipeline_hybrid_vs_4d(benchmark, report):
         pipe = simulate_pipeline_iteration(
             cfg, batch, pipe_cfg, FRONTIER, num_microbatches=16
         )
-        axonn = run_point("GPT-80B", 8192, FRONTIER, global_batch=batch)
+        axonn = run_point(
+            PlanRequest("GPT-80B", 8192, FRONTIER, global_batch=batch)
+        )
         rows.append(("frontier", cfg, batch, 8192, pipe_cfg, pipe, axonn))
         return rows
 

@@ -17,15 +17,12 @@ Publishes per-point batch times, the crossover sequence length, and the
 long-context ring throughput in ``BENCH_seq_parallel.json``.
 """
 
-from pathlib import Path
-
-from conftest import run_once
+from conftest import RESULTS_DIR, run_once
 
 from repro.cluster import get_machine
 from repro.config import get_model
 from repro.perfmodel import rank_configurations
 from repro.simulate import simulate_iteration
-from repro.telemetry import write_bench_json
 
 NUM_GPUS = 32
 BATCH = 8
@@ -134,14 +131,9 @@ def test_seq_parallel(benchmark, report):
         "max_gs": MAX_GS,
         "points": points,
     }
-    # The acceptance artifact, under its stable name.
-    path = write_bench_json(
-        Path(__file__).parent / "results",
-        "seq_parallel",
-        report.metrics,
-        report.meta,
-    )
-    report.line(f"wrote {path}")
+    # The acceptance artifact, under its stable name (written on save).
+    report.bench_name = "seq_parallel"
+    report.line(f"wrote {RESULTS_DIR / 'BENCH_seq_parallel.json'}")
 
     # The CI gates (seq-parallel-smoke).
     for mname in MACHINES:

@@ -2,18 +2,18 @@
 
 The paper's headline curves (Figs. 6-9) live at 4096-8192+ GPUs, which
 is only reachable if one simulated iteration at those rank counts costs
-milliseconds.  This benchmark measures both timing engines on a
-contention-heavy 4096-rank configuration and locks in the vectorized
-engine's capability as CI gates:
+milliseconds.  This benchmark runs a variability-style sweep on a
+contention-heavy 4096-rank configuration and locks in the capability as
+a CI gate: one complete 4096-rank and one 8192-rank simulated iteration,
+caches cold, each under 60 s wall-clock.
 
-* ``events/s`` of the vectorized engine >= 10x the seed scalar engine
-  (same iterations, same grid — the baseline is measured in-run, so the
-  gate tracks whatever hardware CI lands on);
-* one complete 4096-rank and one 8192-rank simulated iteration each
-  under 60 s wall-clock.
+How fast the engine is *over time* is tracked by the benchmark spine's
+``simulate.iteration_ms.r1024`` / ``.r8192`` / ``simulate.events_per_s``
+probes (``bench/``), not by an in-run ratio against a second engine:
+there is one engine, and ``tests/test_sim_differential.py`` proves it
+bitwise-equal to the scalar definitions.
 
-Publishes ``events_per_s_*``, ``speedup`` and ``t_iter_*`` in
-``BENCH_*.json``.
+Publishes ``events_per_s`` and ``t_iter_*`` in ``BENCH_*.json``.
 """
 
 import time
@@ -31,106 +31,68 @@ from repro.simulate import (
 )
 
 #: Contention-heavy 4096-rank shape: every axis straddles nodes on
-#: Frontier (8 GCDs/node), and the 512-wide data axis makes the scalar
-#: per-rank bandwidth derivation walk thousands of sibling rings.
+#: Frontier (8 GCDs/node), and the 512-wide data axis puts thousands of
+#: sibling rings on the same links.
 CONFIG_4096 = GridConfig(2, 2, 2, 512)
 CONFIG_8192 = GridConfig(2, 2, 2, 1024)
 
-#: >= 10x events/s over the seed scalar engine, locked in by CI.
-SPEEDUP_GATE = 10.0
 #: Paper-scale iterations must complete within a minute of wall-clock.
 ITER_BUDGET_S = 60.0
 
 
-def _timed_iterations(engine: str, config: GridConfig, model, iters: int):
-    """(wall seconds, events scheduled, salt-0 IterationResult) for
-    ``iters`` fresh simulated iterations (distinct run salts, as a
-    variability sweep would issue them)."""
-    batch = 2 * config.total
-    start = time.perf_counter()
-    events = 0
-    first = None
-    for salt in range(iters):
-        res = simulate_iteration(
-            model, batch, config, FRONTIER,
-            overlap=OverlapFlags.all(), kernel_tuning=True,
-            collective_algo="auto", run_salt=salt,
-            engine=engine, timing_only=True,
-        )
-        events += res.num_events
-        if salt == 0:
-            first = res
-    return time.perf_counter() - start, events, first
+def _cold_iteration(model, config: GridConfig):
+    """(wall seconds, IterationResult) of one iteration, caches cold."""
+    clear_caches()
+    t0 = time.perf_counter()
+    res = simulate_iteration(
+        model, 2 * config.total, config, FRONTIER,
+        overlap=OverlapFlags.all(), kernel_tuning=True,
+        collective_algo="auto", timing_only=True,
+    )
+    return time.perf_counter() - t0, res
 
 
 def test_engine_speedup_and_scale(benchmark, report):
     model = get_model("GPT-40B")
-    scalar_iters = 3
     # A variability sweep issues many salted iterations per config, so
-    # the vectorized wall amortizes its one-time cache fill the same way
-    # real callers do; the scalar baseline has no cold start to amortize.
-    vector_iters = 24 if full_scale() else 12
+    # the wall amortizes the one-time cache fill the way real callers do.
+    iters = 24 if full_scale() else 12
 
     def experiment():
-        # Scalar seed baseline: the legacy per-rank reference path.
-        t_scalar, ev_scalar, res_scalar = _timed_iterations(
-            "scalar", CONFIG_4096, model, scalar_iters
-        )
-        # Vectorized engine, cold caches included in the measurement.
         clear_caches()
-        t_vector, ev_vector, res_vector = _timed_iterations(
-            "vectorized", CONFIG_4096, model, vector_iters
-        )
-        # Paper-scale single iterations, cold.
-        clear_caches()
-        t0 = time.perf_counter()
-        r4096 = simulate_iteration(
-            model, 2 * CONFIG_4096.total, CONFIG_4096, FRONTIER,
-            overlap=OverlapFlags.all(), kernel_tuning=True,
-            collective_algo="auto", timing_only=True,
-        )
-        t_4096 = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        r8192 = simulate_iteration(
-            get_model("GPT-80B"), 2 * CONFIG_8192.total, CONFIG_8192,
-            FRONTIER, overlap=OverlapFlags.all(), kernel_tuning=True,
-            collective_algo="auto", timing_only=True,
-        )
-        t_8192 = time.perf_counter() - t0
-        assert res_scalar == res_vector  # same salt -> same result, bitwise
-        return (t_scalar, ev_scalar, t_vector, ev_vector,
-                t_4096, r4096, t_8192, r8192)
+        start = time.perf_counter()
+        events = 0
+        for salt in range(iters):
+            events += simulate_iteration(
+                model, 2 * CONFIG_4096.total, CONFIG_4096, FRONTIER,
+                overlap=OverlapFlags.all(), kernel_tuning=True,
+                collective_algo="auto", run_salt=salt, timing_only=True,
+            ).num_events
+        t_sweep = time.perf_counter() - start
+        t_4096, r4096 = _cold_iteration(model, CONFIG_4096)
+        t_8192, r8192 = _cold_iteration(get_model("GPT-80B"), CONFIG_8192)
+        return t_sweep, events, t_4096, r4096, t_8192, r8192
 
-    (t_scalar, ev_scalar, t_vector, ev_vector,
-     t_4096, r4096, t_8192, r8192) = run_once(benchmark, experiment)
-
-    eps_scalar = events_per_second(ev_scalar, t_scalar)
-    eps_vector = events_per_second(ev_vector, t_vector)
-    speedup = eps_vector / eps_scalar
+    t_sweep, events, t_4096, r4096, t_8192, r8192 = run_once(
+        benchmark, experiment
+    )
+    eps = events_per_second(events, t_sweep)
 
     report.line(
         f"Simulator engine throughput on {CONFIG_4096} (4096 ranks, "
         f"frontier, GPT-40B):"
     )
     report.table(
-        ["engine", "iters", "events", "wall (s)", "events/s"],
-        [
-            ["scalar", scalar_iters, ev_scalar, f"{t_scalar:.3f}",
-             f"{eps_scalar:,.0f}"],
-            ["vectorized", vector_iters, ev_vector, f"{t_vector:.3f}",
-             f"{eps_vector:,.0f}"],
-        ],
+        ["iters", "events", "wall (s)", "events/s"],
+        [[iters, events, f"{t_sweep:.3f}", f"{eps:,.0f}"]],
     )
     report.line()
     report.line(
-        f"speedup {speedup:.1f}x (gate >= {SPEEDUP_GATE:.0f}x); "
         f"cold 4096-rank iteration {t_4096 * 1e3:.1f} ms "
         f"({r4096.num_events} events), 8192-rank {t_8192 * 1e3:.1f} ms "
         f"({r8192.num_events} events), budget {ITER_BUDGET_S:.0f} s"
     )
-    report.metric("events_per_s_scalar", eps_scalar)
-    report.metric("events_per_s_vectorized", eps_vector)
-    report.metric("speedup", speedup)
+    report.metric("events_per_s", eps)
     report.metric("t_iter_4096_s", t_4096)
     report.metric("t_iter_8192_s", t_8192)
     report.metric("max_ranks_simulated", CONFIG_8192.total)
@@ -141,10 +103,6 @@ def test_engine_speedup_and_scale(benchmark, report):
     }
 
     # The CI gates (sim-scale-smoke).
-    assert speedup >= SPEEDUP_GATE, (
-        f"vectorized engine only {speedup:.1f}x the scalar seed baseline "
-        f"(gate {SPEEDUP_GATE:.0f}x)"
-    )
     assert t_4096 < ITER_BUDGET_S
     assert t_8192 < ITER_BUDGET_S
     assert r4096.total_time > 0 and r8192.total_time > 0

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import run_once
 
+from repro.autotune import PlanRequest
 from repro.cluster import ALPS, FRONTIER, PERLMUTTER
 from repro.config import get_model
 from repro.simulate import (
@@ -39,7 +40,7 @@ PRIOR_FRONTIER_PCT = {"FORGE": 29.0, "Dash et al.": 31.9}
 def test_table1_axonn_rows(benchmark, report):
     def experiment():
         return [
-            (m, run_point(model, g, m, global_batch=b))
+            (m, run_point(PlanRequest(model, g, m, global_batch=b)))
             for m, model, g, b, _, _ in AXONN_ROWS
         ]
 
@@ -81,7 +82,9 @@ def test_table1_axonn_beats_prior_frontier_studies(benchmark, report):
     gcds, batch = 4096, 8192
 
     def experiment():
-        axonn = run_point("GPT-40B", gcds, FRONTIER, global_batch=batch)
+        axonn = run_point(
+            PlanRequest("GPT-40B", gcds, FRONTIER, global_batch=batch)
+        )
         prior_cfg = baseline_config(cfg, gcds, FRONTIER)
         prior = simulate_iteration(
             cfg, batch, prior_cfg, FRONTIER,

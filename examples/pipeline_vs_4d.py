@@ -15,6 +15,7 @@ Run:  python examples/pipeline_vs_4d.py
 
 import numpy as np
 
+from repro.autotune import PlanRequest
 from repro.cluster import FRONTIER
 from repro.config import GPTConfig, get_model
 from repro.core import Grid4D, GridConfig, ParallelGPT
@@ -67,7 +68,9 @@ def performance_demo() -> None:
     pipe = simulate_pipeline_iteration(
         cfg, batch, pipe_cfg, FRONTIER, num_microbatches=16
     )
-    axonn = run_point("GPT-80B", 8192, FRONTIER, global_batch=batch)
+    axonn = run_point(
+        PlanRequest("GPT-80B", 8192, FRONTIER, global_batch=batch)
+    )
 
     print(f"  Megatron-style {pipe_cfg}:")
     print(

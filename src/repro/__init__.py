@@ -37,8 +37,6 @@ below is a supported entry point.  Quick start::
     model = ctx.parallelize("GPT-5B")       # 4D-parallel GPT
 """
 
-import warnings as _warnings
-
 from .autotune import (
     AutotuneReport,
     NoFeasibleConfigError,
@@ -155,20 +153,3 @@ __all__ = [
     "write_bench_json",
     "__version__",
 ]
-
-_DEPRECATED = {
-    # old name -> (replacement name, replacement object)
-    "init": ("axonn_init", axonn_init),
-}
-
-
-def __getattr__(name):
-    if name in _DEPRECATED:
-        new_name, obj = _DEPRECATED[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated; use repro.{new_name}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return obj
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,8 +6,8 @@ Every planner entry point — :func:`repro.autotune.autotune`,
 one :class:`PlanRequest` ("what job am I planning?") optionally paired with
 one :class:`SearchSpace` ("which knobs may the tuner move?").  The pair
 replaces the overlapping-but-inconsistent parameter bundles the entry
-points grew separately (``overlap``, ``kernel_tuning``, ``db``, ``engine``,
-``top_k``, collective algorithm, jitter seed).
+points grew separately (``overlap``, ``kernel_tuning``, ``db``, ``top_k``,
+collective algorithm, jitter seed).
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class PlanRequest:
     overlap: OverlapFlags | None = None
     kernel_tuning: bool = True
     collective_algo: str | None = None
-    engine: str = "vectorized"
     seed: int = 0
     db: "BandwidthDatabase | None" = field(
         default=None, compare=False, repr=False
@@ -114,10 +113,6 @@ class PlanRequest:
             raise ValueError(
                 "collective_algo must be None, 'flat', 'hierarchical' or "
                 f"'auto', got {self.collective_algo!r}"
-            )
-        if self.engine not in ("scalar", "vectorized"):
-            raise ValueError(
-                f"engine must be 'scalar' or 'vectorized', got {self.engine!r}"
             )
 
     # -- resolution helpers ------------------------------------------------

@@ -10,7 +10,7 @@ paper's §VI methodology hand-tunes each headline run:
 2. **Prune** the survivors with the analytic communication model
    (Eqs. 1-7 via :func:`repro.perfmodel.rank_configurations`) to the
    space's ``prune_k`` best-predicted grids.
-3. **Screen** each pruned survivor with one ``timing_only`` vectorized
+3. **Screen** each pruned survivor with one ``timing_only``
    simulation under the space's reference knobs, keeping ``validate_k``.
 4. **Sweep** the full (overlap subset x GEMM kernel-mode tuning x
    flat/hierarchical/auto collective routing) knob cross-product over the
@@ -20,8 +20,8 @@ paper's §VI methodology hand-tunes each headline run:
 
 Determinism: the whole pipeline is a pure function of the request and
 space — enumeration order, stable sorts, and strict-``<`` winner updates
-fix every tie-break, and the simulator's jitter is the seeded sha256
-hash shared by both timing engines.  Same inputs, bitwise-same winner.
+fix every tie-break, and the simulator's jitter is a seeded sha256
+hash.  Same inputs, bitwise-same winner.
 """
 
 from __future__ import annotations
@@ -120,8 +120,7 @@ def autotune(
         res = simulate_iteration(
             cfg, batch, config, machine,
             overlap=overlap, kernel_tuning=kernel_tuning,
-            collective_algo=algo, engine=request.engine,
-            run_salt=request.seed, timing_only=True,
+            collective_algo=algo, run_salt=request.seed, timing_only=True,
         )
         sim_memo[key] = res
         return res

@@ -1,7 +1,5 @@
 """The paper's core contribution: the 4D hybrid parallel algorithm."""
 
-import warnings as _warnings
-
 from .axonn import AxoNN
 from .axonn import init as axonn_init
 from .checkpoint_io import (
@@ -103,20 +101,3 @@ __all__ = [
     "ParallelMLP",
     "ACTIVATIONS",
 ]
-
-_DEPRECATED = {
-    # old name -> (replacement name, replacement object)
-    "init": ("axonn_init", axonn_init),
-}
-
-
-def __getattr__(name):
-    if name in _DEPRECATED:
-        new_name, obj = _DEPRECATED[name]
-        _warnings.warn(
-            f"repro.core.{name} is deprecated; use repro.core.{new_name}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return obj
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

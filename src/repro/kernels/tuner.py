@@ -107,8 +107,10 @@ def tune_matmuls(ops: list[MatmulOp], gemm: GemmModel) -> TunedPlan:
 
 #: Tuning outcome per machine, per (m, k, n, default_mode).  GPT stacks
 #: repeat identical transformer blocks, so a model's op list collapses
-#: to a handful of distinct shapes — pricing each shape once is most of
-#: the vectorized engine's simulate_iteration speedup.  Two-level so the
+#: to a handful of distinct shapes — pricing each shape once is what
+#: keeps a warm simulate_iteration call in the low milliseconds (the
+#: uncached :func:`tune_matmuls` is the definition and the test oracle
+#: of ``tests/test_sim_differential.py``).  Two-level so the
 #: (relatively expensive) MachineSpec hash is computed once per call,
 #: not once per op.
 _SHAPE_CACHE: dict[object, dict[tuple, tuple[GemmMode, float, float]]] = {}

@@ -8,7 +8,6 @@ first.  "Pick the top few for actual experiments" — Section V-B.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..cluster import MachineSpec
@@ -115,52 +114,37 @@ def rank_configurations(
     cfg,
     global_batch: int | None = None,
     num_gpus: int | None = None,
-    machine: MachineSpec | None = None,
-    *args,
+    machine: MachineSpec | str | None = None,
+    *,
     db: BandwidthDatabase | None = None,
     max_configs: int | None = None,
     max_gs: int | None = None,
 ) -> list[RankedConfig]:
     """All feasible grids for the job, fastest predicted first.
 
-    The blessed call takes one :class:`repro.autotune.PlanRequest` —
-    ``rank_configurations(request)`` — whose ``top_k`` caps the list and
-    whose ``db`` is reused across calls.  The pre-PR-9 positional
-    signature ``(cfg, global_batch, num_gpus, machine)`` still works;
-    its tuning knobs (``db``, ``max_configs``) are now keyword-only, and
-    passing them positionally emits a :class:`DeprecationWarning`.
+    Takes either one :class:`repro.autotune.PlanRequest` —
+    ``rank_configurations(request)``, whose ``top_k`` caps the list and
+    whose ``db`` is reused across calls — or the four positionals
+    ``(cfg, global_batch, num_gpus, machine)`` with the tuning knobs
+    (``db``, ``max_configs``, ``max_gs``) as keywords.
     """
-    if global_batch is None and num_gpus is None and machine is None and not args:
+    if global_batch is None and num_gpus is None and machine is None:
         from ..autotune.api import PlanRequest
 
-        if isinstance(cfg, PlanRequest):
-            request = cfg
-            return rank_configurations(
-                request.resolved_model(),
-                request.resolved_batch(),
-                request.num_gpus,
-                request.resolved_machine(),
-                db=request.resolved_db(),
-                max_configs=request.top_k,
-            )
-        raise TypeError(
-            "rank_configurations() takes a PlanRequest or "
-            "(cfg, global_batch, num_gpus, machine)"
-        )
-    if args:
-        warnings.warn(
-            "passing db/max_configs to rank_configurations positionally is "
-            "deprecated; pass them as keywords (or use a PlanRequest)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(args) > 2:
+        if not isinstance(cfg, PlanRequest):
             raise TypeError(
-                f"rank_configurations() takes at most 6 positional "
-                f"arguments ({4 + len(args)} given)"
+                "rank_configurations() takes a PlanRequest or "
+                "(cfg, global_batch, num_gpus, machine)"
             )
-        db = args[0] if len(args) >= 1 else db
-        max_configs = args[1] if len(args) >= 2 else max_configs
+        request = cfg
+        return rank_configurations(
+            request.resolved_model(),
+            request.resolved_batch(),
+            request.num_gpus,
+            request.resolved_machine(),
+            db=request.resolved_db(),
+            max_configs=request.top_k,
+        )
     if global_batch is None or num_gpus is None or machine is None:
         raise TypeError(
             "rank_configurations() missing global_batch/num_gpus/machine"

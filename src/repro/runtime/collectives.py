@@ -148,6 +148,46 @@ def _flatten_padded(
     return flat, n
 
 
+def _begin(
+    name: str,
+    buffers: Mapping[int, np.ndarray],
+    group: ProcessGroup,
+    tracer: CommTracer | None,
+    tag: str,
+    injector,
+    **impl_kwargs,
+):
+    """The front every ring collective shares: check the buffers, defer
+    to the two-level implementation an active policy elects (it gets
+    ``impl_kwargs``: ``op=`` / ``root=``), consult the fault injector,
+    record the call, settle size-1 groups.
+
+    Returns ``(buffers, None)`` — the possibly fault-injected buffers to
+    run the ring on — or ``(None, result)`` when already answered.
+    """
+    _check_buffers(buffers, group)
+    root = impl_kwargs.get("root")
+    if root is not None and root not in group:
+        raise ValueError(f"root {root} not in group {group.ranks}")
+    lead = group.ranks[0] if root is None else root
+    if _POLICIES and injector is not _DISABLED:
+        hier = _hier_route(name, group, buffers[lead].nbytes)
+        if hier is not None:
+            return None, hier(
+                buffers, group, tracer=tracer, tag=tag, injector=injector,
+                **impl_kwargs,
+            )
+    buffers = _inject(name, group, buffers, tag, tracer, injector)
+    sample = buffers[lead]
+    _trace(
+        tracer, name, group, sample, tag, root=root,
+        internal=injector is _DISABLED,
+    )
+    if group.size == 1:
+        return None, {lead: sample.copy()}
+    return buffers, None
+
+
 @_traced(cat="comm")
 def reduce_scatter(
     buffers: Mapping[int, np.ndarray],
@@ -163,32 +203,21 @@ def reduce_scatter(
     dimension must be divisible by the group size; rank at group position
     ``g`` receives the fully reduced ``g``-th shard (split along axis 0).
     """
-    _check_buffers(buffers, group)
-    if _POLICIES and injector is not _DISABLED:
-        hier = _hier_route(
-            "reduce_scatter", group, buffers[group.ranks[0]].nbytes
-        )
-        if hier is not None:
-            return hier(
-                buffers, group, op=op, tracer=tracer, tag=tag, injector=injector
-            )
-    buffers = _inject("reduce_scatter", group, buffers, tag, tracer, injector)
     p = group.size
-    reduce_fn = REDUCE_OPS[op]
-    sample = buffers[group.ranks[0]]
-    if sample.shape[0] % p:
+    # Rejected before the call is traced or reaches the injector.
+    lead = buffers.get(group.ranks[0])
+    if lead is not None and lead.shape[0] % p:
         raise ValueError(
-            f"reduce_scatter: leading dim {sample.shape[0]} not divisible "
+            f"reduce_scatter: leading dim {lead.shape[0]} not divisible "
             f"by group size {p}"
         )
-    _trace(
-        tracer, "reduce_scatter", group, sample, tag,
-        internal=injector is _DISABLED,
+    buffers, done = _begin(
+        "reduce_scatter", buffers, group, tracer, tag, injector, op=op
     )
-    if p == 1:
-        return {r: buffers[r].copy() for r in group}
-
-    shard_rows = sample.shape[0] // p
+    if done is not None:
+        return done
+    reduce_fn = REDUCE_OPS[op]
+    shard_rows = buffers[group.ranks[0]].shape[0] // p
     # Working state: chunk c of rank r.
     chunks = {
         r: [buffers[r][c * shard_rows : (c + 1) * shard_rows].copy() for c in range(p)]
@@ -221,23 +250,10 @@ def all_gather(
     Each rank contributes a shard; every rank receives the shards of all
     group members concatenated along axis 0 in group order.
     """
-    _check_buffers(buffers, group)
-    if _POLICIES and injector is not _DISABLED:
-        hier = _hier_route("all_gather", group, buffers[group.ranks[0]].nbytes)
-        if hier is not None:
-            return hier(
-                buffers, group, tracer=tracer, tag=tag, injector=injector
-            )
-    buffers = _inject("all_gather", group, buffers, tag, tracer, injector)
+    buffers, done = _begin("all_gather", buffers, group, tracer, tag, injector)
+    if done is not None:
+        return done
     p = group.size
-    sample = buffers[group.ranks[0]]
-    _trace(
-        tracer, "all_gather", group, sample, tag,
-        internal=injector is _DISABLED,
-    )
-    if p == 1:
-        return {r: buffers[r].copy() for r in group}
-
     # slots[r][c] is rank r's copy of group-rank c's shard (None = not yet
     # received).
     slots: dict[int, list[np.ndarray | None]] = {
@@ -275,29 +291,16 @@ def all_reduce(
     Arrays are flattened and zero-padded internally, so no divisibility
     constraint applies.
     """
-    _check_buffers(buffers, group)
-    if _POLICIES and injector is not _DISABLED:
-        hier = _hier_route("all_reduce", group, buffers[group.ranks[0]].nbytes)
-        if hier is not None:
-            return hier(
-                buffers, group, op=op, tracer=tracer, tag=tag, injector=injector
-            )
-    buffers = _inject("all_reduce", group, buffers, tag, tracer, injector)
-    p = group.size
-    sample = buffers[group.ranks[0]]
-    _trace(
-        tracer, "all_reduce", group, sample, tag,
-        internal=injector is _DISABLED,
+    buffers, done = _begin(
+        "all_reduce", buffers, group, tracer, tag, injector, op=op
     )
-    if p == 1:
-        return {r: buffers[r].copy() for r in group}
-
-    flat, n = _flatten_padded(buffers, group, p)
+    if done is not None:
+        return done
+    shape = buffers[group.ranks[0]].shape
+    flat, n = _flatten_padded(buffers, group, group.size)
     scattered = reduce_scatter(flat, group, op=op, injector=_DISABLED)
     gathered = all_gather(scattered, group, injector=_DISABLED)
-    return {
-        r: gathered[r][:n].reshape(sample.shape) for r in group
-    }
+    return {r: gathered[r][:n].reshape(shape) for r in group}
 
 
 @_traced(cat="comm")
@@ -319,25 +322,13 @@ def broadcast(
     ``2 (p-1)/p`` of the payload in total, matching the traced byte
     volume to the cost model.
     """
-    _check_buffers(buffers, group)
-    if root not in group:
-        raise ValueError(f"root {root} not in group {group.ranks}")
-    if _POLICIES and injector is not _DISABLED:
-        hier = _hier_route("broadcast", group, buffers[root].nbytes)
-        if hier is not None:
-            return hier(
-                buffers, group, root=root, tracer=tracer, tag=tag,
-                injector=injector,
-            )
-    buffers = _inject("broadcast", group, buffers, tag, tracer, injector)
-    _trace(
-        tracer, "broadcast", group, buffers[root], tag, root=root,
-        internal=injector is _DISABLED,
+    buffers, done = _begin(
+        "broadcast", buffers, group, tracer, tag, injector, root=root
     )
+    if done is not None:
+        return done
     src = buffers[root]
     p = group.size
-    if p == 1:
-        return {r: src.copy() for r in group}
     # Scatter phase: flatten/pad the root's buffer and hand group
     # position g its g-th shard (p-1 root sends of 1/p each).
     flat = np.ravel(src)

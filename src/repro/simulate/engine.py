@@ -1,16 +1,18 @@
-"""Vectorized timing engine for the discrete-event simulator.
+"""The simulator's timing engine: vectorized, memoized link timings.
 
-The legacy ("scalar") timing path of :mod:`repro.simulate.network_sim`
-walks every rank of the job in Python — ``group_along`` per rank,
-``build_ring`` per sibling group, ``shared_ring_bandwidths`` per edge —
-which is what kept the simulator from reaching the paper's 4096–8192+
-GPU scales in reasonable wall-clock.  This module re-derives the exact
-same quantities with NumPy array operations: all sibling rings of an
-axis advance through ring construction, stream counting, and
-bottleneck-bandwidth reduction as a handful of vectorized updates.
+The scalar walks of :mod:`repro.simulate.network_sim` define what a
+group's bandwidth *is*, visiting every rank of the job in Python —
+``group_along`` per rank, ``build_ring`` per sibling group,
+``shared_ring_bandwidths`` per edge — which cannot reach the paper's
+4096–8192+ GPU scales in reasonable wall-clock.  This module derives the
+exact same quantities with NumPy array operations: all sibling rings of
+an axis advance through ring construction, stream counting, and
+bottleneck-bandwidth reduction as a handful of vectorized updates.  It
+is the only path :func:`repro.simulate.simulate_iteration` takes; the
+scalar walks stay as the readable definition and the test oracle.
 
 **Equivalence contract.**  Every bandwidth/latency this engine returns
-is *bitwise identical* to the scalar path's: the group enumeration, the
+is *bitwise identical* to the scalar walk's: the group enumeration, the
 (node, rank) ring ordering, the NIC/pair stream counters, and the
 order-independent min-reductions reproduce the same IEEE-754 doubles,
 because every arithmetic expression (``inter_node_bw / share``,
@@ -19,11 +21,10 @@ same operands in the same dtype.  The differential harness
 (``tests/test_sim_differential.py``) fuzzes (machine x grid x placement
 x size x algorithm) points and asserts exactly that.
 
-The engine also owns two cross-call memo tables (cleared via
-:func:`clear_caches`): per-(grid, placement) link timings and
-per-(grid, placement) two-level timings, so sweeps that revisit a
-configuration (run-to-run variability studies, top-k re-simulation,
-goodput reports) price the network once.
+:func:`group_timings` and :func:`hierarchical_group_timings` memoize per
+(grid, placement) across calls (cleared via :func:`clear_caches`), so
+sweeps that revisit a configuration (run-to-run variability studies,
+top-k re-simulation, goodput reports) price the network once.
 """
 
 from __future__ import annotations
@@ -38,27 +39,19 @@ from ..cluster import (
     MachineSpec,
     Placement,
 )
-from ..core.grid import Grid4D
+from ..core.grid import AXES5, Grid4D
 from .network_sim import HierTiming, LinkTiming, congestion_factor
 
 __all__ = [
-    "ENGINES",
     "deterministic_jitter",
     "vectorized_group_timing",
-    "vectorized_group_timings",
     "vectorized_hierarchical_group_timing",
-    "vectorized_hierarchical_group_timings",
-    "cached_group_timings",
-    "cached_hierarchical_group_timings",
+    "group_timings",
+    "hierarchical_group_timings",
     "clear_caches",
 ]
 
-#: Legal values of the ``engine`` knob on ``simulate_iteration`` and the
-#: ``group_timings`` family: the legacy per-rank Python path and the
-#: NumPy batch path.  Both produce bitwise-identical timings.
-ENGINES = ("scalar", "vectorized")
-
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2, "data": 3, "seq": 4}
+_AXIS_INDEX = {axis: i for i, axis in enumerate(AXES5)}
 
 
 def deterministic_jitter(key: str, amplitude: float) -> float:
@@ -66,9 +59,8 @@ def deterministic_jitter(key: str, amplitude: float) -> float:
 
     This is the *single* source of run-to-run perturbation for the
     simulator.  The key is built from job identity only (machine, grid,
-    model, batch, salt) — never from the timing engine — so the scalar
-    and vectorized paths draw the exact same perturbation for the same
-    seed, a precondition of the differential harness.
+    model, batch, salt), so the same seed always draws the same
+    perturbation — whichever way the prices it scales were derived.
     """
     if amplitude == 0.0:
         return 1.0
@@ -211,16 +203,6 @@ def vectorized_group_timing(
     return LinkTiming(bw, latency, size)
 
 
-def vectorized_group_timings(
-    grid: Grid4D, placement: Placement
-) -> dict[str, LinkTiming]:
-    """Link timings for all five axes, computed with array batching."""
-    return {
-        axis: vectorized_group_timing(grid, placement, axis)
-        for axis in ("x", "y", "z", "data", "seq")
-    }
-
-
 # --- two-level (hierarchical) timings -------------------------------------
 
 
@@ -338,53 +320,44 @@ def vectorized_hierarchical_group_timing(
     )
 
 
-def vectorized_hierarchical_group_timings(
-    grid: Grid4D, placement: Placement
-) -> dict[str, HierTiming | None]:
-    """Two-level timings for all five axes (``None`` = flat only)."""
-    return {
-        axis: vectorized_hierarchical_group_timing(grid, placement, axis)
-        for axis in ("x", "y", "z", "data", "seq")
-    }
-
-
 # --- cross-call memoization -----------------------------------------------
 
 _GROUP_TIMINGS_CACHE: dict[tuple, dict[str, LinkTiming]] = {}
 _HIER_TIMINGS_CACHE: dict[tuple, dict[str, HierTiming | None]] = {}
 
 
-def _cache_key(grid: Grid4D, placement: Placement) -> tuple:
+def _all_axes(cache: dict, per_axis, grid: Grid4D, placement: Placement) -> dict:
+    """``per_axis(grid, placement, axis)`` for the five axes, memoized."""
     # Placement is a frozen dataclass over a frozen MachineSpec; grid
     # geometry is fully captured by its five axis degrees.  Both timing
     # families are pure functions of this pair.
-    return (placement, grid.config.full_dims)
+    key = (placement, grid.config.full_dims)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = {
+            axis: per_axis(grid, placement, axis) for axis in AXES5
+        }
+    return hit
 
 
-def cached_group_timings(
+def group_timings(
     grid: Grid4D, placement: Placement
 ) -> dict[str, LinkTiming]:
-    """Memoized :func:`vectorized_group_timings`."""
-    key = _cache_key(grid, placement)
-    hit = _GROUP_TIMINGS_CACHE.get(key)
-    if hit is None:
-        hit = _GROUP_TIMINGS_CACHE[key] = vectorized_group_timings(
-            grid, placement
-        )
-    return hit
+    """Link timings for all five axes of the grid (the sequence axis is
+    size 1 on classic 4D grids and prices to ``inf`` bandwidth)."""
+    return _all_axes(
+        _GROUP_TIMINGS_CACHE, vectorized_group_timing, grid, placement
+    )
 
 
-def cached_hierarchical_group_timings(
+def hierarchical_group_timings(
     grid: Grid4D, placement: Placement
 ) -> dict[str, HierTiming | None]:
-    """Memoized :func:`vectorized_hierarchical_group_timings`."""
-    key = _cache_key(grid, placement)
-    hit = _HIER_TIMINGS_CACHE.get(key)
-    if hit is None:
-        hit = _HIER_TIMINGS_CACHE[key] = vectorized_hierarchical_group_timings(
-            grid, placement
-        )
-    return hit
+    """Two-level timings for all five axes (``None`` = flat only)."""
+    return _all_axes(
+        _HIER_TIMINGS_CACHE, vectorized_hierarchical_group_timing,
+        grid, placement,
+    )
 
 
 def clear_caches() -> None:

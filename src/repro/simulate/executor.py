@@ -23,16 +23,26 @@ contention (:mod:`repro.simulate.network_sim`) plus per-step latency —
 i.e. the simulator deliberately includes the effects (latency, compute,
 exact contention, run-to-run variability) that the analytical model of
 Section V-B assumes away.
+
+:func:`simulate_iteration` is three stages composed:
+:func:`price_iteration` (what every kernel and collective costs),
+:func:`schedule_iteration` (when each runs, under the overlap switches)
+and :func:`summarise_iteration` (jitter and the reported breakdown).
+There is one timing engine; the per-rank scalar walks of
+:mod:`repro.simulate.network_sim` and the uncached
+:func:`repro.kernels.tune_matmuls` define the same numbers readably and
+feed the same price stage in ``tests/test_sim_differential.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..cluster import MachineSpec, Placement
 from ..config import GPTConfig
-from ..core.grid import Grid4D, GridConfig
-from ..kernels import GemmModel, MatmulOp, tune_matmuls, tune_matmuls_cached
+from ..core.grid import AXES5, Grid4D, GridConfig
+from ..kernels import GemmModel, MatmulOp, TunedPlan, tune_matmuls_cached
 from ..perfmodel.model import LayerShape, gpt_layer_shapes
 from ..perfmodel.hierarchical import hierarchical_time
 from ..perfmodel.ring import (
@@ -40,15 +50,25 @@ from ..perfmodel.ring import (
     all_reduce_time,
     reduce_scatter_time,
 )
-from .engine import ENGINES, deterministic_jitter
-from .network_sim import (
-    HierTiming,
-    LinkTiming,
+from .engine import (
+    deterministic_jitter,
     group_timings,
     hierarchical_group_timings,
 )
+from .network_sim import HierTiming, LinkTiming
 
-__all__ = ["OverlapFlags", "IterationResult", "simulate_iteration", "baseline_config"]
+__all__ = [
+    "OverlapFlags",
+    "IterationResult",
+    "LayerPrice",
+    "IterationPrices",
+    "local_matmul_ops",
+    "price_iteration",
+    "schedule_iteration",
+    "summarise_iteration",
+    "simulate_iteration",
+    "baseline_config",
+]
 
 #: Per-parameter bytes of the training state (see perfmodel.configs).
 BYTES_PER_PARAM = 16
@@ -100,9 +120,59 @@ class IterationResult:
     num_events: int = 0
 
 
-#: Single source of run-to-run perturbation, shared verbatim by both
-#: timing engines (see :func:`repro.simulate.engine.deterministic_jitter`).
-_jitter = deterministic_jitter
+class LayerPrice(NamedTuple):
+    """Durations (seconds) of one FC layer's compute and collectives."""
+
+    name: str
+    #: Forward compute: GEMM + elementwise (+ attention core after QKV).
+    fwd: float
+    #: Backward compute: recompute + dI + dW + elementwise (+ attention).
+    bwd: float
+    #: The dW GEMM alone (the part OAR hides the backward all-reduce behind).
+    dw: float
+    ag_z: float
+    rs_z: float
+    ar_fwd: float
+    ar_bwd: float
+
+
+@dataclass(frozen=True)
+class IterationPrices:
+    """Everything one iteration costs, before anything is scheduled.
+
+    The output of :func:`price_iteration`: a function of the job, the
+    measured links, the tuned GEMM plan and the pricing knobs only —
+    never of ``overlap``, ``trace``, ``noise`` or ``run_salt``, so one
+    value serves every overlap combination and every repeated run.
+    Treat the two containers as read-only.
+    """
+
+    config: GridConfig
+    #: Identity of the job for the run-to-run jitter hash.
+    job_key: str
+    activation_checkpointing: bool
+    layers: tuple[LayerPrice, ...]
+    #: Attention core of one transformer block (all G_seq ring steps).
+    attention_fwd: float
+    #: Ring-attention KV rotation (all zero on classic G_seq = 1 grids):
+    #: fused K+V payload per hop, wire time of one forward / backward
+    #: hop, and the part of a block's rotation no compute hides.
+    ring_payload_bytes: float
+    seq_hop_fwd: float
+    seq_hop_bwd: float
+    seq_exposed_fwd: float
+    seq_exposed_bwd: float
+    #: Wire time of every rotation hop of the iteration, hidden or not
+    #: (one ring per attention core, i.e. per transformer block).
+    seq_raw_time: float
+    #: Data-parallel gradient all-reduce and the optimizer step.
+    dp_time: float
+    optimizer_time: float
+    tuning_speedup: float
+    #: Per axis, the algorithms elected for its node-straddling
+    #: collectives.  A set: a repeated (op, bytes, axis) price repeats
+    #: its pick, so memoizing repeats cannot change what is reported.
+    axis_picks: dict[str, frozenset[str]]
 
 
 def _local_gemm_shapes(
@@ -120,6 +190,21 @@ def _local_gemm_shapes(
     k_l = max(1, layer.k // g_contract)
     n_l = max(1, layer.n // g_col)
     return m_l, k_l, n_l
+
+
+def local_matmul_ops(
+    layers: list[LayerShape], config: GridConfig
+) -> list[MatmulOp]:
+    """The per-rank forward / dI / dW GEMMs of every FC layer.
+
+    Kernel tuning (Section V-C) operates on these *local* shapes."""
+    ops: list[MatmulOp] = []
+    for layer in layers:
+        m_l, k_l, n_l = _local_gemm_shapes(layer, config)
+        ops.append(MatmulOp(f"{layer.name}.fwd", m_l, k_l, n_l, "NN"))
+        ops.append(MatmulOp(f"{layer.name}.dI", m_l, n_l, k_l, "NT"))
+        ops.append(MatmulOp(f"{layer.name}.dW", k_l, m_l, n_l, "TN"))
+    return ops
 
 
 def _attention_compute(
@@ -205,136 +290,54 @@ def _priced_collective(
     return (t_hier if pick_hier else t_flat), pick
 
 
-def _timed_collective(
-    op: str,
-    nbytes: float,
-    p: int,
-    link: LinkTiming,
-    hier: HierTiming | None,
-    algo: str,
-    tally: dict[str, int] | None,
-    memo: dict[tuple, tuple[float, str | None]] | None = None,
-    axis: str = "",
-) -> float:
-    """Duration of one collective, memoized per ``(op, bytes, axis)``.
-
-    Within one ``simulate_iteration`` call the link and two-level
-    timings are fixed per axis, so the price is a pure function of
-    ``(op, nbytes, axis)`` — GPT's repeated transformer blocks ask the
-    same question once per layer.  ``tally`` still counts every *call*'s
-    pick (not every unique price), so the per-axis choice report is
-    unchanged by memoization.
-    """
-    if memo is not None:
-        key = (op, nbytes, axis)
-        priced = memo.get(key)
-        if priced is None:
-            priced = memo[key] = _priced_collective(op, nbytes, p, link, hier, algo)
-    else:
-        priced = _priced_collective(op, nbytes, p, link, hier, algo)
-    t, pick = priced
-    if pick is not None and tally is not None:
-        tally[pick] += 1
-    return t
-
-
-def _collective_times(
-    layer: LayerShape,
-    config: GridConfig,
-    timings: dict[str, LinkTiming],
-    hier_timings: dict[str, HierTiming | None] | None = None,
-    algo: str = "flat",
-    tallies: dict[str, dict[str, int]] | None = None,
-    memo: dict[tuple, tuple[float, str | None]] | None = None,
-) -> dict[str, float]:
-    """Durations of the five collectives of Algorithm 1 for one layer,
-    using simulator-measured bandwidths and latencies (two-level ones
-    when the algorithm policy elects them)."""
-    ht = hier_timings or {}
-    gx, gy = config.gx, config.gy
-    tx, ty = timings["x"], timings["y"]
+def _layer_collectives(
+    layer: LayerShape, config: GridConfig, collective
+) -> tuple[tuple[float, float, float, float], float]:
+    """``((ag_z, rs_z, ar_fwd, ar_bwd), dp shard bytes)`` of Algorithm 1
+    for one layer; ``collective(op, nbytes, p, axis)`` prices each."""
+    gx, gy, gz = config.gx, config.gy, config.gz
     ax, ay = "x", "y"
     if layer.transposed:
         gx, gy = gy, gx
-        tx, ty = ty, tx
         ax, ay = ay, ax
-    gz, gd = config.gz, config.gdata
-    tz, td = timings["z"], timings["data"]
     m, k, n = layer.m, layer.k, layer.n
 
     shard = k * n / (config.gx * config.gy * gz) * DTYPE_BYTES
     block = k * n / (config.gx * config.gy) * DTYPE_BYTES
     out_block = m * n / (gz * gx) * DTYPE_BYTES
     in_block = m * k / (gz * gy) * DTYPE_BYTES
-
-    def tally_for(axis: str) -> dict[str, int] | None:
-        return tallies.setdefault(axis, {"flat": 0, "hierarchical": 0}) if tallies is not None else None
-
-    return {
-        "ag_z": _timed_collective(
-            "all_gather", shard, gz, tz, ht.get("z"), algo, tally_for("z"),
-            memo, "z",
-        ),
-        "rs_z": _timed_collective(
-            "reduce_scatter", block, gz, tz, ht.get("z"), algo, tally_for("z"),
-            memo, "z",
-        ),
-        "ar_fwd": _timed_collective(
-            "all_reduce", out_block, gy, ty, ht.get(ay), algo, tally_for(ay),
-            memo, ay,
-        ),
-        "ar_bwd": _timed_collective(
-            "all_reduce", in_block, gx, tx, ht.get(ax), algo, tally_for(ax),
-            memo, ax,
-        ),
-        "dp_shard_bytes": shard,
-    }
+    return (
+        collective("all_gather", shard, gz, "z"),
+        collective("reduce_scatter", block, gz, "z"),
+        collective("all_reduce", out_block, gy, ay),
+        collective("all_reduce", in_block, gx, ax),
+    ), shard
 
 
-def simulate_iteration(
+def price_iteration(
     cfg: GPTConfig,
     global_batch: int,
     config: GridConfig,
     machine: MachineSpec,
-    overlap: OverlapFlags = OverlapFlags.none(),
-    kernel_tuning: bool = False,
-    activation_checkpointing: bool = True,
-    noise: float = DEFAULT_NOISE,
-    trace=None,
-    run_salt: int = 0,
-    placement_strategy: str = "block",
-    compute_slowdown: float = 1.0,
-    comm_slowdown: float = 1.0,
-    collective_algo: str | None = None,
-    engine: str = "vectorized",
-    timing_only: bool = False,
-) -> IterationResult:
-    """Simulate one training iteration and return its timing breakdown.
+    layers: list[LayerShape],
+    plan: TunedPlan,
+    timings: dict[str, LinkTiming],
+    hier_timings: dict[str, HierTiming | None],
+    algo: str,
+    kernel_tuning: bool,
+    activation_checkpointing: bool,
+    compute_slowdown: float,
+    comm_slowdown: float,
+) -> IterationPrices:
+    """Stage 1: price every kernel and collective of one iteration.
 
-    Pass a :class:`repro.simulate.trace.Timeline` as ``trace`` to record
-    every kernel and collective as a Gantt event (pre-jitter times).
-    ``run_salt`` varies the deterministic congestion jitter, modeling
-    repeated submissions of the same job (Section VI-B's run-to-run
-    variability).  ``placement_strategy`` selects the rank -> device
-    mapping (see :class:`repro.cluster.Placement`).
-    ``compute_slowdown``/``comm_slowdown`` (>= 1) stretch the compute
-    and communication streams respectively — a straggler node throttled
-    on clocks or sharing a congested switch slows *every* rank in the
-    SPMD program to its pace (see :mod:`repro.simulate.failures`).
-    ``collective_algo`` (``"flat"`` | ``"hierarchical"`` | ``"auto"``)
-    overrides ``config.collective_algo`` for pricing node-straddling
-    collectives; the per-axis outcome is reported in
-    :attr:`IterationResult.algo_choices`.
-
-    ``engine`` selects the timing backend: ``"vectorized"`` (default)
-    batches the network-bandwidth derivation as NumPy array ops and
-    memoizes repeated (collective, bytes, axis) prices and repeated
-    GEMM-tuning shapes; ``"scalar"`` is the legacy per-rank Python
-    reference path.  The two produce bitwise-identical results (enforced
-    by ``tests/test_sim_differential.py``).  ``timing_only=True`` skips
-    per-event ``Timeline`` records (``trace`` stays empty) when only
-    aggregate iteration time is needed; every timing field, including
-    :attr:`IterationResult.num_events`, is unchanged.
+    ``layers`` are the replica's FC layers
+    (``gpt_layer_shapes(cfg, global_batch // config.gdata)``), ``plan``
+    the tuned GEMM plan of their :func:`local_matmul_ops`, and
+    ``timings`` / ``hier_timings`` the per-axis link measurements
+    (``hier_timings`` may be empty under ``algo="flat"``).  Each
+    ``(collective, bytes, axis)`` and each repeated layer shape is
+    priced once — GPT stacks repeat identical transformer blocks.
     """
     if global_batch % config.gdata:
         raise ValueError(
@@ -346,53 +349,28 @@ def simulate_iteration(
         )
     if compute_slowdown < 1.0 or comm_slowdown < 1.0:
         raise ValueError("slowdown factors must be >= 1")
-    algo = collective_algo if collective_algo is not None else config.collective_algo
     if algo not in ("flat", "hierarchical", "auto"):
         raise ValueError(
             f"collective_algo must be 'flat', 'hierarchical' or 'auto', got {algo!r}"
         )
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    placement = Placement(machine, config.total, strategy=placement_strategy)
-    grid = Grid4D(config, placement=placement)
-    timings = group_timings(grid, placement, engine=engine)
-    hier_timings = (
-        hierarchical_group_timings(grid, placement, engine=engine)
-        if algo != "flat"
-        else {}
-    )
-    tallies: dict[str, dict[str, int]] = {}
-    # Per-call price memo: the scalar engine stays the plain reference
-    # path; the vectorized engine prices each (op, bytes, axis) once.
-    memo: dict[tuple, tuple[float, str | None]] | None = (
-        {} if engine == "vectorized" else None
-    )
     gemm = GemmModel(machine)
     batch_per_group = global_batch // config.gdata
-    layers = gpt_layer_shapes(cfg, batch_per_group)
+    times = plan.tuned_times if kernel_tuning else plan.default_times
 
-    # --- per-layer compute and communication -----------------------------
-    tuned_speedup = 1.0
-    fwd_c: list[float] = []  # forward compute (GEMM + attention share)
-    bwd_c: list[float] = []  # backward compute (recompute + dI + dW)
-    colls: list[dict[str, float]] = []
-    layer_colls: dict[tuple, dict[str, float]] = {}
+    memo: dict[tuple, float] = {}
+    picks: dict[str, set[str]] = {}
 
-    # Kernel tuning operates on the *local* GEMM shapes.
-    ops: list[MatmulOp] = []
-    for layer in layers:
-        m_l, k_l, n_l = _local_gemm_shapes(layer, config)
-        ops.append(MatmulOp(f"{layer.name}.fwd", m_l, k_l, n_l, "NN"))
-        ops.append(MatmulOp(f"{layer.name}.dI", m_l, n_l, k_l, "NT"))
-        ops.append(MatmulOp(f"{layer.name}.dW", k_l, m_l, n_l, "TN"))
-    tune = tune_matmuls_cached if engine == "vectorized" else tune_matmuls
-    plan = tune(ops, gemm)
-    if kernel_tuning:
-        tuned_speedup = plan.speedup
-
-    def op_time(name: str) -> float:
-        base = plan.tuned_times[name] if kernel_tuning else plan.default_times[name]
-        return base * compute_slowdown
+    def collective(op: str, nbytes: float, p: int, axis: str) -> float:
+        key = (op, nbytes, axis)
+        t = memo.get(key)
+        if t is None:
+            t, pick = _priced_collective(
+                op, nbytes, p, timings[axis], hier_timings.get(axis), algo
+            )
+            t = memo[key] = t * comm_slowdown
+            if pick is not None:
+                picks.setdefault(axis, set()).add(pick)
+        return t
 
     attn_blk = _attention_compute(cfg, config, batch_per_group, gemm)
     attn_blk *= compute_slowdown
@@ -401,7 +379,7 @@ def simulate_iteration(
     # Ring-attention KV rotation: each of the G_seq steps overlaps one
     # block's compute with one fused K+V hop on the sequence ring; only
     # the part of the hop not hidden behind the block is exposed.
-    seq_hop_f = seq_hop_b = 0.0
+    ring_payload = seq_hop_f = seq_hop_b = 0.0
     seq_exp_fwd = seq_exp_bwd = 0.0
     if config.gs > 1:
         ts = timings["seq"]
@@ -427,43 +405,69 @@ def simulate_iteration(
     )
     elementwise *= compute_slowdown
     optimizer_time *= compute_slowdown
-    for idx, layer in enumerate(layers):
-        fc = op_time(f"{layer.name}.fwd") + elementwise
+
+    priced: list[LayerPrice] = []
+    shard_bytes: list[float] = []
+    shape_colls: dict[tuple, tuple[tuple[float, ...], float]] = {}
+    for layer in layers:
+        name = layer.name
         # The attention core runs after the QKV projection of each block.
-        if layer.name.endswith(".qkv"):
+        qkv = name.endswith(".qkv")
+        fc = times[f"{name}.fwd"] * compute_slowdown + elementwise
+        if qkv:
             fc += attn_fwd
         recompute = fc if activation_checkpointing else 0.0
-        bc = recompute + op_time(f"{layer.name}.dI") + op_time(f"{layer.name}.dW")
+        dw = times[f"{name}.dW"] * compute_slowdown
+        bc = recompute + times[f"{name}.dI"] * compute_slowdown + dw
         bc += elementwise
-        if layer.name.endswith(".qkv"):
+        if qkv:
             bc += 2.0 * attn_fwd  # attention backward ~ 2x forward
-        fwd_c.append(fc)
-        bwd_c.append(bc)
-        # Repeated transformer blocks share one pricing call: the layer
-        # only enters _collective_times through (m, k, n, transposed),
-        # and repeated shapes repeat identical algorithm picks, so the
-        # zero/nonzero tallies behind algo_choices are unaffected.
+        # The layer only enters its collectives through this key.
         shape_key = (layer.m, layer.k, layer.n, layer.transposed)
-        c = layer_colls.get(shape_key) if memo is not None else None
+        c = shape_colls.get(shape_key)
         if c is None:
-            c = _collective_times(
-                layer, config, timings, hier_timings, algo, tallies, memo
+            c = shape_colls[shape_key] = _layer_collectives(
+                layer, config, collective
             )
-            if memo is not None:
-                layer_colls[shape_key] = c
-        if comm_slowdown != 1.0:
-            c = {
-                k: v * comm_slowdown if k != "dp_shard_bytes" else v
-                for k, v in c.items()
-            }
-        colls.append(c)
+        priced.append(LayerPrice(name, fc, bc, dw, *c[0]))
+        shard_bytes.append(c[1])
 
-    # --- multi-stream timeline ------------------------------------------
-    # One compute stream plus one communication stream per communicator
-    # family (as with NCCL/RCCL, collectives over different process
-    # groups proceed concurrently; collectives over the same group
-    # serialize).  The Z stream carries weight all-gathers and gradient
-    # reduce-scatters; the X/Y streams carry activation all-reduces.
+    dp_time = collective("all_reduce", sum(shard_bytes), config.gdata, "data")
+    return IterationPrices(
+        config=config,
+        job_key=f"{machine.name}|{config}|{cfg.name}|{global_batch}",
+        activation_checkpointing=activation_checkpointing,
+        layers=tuple(priced),
+        attention_fwd=attn_fwd,
+        ring_payload_bytes=ring_payload,
+        seq_hop_fwd=seq_hop_f,
+        seq_hop_bwd=seq_hop_b,
+        seq_exposed_fwd=seq_exp_fwd,
+        seq_exposed_bwd=seq_exp_bwd,
+        seq_raw_time=cfg.num_layers * config.gs * (seq_hop_f + seq_hop_b),
+        dp_time=dp_time,
+        optimizer_time=optimizer_time,
+        tuning_speedup=plan.speedup if kernel_tuning else 1.0,
+        axis_picks={axis: frozenset(p) for axis, p in picks.items()},
+    )
+
+
+def schedule_iteration(
+    prices: IterationPrices, overlap: OverlapFlags, trace
+) -> tuple[float, int]:
+    """Stage 2: walk both passes over the priced layers, stream by stream.
+
+    One compute stream plus one communication stream per communicator
+    family (as with NCCL/RCCL, collectives over different process
+    groups proceed concurrently; collectives over the same group
+    serialize).  The Z stream carries weight all-gathers and gradient
+    reduce-scatters; the X/Y streams carry activation all-reduces.
+    Returns ``(end of the iteration, positive-duration events)``; each
+    event is also added to ``trace`` unless that is ``None``.
+    """
+    layers = prices.layers
+    recompute = prices.activation_checkpointing
+    seq_exp_fwd, seq_exp_bwd = prices.seq_exposed_fwd, prices.seq_exposed_bwd
     comp_t = 0.0
     comm = {"z": 0.0, "ar_fwd": 0.0, "ar_bwd": 0.0, "seq": 0.0}
     num_events = 0
@@ -472,51 +476,48 @@ def simulate_iteration(
         nonlocal num_events
         if end > start:
             num_events += 1
-            if trace is not None and not timing_only:
+            if trace is not None:
                 trace.add(stream, name, start, end)
 
     # Forward pass.  Size-1 groups cost nothing and must not act as
     # stream barriers, so zero-duration collectives are skipped.
-    for i in range(len(layers)):
-        c = colls[i]
-        name = layers[i].name
-        if c["ag_z"] > 0:
+    for c in layers:
+        name = c.name
+        if c.ag_z > 0:
             ag_start = comm["z"] if overlap.oag else max(comm["z"], comp_t)
-            comm["z"] = ag_start + c["ag_z"]
+            comm["z"] = ag_start + c.ag_z
             emit("comm.z", f"{name}.AG_z", ag_start, comm["z"])
             comp_t = max(comp_t, comm["z"])
-        emit("compute", f"{name}.fwd", comp_t, comp_t + fwd_c[i])
-        comp_t += fwd_c[i]
+        emit("compute", f"{name}.fwd", comp_t, comp_t + c.fwd)
+        comp_t += c.fwd
         if seq_exp_fwd > 0 and name.endswith(".qkv"):
             # Exposed part of the KV ring rotation (the hidden part ran
-            # inside the attention share of fwd_c).
+            # inside the attention share of the forward compute).
             start = max(comp_t, comm["seq"])
             end = start + seq_exp_fwd
             emit("comm.seq", f"{name}.ring_seq", start, end)
             comp_t = comm["seq"] = end
-        if c["ar_fwd"] > 0:
+        if c.ar_fwd > 0:
             # Forward all-reduce: blocking (the output is needed now).
             start = max(comp_t, comm["ar_fwd"])
-            end = start + c["ar_fwd"]
+            end = start + c.ar_fwd
             emit("comm.ar_fwd", f"{name}.AR_fwd", start, end)
             comp_t = comm["ar_fwd"] = end
 
     # Backward pass (reverse layer order).
-    for i in reversed(range(len(layers))):
-        c = colls[i]
+    for c in reversed(layers):
+        name = c.name
         # Activation checkpointing re-gathers the layer's weights for the
         # recompute; with OAG these gathers prefetch on the Z stream.
-        name = layers[i].name
-        if activation_checkpointing and c["ag_z"] > 0:
+        if recompute and c.ag_z > 0:
             ag_start = comm["z"] if overlap.oag else max(comm["z"], comp_t)
-            comm["z"] = ag_start + c["ag_z"]
+            comm["z"] = ag_start + c.ag_z
             emit("comm.z", f"{name}.AG_z(recompute)", ag_start, comm["z"])
             comp_t = max(comp_t, comm["z"])
         # Recompute + dI GEMM (+ attention backward), then AR over the
         # column axis.
-        dW_name = f"{name}.dW"
-        dw_time = op_time(dW_name)
-        pre_dw = bwd_c[i] - dw_time
+        dw_time = c.dw
+        pre_dw = c.bwd - dw_time
         emit("compute", f"{name}.bwd", comp_t, comp_t + pre_dw)
         comp_t += pre_dw
         if seq_exp_bwd > 0 and name.endswith(".qkv"):
@@ -524,17 +525,17 @@ def simulate_iteration(
             end = start + seq_exp_bwd
             emit("comm.seq", f"{name}.ring_seq(bwd)", start, end)
             comp_t = comm["seq"] = end
-        if c["ar_bwd"] > 0:
+        if c.ar_bwd > 0:
             if overlap.oar:
                 ar_start = max(comm["ar_bwd"], comp_t)
-                comm["ar_bwd"] = ar_start + c["ar_bwd"]
+                comm["ar_bwd"] = ar_start + c.ar_bwd
                 emit("comm.ar_bwd", f"{name}.AR_bwd", ar_start, comm["ar_bwd"])
                 emit("compute", f"{name}.dW", comp_t, comp_t + dw_time)
                 comp_t += dw_time
                 comp_t = max(comp_t, comm["ar_bwd"])  # wait after dW
             else:
                 start = max(comm["ar_bwd"], comp_t)
-                end = start + c["ar_bwd"]
+                end = start + c.ar_bwd
                 emit("comm.ar_bwd", f"{name}.AR_bwd", start, end)
                 comp_t = comm["ar_bwd"] = end
                 emit("compute", f"{name}.dW", comp_t, comp_t + dw_time)
@@ -542,89 +543,147 @@ def simulate_iteration(
         else:
             emit("compute", f"{name}.dW", comp_t, comp_t + dw_time)
             comp_t += dw_time
-        if c["rs_z"] > 0:
+        if c.rs_z > 0:
             if overlap.ors:
                 rs_start = max(comm["z"], comp_t)
-                comm["z"] = rs_start + c["rs_z"]  # async; waited at the end
+                comm["z"] = rs_start + c.rs_z  # async; waited at the end
                 emit("comm.z", f"{name}.RS_z", rs_start, comm["z"])
             else:
                 start = max(comm["z"], comp_t)
-                end = start + c["rs_z"]
+                end = start + c.rs_z
                 emit("comm.z", f"{name}.RS_z", start, end)
                 comp_t = comm["z"] = end
 
     # Join streams, then the data-parallel gradient all-reduce and the
     # (memory-bound) optimizer step.
     t = max(comp_t, *comm.values())
-    td = timings["data"]
-    dp_bytes = sum(c["dp_shard_bytes"] for c in colls)
-    dp_tally = (
-        tallies.setdefault("data", {"flat": 0, "hierarchical": 0})
-        if config.gdata > 1
-        else None
-    )
-    dp_time = comm_slowdown * _timed_collective(
-        "all_reduce", dp_bytes, config.gdata, td,
-        (hier_timings or {}).get("data"), algo, dp_tally, memo, "data",
-    )
+    dp_time, optimizer_time = prices.dp_time, prices.optimizer_time
     if dp_time > 0:
         emit("comm.data", "grad.AR_data", t, t + dp_time)
     emit("compute", "optimizer.step", t + dp_time, t + dp_time + optimizer_time)
-    total = t + dp_time + optimizer_time
+    return t + dp_time + optimizer_time, num_events
 
-    compute_total = sum(fwd_c) + sum(bwd_c) + optimizer_time
-    # Wire time of every KV rotation hop, hidden or not (one ring per
-    # attention core, i.e. per transformer block).
-    seq_raw = cfg.num_layers * config.gs * (seq_hop_f + seq_hop_b)
-    raw_comm = dp_time + seq_raw + sum(
-        c["ag_z"] * (2 if activation_checkpointing else 1)
-        + c["rs_z"] + c["ar_fwd"] + c["ar_bwd"]
-        for c in colls
+
+def summarise_iteration(
+    prices: IterationPrices,
+    total: float,
+    num_events: int,
+    noise: float,
+    run_salt: int,
+) -> IterationResult:
+    """Stage 3: the scheduled end time as an :class:`IterationResult`.
+
+    Applies the run-to-run jitter and reports the compute / exposed /
+    raw communication split and the per-axis algorithm choices."""
+    p, config = prices, prices.config
+    compute_total = (
+        sum(c.fwd for c in p.layers)
+        + sum(c.bwd for c in p.layers)
+        + p.optimizer_time
     )
-    key = f"{machine.name}|{config}|{cfg.name}|{global_batch}"
+    raw_comm = p.dp_time + p.seq_raw_time + sum(
+        c.ag_z * (2 if p.activation_checkpointing else 1)
+        + c.rs_z + c.ar_fwd + c.ar_bwd
+        for c in p.layers
+    )
+    key = p.job_key
     if run_salt:
         key += f"|{run_salt}"
-    total *= _jitter(key, noise)
+    total *= deterministic_jitter(key, noise)
     total = max(total, compute_total)
 
     algo_choices: dict[str, str] = {}
-    for axis, size in zip(("x", "y", "z", "data", "seq"), config.full_dims):
+    for axis, size in zip(AXES5, config.full_dims):
+        picks = p.axis_picks.get(axis, ())
         if size <= 1:
             algo_choices[axis] = "n/a"
-            continue
-        tally = tallies.get(axis)
-        if tally is None or tally["hierarchical"] == 0:
+        elif "hierarchical" not in picks:
             algo_choices[axis] = "flat"
-        elif tally["flat"] == 0:
+        elif "flat" not in picks:
             algo_choices[axis] = "hierarchical"
         else:
             algo_choices[axis] = "mixed"
+    details = {"dp_time": p.dp_time, "attention_fwd_per_block": p.attention_fwd}
+    if config.gs > 1:
+        details.update(
+            ring_seq_payload_bytes=p.ring_payload_bytes,
+            ring_seq_hop_fwd=p.seq_hop_fwd,
+            ring_seq_hop_bwd=p.seq_hop_bwd,
+            ring_seq_exposed_fwd=p.seq_exposed_fwd,
+            ring_seq_exposed_bwd=p.seq_exposed_bwd,
+        )
     return IterationResult(
         total_time=total,
         compute_time=compute_total,
         exposed_comm_time=total - compute_total,
         raw_comm_time=raw_comm,
         config=config,
-        tuning_speedup=tuned_speedup,
-        details=(
-            {
-                "dp_time": dp_time,
-                "attention_fwd_per_block": attn_fwd,
-            }
-            if config.gs == 1
-            else {
-                "dp_time": dp_time,
-                "attention_fwd_per_block": attn_fwd,
-                "ring_seq_payload_bytes": ring_payload,
-                "ring_seq_hop_fwd": seq_hop_f,
-                "ring_seq_hop_bwd": seq_hop_b,
-                "ring_seq_exposed_fwd": seq_exp_fwd,
-                "ring_seq_exposed_bwd": seq_exp_bwd,
-            }
-        ),
+        tuning_speedup=p.tuning_speedup,
+        details=details,
         algo_choices=algo_choices,
         num_events=num_events,
     )
+
+
+def simulate_iteration(
+    cfg: GPTConfig,
+    global_batch: int,
+    config: GridConfig,
+    machine: MachineSpec,
+    overlap: OverlapFlags = OverlapFlags.none(),
+    kernel_tuning: bool = False,
+    activation_checkpointing: bool = True,
+    noise: float = DEFAULT_NOISE,
+    trace=None,
+    run_salt: int = 0,
+    placement_strategy: str = "block",
+    compute_slowdown: float = 1.0,
+    comm_slowdown: float = 1.0,
+    collective_algo: str | None = None,
+    timing_only: bool = False,
+) -> IterationResult:
+    """Simulate one training iteration and return its timing breakdown.
+
+    Three stages, each a function of its own: :func:`price_iteration`
+    (link timings, tuned GEMM plan and per-layer durations ->
+    :class:`IterationPrices`), :func:`schedule_iteration` (the
+    multi-stream walk under ``overlap``) and :func:`summarise_iteration`
+    (jitter and the :class:`IterationResult`).
+
+    Pass a :class:`repro.simulate.trace.Timeline` as ``trace`` to record
+    every kernel and collective as a Gantt event (pre-jitter times).
+    ``run_salt`` varies the deterministic congestion jitter, modeling
+    repeated submissions of the same job (Section VI-B's run-to-run
+    variability).  ``placement_strategy`` selects the rank -> device
+    mapping (see :class:`repro.cluster.Placement`).
+    ``compute_slowdown``/``comm_slowdown`` (>= 1) stretch the compute
+    and communication streams respectively — a straggler node throttled
+    on clocks or sharing a congested switch slows *every* rank in the
+    SPMD program to its pace (see :mod:`repro.simulate.failures`).
+    ``collective_algo`` (``"flat"`` | ``"hierarchical"`` | ``"auto"``)
+    overrides ``config.collective_algo`` for pricing node-straddling
+    collectives; the per-axis outcome is reported in
+    :attr:`IterationResult.algo_choices`.  ``timing_only=True`` skips
+    per-event ``Timeline`` records (``trace`` stays empty) when only
+    aggregate iteration time is needed; every timing field, including
+    :attr:`IterationResult.num_events`, is unchanged.
+    """
+    algo = collective_algo if collective_algo is not None else config.collective_algo
+    placement = Placement(machine, config.total, strategy=placement_strategy)
+    grid = Grid4D(config, placement=placement)
+    layers = gpt_layer_shapes(cfg, global_batch // config.gdata)
+    prices = price_iteration(
+        cfg, global_batch, config, machine, layers,
+        tune_matmuls_cached(local_matmul_ops(layers, config), GemmModel(machine)),
+        group_timings(grid, placement),
+        hierarchical_group_timings(grid, placement) if algo != "flat" else {},
+        algo, kernel_tuning, activation_checkpointing,
+        compute_slowdown, comm_slowdown,
+    )
+    total, num_events = schedule_iteration(
+        prices, overlap, None if timing_only else trace
+    )
+    return summarise_iteration(prices, total, num_events, noise, run_salt)
 
 
 def baseline_config(

@@ -24,7 +24,7 @@ per-iteration simulator:
   failure draws, Bernoulli stragglers) for the realism the expectation
   formula assumes away.
 
-The goodput report (``python -m repro.tools.goodput_report``) sweeps
+The goodput report (``python -m repro.tools goodput``) sweeps
 ``tau`` over these functions per machine spec.
 """
 

@@ -79,9 +79,9 @@ def compute_metrics(
 
 def events_per_second(num_events: int, wall_seconds: float) -> float:
     """Simulator throughput: scheduled timeline events per wall-clock
-    second of simulation.  The unit of the ``sim-scale-smoke`` BENCH
-    gate comparing the scalar and vectorized timing engines
-    (``IterationResult.num_events`` over the measured run time)."""
+    second of simulation (``IterationResult.num_events`` over the
+    measured run time) — the unit of ``benchmarks/bench_sim_engine.py``
+    and of the spine's ``simulate.events_per_s`` probe."""
     if wall_seconds <= 0:
         raise ValueError("wall_seconds must be positive")
     return num_events / wall_seconds

@@ -9,6 +9,12 @@ representative ring's bottleneck edge receives under that contention.
 It also charges per-step message latency, which the analytical model
 ignores by Assumption 3 — one of the real-world effects the model
 validation (Fig. 2) must survive.
+
+:func:`measured_group_bandwidth` and :func:`hierarchical_group_timing`
+walk every rank in Python: they are the readable definition of a link
+timing and the oracle of ``tests/test_sim_differential.py``.  The
+simulator itself reads the same values, bitwise, from the vectorized
+and memoized :func:`repro.simulate.engine.group_timings`.
 """
 
 from __future__ import annotations
@@ -29,9 +35,7 @@ __all__ = [
     "LinkTiming",
     "HierTiming",
     "measured_group_bandwidth",
-    "group_timings",
     "hierarchical_group_timing",
-    "hierarchical_group_timings",
     "congestion_factor",
     "effective_inter_node_bw",
     "span_link",
@@ -132,29 +136,6 @@ def measured_group_bandwidth(
     return LinkTiming(bw, latency, rep.size)
 
 
-def group_timings(
-    grid: Grid4D, placement: Placement, engine: str = "scalar"
-) -> dict[str, LinkTiming]:
-    """Link timings for all five axes of the grid (the sequence axis is
-    size 1 on classic 4D grids and prices to ``inf`` bandwidth).
-
-    ``engine="scalar"`` walks every rank in Python (the legacy reference
-    path); ``"vectorized"`` dispatches to the NumPy batch engine of
-    :mod:`repro.simulate.engine`, which returns bitwise-identical
-    timings and memoizes per ``(grid, placement)`` across calls.
-    """
-    if engine == "vectorized":
-        from .engine import cached_group_timings
-
-        return cached_group_timings(grid, placement)
-    if engine != "scalar":
-        raise ValueError(f"engine must be 'scalar' or 'vectorized', got {engine!r}")
-    return {
-        axis: measured_group_bandwidth(grid, placement, axis)
-        for axis in ("x", "y", "z", "data", "seq")
-    }
-
-
 @dataclass(frozen=True)
 class HierTiming:
     """Measured timings for a group's two-level decomposition.
@@ -232,22 +213,3 @@ def hierarchical_group_timing(
         L=rep_dec.L,
         Q=rep_dec.Q,
     )
-
-
-def hierarchical_group_timings(
-    grid: Grid4D, placement: Placement, engine: str = "scalar"
-) -> dict[str, HierTiming | None]:
-    """Two-level timings for all five axes (``None`` = flat only).
-
-    Same ``engine`` contract as :func:`group_timings`.
-    """
-    if engine == "vectorized":
-        from .engine import cached_hierarchical_group_timings
-
-        return cached_hierarchical_group_timings(grid, placement)
-    if engine != "scalar":
-        raise ValueError(f"engine must be 'scalar' or 'vectorized', got {engine!r}")
-    return {
-        axis: hierarchical_group_timing(grid, placement, axis)
-        for axis in ("x", "y", "z", "data", "seq")
-    }

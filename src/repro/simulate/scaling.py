@@ -5,26 +5,27 @@ count) point, pick the best of the performance model's top-k predicted
 configurations by simulated batch time (exactly how the paper selects
 run configurations), then report timings and flop/s metrics.
 
-Since PR 9 the selection routes through the unified planning API: the
-blessed call is ``best_configuration(request)`` / ``run_point(request)``
-with a :class:`repro.autotune.PlanRequest`, and both delegate to
+The selection routes through the unified planning API:
+``best_configuration(request)`` / ``run_point(request)`` take one
+:class:`repro.autotune.PlanRequest`, and both delegate to
 :func:`repro.autotune.autotune` over the pinned
 :class:`~repro.autotune.SearchSpace` that replicates the §V-B top-k
-procedure bitwise.  The pre-PR-9 positional signatures still work but
-emit :class:`DeprecationWarning`.
+procedure bitwise.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..cluster import MachineSpec
-from ..config import GPTConfig, get_model
 from ..core.grid import GridConfig
 from ..perfmodel import BandwidthDatabase
-from .executor import IterationResult, OverlapFlags
+from .executor import IterationResult
 from .metrics import RunMetrics, compute_metrics
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..autotune.api import PlanRequest
 
 __all__ = [
     "ScalingPoint",
@@ -82,126 +83,30 @@ def default_global_batch(num_gpus: int, max_sequences: int = 8192) -> int:
     return min(max_sequences, 2 * num_gpus)
 
 
-def _shim_request(
-    first,
-    args: tuple,
-    kwargs: dict,
-    fn_name: str,
-    positional: tuple[str, ...],
-):
-    """Build a :class:`~repro.autotune.PlanRequest` from a pre-PR-9 call.
-
-    ``first`` is the old first positional argument (model config or
-    name); ``positional`` names the old signature's remaining parameters
-    in order.  Always emits a :class:`DeprecationWarning` — the blessed
-    call passes one ``PlanRequest``.
-    """
-    from ..autotune.api import PlanRequest
-
-    warnings.warn(
-        f"the positional {fn_name}({positional[0]}, ...) signature is "
-        f"deprecated; pass a repro.PlanRequest instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    bound = {positional[0]: first}
-    if len(args) > len(positional) - 1:
-        raise TypeError(
-            f"{fn_name}() takes at most {len(positional) + 1} positional "
-            f"arguments ({len(args) + 1} given)"
-        )
-    for name, value in zip(positional[1:], args):
-        bound[name] = value
-    for name, value in kwargs.items():
-        if name in bound:
-            raise TypeError(f"{fn_name}() got multiple values for {name!r}")
-        if name not in positional:
-            raise TypeError(
-                f"{fn_name}() got an unexpected keyword argument {name!r}"
-            )
-        bound[name] = value
-    overlap = bound.pop("overlap", None)
-    request = PlanRequest(
-        model=bound.pop(positional[0]),
-        num_gpus=bound.pop("num_gpus"),
-        machine=bound.pop("machine"),
-        global_batch=bound.pop("global_batch", None),
-        top_k=bound.pop("top_k", 10),
-        overlap=overlap,
-        kernel_tuning=bound.pop("kernel_tuning", True),
-        engine=bound.pop("engine", "vectorized"),
-        db=bound.pop("db", None),
-    )
-    assert not bound, bound
-    return request
-
-
 def best_configuration(
-    request=None,
-    /,
-    *args,
-    **kwargs,
+    request: PlanRequest,
 ) -> tuple[GridConfig, IterationResult]:
     """The Section V-B procedure: take the model's top-k predicted
     configurations and keep the one with the best simulated batch time.
 
-    The blessed call is ``best_configuration(request)`` with a
-    :class:`repro.autotune.PlanRequest`; it routes through
-    :func:`repro.autotune.autotune` over the pinned search space (same
-    candidates, same knobs, bitwise-identical winner).  Candidate
-    elimination only needs aggregate times, so the top-k simulations run
-    ``timing_only`` on the request's engine — at paper scale this is
-    what makes a full weak-scaling schedule a seconds-long operation.
-
-    The pre-PR-9 signature ``best_configuration(cfg, global_batch,
-    num_gpus, machine, top_k=..., overlap=..., kernel_tuning=..., db=...,
-    engine=...)`` still works but emits a :class:`DeprecationWarning`.
+    Routes through :func:`repro.autotune.autotune` over the pinned search
+    space (same candidates, same knobs, bitwise-identical winner).
+    Candidate elimination only needs aggregate times, so the top-k
+    simulations run ``timing_only`` — at paper scale this is what makes a
+    full weak-scaling schedule a seconds-long operation.
 
     Raises :class:`repro.autotune.NoFeasibleConfigError` (a
-    :class:`ValueError` subclass, so old handlers still catch it) when no
-    grid can run the job.
+    :class:`ValueError` subclass) when no grid can run the job.
     """
-    from ..autotune.api import PlanRequest
-    from ..autotune.search import autotune
     from ..autotune.api import SearchSpace
+    from ..autotune.search import autotune
 
-    if not isinstance(request, PlanRequest):
-        request = _shim_request(
-            request, args, kwargs, "best_configuration",
-            ("cfg", "global_batch", "num_gpus", "machine", "top_k",
-             "overlap", "kernel_tuning", "db", "engine"),
-        )
-    elif args or kwargs:
-        raise TypeError(
-            "best_configuration(request) takes no further arguments"
-        )
     report = autotune(request, space=SearchSpace.pinned(request))
     return report.winner.config, report.winner_result
 
 
-def run_point(
-    request=None,
-    /,
-    *args,
-    **kwargs,
-) -> ScalingPoint:
-    """Simulate one (model, #GPUs) point end to end.
-
-    The blessed call is ``run_point(request)`` with a
-    :class:`repro.autotune.PlanRequest`; the pre-PR-9 signature
-    ``run_point(model_name, num_gpus, machine, global_batch=..., ...)``
-    still works but emits a :class:`DeprecationWarning`.
-    """
-    from ..autotune.api import PlanRequest
-
-    if not isinstance(request, PlanRequest):
-        request = _shim_request(
-            request, args, kwargs, "run_point",
-            ("model", "num_gpus", "machine", "global_batch", "overlap",
-             "kernel_tuning", "db", "engine"),
-        )
-    elif args or kwargs:
-        raise TypeError("run_point(request) takes no further arguments")
+def run_point(request: PlanRequest) -> ScalingPoint:
+    """Simulate one (model, #GPUs) point end to end."""
     cfg = request.resolved_model()
     machine = request.resolved_machine()
     batch = request.resolved_batch()
@@ -241,8 +146,8 @@ def weak_scaling_sweep(
     """The machine's weak-scaling study (Fig. 6 / Fig. 8 / Table III).
 
     ``kwargs`` become :class:`repro.autotune.PlanRequest` fields shared
-    by every point (``overlap``, ``kernel_tuning``, ``engine``,
-    ``collective_algo``, ``seed``, ``top_k``).
+    by every point (``overlap``, ``kernel_tuning``, ``collective_algo``,
+    ``seed``, ``top_k``).
     """
     if schedule is None:
         schedule = WEAK_SCALING_SCHEDULES[machine.name]

@@ -12,15 +12,13 @@ Every tool is a subcommand of ``python -m repro.tools``::
     python -m repro.tools gen-api-docs --out docs/API.md
     python -m repro.tools regen-goldens
 
-The historical per-module entry points
-(``python -m repro.tools.memory_report`` and friends) still work but
-emit a :class:`DeprecationWarning`; they forward here unchanged.
+The modules under this package define ``main(argv)`` only; this
+dispatcher is the one way to run them.
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
 from importlib import import_module
 
 __all__ = ["main", "SUBCOMMANDS"]
@@ -59,13 +57,3 @@ def main(argv: list[str] | None = None) -> int:
     module = import_module(f".{module_name}", __name__)
     return module.main(args.rest)
 
-
-def _deprecated_entry(module_name: str, subcommand: str, main_fn, argv=None):
-    """Shared ``__main__`` shim for the historical per-module CLIs."""
-    warnings.warn(
-        f"python -m repro.tools.{module_name} is deprecated; use "
-        f"python -m repro.tools {subcommand}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return main_fn(argv)

@@ -1,10 +1,9 @@
 """Shared argparse plumbing for the planning-family CLIs.
 
 ``plan``, ``sweep``, ``goodput``, and ``serve-report`` all accept the
-same four cross-cutting flags, declared once here and inherited via an
+same three cross-cutting flags, declared once here and inherited via an
 argparse *parent* parser:
 
-* ``--engine {scalar,vectorized}`` — simulator timing engine;
 * ``--collective-algo {flat,hierarchical,auto}`` — collective routing
   policy priced by the simulator;
 * ``--seed N`` — deterministic seed (simulator jitter salt, arrival
@@ -25,19 +24,12 @@ def planner_parent_parser(
     seed_help: str = "deterministic seed (default: 0)",
     out_help: str = "directory to write the command's BENCH_*.json artifact",
 ) -> argparse.ArgumentParser:
-    """The ``parents=[...]`` parser carrying the four shared flags.
+    """The ``parents=[...]`` parser carrying the three shared flags.
 
     Each call returns a fresh parser (argparse parents are consumed per
     child), with per-command help text where the flag's meaning differs.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--engine",
-        choices=("scalar", "vectorized"),
-        default="vectorized",
-        help="simulator timing engine (bitwise-identical results; "
-        "vectorized reaches the paper's 4096-8192+ rank scales)",
-    )
     parent.add_argument(
         "--collective-algo",
         choices=("flat", "hierarchical", "auto"),

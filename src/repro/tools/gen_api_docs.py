@@ -102,9 +102,3 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(render())
     print(f"wrote {out}")
     return 0
-
-
-if __name__ == "__main__":
-    from . import _deprecated_entry
-
-    raise SystemExit(_deprecated_entry("gen_api_docs", "gen-api-docs", main))

@@ -23,8 +23,8 @@ replacement node shows up, re-form the full grid from the checkpoint).
 
 Examples::
 
-    python -m repro.tools.goodput_report GPT-20B 1024
-    python -m repro.tools.goodput_report GPT-80B 4096 frontier alps \\
+    python -m repro.tools goodput GPT-20B 1024
+    python -m repro.tools goodput GPT-80B 4096 frontier alps \\
         --node-mtbf-hours 1000
 """
 
@@ -181,9 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--simulate-iter-time", action="store_true",
         help="derive --iter-time per machine by simulating the best "
-        "configuration (planned via the unified autotune API on the "
-        "selected --engine / --collective-algo) instead of the fixed "
-        "default",
+        "configuration (planned via the unified autotune API under the "
+        "selected --collective-algo) instead of the fixed default",
     )
     parser.add_argument(
         "--replacement-wait", type=float, default=1800.0,
@@ -217,7 +216,6 @@ def main(argv: list[str] | None = None) -> int:
                     num_gpus=args.gpus,
                     machine=machine_name,
                     collective_algo=args.collective_algo,
-                    engine=args.engine,
                 )
             )
             iter_time = sim.total_time
@@ -252,9 +250,3 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"  wrote {path}\n")
     return 0
-
-
-if __name__ == "__main__":
-    from . import _deprecated_entry
-
-    raise SystemExit(_deprecated_entry("goodput_report", "goodput", main))

@@ -95,9 +95,3 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"  wrote {path}")
     return 0 if m.fits(machine) else 1
-
-
-if __name__ == "__main__":
-    from . import _deprecated_entry
-
-    raise SystemExit(_deprecated_entry("memory_report", "memory", main))

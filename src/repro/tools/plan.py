@@ -3,8 +3,8 @@
 Usage::
 
     python -m repro.tools plan MODEL NUM_GPUS MACHINE [--batch N] [--top K]
-        [--optimize] [--prune-k K] [--engine E] [--collective-algo A]
-        [--seed N] [--out DIR]
+        [--optimize] [--prune-k K] [--collective-algo A] [--seed N]
+        [--out DIR]
 
 Examples::
 
@@ -148,7 +148,6 @@ def main(argv: list[str] | None = None) -> int:
         global_batch=args.batch,
         top_k=args.top,
         collective_algo=args.collective_algo,
-        engine=args.engine,
         seed=args.seed,
     )
     cfg = request.resolved_model()
@@ -232,14 +231,7 @@ def main(argv: list[str] | None = None) -> int:
                 "winner": win.to_json(),
                 "ranked": [c.to_json() for c in report.ranked],
                 "seed": args.seed,
-                "engine": args.engine,
             },
         )
         print(f"wrote {path}")
     return 0
-
-
-if __name__ == "__main__":
-    from . import _deprecated_entry
-
-    raise SystemExit(_deprecated_entry("plan", "plan", main))

@@ -251,6 +251,3 @@ def main(argv: list[str] | None = None) -> int:
         max_overhead_pct=args.max_overhead_pct,
     )
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -8,7 +8,7 @@ MoE.  The regression tests replay the same seeded programs and fail with
 a structural diff if the schedule drifts — an intentional change to the
 communication pattern must be accompanied by regenerated goldens:
 
-    python -m repro.tools.regen_goldens
+    python -m repro.tools regen-goldens
 
 Every scenario is deterministic (fixed seeds, no wall-clock input), so a
 regenerated golden is byte-identical unless the schedule truly changed.
@@ -192,9 +192,3 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     regen_all(Path(args.out) if args.out else None)
     return 0
-
-
-if __name__ == "__main__":
-    from . import _deprecated_entry
-
-    raise SystemExit(_deprecated_entry("regen_goldens", "regen-goldens", main))

@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro.tools.reproduce --list
-    python -m repro.tools.reproduce fig6 table3
-    python -m repro.tools.reproduce all
+    python -m repro.tools reproduce --list
+    python -m repro.tools reproduce fig6 table3
+    python -m repro.tools reproduce all
 
 Each experiment id maps to a benchmark module under ``benchmarks/``; the
 runner invokes pytest on it with live output, so the reproduced rows
@@ -133,9 +133,3 @@ def main(argv: list[str] | None = None) -> int:
     ]
     print("running:", " ".join(cmd))
     return subprocess.call(cmd, cwd=bench_dir.parent)
-
-
-if __name__ == "__main__":
-    from . import _deprecated_entry
-
-    raise SystemExit(_deprecated_entry("reproduce", "reproduce", main))

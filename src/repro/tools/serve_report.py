@@ -413,6 +413,3 @@ def _chaos_main(args, cfg, machine, model, batching, rates, trace) -> int:
         print(f"wrote {path}")
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

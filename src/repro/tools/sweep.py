@@ -6,8 +6,8 @@ Usage::
     python -m repro.tools sweep strong MODEL MACHINE GPUS[,GPUS...]
         [--batch N]                                         # Fig. 9 style
 
-Shared planner flags (``--engine``, ``--collective-algo``, ``--seed``,
-``--out``) apply to both kinds; every point routes through the unified
+Shared planner flags (``--collective-algo``, ``--seed``, ``--out``)
+apply to both kinds; every point routes through the unified
 planning API (:class:`repro.autotune.PlanRequest` ->
 :func:`repro.simulate.run_point`).
 
@@ -36,7 +36,6 @@ __all__ = ["main"]
 
 def _point_kwargs(args) -> dict:
     return {
-        "engine": args.engine,
         "collective_algo": args.collective_algo,
         "seed": args.seed,
     }
@@ -57,7 +56,6 @@ def _write_bench(args, name: str, points) -> None:
         meta={
             "kind": name,
             "seed": args.seed,
-            "engine": args.engine,
             "collective_algo": args.collective_algo,
             "points": [
                 {
@@ -157,9 +155,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.kind == "weak":
         return _weak(args)
     return _strong(args)
-
-
-if __name__ == "__main__":
-    from . import _deprecated_entry
-
-    raise SystemExit(_deprecated_entry("sweep", "sweep", main))

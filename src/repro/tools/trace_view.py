@@ -97,9 +97,3 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"\n  wrote {path}")
     return 0
-
-
-if __name__ == "__main__":
-    from . import _deprecated_entry
-
-    raise SystemExit(_deprecated_entry("trace_view", "trace", main))

@@ -3,8 +3,8 @@
 Covers the PR 9 acceptance criteria: seed-determinism of the search,
 the winner never being slower than the pre-PR-9 top-k procedure,
 agreement with the paper's hand-tuned weak-scaling shapes, the typed
-``NoFeasibleConfigError``, the deprecation shims on the old positional
-signatures, the facade exports, and the ``plan --optimize`` CLI.
+``NoFeasibleConfigError``, the old positional signatures being gone
+(``TypeError``), the facade exports, and the ``plan --optimize`` CLI.
 """
 
 import json
@@ -57,9 +57,9 @@ class TestPlanRequest:
         with pytest.raises(ValueError):
             PlanRequest(model="GPT-5B", num_gpus=64, machine="perlmutter",
                         top_k=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="engine"):
             PlanRequest(model="GPT-5B", num_gpus=64, machine="perlmutter",
-                        engine="gpu")
+                        engine="vectorized")
         with pytest.raises(ValueError):
             PlanRequest(model="GPT-5B", num_gpus=64, machine="perlmutter",
                         collective_algo="ring")
@@ -137,20 +137,14 @@ class TestWinnerNeverSlower:
     def test_full_space_beats_pr6_topk(self, model, gpus, machine, batch):
         req = PlanRequest(model=model, num_gpus=gpus, machine=machine,
                           global_batch=batch, top_k=5)
-        with pytest.warns(DeprecationWarning):
-            _, ref = best_configuration(
-                get_model(model), batch, gpus, machine, 5
-            )
+        _, ref = best_configuration(req)
         report = autotune(req, SearchSpace(prune_k=8, validate_k=5))
         assert report.winner.simulated_time <= ref.total_time
 
     def test_pinned_space_matches_pr6_bitwise(self):
         req = PlanRequest(model="GPT-5B", num_gpus=64, machine="perlmutter",
                           global_batch=128, top_k=5)
-        with pytest.warns(DeprecationWarning):
-            cfg, ref = best_configuration(
-                get_model("GPT-5B"), 128, 64, "perlmutter", 5
-            )
+        cfg, ref = best_configuration(req)
         report = autotune(req, SearchSpace.pinned(req))
         assert report.winner.config == cfg
         assert report.winner.simulated_time == ref.total_time
@@ -208,28 +202,34 @@ class TestNoFeasibleConfigError:
 
     def test_old_library_path_raises_same_error(self):
         with pytest.raises(NoFeasibleConfigError):
-            with pytest.warns(DeprecationWarning):
-                best_configuration(get_model("GPT-640B"), 8, 8, "perlmutter")
+            best_configuration(
+                PlanRequest(model=get_model("GPT-640B"), num_gpus=8,
+                            machine="perlmutter", global_batch=8)
+            )
 
 
 class TestDeprecationShims:
-    def test_best_configuration_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            cfg, res = best_configuration(
-                get_model("GPT-5B"), 128, 64, "perlmutter"
-            )
-        assert cfg.total == 64
+    """The pre-PR-9 positional signatures are deleted, not deprecated."""
 
-    def test_run_point_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            pt = run_point("GPT-5B", 64, "perlmutter")
-        assert pt.num_gpus == 64
+    def test_best_configuration_positional_raises(self):
+        with pytest.raises(TypeError):
+            best_configuration(get_model("GPT-5B"), 128, 64, "perlmutter")
+        with pytest.raises(TypeError):
+            best_configuration(get_model("GPT-5B"), num_gpus=64)
 
-    def test_rank_configurations_positional_extras_warn(self):
+    def test_run_point_positional_raises(self):
+        with pytest.raises(TypeError):
+            run_point("GPT-5B", 64, "perlmutter")
+        with pytest.raises(TypeError):
+            run_point("GPT-5B", 64, "perlmutter", global_batch=128)
+
+    def test_rank_configurations_positional_extras_raise(self):
         cfg = get_model("GPT-5B")
-        with pytest.warns(DeprecationWarning):
-            ranked = rank_configurations(cfg, 128, 64, "perlmutter", None, 5)
-        assert len(ranked) == 5
+        with pytest.raises(TypeError):
+            rank_configurations(cfg, 128, 64, "perlmutter", None, 5)
+        assert len(
+            rank_configurations(cfg, 128, 64, "perlmutter", max_configs=5)
+        ) == 5
 
     def test_new_paths_do_not_warn(self):
         req = PlanRequest(model="GPT-5B", num_gpus=64, machine="perlmutter",
@@ -318,15 +318,18 @@ class TestSharedCLIFlags:
             main(argv)
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--engine", "--collective-algo", "--seed", "--out"):
+        for flag in ("--collective-algo", "--seed", "--out"):
             assert flag in out, f"{mod} missing {flag}"
+        assert "--engine" not in out
 
-    def test_plan_scalar_engine_matches_vectorized(self, capsys):
-        from repro.tools import plan
+    @pytest.mark.parametrize("mod,argv", CLIS)
+    def test_engine_flag_rejected(self, mod, argv, capsys):
+        """``--engine`` is gone from all four CLIs (``serve-report`` used
+        to accept and ignore it): argparse's usage error, rc 2."""
+        import importlib
 
-        base = ["GPT-5B", "64", "perlmutter", "--batch", "128", "--top", "3"]
-        assert plan.main(base + ["--engine", "scalar"]) == 0
-        scalar = capsys.readouterr().out
-        assert plan.main(base + ["--engine", "vectorized"]) == 0
-        vector = capsys.readouterr().out
-        assert scalar == vector
+        main = importlib.import_module(f"repro.tools.{mod}").main
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--engine", "scalar"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err

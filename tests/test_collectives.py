@@ -146,6 +146,27 @@ class TestReduceScatter:
         with pytest.raises(ValueError):
             reduce_scatter(_buffers(g, (7, 2)), g)
 
+    def test_nondivisible_rejected_before_trace_and_injector(self):
+        """A malformed call never reaches the fault injector (where an
+        armed kill would mask the caller's bug) and leaves no trace."""
+
+        class Injector:
+            calls = 0
+
+            def before_collective(self, op, group, buffers, tag, tracer=None):
+                self.calls += 1
+                return buffers
+
+        g = ProcessGroup((0, 1, 2))
+        tracer, injector = CommTracer(), Injector()
+        with pytest.raises(ValueError, match="not divisible"):
+            reduce_scatter(
+                _buffers(g, (7, 2)), g, tracer=tracer, injector=injector
+            )
+        assert injector.calls == 0 and not tracer.records
+        reduce_scatter(_buffers(g, (6, 2)), g, tracer=tracer, injector=injector)
+        assert injector.calls == 1 and len(tracer.records) == 1
+
     def test_group_order_determines_shards(self):
         """Shard ownership follows group position, not global rank."""
         g = ProcessGroup((5, 3))

@@ -8,7 +8,7 @@ message carries a structural diff (which rank diverged, at which event)
 rather than a JSON blob.  Intentional changes to the communication
 pattern are made visible in review by regenerating:
 
-    python -m repro.tools.regen_goldens
+    python -m repro.tools regen-goldens
 """
 
 import json
@@ -29,7 +29,7 @@ SCENARIOS = sorted(GOLDEN_SCENARIOS)
 def test_golden_file_exists(name):
     assert (golden_dir() / f"{name}.json").is_file(), (
         f"missing golden trace for {name!r}; run "
-        f"`python -m repro.tools.regen_goldens`"
+        f"`python -m repro.tools regen-goldens`"
     )
 
 
@@ -43,7 +43,7 @@ def test_schedule_matches_golden(name):
             f"collective schedule for {name!r} drifted from golden.\n"
             f"{diff}\n"
             f"If intentional, regenerate with "
-            f"`python -m repro.tools.regen_goldens`."
+            f"`python -m repro.tools regen-goldens`."
         )
 
 

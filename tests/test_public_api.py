@@ -110,20 +110,15 @@ class TestFacade:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("module", ["repro", "repro.core"])
-    def test_old_init_resolves_and_warns_exactly_once(self, module):
-        import warnings
+    """The shims are deleted: old spellings fail like any unknown name."""
 
+    @pytest.mark.parametrize("module", ["repro", "repro.core"])
+    def test_old_init_is_gone(self, module):
         mod = importlib.import_module(module)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            obj = mod.init
-        assert obj is mod.axonn_init
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "axonn_init" in str(deprecations[0].message)
+        with pytest.raises(AttributeError):
+            mod.init
+        assert callable(mod.axonn_init)
+        assert "__getattr__" not in vars(mod)
 
     def test_old_name_not_in_all(self):
         import repro
@@ -137,6 +132,39 @@ class TestDeprecationShims:
         mod = importlib.import_module(module)
         with pytest.raises(AttributeError):
             mod.definitely_not_a_symbol
+
+
+class TestOneTimingEngine:
+    """No planner or simulator entry point has an ``engine`` knob."""
+
+    def test_no_engine_parameter_or_field(self):
+        import dataclasses
+        import inspect
+
+        offenders = []
+        for pkg in ("repro.simulate", "repro.autotune", "repro.perfmodel",
+                    "repro.kernels"):
+            mod = importlib.import_module(pkg)
+            for name in mod.__all__:
+                obj = getattr(mod, name)
+                if dataclasses.is_dataclass(obj):
+                    names = [f.name for f in dataclasses.fields(obj)]
+                elif callable(obj):
+                    try:
+                        names = list(inspect.signature(obj).parameters)
+                    except (TypeError, ValueError):
+                        continue
+                else:
+                    continue
+                if "engine" in names:
+                    offenders.append(f"{pkg}.{name}")
+        assert not offenders
+        assert not hasattr(importlib.import_module("repro.simulate"), "ENGINES")
+
+    def test_facade_stays_small(self):
+        import repro
+
+        assert len(repro.__all__) <= 47
 
 
 class TestSignatureContracts:

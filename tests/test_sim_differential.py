@@ -1,13 +1,20 @@
-"""Differential harness: scalar vs. vectorized simulator timing engines.
+"""Differential harness: the scalar oracle vs. the simulator's one engine.
 
-The vectorized engine (``repro.simulate.engine``) rewrites the numbers
-the whole repo is gated on — crossover frontiers, goodput reports, plan
-CLI rankings — so its contract is *bitwise equality* with the legacy
-per-rank scalar path, not approximate agreement.  This suite drives
-both engines over fuzzed (machine x grid shape x placement x message
-size x flat/hier algorithm) points and asserts:
+The simulator prices its links with the vectorized, memoized
+``repro.simulate.engine`` and its GEMMs with the per-shape-cached tuner.
+Those rewrite the numbers the whole repo is gated on — crossover
+frontiers, goodput reports, plan CLI rankings — so their contract is
+*bitwise equality* with the readable definitions: the per-rank scalar
+walks of ``repro.simulate.network_sim`` and the uncached
+``tune_matmuls``.  There is no second engine to select; instead this
+suite derives link timings and the GEMM plan the slow way, feeds them to
+the *same* ``price_iteration`` -> ``schedule_iteration`` ->
+``summarise_iteration`` stages ``simulate_iteration`` composes, and
+asserts over fuzzed (machine x grid shape x placement x message size x
+flat/hier algorithm) points:
 
 * per-axis link timings and two-level decompositions are identical;
+* ``IterationPrices`` compares equal field-for-field;
 * every per-op interval of a traced iteration is identical (1-ulp
   criterion, satisfied exactly);
 * ``IterationResult`` — totals, details, algorithm choices, event
@@ -19,11 +26,13 @@ The fuzz budget defaults to 200 points and honours the
 (see the ``sim-scale-smoke`` workflow job).
 """
 
+import inspect
 import os
 import random
 
 import pytest
 
+from repro.autotune import ALL_OVERLAP_COMBOS
 from repro.cluster import (
     ALPS,
     FRONTIER,
@@ -34,15 +43,22 @@ from repro.cluster import (
 )
 from repro.config import GPTConfig
 from repro.core import Grid4D, GridConfig
+from repro.core.grid import AXES5
+from repro.kernels import GemmModel, tune_matmuls, tune_matmuls_cached
+from repro.perfmodel import gpt_layer_shapes
 from repro.simulate import (
     OverlapFlags,
     Timeline,
     deterministic_jitter,
+    local_matmul_ops,
+    price_iteration,
+    schedule_iteration,
     simulate_iteration,
+    summarise_iteration,
 )
 from repro.simulate import engine as vec_engine
+from repro.simulate import executor
 from repro.simulate import network_sim as ns
-from repro.simulate.executor import _jitter
 
 FUZZ_POINTS = int(os.environ.get("SIM_DIFF_POINTS", "200"))
 
@@ -125,8 +141,53 @@ def _point_id(p):
     return f"{machine.name}-{'x'.join(map(str, dims))}-{strategy}-{algo}-{model.name}"
 
 
+def _scalar_timings(grid, placement):
+    """Link and two-level timings by the per-rank Python walks."""
+    flat = {
+        axis: ns.measured_group_bandwidth(grid, placement, axis)
+        for axis in AXES5
+    }
+    hier = {
+        axis: ns.hierarchical_group_timing(grid, placement, axis)
+        for axis in AXES5
+    }
+    return flat, hier
+
+
+def _prices(model, batch, config, machine, *, oracle, kernel_tuning=False,
+            placement_strategy="block", collective_algo=None):
+    """``simulate_iteration``'s price stage, fed by the production engine
+    or (``oracle=True``) by the scalar walks and the uncached tuner."""
+    algo = collective_algo if collective_algo is not None else config.collective_algo
+    placement = Placement(machine, config.total, strategy=placement_strategy)
+    grid = Grid4D(config, placement=placement)
+    if oracle:
+        timings, hier = _scalar_timings(grid, placement)
+        tune = tune_matmuls
+    else:
+        timings = vec_engine.group_timings(grid, placement)
+        hier = vec_engine.hierarchical_group_timings(grid, placement)
+        tune = tune_matmuls_cached
+    layers = gpt_layer_shapes(model, batch // config.gdata)
+    plan = tune(local_matmul_ops(layers, config), GemmModel(machine))
+    return price_iteration(
+        model, batch, config, machine, layers, plan, timings,
+        hier if algo != "flat" else {}, algo, kernel_tuning, True, 1.0, 1.0,
+    )
+
+
+def _oracle_iteration(model, batch, config, machine, *, overlap=OverlapFlags.none(),
+                      noise=executor.DEFAULT_NOISE, run_salt=0, trace=None,
+                      **price_kwargs):
+    """(prices, result) of one iteration priced by the scalar oracle and
+    run through the production schedule and summarise stages."""
+    prices = _prices(model, batch, config, machine, oracle=True, **price_kwargs)
+    total, num_events = schedule_iteration(prices, overlap, trace)
+    return prices, summarise_iteration(prices, total, num_events, noise, run_salt)
+
+
 class TestFuzzedDifferential:
-    """Legacy scalar path vs. vectorized engine over the fuzz corpus."""
+    """Scalar oracle vs. the production engine over the fuzz corpus."""
 
     @pytest.mark.parametrize("point", FUZZED, ids=_point_id)
     def test_point_bitwise_identical(self, point):
@@ -137,26 +198,27 @@ class TestFuzzedDifferential:
         grid = Grid4D(config, placement=placement)
 
         # Per-axis link timings: exact equality, field for field.
-        scalar_t = ns.group_timings(grid, placement, engine="scalar")
-        vector_t = ns.group_timings(grid, placement, engine="vectorized")
-        assert scalar_t == vector_t
+        scalar_t, scalar_h = _scalar_timings(grid, placement)
+        assert scalar_t == vec_engine.group_timings(grid, placement)
+        assert scalar_h == vec_engine.hierarchical_group_timings(grid, placement)
 
-        scalar_h = ns.hierarchical_group_timings(grid, placement, engine="scalar")
-        vector_h = ns.hierarchical_group_timings(grid, placement, engine="vectorized")
-        assert scalar_h == vector_h
-
-        # Full iteration: every IterationResult field, floats bitwise.
-        kwargs = dict(
-            overlap=overlap, kernel_tuning=kernel_tuning, noise=noise,
-            run_salt=salt, placement_strategy=strategy, collective_algo=algo,
+        # The price stage, then the full iteration: every field of
+        # IterationPrices and IterationResult, floats bitwise.
+        price_kwargs = dict(
+            kernel_tuning=kernel_tuning, placement_strategy=strategy,
+            collective_algo=algo,
         )
-        res_scalar = simulate_iteration(
-            model, batch, config, machine, engine="scalar", **kwargs
+        prices, res_oracle = _oracle_iteration(
+            model, batch, config, machine, overlap=overlap, noise=noise,
+            run_salt=salt, **price_kwargs
         )
-        res_vector = simulate_iteration(
-            model, batch, config, machine, engine="vectorized", **kwargs
+        assert prices == _prices(
+            model, batch, config, machine, oracle=False, **price_kwargs
         )
-        assert res_scalar == res_vector
+        assert res_oracle == simulate_iteration(
+            model, batch, config, machine, overlap=overlap, noise=noise,
+            run_salt=salt, **price_kwargs
+        )
 
     def test_budget_met(self):
         """The suite honoured its fuzz budget (>= 200 by default)."""
@@ -171,24 +233,24 @@ class TestGoldenConfigs:
         ids=[f"{m.name}-{'x'.join(map(str, c.dims))}" for m, c, _ in GOLDEN_POINTS],
     )
     def test_golden_bitwise_identical(self, machine, config, algo):
-        trace_scalar, trace_vector = Timeline(), Timeline()
+        trace_oracle, trace_engine = Timeline(), Timeline()
         kwargs = dict(
             overlap=OverlapFlags.all(), kernel_tuning=True,
             collective_algo=algo,
         )
-        res_scalar = simulate_iteration(
+        _, res_oracle = _oracle_iteration(
             TINY, 4 * config.gdata, config, machine,
-            engine="scalar", trace=trace_scalar, **kwargs
+            trace=trace_oracle, **kwargs
         )
-        res_vector = simulate_iteration(
+        res_engine = simulate_iteration(
             TINY, 4 * config.gdata, config, machine,
-            engine="vectorized", trace=trace_vector, **kwargs
+            trace=trace_engine, **kwargs
         )
-        assert res_scalar == res_vector
+        assert res_oracle == res_engine
         # Per-op check: every traced interval identical (streams, names,
         # starts, ends — frozen dataclasses compare exactly).
-        assert trace_scalar.events == trace_vector.events
-        assert len(trace_scalar.events) == res_scalar.num_events
+        assert trace_oracle.events == trace_engine.events
+        assert len(trace_oracle.events) == res_oracle.num_events
 
 
 class TestPerOpTraces:
@@ -199,25 +261,28 @@ class TestPerOpTraces:
         (machine, dims, strategy, algo, model, batch, overlap,
          kernel_tuning, noise, salt) = point
         config = GridConfig(*dims)
-        traces = {}
-        for engine in ("scalar", "vectorized"):
-            traces[engine] = Timeline()
-            simulate_iteration(
-                model, batch, config, machine,
-                overlap=overlap, kernel_tuning=kernel_tuning, noise=noise,
-                run_salt=salt, placement_strategy=strategy,
-                collective_algo=algo, engine=engine, trace=traces[engine],
-            )
-        assert traces["scalar"].events == traces["vectorized"].events
+        trace_oracle, trace_engine = Timeline(), Timeline()
+        kwargs = dict(
+            overlap=overlap, kernel_tuning=kernel_tuning, noise=noise,
+            run_salt=salt, placement_strategy=strategy, collective_algo=algo,
+        )
+        _oracle_iteration(
+            model, batch, config, machine, trace=trace_oracle, **kwargs
+        )
+        simulate_iteration(
+            model, batch, config, machine, trace=trace_engine, **kwargs
+        )
+        assert trace_oracle.events == trace_engine.events
 
 
 class TestJitterDeterminism:
-    """The same seed yields the same perturbation regardless of engine."""
+    """The same seed yields the same perturbation, however priced."""
 
     def test_single_jitter_source(self):
-        # The executor's _jitter IS the shared implementation — there is
-        # no second hashing path a refactor could let drift.
-        assert _jitter is deterministic_jitter
+        # The executor calls the one shared implementation — there is no
+        # second hashing path a refactor could let drift.
+        assert executor.deterministic_jitter is deterministic_jitter
+        assert vec_engine.deterministic_jitter is deterministic_jitter
 
     def test_variability_reexport(self):
         from repro.simulate.variability import (
@@ -239,14 +304,10 @@ class TestJitterDeterminism:
     @pytest.mark.parametrize("salt", [0, 1, 42])
     def test_salted_runs_agree_across_engines(self, salt):
         config = GridConfig(2, 2, 2, 2)
-        results = [
-            simulate_iteration(
-                TINY, 32, config, FRONTIER,
-                overlap=OverlapFlags.all(), run_salt=salt, engine=engine,
-            ).total_time
-            for engine in ("scalar", "vectorized")
-        ]
-        assert results[0] == results[1]
+        kwargs = dict(overlap=OverlapFlags.all(), run_salt=salt)
+        _, oracle = _oracle_iteration(TINY, 32, config, FRONTIER, **kwargs)
+        engine = simulate_iteration(TINY, 32, config, FRONTIER, **kwargs)
+        assert oracle.total_time == engine.total_time
 
 
 class TestTimingOnly:
@@ -282,23 +343,82 @@ class TestTimingOnly:
 
 class TestEngineValidation:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            simulate_iteration(
-                TINY, 4, GridConfig(2, 2, 2, 1), PERLMUTTER, engine="gpu"
-            )
+        """There is one engine: no entry point takes ``engine=`` any more."""
         grid = Grid4D(GridConfig(2, 2, 2, 1))
         placement = Placement(PERLMUTTER, 8)
-        with pytest.raises(ValueError, match="engine"):
-            ns.group_timings(grid, placement, engine="gpu")
-        with pytest.raises(ValueError, match="engine"):
-            ns.hierarchical_group_timings(grid, placement, engine="gpu")
+        with pytest.raises(TypeError, match="engine"):
+            simulate_iteration(
+                TINY, 4, GridConfig(2, 2, 2, 1), PERLMUTTER, engine="scalar"
+            )
+        with pytest.raises(TypeError, match="engine"):
+            vec_engine.group_timings(grid, placement, engine="scalar")
+        with pytest.raises(TypeError, match="engine"):
+            vec_engine.hierarchical_group_timings(grid, placement, engine="scalar")
+        assert not hasattr(vec_engine, "ENGINES")
 
     def test_clear_caches(self):
         placement = Placement(FRONTIER, 16)
         grid = Grid4D(GridConfig(4, 2, 2, 1), placement=placement)
-        before = ns.group_timings(grid, placement, engine="vectorized")
+        before = vec_engine.group_timings(grid, placement)
         assert vec_engine._GROUP_TIMINGS_CACHE
         vec_engine.clear_caches()
         assert not vec_engine._GROUP_TIMINGS_CACHE
-        after = ns.group_timings(grid, placement, engine="vectorized")
+        after = vec_engine.group_timings(grid, placement)
         assert before == after
+
+
+class TestPriceStage:
+    """``IterationPrices`` is the part of an iteration that ``overlap``,
+    ``noise`` and ``run_salt`` cannot move."""
+
+    def test_price_stage_takes_no_schedule_or_noise_input(self):
+        params = set(inspect.signature(price_iteration).parameters)
+        assert not params & {"overlap", "trace", "noise", "run_salt", "timing_only"}
+        for stage in (price_iteration, schedule_iteration, summarise_iteration):
+            for p in inspect.signature(stage).parameters.values():
+                assert p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+
+    @pytest.mark.parametrize(
+        "machine,config,algo", GOLDEN_POINTS,
+        ids=[f"{m.name}-{'x'.join(map(str, c.dims))}" for m, c, _ in GOLDEN_POINTS],
+    )
+    def test_one_prices_value_serves_every_overlap_salt_and_noise(
+        self, machine, config, algo
+    ):
+        batch = 4 * config.gdata
+        kwargs = dict(kernel_tuning=True, collective_algo=algo)
+        prices = _prices(SMALL, batch, config, machine, oracle=False, **kwargs)
+        for overlap in ALL_OVERLAP_COMBOS:
+            for salt in (0, 5):
+                for noise in (0.0, 0.03):
+                    total, events = schedule_iteration(prices, overlap, None)
+                    assert summarise_iteration(
+                        prices, total, events, noise, salt
+                    ) == simulate_iteration(
+                        SMALL, batch, config, machine, overlap=overlap,
+                        run_salt=salt, noise=noise, **kwargs
+                    )
+        # ... and pricing again gives the same value, memo tables warm.
+        assert prices == _prices(
+            SMALL, batch, config, machine, oracle=False, **kwargs
+        )
+
+    @pytest.mark.parametrize("machine", [PERLMUTTER, FRONTIER, GOLDEN_MACHINE],
+                             ids=lambda m: m.name)
+    def test_repeated_layers_cannot_change_picks(self, machine):
+        """Picks are recorded as sets, once per distinct (op, bytes,
+        axis) price: stacking more identical transformer blocks asks the
+        same questions again and must report the same per-axis answer."""
+        config = GridConfig(2 * machine.gpus_per_node, 1, 2, 1)
+        kwargs = dict(oracle=False, collective_algo="auto")
+        picks = {}
+        for num_layers in (1, 6):
+            model = GPTConfig("picks", num_layers=num_layers, hidden_size=256,
+                              num_heads=8, seq_len=128, vocab_size=512)
+            prices = _prices(model, 8, config, machine, **kwargs)
+            assert all(isinstance(v, frozenset) for v in prices.axis_picks.values())
+            picks[num_layers] = {
+                axis: prices.axis_picks.get(axis) for axis in ("x", "y", "z")
+            }
+        assert picks[1] == picks[6]
+        assert picks[1]["x"]  # the node-straddling X axis did make picks

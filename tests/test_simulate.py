@@ -9,6 +9,7 @@ scaling efficiencies land in the paper's ranges.
 
 import pytest
 
+from repro.autotune import PlanRequest
 from repro.cluster import ALPS, FRONTIER, PERLMUTTER
 from repro.config import get_model
 from repro.core import Grid4D, GridConfig
@@ -109,8 +110,10 @@ class TestSimulateIteration:
         def gain(model, gpus):
             cfg = get_model(model)
             c, _ = best_configuration(
-                cfg, default_global_batch(gpus), gpus, FRONTIER,
-                overlap=OverlapFlags.none(), kernel_tuning=False,
+                PlanRequest(
+                    cfg, gpus, FRONTIER, default_global_batch(gpus),
+                    overlap=OverlapFlags.none(), kernel_tuning=False,
+                )
             )
             b = default_global_batch(gpus)
             off = simulate_iteration(cfg, b, c, FRONTIER, overlap=OverlapFlags.none())
@@ -169,7 +172,7 @@ class TestBaselineAndAutoConfig:
             cfg, batch, baseline_config(cfg, 8192, FRONTIER), FRONTIER,
             overlap=OverlapFlags.none(), kernel_tuning=False,
         )
-        _, best = best_configuration(cfg, batch, 8192, FRONTIER)
+        _, best = best_configuration(PlanRequest(cfg, 8192, FRONTIER, batch))
         improvement = 1.0 - best.total_time / base.total_time
         assert 0.10 < improvement < 0.60  # paper: 13-45% + overlap
 
@@ -177,16 +180,16 @@ class TestBaselineAndAutoConfig:
         cfg = get_model("GPT-640B")
         with pytest.raises(ValueError):
             # 640B cannot fit on 8 A100-40GB GPUs in any arrangement.
-            best_configuration(cfg, 8, 8, PERLMUTTER)
+            best_configuration(PlanRequest(cfg, 8, PERLMUTTER, 8))
 
 
 class TestScalingStudies:
     def test_weak_scaling_efficiency_range_frontier(self):
         """Fig. 6 / Table III shape: high efficiency through 8k GCDs, a
         drop at 16k, a cliff at 32k (53.5% in the paper)."""
-        p512 = run_point("GPT-5B", 512, FRONTIER)
-        p8k = run_point("GPT-80B", 8192, FRONTIER)
-        p32k = run_point("GPT-320B", 32768, FRONTIER)
+        p512 = run_point(PlanRequest("GPT-5B", 512, FRONTIER))
+        p8k = run_point(PlanRequest("GPT-80B", 8192, FRONTIER))
+        p32k = run_point(PlanRequest("GPT-320B", 32768, FRONTIER))
         eff8 = weak_scaling_efficiency(p512.metrics, p8k.metrics)
         eff32 = weak_scaling_efficiency(p512.metrics, p32k.metrics)
         assert eff8 > 0.80
@@ -196,21 +199,21 @@ class TestScalingStudies:
     def test_paper_headline_flops(self):
         """1.381 Eflop/s on 32,768 GCDs (22% of peak): shape check —
         we accept 1.1-1.7 Eflop/s and 18-27%."""
-        p = run_point("GPT-320B", 32768, FRONTIER)
+        p = run_point(PlanRequest("GPT-320B", 32768, FRONTIER))
         assert 1.1e18 < p.metrics.total_flops < 1.7e18
         assert 18 < p.metrics.pct_advertised_peak < 27
 
     def test_alps_highest_absolute_flops(self):
         """Alps at 6,144 H100s delivers the highest sustained flop/s of
         the three systems (1.423 Eflop/s in the paper)."""
-        alps = run_point("GPT-60B", 6144, ALPS)
-        perl = run_point("GPT-40B", 4096, PERLMUTTER)
+        alps = run_point(PlanRequest("GPT-60B", 6144, ALPS))
+        perl = run_point(PlanRequest("GPT-40B", 4096, PERLMUTTER))
         assert alps.metrics.total_flops > perl.metrics.total_flops
         assert alps.metrics.total_flops > 1.0e18
 
     def test_perlmutter_50pct_range(self):
         """Perlmutter sustains ~50%+ of advertised peak (Section VII-B)."""
-        p = run_point("GPT-10B", 1024, PERLMUTTER)
+        p = run_point(PlanRequest("GPT-10B", 1024, PERLMUTTER))
         assert p.metrics.pct_advertised_peak > 40
 
     def test_strong_scaling_efficiency_metric(self):
@@ -222,8 +225,8 @@ class TestScalingStudies:
         """Fig. 9: GPT-80B on 128 GCDs takes years; on 8,192 GCDs weeks."""
         cfg = get_model("GPT-80B")
         batch = 8192  # the paper's 16.8M-token batch
-        small = run_point("GPT-80B", 128, FRONTIER, global_batch=batch)
-        big = run_point("GPT-80B", 8192, FRONTIER, global_batch=batch)
+        small = run_point(PlanRequest("GPT-80B", 128, FRONTIER, global_batch=batch))
+        big = run_point(PlanRequest("GPT-80B", 8192, FRONTIER, global_batch=batch))
         t_small = time_to_solution_days(cfg, batch, small.result.total_time, 2e12)
         t_big = time_to_solution_days(cfg, batch, big.result.total_time, 2e12)
         assert t_small > 600  # years on 128 GCDs (paper: 50 months)

@@ -136,15 +136,19 @@ class TestDispatcher:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_deprecated_entry_warns_and_forwards(self, capsys):
-        from repro.tools import _deprecated_entry, memory_report
+    def test_deprecated_entry_is_gone(self):
+        """The per-module ``python -m repro.tools.<module>`` forwarders
+        are deleted: the dispatcher is the one way in."""
+        import importlib
+        import inspect
 
-        with pytest.warns(DeprecationWarning, match="repro.tools memory"):
-            rc = _deprecated_entry(
-                "memory_report", "memory", memory_report.main,
-                ["GPT-5B", "1,1,8,1", "frontier", "--batch", "8"],
-            )
-        assert rc == 0
+        import repro.tools
+        from repro.tools import SUBCOMMANDS
+
+        assert not hasattr(repro.tools, "_deprecated_entry")
+        for module_name, _ in SUBCOMMANDS.values():
+            mod = importlib.import_module(f"repro.tools.{module_name}")
+            assert "__main__" not in inspect.getsource(mod)
 
 
 class TestProfileRun:
