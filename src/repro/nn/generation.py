@@ -9,11 +9,18 @@ the standard KV-cache inference optimization every serving stack uses.
 The cached path computes *exactly* the same logits as the full forward
 (same float64 arithmetic), which the test suite asserts, so evaluation
 results are unchanged — only faster.
+
+The cached block math is written once, in :func:`_forward_cached`, for
+ragged batches over ``n >= 1`` weight shards.  :func:`prefill` and
+:func:`decode_step` run it with one shard and the dense :class:`KVCache`;
+:mod:`repro.serving` runs the same function over paged KV, with one
+shard (the serial decoder) or one per tensor-parallel rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,12 +115,17 @@ def _attention_with_cache(
     """Causal attention of ``q`` (B, nh, S_new, hd) over the full cached
     keys/values (B, nh, past + S_new, hd)."""
     hd = q.shape[-1]
-    scores = q @ np.swapaxes(k_all, -1, -2) / np.sqrt(hd)
+    # A Python float divisor is weak under NEP 50 (a NumPy scalar would
+    # promote float32 scores to float64); dividing, not multiplying by
+    # the reciprocal, keeps the float64 bits.
+    scores = q @ np.swapaxes(k_all, -1, -2) / float(np.sqrt(hd))
     s_new = q.shape[2]
     total = k_all.shape[2]
     # Query i (global position past + i) may attend keys 0..past+i.
     mask = np.arange(total)[None, :] <= (past + np.arange(s_new))[:, None]
-    scores = np.where(mask[None, None], scores, -1e30)
+    # -inf, not a finite fill: see ``causal_attention`` (a legitimate
+    # float32 score can undershoot any finite sentinel).
+    scores = np.where(mask[None, None], scores, -np.inf)
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     att = e / e.sum(axis=-1, keepdims=True)
@@ -122,76 +134,153 @@ def _attention_with_cache(
     return out.transpose(0, 2, 1, 3).reshape(b, s, nh * hd)
 
 
-def _block_forward_cached(
-    model: GPT, layer: int, x: np.ndarray, cache: KVCache, past: int
+class _BlockShard(NamedTuple):
+    """One shard's slices of one transformer block's FC weights."""
+
+    qkv_w: np.ndarray  # (H, 3H/n): this shard's heads' [Q | K | V] columns
+    qkv_b: np.ndarray
+    proj_w: np.ndarray  # (H/n, H): input rows follow the head layout
+    fc1_w: np.ndarray  # (H, F/n)
+    fc1_b: np.ndarray
+    fc2_w: np.ndarray  # (F/n, H)
+
+
+def _shard_weights(
+    model: GPT, n: int = 1, order_qkv=lambda w: w
+) -> tuple[list[list[_BlockShard]], list[np.ndarray]]:
+    """The model's FC weights cut into ``n`` column/row shards per block,
+    and the LM head into ``n`` vocabulary slices.
+
+    ``order_qkv`` reorders the fused QKV columns so that a contiguous
+    slice holds one shard's own q/k/v; one shard needs no reordering.
+    Every entry is a basic-slice view, so at ``n = 1`` the GEMMs read
+    the model's *own* arrays — the serial arithmetic bit for bit — and
+    the views go stale if a parameter's ``.data`` is rebound: the lone
+    path therefore calls this per forward.
+    """
+
+    def cut(w: np.ndarray, axis: int) -> list[np.ndarray]:
+        width = w.shape[axis] // n
+        spans = [slice(i * width, (i + 1) * width) for i in range(n)]
+        return [w[s] if axis == 0 else w[..., s] for s in spans]
+
+    blocks = [
+        [
+            _BlockShard(*parts)
+            for parts in zip(
+                cut(order_qkv(blk.attn.qkv.weight.data), -1),
+                cut(order_qkv(blk.attn.qkv.bias.data), -1),
+                cut(blk.attn.proj.weight.data, 0),
+                cut(blk.mlp.fc1.weight.data, -1),
+                cut(blk.mlp.fc1.bias.data, -1),
+                cut(blk.mlp.fc2.weight.data, 0),
+            )
+        ]
+        for blk in model.blocks
+    ]
+    return blocks, cut(model.wte.weight.data, 0)
+
+
+def _lone_shard(parts: list[np.ndarray], tag: str) -> np.ndarray:
+    """How one shard "meets": its partial product is already the sum,
+    its vocabulary slice already the whole."""
+    (whole,) = parts
+    return whole
+
+
+def _forward_cached(
+    model: GPT,
+    shards: tuple[list[list[_BlockShard]], list[np.ndarray]],
+    ids: np.ndarray,
+    pasts: list[int],
+    attend,
+    all_reduce=_lone_shard,
+    all_gather=_lone_shard,
 ) -> np.ndarray:
-    """One transformer block on the new tokens only, extending the cache."""
-    blk = model.blocks[layer]
-    h = model.cfg.hidden_size
-    nh = model.cfg.num_heads
+    """Logits (B, S_new, V) for the new tokens ``ids`` (B, S_new), where
+    row ``j`` already has ``pasts[j]`` cached positions.
+
+    The one cached forward: lone generation, the serial serving decoder
+    and the tensor-parallel decoder all run this function and differ in
+    exactly three places.  ``attend(shard, layer, qh, kh, vh)`` owns
+    where keys/values live: it stores the new (B, heads/n, S_new, hd)
+    ``kh``/``vh`` and returns causal attention of ``qh`` over everything
+    cached, as (B, S_new, H/n).  ``all_reduce(partials, tag)`` sums the
+    shards' (B, S_new, H) partial products and ``all_gather(slices,
+    tag)`` concatenates their vocabulary slices of the logits along the
+    last axis — how shards meet.  With one shard (``_shard_weights(model)``)
+    both are the identity and every line below is the serial arithmetic.
+    """
+    cfg = model.cfg
+    blocks, head = shards
+    heads_local = cfg.num_heads // len(head)
+    s_new = ids.shape[1]
+    if max(pasts) + s_new > cfg.seq_len:
+        raise ValueError(
+            f"sequence of {max(pasts)} cached + {s_new} new tokens exceeds "
+            f"the model's context {cfg.seq_len}"
+        )
+    pos = np.asarray(pasts)[:, None] + np.arange(s_new)[None, :]
 
     def ln(mod, arr):
         return F.layer_norm(Tensor(arr), mod.weight, mod.bias, mod.eps).data
 
-    a = ln(blk.ln1, x)
-    qkv = a @ blk.attn.qkv.weight.data + blk.attn.qkv.bias.data
-    q, k, v = qkv[..., :h], qkv[..., h : 2 * h], qkv[..., 2 * h :]
-    qh, kh, vh = (_split_heads(t, nh) for t in (q, k, v))
-    cache.append(layer, kh, vh)
-    att = _attention_with_cache(qh, cache.keys[layer], cache.values[layer], past)
-    x = x + (att @ blk.attn.proj.weight.data + blk.attn.proj.bias.data)
+    with no_grad():
+        x = model.wte.weight.data[ids] + model.wpe.weight.data[pos]
+        for layer, (blk, parts) in enumerate(zip(model.blocks, blocks)):
+            a = ln(blk.ln1, x)
+            partials = []
+            for i, w in enumerate(parts):
+                qkv = a @ w.qkv_w + w.qkv_b
+                hb = qkv.shape[-1] // 3
+                q, k, v = qkv[..., :hb], qkv[..., hb : 2 * hb], qkv[..., 2 * hb :]
+                qh, kh, vh = (_split_heads(t, heads_local) for t in (q, k, v))
+                partials.append(attend(i, layer, qh, kh, vh) @ w.proj_w)
+            proj = all_reduce(partials, "serve.proj_AR_x")
+            x = x + (proj + blk.attn.proj.bias.data)
+            a = ln(blk.ln2, x)
+            partials = [
+                F.gelu(Tensor(a @ w.fc1_w + w.fc1_b)).data @ w.fc2_w
+                for w in parts
+            ]
+            fc2 = all_reduce(partials, "serve.mlp_AR_x")
+            x = x + (fc2 + blk.mlp.fc2.bias.data)
+        x = ln(model.ln_f, x)
+        return all_gather([x @ w.T for w in head], "serve.head_AG_x")
 
-    a = ln(blk.ln2, x)
-    f1 = F.gelu(Tensor(a @ blk.mlp.fc1.weight.data + blk.mlp.fc1.bias.data)).data
-    x = x + (f1 @ blk.mlp.fc2.weight.data + blk.mlp.fc2.bias.data)
-    return x
 
-
-def _forward_cached(
+def _forward_lone(
     model: GPT, ids_new: np.ndarray, cache: KVCache
 ) -> np.ndarray:
-    """Logits (B, S_new, V) for the new tokens, extending the cache."""
-    ids_new = np.atleast_2d(np.asarray(ids_new))
-    if ids_new.ndim != 2:
-        raise ValueError(
-            f"token ids must be at most 2-D (batch, seq); got shape "
-            f"{ids_new.shape}"
-        )
+    """Logits (B, S_new, V) for the new tokens, extending the dense
+    cache: the one-shard forward whose keys/values live in ``cache``."""
     past = cache.seq_len
-    b, s_new = ids_new.shape
-    if s_new == 0:
-        raise ValueError(
-            "empty token sequence: at least one new token is required "
-            "(prefill needs a non-empty prompt)"
+
+    def attend(shard, layer, qh, kh, vh):
+        cache.append(layer, kh, vh)
+        return _attention_with_cache(
+            qh, cache.keys[layer], cache.values[layer], past
         )
-    if past + s_new > model.cfg.seq_len:
-        raise ValueError(
-            f"sequence {past + s_new} exceeds the model's context "
-            f"{model.cfg.seq_len}"
-        )
-    pos = np.arange(past, past + s_new)[None, :].repeat(b, axis=0)
-    with no_grad():
-        x = (
-            model.wte.weight.data[ids_new]
-            + model.wpe.weight.data[pos[0]][None, :, :].repeat(b, axis=0)
-        )
-        for layer in range(model.cfg.num_layers):
-            x = _block_forward_cached(model, layer, x, cache, past)
-        x = F.layer_norm(
-            Tensor(x), model.ln_f.weight, model.ln_f.bias, model.ln_f.eps
-        ).data
-        return x @ model.wte.weight.data.T
+
+    return _forward_cached(
+        model, _shard_weights(model), ids_new, [past] * len(ids_new), attend
+    )
 
 
 def prefill(model: GPT, prefix: np.ndarray) -> tuple[np.ndarray, KVCache]:
     """Run the prompt once; return (last-position logits, filled cache)."""
     prefix = np.atleast_2d(np.asarray(prefix))
+    if prefix.ndim != 2:
+        raise ValueError(
+            f"token ids must be at most 2-D (batch, seq); got shape "
+            f"{prefix.shape}"
+        )
     if prefix.size == 0:
         raise ValueError(
             "prefill requires a non-empty prompt (got an empty prefix)"
         )
     cache = KVCache()
-    logits = _forward_cached(model, prefix, cache)
+    logits = _forward_lone(model, prefix, cache)
     return logits[:, -1], cache
 
 
@@ -213,7 +302,7 @@ def decode_step(
         )
     if token.size == 0:
         raise ValueError("decode_step requires at least one sequence")
-    logits = _forward_cached(model, token, cache)
+    logits = _forward_lone(model, token, cache)
     return logits[:, -1]
 
 

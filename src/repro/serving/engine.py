@@ -1,19 +1,23 @@
 """Continuous-batching serving engine over the paged KV cache.
 
 :class:`ServingEngine` is the :class:`~repro.serving.loop.ServingLoop`
-(scheduling and round semantics: see its module docstring) over a
-serial decoder: one :class:`~repro.serving.paged_kv.PagedKVCache`, the
-single-sequence cached prefill, and :func:`batched_decode_step`.
+(scheduling and round semantics: see its module docstring) over the
+serial decoder: :class:`PagedDecoder` with one weight shard and one
+:class:`~repro.serving.paged_kv.PagedKVCache`.
 
 Numerical contract: the engine's greedy output is **bitwise identical**
 to running :func:`repro.nn.generation.generate_greedy` per request.
-Prefill *is* the single-sequence cached forward (then copied into KV
-blocks), and the batched decode step evaluates, per batch row, exactly
-the float64 operations of the single-sequence path: embedding rows are
-gathered per sequence, LayerNorm/GELU/residuals are row-local, NumPy
-batches stacked matmuls as independent per-row GEMMs, and attention is
-evaluated per sequence over its gathered blocks.  The equivalence tests
-assert logits equality with ``assert_array_equal``, not a tolerance.
+The math is the same *by construction*: prefill and the batched decode
+step are calls of the one cached forward
+(:func:`repro.nn.generation._forward_cached`) that the lone path runs,
+over views of the model's own weight arrays.  What the contract still
+rests on is per-row GEMM bits: embedding rows are gathered per
+sequence, LayerNorm/GELU/residuals are row-local, NumPy batches stacked
+matmuls as independent per-row GEMMs, and attention is evaluated per
+sequence over keys/values gathered from its pages rather than read from
+the lone path's dense cache — the same values in another layout.  The
+equivalence tests assert logits equality with ``assert_array_equal``,
+not a tolerance.
 """
 
 from __future__ import annotations
@@ -22,17 +26,166 @@ import numpy as np
 
 from ..nn.generation import (
     _attention_with_cache,
-    _split_heads,
-    prefill,
+    _forward_cached,
+    _lone_shard,
+    _shard_weights,
 )
 from ..nn.transformer import GPT
-from ..tensor import Tensor, no_grad
-from ..tensor import functional as F
 from .loop import FinishedRequest, ServingLoop
 from .paged_kv import PagedKVCache
 from .scheduler import BatchingConfig
 
-__all__ = ["FinishedRequest", "ServingEngine", "batched_decode_step"]
+__all__ = [
+    "FinishedRequest",
+    "PagedDecoder",
+    "ServingEngine",
+    "batched_decode_step",
+]
+
+
+def _kv_pools(
+    model: GPT, n: int, block_size: int, num_blocks: int
+) -> list[PagedKVCache]:
+    """``n`` block pools of ``num_heads / n`` heads each, in the model's
+    dtype (a pool of another dtype would silently cast K/V on write)."""
+    cfg = model.cfg
+    return [
+        PagedKVCache(
+            cfg.num_layers,
+            cfg.num_heads // n,
+            cfg.head_dim,
+            block_size=block_size,
+            num_blocks=num_blocks,
+            dtype=model.wte.weight.data.dtype,
+        )
+        for _ in range(n)
+    ]
+
+
+class PagedDecoder:
+    """The cached forward over paged KV: the decoder surface
+    :class:`~repro.serving.loop.ServingLoop` drives.
+
+    ``shards`` (:func:`repro.nn.generation._shard_weights`) cuts the
+    model into ``len(kv)`` weight shards and ``kv[i]`` pages shard
+    ``i``'s heads.  As constructed here — one shard, no collectives —
+    this *is* the serial decoder;
+    :class:`~repro.serving.tp.TensorParallelDecoder` is the same class
+    with more shards and the two hooks that make them meet.  The shard
+    views are taken once, at construction: rebuild the decoder after
+    rebinding a parameter's ``.data``.
+    """
+
+    #: How the shards' partial sums / vocabulary slices meet.
+    _all_reduce = _all_gather = staticmethod(_lone_shard)
+
+    def __init__(self, model: GPT, kv: list[PagedKVCache], shards) -> None:
+        self.model = model
+        self.kv = kv
+        self.shards = shards
+
+    # -- sequence lifecycle (PagedKVCache's, fanned over the shards) -------
+
+    def add_sequence(self, seq_id: int, reserve_tokens: int) -> None:
+        for kv in self.kv:
+            kv.add_sequence(seq_id)
+            kv.reserve(seq_id, reserve_tokens)
+
+    def free_sequence(self, seq_id: int) -> None:
+        for kv in self.kv:
+            kv.free_sequence(seq_id)
+
+    def reserve(self, seq_id: int, num_new: int) -> None:
+        """Grow every shard's reservation by ``num_new`` tokens.
+
+        All-or-nothing across shards: every shard holds the same block
+        count for a sequence (identical tables, different head slices),
+        so the shards either all succeed or the first one raises
+        :class:`~repro.serving.paged_kv.CacheOutOfBlocks` before any
+        state diverges.
+        """
+        for kv in self.kv:
+            kv.reserve(seq_id, num_new)
+
+    @property
+    def num_free_blocks(self) -> int:
+        """Free blocks per shard (all shards allocate in lockstep)."""
+        return self.kv[0].allocator.num_free
+
+    # -- forward -----------------------------------------------------------
+
+    def _forward(self, ids: np.ndarray, seq_ids: list[int]) -> np.ndarray:
+        """Logits (B, S_new, V) for new tokens ``ids`` (B, S_new), one
+        row per sequence, extending every shard's cache.  Keys/values
+        land at uncommitted offsets and are committed only after the
+        whole forward, so a forward that raises can simply be re-run."""
+        s_new = ids.shape[1]
+        pasts = [self.kv[0].seq_len(s) for s in seq_ids]
+
+        def attend(shard, layer, qh, kh, vh):
+            # Per sequence over its own pages: each row's attention is
+            # the lone path's, whatever else is in the batch.
+            kv = self.kv[shard]
+            rows = []
+            for j, s in enumerate(seq_ids):
+                kv.write(s, layer, kh[j], vh[j])
+                k_all, v_all = kv.gather(s, layer, include_uncommitted=s_new)
+                rows.append(
+                    _attention_with_cache(
+                        qh[j : j + 1], k_all[None], v_all[None], pasts[j]
+                    )
+                )
+            return np.concatenate(rows, axis=0)
+
+        logits = _forward_cached(
+            self.model, self.shards, ids, pasts, attend,
+            self._all_reduce, self._all_gather,
+        )
+        for kv in self.kv:
+            for s in seq_ids:
+                kv.advance(s, s_new)
+        return logits
+
+    def prefill(self, seq_id: int, prompt: np.ndarray) -> np.ndarray:
+        """Run one prompt, writing its K/V straight into the sequence's
+        pages; returns (V,) last-position logits.  The sequence must be
+        added (and reserved) first."""
+        prompt = np.asarray(prompt, dtype=np.int64)
+        if prompt.ndim != 1 or prompt.size == 0:
+            raise ValueError(
+                f"prompt must be a non-empty 1-D token array; got shape "
+                f"{prompt.shape}"
+            )
+        return self._forward(prompt[None, :], [seq_id])[0, -1]
+
+    def decode_step(self, tokens: np.ndarray, seq_ids: list[int]) -> np.ndarray:
+        """One batched decode step: ``tokens[i]`` is the next input token
+        of sequence ``seq_ids[i]``; returns (B, V) logits."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if tokens.shape != (len(seq_ids),):
+            raise ValueError(
+                f"expected ({len(seq_ids)},) next tokens for "
+                f"{len(seq_ids)} sequences; got {tokens.shape}"
+            )
+        return self._forward(tokens[:, None], seq_ids)[:, -1]
+
+    def generate_greedy(
+        self, prompt: np.ndarray, num_tokens: int, seq_id: int = 0
+    ) -> np.ndarray:
+        """Single-prompt greedy generation (mirrors
+        :func:`repro.nn.generation.generate_greedy`)."""
+        if num_tokens < 1:
+            raise ValueError("num_tokens must be >= 1")
+        prompt = np.asarray(prompt, dtype=np.int64)
+        self.add_sequence(seq_id, prompt.shape[0] + num_tokens)
+        try:
+            out = [int(np.argmax(self.prefill(seq_id, prompt)))]
+            for _ in range(num_tokens - 1):
+                logits = self.decode_step(np.asarray([out[-1]]), [seq_id])
+                out.append(int(np.argmax(logits[0])))
+        finally:
+            self.free_sequence(seq_id)
+        return np.asarray(out, dtype=np.int64)
 
 
 def batched_decode_step(
@@ -50,103 +203,8 @@ def batched_decode_step(
     :func:`repro.nn.generation.decode_step` arithmetic (see module
     docstring).
     """
-    cfg = model.cfg
-    b = len(seq_ids)
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.shape != (b,):
-        raise ValueError(
-            f"expected ({b},) next tokens for {b} sequences; got "
-            f"{tokens.shape}"
-        )
-    pasts = [kv.seq_len(s) for s in seq_ids]
-    for s, past in zip(seq_ids, pasts):
-        if past + 1 > cfg.seq_len:
-            raise ValueError(
-                f"sequence {s} at {past} cached tokens exceeds the "
-                f"model's context {cfg.seq_len}"
-            )
-    h = cfg.hidden_size
-    nh = cfg.num_heads
-    pos = np.asarray(pasts)
-
-    def ln(mod, arr):
-        return F.layer_norm(Tensor(arr), mod.weight, mod.bias, mod.eps).data
-
-    with no_grad():
-        x = (
-            model.wte.weight.data[tokens[:, None]]
-            + model.wpe.weight.data[pos][:, None, :]
-        )  # (B, 1, H)
-        for layer in range(cfg.num_layers):
-            blk = model.blocks[layer]
-            a = ln(blk.ln1, x)
-            qkv = a @ blk.attn.qkv.weight.data + blk.attn.qkv.bias.data
-            q, k, v = qkv[..., :h], qkv[..., h : 2 * h], qkv[..., 2 * h :]
-            qh, kh, vh = (_split_heads(t, nh) for t in (q, k, v))
-            rows = []
-            for i, s in enumerate(seq_ids):
-                kv.write(s, layer, kh[i], vh[i])
-                k_all, v_all = kv.gather(s, layer, include_uncommitted=1)
-                rows.append(
-                    _attention_with_cache(
-                        qh[i : i + 1], k_all[None], v_all[None], pasts[i]
-                    )
-                )
-            att = np.concatenate(rows, axis=0)  # (B, 1, H)
-            x = x + (att @ blk.attn.proj.weight.data + blk.attn.proj.bias.data)
-            a = ln(blk.ln2, x)
-            f1 = F.gelu(
-                Tensor(a @ blk.mlp.fc1.weight.data + blk.mlp.fc1.bias.data)
-            ).data
-            x = x + (f1 @ blk.mlp.fc2.weight.data + blk.mlp.fc2.bias.data)
-        x = F.layer_norm(
-            Tensor(x), model.ln_f.weight, model.ln_f.bias, model.ln_f.eps
-        ).data
-        logits = x @ model.wte.weight.data.T
-    for s in seq_ids:
-        kv.advance(s, 1)
-    return logits[:, -1]
-
-
-class _SerialDecoder:
-    """The decoder surface over one :class:`PagedKVCache` and the serial
-    cached forward."""
-
-    def __init__(self, model: GPT, config: BatchingConfig) -> None:
-        self.model = model
-        self.kv = PagedKVCache(
-            model.cfg.num_layers,
-            model.cfg.num_heads,
-            model.cfg.head_dim,
-            block_size=config.block_size,
-            num_blocks=config.num_blocks,
-        )
-
-    def add_sequence(self, seq_id: int, reserve_tokens: int) -> None:
-        self.kv.add_sequence(seq_id)
-        self.kv.reserve(seq_id, reserve_tokens)
-
-    def free_sequence(self, seq_id: int) -> None:
-        self.kv.free_sequence(seq_id)
-
-    def reserve(self, seq_id: int, num_new: int) -> None:
-        self.kv.reserve(seq_id, num_new)
-
-    @property
-    def num_free_blocks(self) -> int:
-        return self.kv.allocator.num_free
-
-    def prefill(self, seq_id: int, prompt: np.ndarray) -> np.ndarray:
-        # Prefill IS the single-sequence cached forward; its per-layer
-        # keys/values are copied once into this sequence's KV blocks.
-        logits, cache = prefill(self.model, prompt[None, :])
-        for layer, (k, v) in enumerate(zip(cache.keys, cache.values)):
-            self.kv.write(seq_id, layer, k[0], v[0])
-        self.kv.advance(seq_id, prompt.shape[0])
-        return logits[0]
-
-    def decode_step(self, tokens: np.ndarray, seq_ids: list[int]) -> np.ndarray:
-        return batched_decode_step(self.model, tokens, self.kv, seq_ids)
+    decoder = PagedDecoder(model, [kv], _shard_weights(model))
+    return decoder.decode_step(tokens, seq_ids)
 
 
 class ServingEngine(ServingLoop):
@@ -165,9 +223,13 @@ class ServingEngine(ServingLoop):
         eos_id: int | None = None,
     ) -> None:
         config = config or BatchingConfig()
-        decoder = _SerialDecoder(model, config)
+        decoder = PagedDecoder(
+            model,
+            _kv_pools(model, 1, config.block_size, config.num_blocks),
+            _shard_weights(model),
+        )
         super().__init__(
             decoder, config, context_len=model.cfg.seq_len, eos_id=eos_id
         )
         self.model = model
-        self.kv = decoder.kv
+        (self.kv,) = decoder.kv

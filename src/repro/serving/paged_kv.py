@@ -111,8 +111,6 @@ class PagedKVCache:
         self._lens: dict[int, int] = {}
         #: Cache-maintenance write traffic (bytes), cumulative.
         self.copied_bytes = 0
-        #: Attention-read gather traffic (bytes), cumulative.
-        self.gathered_bytes = 0
 
     # -- sequence lifecycle ------------------------------------------------
 
@@ -133,11 +131,6 @@ class PagedKVCache:
 
     def seq_len(self, seq_id: int) -> int:
         return self._lens[seq_id]
-
-    def has_sequence(self, seq_id: int) -> bool:
-        """Whether ``seq_id`` is currently tracked (idempotent add/replay
-        guards in the recovery paths check this before re-adding)."""
-        return seq_id in self._tables
 
     @property
     def num_sequences(self) -> int:
@@ -209,7 +202,9 @@ class PagedKVCache:
                 f"{len(table)} reserved blocks"
             )
         if n == 0:
-            empty = np.empty((self.num_heads, 0, self.head_dim))
+            empty = np.empty(
+                (self.num_heads, 0, self.head_dim), dtype=self._k[layer].dtype
+            )
             return empty, empty
         idx = np.asarray(table[: self.blocks_for(n)])
         # (nblk, nh, bs, hd) -> (nh, nblk*bs, hd), trimmed to length.
@@ -219,5 +214,4 @@ class PagedKVCache:
         v = np.moveaxis(self._v[layer][idx], 0, 1).reshape(
             self.num_heads, -1, self.head_dim
         )[:, :n]
-        self.gathered_bytes += k.nbytes + v.nbytes
         return k, v

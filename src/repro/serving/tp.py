@@ -11,11 +11,21 @@ injection, and telemetry all see serving traffic, and
 ``GridConfig(collective_algo=...)`` routes the all-reduces through the
 two-level hierarchical path exactly as it does for training.
 
+The forward itself is not written here: :class:`TensorParallelDecoder`
+is :class:`~repro.serving.engine.PagedDecoder` — the serial decoder —
+with ``gx`` weight shards instead of one, and this module holds only
+what is tensor-parallel: the QKV column permutation, and the two hooks
+through which the shards' partial sums and vocabulary slices meet.
+``gx = 1`` still issues (and traces) its one-rank collectives.
+
 Numerics: partial-sum all-reduces re-associate float additions, so TP
 logits match the serial cached path to rounding (the tests pin 1e-12
 relative), while the *batched* TP step remains bitwise identical to the
 single-sequence TP step — the same per-row argument as the serial
 engine.  Greedy tokens agree with the serial path exactly in practice.
+Even ``gx = 1`` is 1e-12, not bitwise: the permutation is a fancy-index
+copy of the QKV weight that comes out column-major, and BLAS sums a
+transposed operand in another order.
 """
 
 from __future__ import annotations
@@ -24,49 +34,16 @@ import numpy as np
 
 from ..core.grid import Grid4D
 from ..core.parallel_transformer import permute_qkv_columns
-from ..nn.generation import _attention_with_cache, _split_heads
+from ..nn.generation import _shard_weights
 from ..nn.transformer import GPT
 from ..runtime import collectives as rc
 from ..runtime.faults import get_active_injector
-from ..tensor import Tensor, no_grad
-from ..tensor import functional as F
-from .paged_kv import PagedKVCache
+from .engine import PagedDecoder, _kv_pools
 
 __all__ = ["TensorParallelDecoder"]
 
 
-class _ShardedBlock:
-    """One transformer block's weights, column/row-sharded over X."""
-
-    def __init__(self, blk, gx: int, hidden: int) -> None:
-        h, hb = hidden, hidden // gx
-        fb = blk.mlp.fc1.weight.data.shape[1] // gx
-        # Fused QKV reordered to [Q_0 K_0 V_0 | Q_1 K_1 V_1 | ...] so a
-        # contiguous column slice gives rank i its own heads' q/k/v.
-        qkv_w = permute_qkv_columns(blk.attn.qkv.weight.data, gx, h)
-        qkv_b = permute_qkv_columns(blk.attn.qkv.bias.data, gx, h)
-        self.qkv_w = [qkv_w[:, i * 3 * hb : (i + 1) * 3 * hb] for i in range(gx)]
-        self.qkv_b = [qkv_b[i * 3 * hb : (i + 1) * 3 * hb] for i in range(gx)]
-        # Attention projection: input rows follow the head layout.
-        self.proj_w = [
-            blk.attn.proj.weight.data[i * hb : (i + 1) * hb] for i in range(gx)
-        ]
-        self.proj_b = blk.attn.proj.bias.data
-        self.fc1_w = [
-            blk.mlp.fc1.weight.data[:, i * fb : (i + 1) * fb] for i in range(gx)
-        ]
-        self.fc1_b = [
-            blk.mlp.fc1.bias.data[i * fb : (i + 1) * fb] for i in range(gx)
-        ]
-        self.fc2_w = [
-            blk.mlp.fc2.weight.data[i * fb : (i + 1) * fb] for i in range(gx)
-        ]
-        self.fc2_b = blk.mlp.fc2.bias.data
-        self.ln1 = blk.ln1
-        self.ln2 = blk.ln2
-
-
-class TensorParallelDecoder:
+class TensorParallelDecoder(PagedDecoder):
     """Greedy batched decode of a serial :class:`GPT` sharded over X.
 
     The decoder replicates embeddings/LayerNorms (as the paper's
@@ -95,65 +72,23 @@ class TensorParallelDecoder:
                 f"vocab {cfg.vocab_size} must divide by G_x {gx} "
                 "(the LM head splits the vocabulary over X)"
             )
-        self.model = model
         self.grid = grid
         self.gx = gx
-        self.heads_local = cfg.num_heads // gx
         self.x_ranks = [grid.rank_of(i, 0, 0, 0) for i in range(gx)]
         self.x_group = grid.group_along("x", self.x_ranks[0])
-        self.blocks = [
-            _ShardedBlock(blk, gx, cfg.hidden_size) for blk in model.blocks
-        ]
-        vb = cfg.vocab_size // gx
-        self.head_w = [
-            model.wte.weight.data[i * vb : (i + 1) * vb] for i in range(gx)
-        ]
-        self.kv = [
-            PagedKVCache(
-                cfg.num_layers,
-                self.heads_local,
-                cfg.head_dim,
-                block_size=block_size,
-                num_blocks=num_blocks,
-            )
-            for _ in range(gx)
-        ]
+        super().__init__(
+            model,
+            _kv_pools(model, gx, block_size, num_blocks),
+            # Fused QKV reordered to [Q_0 K_0 V_0 | Q_1 K_1 V_1 | ...] so a
+            # contiguous column slice gives rank i its own heads' q/k/v.
+            _shard_weights(
+                model,
+                gx,
+                lambda w: permute_qkv_columns(w, gx, cfg.hidden_size),
+            ),
+        )
 
-    # -- sequence lifecycle (mirrors PagedKVCache, fanned over shards) -----
-
-    def add_sequence(self, seq_id: int, reserve_tokens: int) -> None:
-        for kv in self.kv:
-            kv.add_sequence(seq_id)
-            kv.reserve(seq_id, reserve_tokens)
-
-    def free_sequence(self, seq_id: int) -> None:
-        for kv in self.kv:
-            kv.free_sequence(seq_id)
-
-    def reserve(self, seq_id: int, num_new: int) -> None:
-        """Grow every shard's reservation by ``num_new`` tokens.
-
-        All-or-nothing across shards: every rank holds the same block
-        count for a sequence (identical tables, different head slices),
-        so the shards either all succeed or the first one raises
-        :class:`~repro.serving.paged_kv.CacheOutOfBlocks` before any
-        state diverges.
-        """
-        for kv in self.kv:
-            kv.reserve(seq_id, num_new)
-
-    def seq_len(self, seq_id: int) -> int:
-        return self.kv[0].seq_len(seq_id)
-
-    def has_sequence(self, seq_id: int) -> bool:
-        return self.kv[0].has_sequence(seq_id)
-
-    @property
-    def num_free_blocks(self) -> int:
-        """Free blocks per shard (all shards allocate in lockstep)."""
-        return self.kv[0].allocator.num_free
-
-    # -- all-reduce helper -------------------------------------------------
+    # -- how shards meet: the traced ring collectives ----------------------
 
     def _await_completion(self, op: str, tag: str) -> None:
         """Consult the ambient fault injector's wait hook, if installed.
@@ -172,138 +107,30 @@ class TensorParallelDecoder:
         if inj is not None:
             inj.before_wait(op, self.x_group, tag)
 
-    def _all_reduce(self, partials: list[np.ndarray], tag: str) -> np.ndarray:
-        buffers = {r: p for r, p in zip(self.x_group.ranks, partials)}
-        out = rc.all_reduce(
-            buffers, self.x_group, tracer=self.grid.tracer, tag=tag
+    def _collective(
+        self, op: str, parts: list[np.ndarray], tag: str
+    ) -> np.ndarray:
+        """Run ``repro.runtime.collectives.<op>`` over the shards'
+        buffers on the X group and wait for it; every rank ends with the
+        same array, so hand back the first rank's."""
+        out = getattr(rc, op)(
+            dict(zip(self.x_group.ranks, parts)),
+            self.x_group,
+            tracer=self.grid.tracer,
+            tag=tag,
         )
-        self._await_completion("all_reduce", tag)
+        self._await_completion(op, tag)
         return out[self.x_group.ranks[0]]
 
-    # -- forward -----------------------------------------------------------
+    def _all_reduce(self, partials: list[np.ndarray], tag: str) -> np.ndarray:
+        return self._collective("all_reduce", partials, tag)
+
+    def _all_gather(self, slices: list[np.ndarray], tag: str) -> np.ndarray:
+        # (B, S_new, V/gx) -> (V/gx, S_new, B) and back: the ring gather
+        # concatenates along axis 0.
+        shards = [part.swapaxes(0, 2) for part in slices]
+        return self._collective("all_gather", shards, tag).swapaxes(0, 2)
 
     def _forward(self, ids: np.ndarray, seq_ids: list[int]) -> np.ndarray:
-        """Logits (B, S_new, V) for new tokens, extending every shard's
-        cache.  ``ids`` is (B, S_new); ragged pasts come from the caches."""
-        cfg = self.model.cfg
-        h = cfg.hidden_size
-        hb = h // self.gx
-        pasts = [self.seq_len(s) for s in seq_ids]
-        b, s_new = ids.shape
-        for s, past in zip(seq_ids, pasts):
-            if past + s_new > cfg.seq_len:
-                raise ValueError(
-                    f"sequence {s} would reach {past + s_new} tokens; the "
-                    f"model's context is {cfg.seq_len}"
-                )
-        pos = np.asarray(pasts)[:, None] + np.arange(s_new)[None, :]
-
-        def ln(mod, arr):
-            return F.layer_norm(Tensor(arr), mod.weight, mod.bias, mod.eps).data
-
-        with no_grad(), self.grid.collective_scope():
-            x = (
-                self.model.wte.weight.data[ids]
-                + self.model.wpe.weight.data[pos]
-            )
-            for layer, sb in enumerate(self.blocks):
-                a = ln(sb.ln1, x)
-                partials = []
-                for i in range(self.gx):
-                    qkv = a @ sb.qkv_w[i] + sb.qkv_b[i]
-                    q = qkv[..., :hb]
-                    k = qkv[..., hb : 2 * hb]
-                    v = qkv[..., 2 * hb :]
-                    qh, kh, vh = (
-                        _split_heads(t, self.heads_local) for t in (q, k, v)
-                    )
-                    rows = []
-                    for j, s in enumerate(seq_ids):
-                        self.kv[i].write(s, layer, kh[j], vh[j])
-                        k_all, v_all = self.kv[i].gather(
-                            s, layer, include_uncommitted=s_new
-                        )
-                        rows.append(
-                            _attention_with_cache(
-                                qh[j : j + 1],
-                                k_all[None],
-                                v_all[None],
-                                pasts[j],
-                            )
-                        )
-                    att = np.concatenate(rows, axis=0)
-                    partials.append(att @ sb.proj_w[i])
-                x = x + (
-                    self._all_reduce(partials, "serve.proj_AR_x") + sb.proj_b
-                )
-                a = ln(sb.ln2, x)
-                partials = []
-                for i in range(self.gx):
-                    f1 = F.gelu(Tensor(a @ sb.fc1_w[i] + sb.fc1_b[i])).data
-                    partials.append(f1 @ sb.fc2_w[i])
-                x = x + (
-                    self._all_reduce(partials, "serve.mlp_AR_x") + sb.fc2_b
-                )
-            x = F.layer_norm(
-                Tensor(x),
-                self.model.ln_f.weight,
-                self.model.ln_f.bias,
-                self.model.ln_f.eps,
-            ).data
-            # Vocab-sharded LM head + all-gather of the shards.
-            shards = {
-                r: (x @ self.head_w[i].T).swapaxes(0, 2)
-                for i, r in enumerate(self.x_group.ranks)
-            }  # (V/gx, S_new, B): gather concatenates along axis 0
-            gathered = rc.all_gather(
-                shards, self.x_group, tracer=self.grid.tracer,
-                tag="serve.head_AG_x",
-            )
-            self._await_completion("all_gather", "serve.head_AG_x")
-            logits = gathered[self.x_group.ranks[0]].swapaxes(0, 2)
-        for kv in self.kv:
-            for s in seq_ids:
-                kv.advance(s, s_new)
-        return logits
-
-    def prefill(self, seq_id: int, prompt: np.ndarray) -> np.ndarray:
-        """Run one prompt through the sharded model; returns (V,) last-
-        position logits.  The sequence must be added (and reserved)
-        first."""
-        prompt = np.asarray(prompt, dtype=np.int64)
-        if prompt.ndim != 1 or prompt.size == 0:
-            raise ValueError(
-                f"prompt must be a non-empty 1-D token array; got shape "
-                f"{prompt.shape}"
-            )
-        logits = self._forward(prompt[None, :], [seq_id])
-        return logits[0, -1]
-
-    def decode_step(
-        self, tokens: np.ndarray, seq_ids: list[int]
-    ) -> np.ndarray:
-        """One batched TP decode step; returns (B, V) logits."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.shape != (len(seq_ids),):
-            raise ValueError(
-                f"expected ({len(seq_ids)},) next tokens; got {tokens.shape}"
-            )
-        return self._forward(tokens[:, None], seq_ids)[:, -1]
-
-    def generate_greedy(
-        self, prompt: np.ndarray, num_tokens: int, seq_id: int = 0
-    ) -> np.ndarray:
-        """Single-prompt greedy generation (mirrors
-        :func:`repro.nn.generation.generate_greedy`)."""
-        if num_tokens < 1:
-            raise ValueError("num_tokens must be >= 1")
-        prompt = np.asarray(prompt, dtype=np.int64)
-        self.add_sequence(seq_id, prompt.shape[0] + num_tokens)
-        try:
-            out = [int(np.argmax(self.prefill(seq_id, prompt)))]
-            for _ in range(num_tokens - 1):
-                logits = self.decode_step(np.asarray([out[-1]]), [seq_id])
-                out.append(int(np.argmax(logits[0])))
-        finally:
-            self.free_sequence(seq_id)
-        return np.asarray(out, dtype=np.int64)
+        with self.grid.collective_scope():
+            return super()._forward(ids, seq_ids)

@@ -3,8 +3,8 @@
 The golden traces under ``tests/golden/`` pin the exact per-rank
 communication schedule (op order, groups, dtypes, element counts, tags)
 of representative parallel configurations: full 4D, FSDP/ZeRO-degenerate,
-Megatron-1D-degenerate, the GPipe functional pipeline, and expert-parallel
-MoE.  The regression tests replay the same seeded programs and fail with
+Megatron-1D-degenerate, the GPipe functional pipeline, expert-parallel
+MoE, and tensor-parallel serving.  The regression tests replay the same seeded programs and fail with
 a structural diff if the schedule drifts — an intentional change to the
 communication pattern must be accompanied by regenerated goldens:
 
@@ -137,6 +137,28 @@ def _scenario_moe() -> CommTracer:
     return tracer
 
 
+def _scenario_serve_tp() -> CommTracer:
+    """Tensor-parallel serving at ``G_x = 2``: two prefills of different
+    lengths, then two batched decode steps.  Pins the per-layer
+    ``serve.proj_AR_x`` / ``serve.mlp_AR_x`` all-reduces and the
+    ``serve.head_AG_x`` vocabulary all-gather of every forward."""
+    from ..nn import GPT
+    from ..serving import TensorParallelDecoder
+
+    cfg = _tiny_cfg()
+    tracer = CommTracer()
+    dec = TensorParallelDecoder(
+        GPT(cfg, seed=0), Grid4D(GridConfig(2, 1, 1, 1), tracer=tracer)
+    )
+    rng = np.random.default_rng(0)
+    for seq_id, n in enumerate((3, 5)):
+        dec.add_sequence(seq_id, n + 2)
+        dec.prefill(seq_id, rng.integers(0, cfg.vocab_size, n))
+    for tokens in ((1, 2), (3, 4)):
+        dec.decode_step(np.asarray(tokens), [0, 1])
+    return tracer
+
+
 #: Scenario name -> zero-argument builder returning the recorded tracer.
 GOLDEN_SCENARIOS = {
     "axonn_4d": _scenario_axonn_4d,
@@ -146,6 +168,7 @@ GOLDEN_SCENARIOS = {
     "megatron": _scenario_megatron,
     "pipeline": _scenario_pipeline,
     "moe": _scenario_moe,
+    "serve_tp": _scenario_serve_tp,
 }
 
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import GPTConfig
 from repro.nn import GPT, KVCache, decode_step, generate_greedy, prefill
+from repro.nn.generation import _attention_with_cache
 from repro.tensor import no_grad
 
 
@@ -73,6 +76,58 @@ class TestCacheEquivalence:
         assert cache.keys[0].shape[0] == 3
 
 
+def _attention_finite_fill(q, k_all, v_all, past):
+    """The pre-rewrite ``_attention_with_cache``: finite ``-1e30`` mask
+    fill and a NumPy-scalar divisor.  Kept as the oracle for ordinary
+    float64 inputs (DESIGN.md "Kernel rewrite contract"): ``exp``
+    underflows to exactly 0 for either fill."""
+    hd = q.shape[-1]
+    scores = q @ np.swapaxes(k_all, -1, -2) / np.sqrt(hd)
+    s_new, total = q.shape[2], k_all.shape[2]
+    mask = np.arange(total)[None, :] <= (past + np.arange(s_new))[:, None]
+    scores = np.where(mask[None, None], scores, -1e30)
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    out = (e / e.sum(axis=-1, keepdims=True)) @ v_all
+    b, nh, s, hd = out.shape
+    return out.transpose(0, 2, 1, 3).reshape(b, s, nh * hd)
+
+
+class TestCachedAttentionMask:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        b=st.integers(1, 3),
+        nh=st.integers(1, 3),
+        hd=st.integers(1, 9),
+        past=st.integers(0, 9),
+        s_new=st.integers(1, 9),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_inf_fill_is_bitwise_the_finite_fill_in_float64(
+        self, seed, b, nh, hd, past, s_new, scale
+    ):
+        rng = np.random.default_rng(seed)
+        q = scale * rng.standard_normal((b, nh, s_new, hd))
+        k, v = scale * rng.standard_normal((2, b, nh, past + s_new, hd))
+        np.testing.assert_array_equal(
+            _attention_with_cache(q, k, v, past),
+            _attention_finite_fill(q, k, v, past),
+        )
+
+    def test_float32_score_below_the_finite_fill_stays_causal(self):
+        """Regression: the legitimate score -1e36 sits *below* -1e30, so
+        the finite fill made query 0 attend its own future (5.0), and
+        the NumPy-scalar divisor handed back float64."""
+        q = np.array([[1e18], [1e18]], dtype=np.float32)[None, None]
+        k = np.array([[-1e18], [1e18]], dtype=np.float32)[None, None]
+        v = np.array([[1.0], [5.0]], dtype=np.float32)[None, None]
+        out = _attention_with_cache(q, k, v, 0)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, [[[1.0], [5.0]]])
+        assert _attention_finite_fill(q, k, v, 0)[0, 0, 0] == 5.0
+
+
 class TestCacheMechanics:
     def test_cache_grows(self):
         model = model_for()
@@ -104,6 +159,25 @@ class TestModelGenerateMethod:
         a = model.generate(prefix, 5)
         b = generate_greedy(model, prefix, 5)
         np.testing.assert_array_equal(a, b)
+
+
+class TestNoStaleWeights:
+    def test_generate_after_parameters_are_rebound(self):
+        """The lone path takes its one-shard weight views per call: after
+        ``p.data = ...`` (a mixed-precision step, a checkpoint load) it
+        must decode with the new weights, not views of the old arrays."""
+        model, fresh = model_for(seed=1), model_for(seed=2)
+        prefix = np.random.default_rng(0).integers(0, 64, 7)
+        generate_greedy(model, prefix, 3)
+        for p, q in zip(model.parameters(), fresh.parameters()):
+            p.data = q.data.copy()
+        np.testing.assert_array_equal(
+            prefill(model, prefix)[0], prefill(fresh, prefix)[0]
+        )
+        np.testing.assert_array_equal(
+            generate_greedy(model, prefix, 8),
+            generate_greedy(fresh, prefix, 8),
+        )
 
 
 class TestKVCacheCopyComplexity:

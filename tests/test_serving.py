@@ -10,6 +10,8 @@ batching is a scheduling optimization, never a numerical one.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import GPTConfig
 from repro.nn.generation import decode_step, generate_greedy, prefill
@@ -163,6 +165,20 @@ class TestPagedKVCache:
         np.testing.assert_array_equal(kv.gather(0, 0)[0], a)
         np.testing.assert_array_equal(kv.gather(1, 0)[0], b)
 
+    def test_pool_dtype_survives_write_and_gather(self):
+        """Regression: an empty sequence gathered as float64 whatever
+        the pool held."""
+        kv = PagedKVCache(
+            1, 2, 4, block_size=4, num_blocks=8, dtype=np.float32
+        )
+        kv.add_sequence(0)
+        assert [a.dtype for a in kv.gather(0, 0)] == [np.float32] * 2
+        k = np.ones((2, 3, 4), dtype=np.float32)
+        kv.reserve(0, 3)
+        kv.write(0, 0, k, k)
+        kv.advance(0, 3)
+        assert [a.dtype for a in kv.gather(0, 0)] == [np.float32] * 2
+
     def test_copied_bytes_counts_writes_linearly(self):
         kv = PagedKVCache(1, 2, 4, block_size=8, num_blocks=64)
         kv.add_sequence(0)
@@ -269,6 +285,71 @@ class TestBatchedDecodeBitwise:
         kv.add_sequence(0)
         with pytest.raises(ValueError):
             batched_decode_step(model, np.zeros((2,), dtype=int), kv, [0])
+
+
+class TestPagedPrefillEqualsLone:
+    """The served prefill writes K/V straight into pages and attends
+    over the gathered pages; the lone prefill reads a dense cache.  Same
+    forward, same weights — what is pinned here is that the page layout
+    attention reads does not move a bit."""
+
+    @given(
+        n=st.integers(1, 64),
+        block_size=st.sampled_from([1, 4, 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_logits_and_every_layers_kv_are_bitwise_the_lone_prefill(
+        self, n, block_size, seed
+    ):
+        model = model_for(seed=4)
+        prompt = np.random.default_rng(seed).integers(0, 64, n)
+        engine = ServingEngine(
+            model, BatchingConfig(block_size=block_size, num_blocks=64)
+        )
+        engine.decoder.add_sequence(0, n)
+        logits, cache = prefill(model, prompt[None, :])
+        np.testing.assert_array_equal(
+            engine.decoder.prefill(0, prompt), logits[0]
+        )
+        for layer, (k, v) in enumerate(zip(cache.keys, cache.values)):
+            paged_k, paged_v = engine.kv.gather(0, layer)
+            np.testing.assert_array_equal(paged_k, k[0])
+            np.testing.assert_array_equal(paged_v, v[0])
+
+    def test_serial_decoder_reads_the_models_own_arrays(self):
+        """The one-shard views must be basic slices of the model's
+        arrays, never ``permute_qkv_columns(W, 1, h)``: that is an equal
+        but column-major *copy*, whose GEMM differs in the last bit —
+        why TP ``gx = 1`` == serial is 1e-12 and served == lone is 0."""
+        model = model_for()
+        blocks, head = ServingEngine(model).decoder.shards
+        assert len(head) == 1
+        assert np.shares_memory(head[0], model.wte.weight.data)
+        for blk, (shard,) in zip(model.blocks, blocks):
+            for view, owner in zip(
+                shard,
+                (blk.attn.qkv.weight, blk.attn.qkv.bias, blk.attn.proj.weight,
+                 blk.mlp.fc1.weight, blk.mlp.fc1.bias, blk.mlp.fc2.weight),
+            ):
+                assert view.shape == owner.data.shape
+                assert view.strides == owner.data.strides
+                assert np.shares_memory(view, owner.data)
+
+    def test_kv_pool_takes_the_models_dtype(self):
+        """A float32 model's K/V must not be upcast on write (nor its
+        logits by the attention scale)."""
+        model = model_for()
+        for p in model.parameters():
+            p.data = p.data.astype(np.float32)
+        engine = ServingEngine(model, BatchingConfig(block_size=4))
+        engine.decoder.add_sequence(0, 6)
+        logits = engine.decoder.prefill(0, np.arange(6))
+        assert logits.dtype == np.float32
+        assert engine.kv.gather(0, 0)[0].dtype == np.float32
+        np.testing.assert_array_equal(
+            logits, prefill(model, np.arange(6)[None, :])[0][0]
+        )
 
 
 class TestEngineEquivalence:
