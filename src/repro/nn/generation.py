@@ -15,6 +15,15 @@ ragged batches over ``n >= 1`` weight shards.  :func:`prefill` and
 :func:`decode_step` run it with one shard and the dense :class:`KVCache`;
 :mod:`repro.serving` runs the same function over paged KV, with one
 shard (the serial decoder) or one per tensor-parallel rank.
+
+So is the attention under it: :func:`_attention_with_cache` takes a
+batch whose rows have different cached lengths, and is what the lone
+path, the serial decoder and every tensor-parallel rank call.  It pads
+the batch to one scores array for everything elementwise and keeps the
+three length-ordered reductions (``q @ k^T``, the softmax denominator,
+``att @ v``) per row, over exactly the row's live positions — padding
+those instead was measured and is not bitwise on this BLAS (ROADMAP
+item 1) — so served == lone stays an ``assert_array_equal``.
 """
 
 from __future__ import annotations
@@ -106,32 +115,49 @@ def _split_heads(t: np.ndarray, num_heads: int) -> np.ndarray:
     return t.reshape(b, s, num_heads, h // num_heads).transpose(0, 2, 1, 3)
 
 
-def _attention_with_cache(
-    q: np.ndarray,
-    k_all: np.ndarray,
-    v_all: np.ndarray,
-    past: int,
-) -> np.ndarray:
-    """Causal attention of ``q`` (B, nh, S_new, hd) over the full cached
-    keys/values (B, nh, past + S_new, hd)."""
-    hd = q.shape[-1]
+def _attention_with_cache(q, keys, values, pasts) -> np.ndarray:
+    """Causal attention of ``q`` (B, nh, S_new, hd) over ragged caches:
+    row ``j`` has ``pasts[j]`` cached positions, and ``keys`` /
+    ``values`` yield its (nh, pasts[j] + S_new, hd) operands in row
+    order (a dense (B, nh, S, hd) array iterates as exactly that; a
+    lazy iterable is read one row at a time, keys before values).
+
+    The batch shares one (B, nh, S_new, S_max) scores array whose hidden
+    entries — a query's future, and a shorter row's padding — are
+    ``-inf``, and everything elementwise (scale, mask, max-subtract,
+    ``exp``, normalise) runs over it once.  The three reductions whose
+    floating-point order depends on a row's length (``q @ k^T``, the
+    softmax denominator, ``att @ v``) run per row over exactly its live
+    positions, so a row's bits do not depend on what it is batched with.
+    """
+    b, nh, s_new, hd = q.shape
+    totals = [past + s_new for past in pasts]
+    scores = np.empty((b, nh, s_new, max(totals)), dtype=q.dtype)
+    for j, k in enumerate(keys):
+        np.matmul(q[j], k.swapaxes(-1, -2), out=scores[j, :, :, : totals[j]])
+    # Query i of row j (global position pasts[j] + i) sees keys
+    # 0..pasts[j]+i: one mask for causality and for padding.
+    reach = np.asarray(pasts)[:, None] + np.arange(s_new)
+    visible = np.arange(scores.shape[-1]) <= reach[:, None, :, None]
+    # -inf, not a finite fill: see ``causal_attention`` (a legitimate
+    # float32 score can undershoot any finite sentinel).
+    np.copyto(scores, -np.inf, where=~visible)
     # A Python float divisor is weak under NEP 50 (a NumPy scalar would
     # promote float32 scores to float64); dividing, not multiplying by
     # the reciprocal, keeps the float64 bits.
-    scores = q @ np.swapaxes(k_all, -1, -2) / float(np.sqrt(hd))
-    s_new = q.shape[2]
-    total = k_all.shape[2]
-    # Query i (global position past + i) may attend keys 0..past+i.
-    mask = np.arange(total)[None, :] <= (past + np.arange(s_new))[:, None]
-    # -inf, not a finite fill: see ``causal_attention`` (a legitimate
-    # float32 score can undershoot any finite sentinel).
-    scores = np.where(mask[None, None], scores, -np.inf)
+    scores /= float(np.sqrt(hd))
     scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    att = e / e.sum(axis=-1, keepdims=True)
-    out = att @ v_all  # (B, nh, S_new, hd)
-    b, nh, s, hd = out.shape
-    return out.transpose(0, 2, 1, 3).reshape(b, s, nh * hd)
+    # exp(-inf) is exactly 0 but takes a slow path: skip hidden entries.
+    att = np.zeros_like(scores)
+    np.exp(scores, out=att, where=visible)
+    denom = np.empty((b, nh, s_new, 1), dtype=q.dtype)
+    for j, n in enumerate(totals):
+        att[j, :, :, :n].sum(axis=-1, keepdims=True, out=denom[j])
+    att /= denom
+    out = np.empty((b, nh, s_new, hd), dtype=q.dtype)
+    for j, v in enumerate(values):
+        np.matmul(att[j, :, :, : totals[j]], v, out=out[j])
+    return out.transpose(0, 2, 1, 3).reshape(b, s_new, nh * hd)
 
 
 class _BlockShard(NamedTuple):
@@ -259,11 +285,12 @@ def _forward_lone(
     def attend(shard, layer, qh, kh, vh):
         cache.append(layer, kh, vh)
         return _attention_with_cache(
-            qh, cache.keys[layer], cache.values[layer], past
+            qh, cache.keys[layer], cache.values[layer], pasts
         )
 
+    pasts = [past] * len(ids_new)
     return _forward_cached(
-        model, _shard_weights(model), ids_new, [past] * len(ids_new), attend
+        model, _shard_weights(model), ids_new, pasts, attend
     )
 
 

@@ -10,14 +10,23 @@ to running :func:`repro.nn.generation.generate_greedy` per request.
 The math is the same *by construction*: prefill and the batched decode
 step are calls of the one cached forward
 (:func:`repro.nn.generation._forward_cached`) that the lone path runs,
-over views of the model's own weight arrays.  What the contract still
-rests on is per-row GEMM bits: embedding rows are gathered per
-sequence, LayerNorm/GELU/residuals are row-local, NumPy batches stacked
-matmuls as independent per-row GEMMs, and attention is evaluated per
-sequence over keys/values gathered from its pages rather than read from
-the lone path's dense cache — the same values in another layout.  The
-equivalence tests assert logits equality with ``assert_array_equal``,
-not a tolerance.
+over views of the model's own weight arrays, and the paged ``attend``
+below is one call of the attention the lone path calls
+(:func:`repro.nn.generation._attention_with_cache`) — no per-sequence
+write -> gather -> attention loop lives here.  What served == lone
+still rests on is that a row's bits cannot depend on its batch:
+embedding rows are gathered per sequence, LayerNorm/GELU/residuals are
+row-local, NumPy batches stacked matmuls as independent per-row GEMMs,
+and inside attention only three reductions have a floating-point order
+that depends on a row's length — ``q @ k^T``, the softmax denominator,
+``att @ v`` — and those run per row over exactly its live positions
+with the call shapes of a lone run; everything else is elementwise over
+the padded batch.  Keys/values are read from token-major pages
+(:mod:`repro.serving.paged_kv`) rather than the lone path's dense
+cache: the same values under other strides.  The equivalence tests
+assert logits equality with ``assert_array_equal``, not a tolerance,
+and ``tests/test_serving_paged_attention.py`` holds this path to the
+per-sequence loop it replaced.
 """
 
 from __future__ import annotations
@@ -118,24 +127,26 @@ class PagedDecoder:
         """Logits (B, S_new, V) for new tokens ``ids`` (B, S_new), one
         row per sequence, extending every shard's cache.  Keys/values
         land at uncommitted offsets and are committed only after the
-        whole forward, so a forward that raises can simply be re-run."""
+        whole forward, so a forward that raises can simply be re-run.
+        This is the one place sequence ids enter the forward: a repeated
+        id is rejected here, before any byte is written."""
+        if len(set(seq_ids)) != len(seq_ids):
+            # Two rows of one sequence would land on the same slots (the
+            # second shadowing the first) and advance its length twice.
+            batch = list(seq_ids)
+            repeated = sorted({s for s in batch if batch.count(s) > 1})
+            raise ValueError(
+                f"sequence ids {repeated} appear more than once in the "
+                f"batch {batch}; a forward takes one row per sequence"
+            )
         s_new = ids.shape[1]
         pasts = [self.kv[0].seq_len(s) for s in seq_ids]
 
         def attend(shard, layer, qh, kh, vh):
-            # Per sequence over its own pages: each row's attention is
-            # the lone path's, whatever else is in the batch.
             kv = self.kv[shard]
-            rows = []
-            for j, s in enumerate(seq_ids):
-                kv.write(s, layer, kh[j], vh[j])
-                k_all, v_all = kv.gather(s, layer, include_uncommitted=s_new)
-                rows.append(
-                    _attention_with_cache(
-                        qh[j : j + 1], k_all[None], v_all[None], pasts[j]
-                    )
-                )
-            return np.concatenate(rows, axis=0)
+            kv.write_rows(seq_ids, layer, kh, vh)
+            keys, values = kv.gather_rows(seq_ids, layer, s_new)
+            return _attention_with_cache(qh, keys, values, pasts)
 
         logits = _forward_cached(
             self.model, self.shards, ids, pasts, attend,

@@ -14,10 +14,10 @@ its analytic cost on a target machine:
   economic argument for continuous batching) plus each sequence's KV
   history, and the compute term only takes over at large batch;
 * **tensor-parallel collectives** are priced by the Section V-B model —
-  two all-reduces per layer per step through
-  :func:`repro.perfmodel.choose_algorithm`, so the flat/hierarchical
-  routing decision shows up in the serving frontier exactly as it does
-  in training step times;
+  two all-reduces per layer per step through the memoized
+  :func:`repro.perfmodel.hierarchical.cached_choose_algorithm`, so the
+  flat/hierarchical routing decision shows up in the serving frontier
+  exactly as it does in training step times;
 * **preemption restarts** are priced as one recompute prefill over the
   preempted context (see :class:`AnalyticDecoder`);
 * **instance failures** arrive as a seeded exponential process at the
@@ -42,7 +42,7 @@ import numpy as np
 from ..cluster.machine import MachineSpec
 from ..cluster.topology import Placement
 from ..config import GPTConfig
-from ..perfmodel import choose_algorithm
+from ..perfmodel.hierarchical import cached_choose_algorithm
 from ..serving.arrivals import Request, poisson_trace
 from ..serving.loop import ServingLoop, count
 from ..serving.paged_kv import CacheOutOfBlocks
@@ -100,7 +100,9 @@ class ServingModel:
         """One tensor-parallel all-reduce of ``nbytes`` on this machine."""
         if self.tp == 1:
             return 0.0
-        choice = choose_algorithm(
+        # Memoized: a trace asks about the same few message sizes (one
+        # per live batch size and prompt length) thousands of times.
+        choice = cached_choose_algorithm(
             "all_reduce",
             nbytes,
             range(self.tp),

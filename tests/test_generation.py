@@ -77,10 +77,10 @@ class TestCacheEquivalence:
 
 
 def _attention_finite_fill(q, k_all, v_all, past):
-    """The pre-rewrite ``_attention_with_cache``: finite ``-1e30`` mask
-    fill and a NumPy-scalar divisor.  Kept as the oracle for ordinary
-    float64 inputs (DESIGN.md "Kernel rewrite contract"): ``exp``
-    underflows to exactly 0 for either fill."""
+    """The first ``_attention_with_cache`` — one ``past`` for the whole
+    batch, finite ``-1e30`` mask fill, a NumPy-scalar divisor.  Kept as
+    the oracle for ordinary float64 inputs (DESIGN.md "Kernel rewrite
+    contract"): ``exp`` underflows to exactly 0 for either fill."""
     hd = q.shape[-1]
     scores = q @ np.swapaxes(k_all, -1, -2) / np.sqrt(hd)
     s_new, total = q.shape[2], k_all.shape[2]
@@ -111,7 +111,7 @@ class TestCachedAttentionMask:
         q = scale * rng.standard_normal((b, nh, s_new, hd))
         k, v = scale * rng.standard_normal((2, b, nh, past + s_new, hd))
         np.testing.assert_array_equal(
-            _attention_with_cache(q, k, v, past),
+            _attention_with_cache(q, k, v, [past] * b),
             _attention_finite_fill(q, k, v, past),
         )
 
@@ -122,10 +122,29 @@ class TestCachedAttentionMask:
         q = np.array([[1e18], [1e18]], dtype=np.float32)[None, None]
         k = np.array([[-1e18], [1e18]], dtype=np.float32)[None, None]
         v = np.array([[1.0], [5.0]], dtype=np.float32)[None, None]
-        out = _attention_with_cache(q, k, v, 0)
+        out = _attention_with_cache(q, k, v, [0])
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out, [[[1.0], [5.0]]])
         assert _attention_finite_fill(q, k, v, 0)[0, 0, 0] == 5.0
+
+    def test_ragged_float32_rows_stay_float32_and_causal(self):
+        """The same counterexample batched with a longer row: the short
+        row's padding is hidden by the one ``-inf`` mask, the output
+        stays float32, and each row equals its lone evaluation."""
+        rng = np.random.default_rng(0)
+        q = np.array([[1e18], [1e18]], dtype=np.float32)[None, None]
+        k = np.array([[-1e18], [1e18]], dtype=np.float32)[None]
+        v = np.array([[1.0], [5.0]], dtype=np.float32)[None]
+        q_long = rng.standard_normal((1, 1, 2, 1)).astype(np.float32)
+        k_long, v_long = rng.standard_normal((2, 1, 9, 1)).astype(np.float32)
+        out = _attention_with_cache(
+            np.concatenate([q, q_long]), [k, k_long], [v, v_long], [0, 7]
+        )
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out[0], [[1.0], [5.0]])
+        np.testing.assert_array_equal(
+            out[1:], _attention_with_cache(q_long, [k_long], [v_long], [7])
+        )
 
 
 class TestCacheMechanics:

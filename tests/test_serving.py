@@ -173,6 +173,7 @@ class TestPagedKVCache:
         )
         kv.add_sequence(0)
         assert [a.dtype for a in kv.gather(0, 0)] == [np.float32] * 2
+        assert [a.shape for a in kv.gather(0, 0)] == [(2, 0, 4)] * 2
         k = np.ones((2, 3, 4), dtype=np.float32)
         kv.reserve(0, 3)
         kv.write(0, 0, k, k)
@@ -285,6 +286,22 @@ class TestBatchedDecodeBitwise:
         kv.add_sequence(0)
         with pytest.raises(ValueError):
             batched_decode_step(model, np.zeros((2,), dtype=int), kv, [0])
+
+    def test_repeated_sequence_id_is_rejected_before_any_write(self):
+        """Regression: ``[0, 0]`` returned logits and advanced the
+        sequence twice for one written token."""
+        model = model_for()
+        kv = PagedKVCache(2, 4, 8, block_size=4, num_blocks=16)
+        kv.add_sequence(0)
+        kv.reserve(0, 2)
+        table = list(kv._tables[0])
+        pools = [pool.copy() for pool in kv._k + kv._v]
+        with pytest.raises(ValueError, match=r"\[0\] appear more than once"):
+            batched_decode_step(model, np.array([3, 3]), kv, [0, 0])
+        assert kv.seq_len(0) == 0
+        assert kv._tables[0] == table
+        for pool, before in zip(kv._k + kv._v, pools):
+            np.testing.assert_array_equal(pool, before)
 
 
 class TestPagedPrefillEqualsLone:

@@ -2,13 +2,16 @@
 offered-load frontier, and the serve-report CLI."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.cluster import FRONTIER, PERLMUTTER
 from repro.config import get_model
+from repro.perfmodel.hierarchical import choose_algorithm, clear_choice_cache
 from repro.serving import BatchingConfig, Request, poisson_trace
+from repro.simulate import serving as serving_sim
 from repro.simulate.serving import (
     ServingModel,
     chaos_sweep,
@@ -75,6 +78,26 @@ class TestSimulateServing:
         a = simulate_serving(self._trace(2.0), m, cfgb)
         b = simulate_serving(self._trace(2.0), m, cfgb)
         assert a == b
+
+    def test_memoized_selector_does_not_move_the_report(self, monkeypatch):
+        """``_ar_time`` asks the memoized selector the same question
+        every step.  On the bench probe's trace the report is field for
+        field the same with the memo cold, warm and cleared — and with
+        the unmemoized selector it replaced."""
+        cfg = get_model("GPT-5B")
+        trace = poisson_trace(4.0, 64, vocab_size=cfg.vocab_size)
+        model = ServingModel(cfg, FRONTIER, tp=4)
+        batching = BatchingConfig(max_batch=16)
+        clear_choice_cache()
+        cold = simulate_serving(trace, model, batching)
+        warm = simulate_serving(trace, model, batching)
+        clear_choice_cache()
+        cleared = simulate_serving(trace, model, batching)
+        monkeypatch.setattr(
+            serving_sim, "cached_choose_algorithm", choose_algorithm
+        )
+        plain = simulate_serving(trace, model, batching)
+        assert asdict(cold) == asdict(warm) == asdict(cleared) == asdict(plain)
 
     def test_all_requests_finish(self):
         m = small_model()
