@@ -24,6 +24,9 @@ three length-ordered reductions (``q @ k^T``, the softmax denominator,
 ``att @ v``) per row, over exactly the row's live positions — padding
 those instead was measured and is not bitwise on this BLAS (ROADMAP
 item 1) — so served == lone stays an ``assert_array_equal``.
+The FC products keep the same *batch invariance* by fixing the call
+shape: :func:`_fc`, the one place a decode row meets a weight, runs every
+decode row, lone or batched, on every decoder, as the same 4-row GEMM.
 """
 
 from __future__ import annotations
@@ -214,6 +217,35 @@ def _lone_shard(parts: list[np.ndarray], tag: str) -> np.ndarray:
     return whole
 
 
+#: Rows per decode GEMM.  Measured (DESIGN.md, "Kernel rewrite contract"):
+#: 4 and 8 tie on ``serve_decode``, 2 and 16 lose; a lone row pays a tile.
+_TILE_ROWS = 4
+
+
+def _fc(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` for C-contiguous (B, S_new, k) activations and a (k, n)
+    weight view, batch-invariant for decode rows.
+
+    BLAS picks its kernel, and with it a row's summation order, from the
+    call's shape: a lone row runs ``gemv``, and a row of an ``(M, k)`` GEMM
+    changes bits with ``M``.  So decode rows (``S_new == 1``) are padded
+    to whole tiles, each the same ``(_TILE_ROWS, k) @ (k, n)`` call.
+    ``S_new >= 2`` (prefill) stays stacked: one GEMM per sequence.
+    """
+    b, s_new, k = a.shape
+    if s_new != 1:
+        return a @ w
+    tiles = -(-b // _TILE_ROWS)
+    if b % _TILE_ROWS:
+        rows = np.zeros((tiles * _TILE_ROWS, k), dtype=a.dtype)
+        rows[:b] = a[:, 0]
+    else:
+        rows = a.reshape(b, k)
+    if tiles > 1:
+        rows = rows.reshape(tiles, _TILE_ROWS, k)
+    return (rows @ w).reshape(-1, 1, w.shape[-1])[:b]
+
+
 def _forward_cached(
     model: GPT,
     shards: tuple[list[list[_BlockShard]], list[np.ndarray]],
@@ -257,22 +289,22 @@ def _forward_cached(
             a = ln(blk.ln1, x)
             partials = []
             for i, w in enumerate(parts):
-                qkv = a @ w.qkv_w + w.qkv_b
+                qkv = _fc(a, w.qkv_w) + w.qkv_b
                 hb = qkv.shape[-1] // 3
                 q, k, v = qkv[..., :hb], qkv[..., hb : 2 * hb], qkv[..., 2 * hb :]
                 qh, kh, vh = (_split_heads(t, heads_local) for t in (q, k, v))
-                partials.append(attend(i, layer, qh, kh, vh) @ w.proj_w)
+                partials.append(_fc(attend(i, layer, qh, kh, vh), w.proj_w))
             proj = all_reduce(partials, "serve.proj_AR_x")
             x = x + (proj + blk.attn.proj.bias.data)
             a = ln(blk.ln2, x)
             partials = [
-                F.gelu(Tensor(a @ w.fc1_w + w.fc1_b)).data @ w.fc2_w
+                _fc(F.gelu(Tensor(_fc(a, w.fc1_w) + w.fc1_b)).data, w.fc2_w)
                 for w in parts
             ]
             fc2 = all_reduce(partials, "serve.mlp_AR_x")
             x = x + (fc2 + blk.mlp.fc2.bias.data)
         x = ln(model.ln_f, x)
-        return all_gather([x @ w.T for w in head], "serve.head_AG_x")
+        return all_gather([_fc(x, w.T) for w in head], "serve.head_AG_x")
 
 
 def _forward_lone(

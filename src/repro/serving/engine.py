@@ -14,19 +14,21 @@ over views of the model's own weight arrays, and the paged ``attend``
 below is one call of the attention the lone path calls
 (:func:`repro.nn.generation._attention_with_cache`) — no per-sequence
 write -> gather -> attention loop lives here.  What served == lone
-still rests on is that a row's bits cannot depend on its batch:
-embedding rows are gathered per sequence, LayerNorm/GELU/residuals are
-row-local, NumPy batches stacked matmuls as independent per-row GEMMs,
-and inside attention only three reductions have a floating-point order
-that depends on a row's length — ``q @ k^T``, the softmax denominator,
-``att @ v`` — and those run per row over exactly its live positions
-with the call shapes of a lone run; everything else is elementwise over
-the padded batch.  Keys/values are read from token-major pages
-(:mod:`repro.serving.paged_kv`) rather than the lone path's dense
-cache: the same values under other strides.  The equivalence tests
-assert logits equality with ``assert_array_equal``, not a tolerance,
-and ``tests/test_serving_paged_attention.py`` holds this path to the
-per-sequence loop it replaced.
+still rests on is *batch invariance* — a row's bits cannot depend on
+its batch: embedding rows are gathered per sequence,
+LayerNorm/GELU/residuals are row-local, every decode row's FC products
+are the same fixed 4-row GEMM call alone or in a batch
+(:func:`repro.nn.generation._fc`), and inside attention only three
+reductions have a floating-point order that depends on a row's length —
+``q @ k^T``, the softmax denominator, ``att @ v`` — and those run per
+row over exactly its live positions with the call shapes of a lone run;
+everything else is elementwise over the padded batch.  Keys/values are
+read from token-major pages (:mod:`repro.serving.paged_kv`): the lone
+path's dense-cache values under other strides.  The tests assert logits
+with ``assert_array_equal``, not a tolerance:
+``tests/test_serving_batch_invariance.py`` holds every row of a batch to
+the row decoded alone, ``tests/test_serving_paged_attention.py`` this
+path to the per-sequence loop it replaced.
 """
 
 from __future__ import annotations

@@ -87,12 +87,15 @@ class BlockAllocator:
         return list(reversed(taken))
 
     def free(self, blocks: list[int]) -> None:
-        """Return blocks to the pool."""
+        """Return blocks to the pool; all are checked before any moves."""
+        # Free already, or earlier in this call (-> one block, two owners).
+        freed = set(self._free)
         for b in blocks:
             if not 0 <= b < self.num_blocks:
                 raise ValueError(f"block id {b} out of range")
-            if b in self._free:
+            if b in freed:
                 raise ValueError(f"double free of block {b}")
+            freed.add(b)
         self._free.extend(reversed(blocks))
 
 

@@ -20,9 +20,12 @@ through which the shards' partial sums and vocabulary slices meet.
 
 Numerics: partial-sum all-reduces re-associate float additions, so TP
 logits match the serial cached path to rounding (the tests pin 1e-12
-relative), while the *batched* TP step remains bitwise identical to the
-single-sequence TP step — the same per-row argument as the serial
-engine.  Greedy tokens agree with the serial path exactly in practice.
+relative).  Every rank's own products are batch-invariant, as in the
+serial engine, so at ``gx <= 2`` the *batched* TP step is bitwise the
+single-sequence TP step; from three ranks up the ring sums an element in
+an order set by its offset in the flat (B, 1, H) buffer, so the reduced
+sum moves by an ulp with ``B``.  Greedy tokens agree with the serial
+path exactly in practice.
 Even ``gx = 1`` is 1e-12, not bitwise: the permutation is a fancy-index
 copy of the QKV weight that comes out column-major, and BLAS sums a
 transposed operand in another order.

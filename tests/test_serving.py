@@ -105,6 +105,19 @@ class TestBlockAllocator:
         with pytest.raises(ValueError):
             a.free([got[0]])
 
+    def test_block_repeated_within_one_free_rejected(self):
+        # Each id used to be tested against the free list before any was
+        # appended, so a repeat inside one call slipped through and the
+        # next alloc handed one block to two sequences.
+        a = BlockAllocator(4)
+        held = a.alloc(2)
+        with pytest.raises(ValueError, match="double free"):
+            a.free([held[0], held[0]])
+        assert a.num_free + len(held) == a.num_blocks
+        a.free(held)
+        got = a.alloc(4)
+        assert sorted(got) == [0, 1, 2, 3]
+
 
 class TestPagedKVCache:
     def _roundtrip(self, block_size, chunks):
