@@ -317,6 +317,10 @@ class AutotuneReport:
     num_enumerated: int = 0
     num_feasible: int = 0
     num_simulations: int = 0
+    #: Runs of the simulator's price stage behind those simulations: one
+    #: per (grid, kernel mode, collective algorithm) the sweep reaches —
+    #: overlap subsets share a pricing.
+    num_pricings: int = 0
     elapsed_s: float = 0.0
 
     @property
@@ -339,6 +343,7 @@ class AutotuneReport:
             "num_feasible": self.num_feasible,
             "num_infeasible": len(self.infeasible),
             "num_simulations": self.num_simulations,
+            "num_pricings": self.num_pricings,
             "elapsed_s": self.elapsed_s,
             "configs_per_second": self.configs_per_second,
         }

@@ -8,8 +8,8 @@ paper's §VI methodology hand-tunes each headline run:
    grids with the divisibility + memory model, keeping the reason each
    candidate died (:func:`repro.perfmodel.infeasibility_reason`).
 2. **Prune** the survivors with the analytic communication model
-   (Eqs. 1-7 via :func:`repro.perfmodel.rank_configurations`) to the
-   space's ``prune_k`` best-predicted grids.
+   (Eqs. 1-7 via :func:`repro.perfmodel.rank_grids`) to the space's
+   ``prune_k`` best-predicted grids.
 3. **Screen** each pruned survivor with one ``timing_only``
    simulation under the space's reference knobs, keeping ``validate_k``.
 4. **Sweep** the full (overlap subset x GEMM kernel-mode tuning x
@@ -17,6 +17,16 @@ paper's §VI methodology hand-tunes each headline run:
    screened grids, again with ``timing_only`` simulation, and emit the
    winning :class:`~repro.autotune.api.TunedJobConfig` plus the ranked
    :class:`~repro.autotune.api.AutotuneReport`.
+
+Stages 3-4 compose the simulator's own stages
+(:mod:`repro.simulate.executor`) rather than calling
+``simulate_iteration`` per combination: per grid the job inputs are
+assembled once, per (kernel mode, resolved collective algorithm) the
+iteration is priced once, and only the stream walk and the jitter run
+per overlap subset.  The reuse is loop order — ``SearchSpace.combos()``
+varies overlap innermost — holding one grid's inputs and one price set
+at a time; nothing is memoized beyond the per-(grid, combo) results the
+report is built from.
 
 Determinism: the whole pipeline is a pure function of the request and
 space — enumeration order, stable sorts, and strict-``<`` winner updates
@@ -27,10 +37,19 @@ hash.  Same inputs, bitwise-same winner.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 
 from ..core.grid import GridConfig, enumerate_grid_configs
-from ..perfmodel.configs import infeasibility_reason, rank_configurations
-from ..simulate.executor import IterationResult, OverlapFlags, simulate_iteration
+from ..perfmodel.configs import infeasibility_reason, rank_grids
+from ..simulate.executor import (
+    DEFAULT_NOISE,
+    IterationResult,
+    OverlapFlags,
+    job_inputs,
+    price_iteration,
+    schedule_iteration,
+    summarise_iteration,
+)
 from .api import (
     AutotuneReport,
     CandidateReport,
@@ -42,22 +61,8 @@ from .api import (
 
 __all__ = ["autotune"]
 
-
-def _collect_infeasible(
-    request: PlanRequest, space: SearchSpace
-) -> list[tuple[GridConfig, str]]:
-    """(grid, reason) for every enumerated configuration that cannot run."""
-    cfg = request.resolved_model()
-    machine = request.resolved_machine()
-    batch = request.resolved_batch()
-    out: list[tuple[GridConfig, str]] = []
-    for config in enumerate_grid_configs(
-        request.num_gpus, max_gz=space.max_gz, max_gs=space.max_gs
-    ):
-        why = infeasibility_reason(cfg, config, batch, machine)
-        if why is not None:
-            out.append((config, why))
-    return out
+#: One knob setting: (overlap subset, kernel tuning, collective algo).
+Combo = tuple[OverlapFlags, bool, str | None]
 
 
 def autotune(
@@ -82,54 +87,87 @@ def autotune(
     batch = request.resolved_batch()
     db = request.resolved_db()
 
-    # Stages 1-2: enumerate + analytic pruning (Eqs. 1-7).
+    # Stages 1-2: enumerate, one feasibility pass, analytic pruning
+    # (Eqs. 1-7) of the grids that can run.
     all_configs = enumerate_grid_configs(
         request.num_gpus, max_gz=space.max_gz, max_gs=space.max_gs
     )
-    ranked = rank_configurations(
-        cfg, batch, request.num_gpus, machine, db=db,
-        max_configs=space.prune_k, max_gs=space.max_gs,
-    )
-    if not ranked:
-        infeasible = _collect_infeasible(request, space)
+    runnable: list[GridConfig] = []
+    infeasible: list[tuple[GridConfig, str]] = []
+    for config in all_configs:
+        why = infeasibility_reason(cfg, config, batch, machine)
+        if why is None:
+            runnable.append(config)
+        else:
+            infeasible.append((config, why))
+    if not runnable:
         raise NoFeasibleConfigError(
             f"no feasible configuration for {cfg.name} on "
             f"{request.num_gpus} devices of {machine.name} "
             f"(batch {batch}; {len(infeasible)} candidates rejected)",
             reasons={str(c): why for c, why in infeasible},
         )
-    infeasible = _collect_infeasible(request, space)
-    num_feasible = len(all_configs) - len(infeasible)
+    ranked = rank_grids(cfg, batch, runnable, machine, db)[: space.prune_k]
 
-    num_sims = 0
+    num_sims = num_pricings = 0
     sim_memo: dict[tuple, IterationResult] = {}
 
     def simulate(
-        config: GridConfig,
-        overlap: OverlapFlags,
-        kernel_tuning: bool,
-        algo: str | None,
-    ) -> IterationResult:
-        """One timing-only simulation, memoized per (grid, knob combo)."""
-        nonlocal num_sims
-        key = (config.full_dims, overlap, kernel_tuning, algo)
-        hit = sim_memo.get(key)
-        if hit is not None:
-            return hit
-        num_sims += 1
-        res = simulate_iteration(
-            cfg, batch, config, machine,
-            overlap=overlap, kernel_tuning=kernel_tuning,
-            collective_algo=algo, run_salt=request.seed, timing_only=True,
-        )
-        sim_memo[key] = res
-        return res
+        config: GridConfig, combos: list[Combo]
+    ) -> Iterator[tuple[Combo, IterationResult]]:
+        """``(combo, timing-only result)`` for each knob combination on
+        one grid, memoized per (grid, combo).
+
+        What ``simulate_iteration(..., timing_only=True)`` returns for
+        each under its defaults (block placement, checkpointing on, no
+        straggler slowdown, default noise), from the same stages: the
+        grid's job inputs are assembled once, the iteration is re-priced
+        only when the (kernel mode, resolved algorithm) pair changes
+        between consecutive combos, and each overlap subset costs one
+        stream walk and one summary.
+        """
+        nonlocal num_sims, num_pricings
+        inputs = held = prices = None
+        for combo in combos:
+            key = (config.full_dims, *combo)
+            res = sim_memo.get(key)
+            if res is None:
+                overlap, kernel_tuning, algo = combo
+                if algo is None:
+                    algo = config.collective_algo
+                if inputs is None:
+                    inputs = job_inputs(
+                        cfg, batch, config, machine,
+                        placement_strategy="block",
+                        hierarchical=any(
+                            (a or config.collective_algo) != "flat"
+                            for _, _, a in combos
+                        ),
+                    )
+                if held != (kernel_tuning, algo):
+                    held = (kernel_tuning, algo)
+                    num_pricings += 1
+                    prices = price_iteration(
+                        cfg, batch, config, machine, *inputs,
+                        algo=algo, kernel_tuning=kernel_tuning,
+                        activation_checkpointing=True,
+                        compute_slowdown=1.0, comm_slowdown=1.0,
+                    )
+                num_sims += 1
+                total, num_events = schedule_iteration(
+                    prices, overlap, trace=None
+                )
+                res = sim_memo[key] = summarise_iteration(
+                    prices, total, num_events,
+                    noise=DEFAULT_NOISE, run_salt=request.seed,
+                )
+            yield combo, res
 
     # Stage 3: screen the analytic survivors by simulated time.
-    ref_overlap, ref_kernel, ref_algo = space.reference_combo(request)
+    reference = [space.reference_combo(request)]
     screened: list[tuple[int, float, GridConfig, float]] = []
     for rank, cand in enumerate(ranked, start=1):
-        res = simulate(cand.config, ref_overlap, ref_kernel, ref_algo)
+        ((_, res),) = simulate(cand.config, reference)
         screened.append((rank, res.total_time, cand.config, cand.predicted_time))
     rank1_sim_time = screened[0][1]
     # Stable sort on screened time; analytic rank breaks ties.
@@ -142,10 +180,9 @@ def autotune(
     best: tuple[float, CandidateReport, IterationResult] | None = None
     for rank, screen_time, config, predicted in survivors:
         cand_best: tuple[float, tuple, IterationResult] | None = None
-        for overlap, kernel_tuning, algo in combos:
-            res = simulate(config, overlap, kernel_tuning, algo)
+        for combo, res in simulate(config, combos):
             if cand_best is None or res.total_time < cand_best[0]:
-                cand_best = (res.total_time, (overlap, kernel_tuning, algo), res)
+                cand_best = (res.total_time, combo, res)
         assert cand_best is not None
         best_time, (b_ov, b_kt, b_algo), b_res = cand_best
         report = CandidateReport(
@@ -194,7 +231,8 @@ def autotune(
         rank1_sim_time=rank1_sim_time,
         infeasible=infeasible,
         num_enumerated=len(all_configs),
-        num_feasible=num_feasible,
+        num_feasible=len(runnable),
         num_simulations=num_sims,
+        num_pricings=num_pricings,
         elapsed_s=time.perf_counter() - t0,
     )

@@ -18,6 +18,8 @@ without the master copies, updates smaller than a bf16 ulp would vanish
 
 from __future__ import annotations
 
+import ctypes
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -37,6 +39,40 @@ __all__ = [
 ]
 
 
+#: ``<malloc.h>`` parameter numbers of :c:func:`mallopt`.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_step_memory() -> None:
+    """Tell glibc's malloc to keep a training step's working set mapped.
+
+    A step allocates its activations and gradients and frees all of them
+    before the next one (the bench model swings the heap between 31 and
+    122 MB).  Under glibc's *dynamic* thresholds the freed top of the
+    heap goes back to the kernel and is faulted in again every step,
+    unless a small live block happens to sit above it.  Which of the two
+    happens is an accident of heap layout as small as the length of one
+    ``argv`` string, and any code change anywhere in the package
+    re-draws it: the same 48 steps took 0.7, 0.9, 1.0, 1.5 or 1.9 M
+    minor faults, with median step times up to 30% apart.  Setting
+    either threshold switches the dynamic adjustment off, so both are
+    set: no array below 1 GB gets its own ``mmap`` and the heap is not
+    trimmed while less than 2 GB of it is free.  The same run then
+    takes 42 k faults whatever the layout, at the same peak RSS.
+    Does nothing where there is no ``mallopt``.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:  # a libc without mallopt
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 1_000_000_000)
+    mallopt(_M_TRIM_THRESHOLD, 2_000_000_000)
+
+
 class MixedPrecisionTrainer:
     """Drives bf16-compute / fp32-master training steps.
 
@@ -44,6 +80,10 @@ class MixedPrecisionTrainer:
     step; each micro-loss is scaled by ``1/accumulation_steps`` so the
     effective gradient is the mean over the combined batch (given
     equal-sized micro-batches).
+
+    Constructing one pins the process's malloc thresholds
+    (:func:`_keep_step_memory`): memory a step frees stays with the
+    process for the next step.
     """
 
     def __init__(
@@ -70,6 +110,7 @@ class MixedPrecisionTrainer:
         self.skipped_steps = 0
         self._micro = 0
         self._params = list(model.parameters())
+        _keep_step_memory()
 
     def _grads_finite(self) -> bool:
         for p in self._params:

@@ -6,6 +6,7 @@ from .configs import (
     feasible,
     infeasibility_reason,
     rank_configurations,
+    rank_grids,
 )
 from .hierarchical import (
     AlgorithmChoice,
@@ -63,6 +64,7 @@ __all__ = [
     "feasible",
     "infeasibility_reason",
     "rank_configurations",
+    "rank_grids",
     "CollectiveVolumes",
     "layer_volumes",
     "gpt_forward_backward_volumes",

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from ..cluster import MachineSpec
 from ..config import GPTConfig
 from ..core.grid import GridConfig, enumerate_grid_configs
-from .bandwidth import BandwidthDatabase
-from .model import CommBreakdown, model_comm_time
+from .bandwidth import BandwidthDatabase, effective_bandwidths
+from .model import CommBreakdown, LayerShape, _layers_comm_time, gpt_layer_shapes
 
 __all__ = [
     "RankedConfig",
     "feasible",
     "infeasibility_reason",
+    "rank_grids",
     "rank_configurations",
 ]
 
@@ -110,6 +111,44 @@ def feasible(
     return infeasibility_reason(cfg, config, global_batch, machine) is None
 
 
+def rank_grids(
+    cfg: GPTConfig,
+    global_batch: int,
+    configs: list[GridConfig],
+    machine: MachineSpec,
+    db: BandwidthDatabase,
+) -> list[RankedConfig]:
+    """The given (feasible) grids, fastest predicted first.
+
+    Each is priced by Eqs. 1-7; equal predictions keep the order of
+    ``configs``.  A grid whose ``G_data`` does not divide
+    ``global_batch`` raises ``ValueError``, as in
+    :func:`~repro.perfmodel.model_comm_time`.
+
+    A replica's FC layers depend on the grid through ``G_data`` alone,
+    so they are built once per distinct replica batch.
+    """
+    layers_of: dict[int, list[LayerShape]] = {}
+    ranked: list[RankedConfig] = []
+    for config in configs:
+        if global_batch % config.gdata:
+            raise ValueError(
+                f"global batch {global_batch} not divisible by "
+                f"G_data={config.gdata}"
+            )
+        per_group = global_batch // config.gdata
+        layers = layers_of.get(per_group)
+        if layers is None:
+            layers = layers_of[per_group] = gpt_layer_shapes(cfg, per_group)
+        bd = _layers_comm_time(
+            cfg, layers, per_group, config,
+            effective_bandwidths(config, machine, db),
+        )
+        ranked.append(RankedConfig(config, bd.total, bd))
+    ranked.sort(key=lambda r: r.predicted_time)
+    return ranked
+
+
 def rank_configurations(
     cfg,
     global_batch: int | None = None,
@@ -155,13 +194,15 @@ def rank_configurations(
         machine = get_machine(machine)
     if db is None:
         db = BandwidthDatabase.profile(machine)
-    ranked: list[RankedConfig] = []
-    for config in enumerate_grid_configs(num_gpus, max_gs=max_gs):
-        if not feasible(cfg, config, global_batch, machine):
-            continue
-        bd = model_comm_time(cfg, global_batch, config, machine, db=db)
-        ranked.append(RankedConfig(config, bd.total, bd))
-    ranked.sort(key=lambda r: r.predicted_time)
-    if max_configs is not None:
-        ranked = ranked[:max_configs]
-    return ranked
+    ranked = rank_grids(
+        cfg,
+        global_batch,
+        [
+            config
+            for config in enumerate_grid_configs(num_gpus, max_gs=max_gs)
+            if feasible(cfg, config, global_batch, machine)
+        ],
+        machine,
+        db,
+    )
+    return ranked if max_configs is None else ranked[:max_configs]

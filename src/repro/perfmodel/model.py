@@ -153,6 +153,43 @@ def layer_comm_time(
     )
 
 
+def _layers_comm_time(
+    cfg: GPTConfig,
+    layers: list[LayerShape],
+    per_group: int,
+    config: GridConfig,
+    betas: dict[str, float],
+    dtype_bytes: int = BF16_BYTES,
+) -> CommBreakdown:
+    """Eq. 6 over the given FC ``layers`` of one replica.
+
+    The sum of :func:`layer_comm_time`, layer by layer, plus the
+    sequence ring for the replica's batch of ``per_group`` sequences.
+
+    A GPT stack repeats a handful of shapes and a layer enters Eqs. 1-5
+    through ``(m, k, n, transposed)`` only, so each distinct shape is
+    priced once; the breakdowns are still added per layer, in order, so
+    no float moves.
+    """
+    priced: dict[tuple, CommBreakdown] = {}
+    total = CommBreakdown()
+    for layer in layers:
+        shape = (layer.m, layer.k, layer.n, layer.transposed)
+        bd = priced.get(shape)
+        if bd is None:
+            bd = priced[shape] = layer_comm_time(layer, config, betas, dtype_bytes)
+        total = total + bd
+    if config.gs > 1:
+        from .seq_parallel import ring_kv_payload_bytes, seq_ring_time
+
+        payload = ring_kv_payload_bytes(cfg, config, per_group, dtype_bytes)
+        total = total + CommBreakdown(
+            ring_seq=cfg.num_layers
+            * seq_ring_time(payload, config.gs, betas["seq"])
+        )
+    return total
+
+
 def model_comm_time(
     cfg: GPTConfig,
     global_batch: int,
@@ -172,17 +209,12 @@ def model_comm_time(
             f"global batch {global_batch} not divisible by "
             f"G_data={config.gdata}"
         )
-    betas = effective_bandwidths(config, machine, db)
     per_group = global_batch // config.gdata
-    total = CommBreakdown()
-    for layer in gpt_layer_shapes(cfg, per_group, include_head=include_head):
-        total = total + layer_comm_time(layer, config, betas, dtype_bytes)
-    if config.gs > 1:
-        from .seq_parallel import ring_kv_payload_bytes, seq_ring_time
-
-        payload = ring_kv_payload_bytes(cfg, config, per_group, dtype_bytes)
-        total = total + CommBreakdown(
-            ring_seq=cfg.num_layers
-            * seq_ring_time(payload, config.gs, betas["seq"])
-        )
-    return total
+    return _layers_comm_time(
+        cfg,
+        gpt_layer_shapes(cfg, per_group, include_head=include_head),
+        per_group,
+        config,
+        effective_bandwidths(config, machine, db),
+        dtype_bytes,
+    )

@@ -24,10 +24,15 @@ i.e. the simulator deliberately includes the effects (latency, compute,
 exact contention, run-to-run variability) that the analytical model of
 Section V-B assumes away.
 
-:func:`simulate_iteration` is three stages composed:
-:func:`price_iteration` (what every kernel and collective costs),
-:func:`schedule_iteration` (when each runs, under the overlap switches)
-and :func:`summarise_iteration` (jitter and the reported breakdown).
+:func:`simulate_iteration` is three stages composed over one
+:func:`job_inputs` value: :func:`price_iteration` (what every kernel and
+collective costs), :func:`schedule_iteration` (when each runs, under the
+overlap switches) and :func:`summarise_iteration` (jitter and the
+reported breakdown).  It is the one-shot composition; a caller that
+varies only some knobs composes the same stages itself and repeats only
+what its knob moves (:func:`repro.autotune.autotune` prices once per
+kernel mode x collective algorithm and schedules once per overlap
+subset).
 There is one timing engine; the per-rank scalar walks of
 :mod:`repro.simulate.network_sim` and the uncached
 :func:`repro.kernels.tune_matmuls` define the same numbers readably and
@@ -62,7 +67,9 @@ __all__ = [
     "IterationResult",
     "LayerPrice",
     "IterationPrices",
+    "JobInputs",
     "local_matmul_ops",
+    "job_inputs",
     "price_iteration",
     "schedule_iteration",
     "summarise_iteration",
@@ -152,6 +159,12 @@ class IterationPrices:
     job_key: str
     activation_checkpointing: bool
     layers: tuple[LayerPrice, ...]
+    #: Busy time of the compute stream: every layer's forward and
+    #: backward plus the optimizer step.
+    compute_total: float
+    #: Every FC-layer collective's duration, hidden or not (the weight
+    #: all-gather counted twice under activation checkpointing).
+    layer_comm_total: float
     #: Attention core of one transformer block (all G_seq ring steps).
     attention_fwd: float
     #: Ring-attention KV rotation (all zero on classic G_seq = 1 grids):
@@ -173,6 +186,22 @@ class IterationPrices:
     #: collectives.  A set: a repeated (op, bytes, axis) price repeats
     #: its pick, so memoizing repeats cannot change what is reported.
     axis_picks: dict[str, frozenset[str]]
+
+
+class JobInputs(NamedTuple):
+    """The inputs of :func:`price_iteration` that no tuning knob moves.
+
+    What pricing reads of a (job, grid, placement), in that function's
+    argument order — ``price_iteration(cfg, global_batch, config,
+    machine, *inputs, algo, ...)`` — so one value serves every (kernel
+    mode, collective algorithm, overlap) combination tried on the grid.
+    """
+
+    layers: list[LayerShape]
+    plan: TunedPlan
+    timings: dict[str, LinkTiming]
+    #: Empty when the caller prices ``"flat"`` only.
+    hier_timings: dict[str, HierTiming | None]
 
 
 def _local_gemm_shapes(
@@ -314,6 +343,32 @@ def _layer_collectives(
     ), shard
 
 
+def job_inputs(
+    cfg: GPTConfig,
+    global_batch: int,
+    config: GridConfig,
+    machine: MachineSpec,
+    placement_strategy: str,
+    hierarchical: bool,
+) -> JobInputs:
+    """Stage 0: assemble one grid's :class:`JobInputs`.
+
+    The replica's FC layers, their tuned GEMM plan and the measured
+    per-axis links of ``config`` placed on ``machine``.
+    ``hierarchical`` says whether any pricing of these inputs will use a
+    non-flat ``algo``; the two-level timings are measured only then
+    (``"flat"`` pricing never reads them)."""
+    placement = Placement(machine, config.total, strategy=placement_strategy)
+    grid = Grid4D(config, placement=placement)
+    layers = gpt_layer_shapes(cfg, global_batch // config.gdata)
+    return JobInputs(
+        layers,
+        tune_matmuls_cached(local_matmul_ops(layers, config), GemmModel(machine)),
+        group_timings(grid, placement),
+        hierarchical_group_timings(grid, placement) if hierarchical else {},
+    )
+
+
 def price_iteration(
     cfg: GPTConfig,
     global_batch: int,
@@ -438,6 +493,16 @@ def price_iteration(
         job_key=f"{machine.name}|{config}|{cfg.name}|{global_batch}",
         activation_checkpointing=activation_checkpointing,
         layers=tuple(priced),
+        compute_total=(
+            sum(c.fwd for c in priced)
+            + sum(c.bwd for c in priced)
+            + optimizer_time
+        ),
+        layer_comm_total=sum(
+            c.ag_z * (2 if activation_checkpointing else 1)
+            + c.rs_z + c.ar_fwd + c.ar_bwd
+            for c in priced
+        ),
         attention_fwd=attn_fwd,
         ring_payload_bytes=ring_payload,
         seq_hop_fwd=seq_hop_f,
@@ -576,21 +641,11 @@ def summarise_iteration(
     Applies the run-to-run jitter and reports the compute / exposed /
     raw communication split and the per-axis algorithm choices."""
     p, config = prices, prices.config
-    compute_total = (
-        sum(c.fwd for c in p.layers)
-        + sum(c.bwd for c in p.layers)
-        + p.optimizer_time
-    )
-    raw_comm = p.dp_time + p.seq_raw_time + sum(
-        c.ag_z * (2 if p.activation_checkpointing else 1)
-        + c.rs_z + c.ar_fwd + c.ar_bwd
-        for c in p.layers
-    )
     key = p.job_key
     if run_salt:
         key += f"|{run_salt}"
     total *= deterministic_jitter(key, noise)
-    total = max(total, compute_total)
+    total = max(total, p.compute_total)
 
     algo_choices: dict[str, str] = {}
     for axis, size in zip(AXES5, config.full_dims):
@@ -614,9 +669,9 @@ def summarise_iteration(
         )
     return IterationResult(
         total_time=total,
-        compute_time=compute_total,
-        exposed_comm_time=total - compute_total,
-        raw_comm_time=raw_comm,
+        compute_time=p.compute_total,
+        exposed_comm_time=total - p.compute_total,
+        raw_comm_time=p.dp_time + p.seq_raw_time + p.layer_comm_total,
         config=config,
         tuning_speedup=p.tuning_speedup,
         details=details,
@@ -645,8 +700,9 @@ def simulate_iteration(
     """Simulate one training iteration and return its timing breakdown.
 
     Three stages, each a function of its own: :func:`price_iteration`
-    (link timings, tuned GEMM plan and per-layer durations ->
-    :class:`IterationPrices`), :func:`schedule_iteration` (the
+    (the :func:`job_inputs` -- link timings, tuned GEMM plan -- and
+    per-layer durations -> :class:`IterationPrices`),
+    :func:`schedule_iteration` (the
     multi-stream walk under ``overlap``) and :func:`summarise_iteration`
     (jitter and the :class:`IterationResult`).
 
@@ -669,14 +725,11 @@ def simulate_iteration(
     :attr:`IterationResult.num_events`, is unchanged.
     """
     algo = collective_algo if collective_algo is not None else config.collective_algo
-    placement = Placement(machine, config.total, strategy=placement_strategy)
-    grid = Grid4D(config, placement=placement)
-    layers = gpt_layer_shapes(cfg, global_batch // config.gdata)
+    inputs = job_inputs(
+        cfg, global_batch, config, machine, placement_strategy, algo != "flat"
+    )
     prices = price_iteration(
-        cfg, global_batch, config, machine, layers,
-        tune_matmuls_cached(local_matmul_ops(layers, config), GemmModel(machine)),
-        group_timings(grid, placement),
-        hierarchical_group_timings(grid, placement) if algo != "flat" else {},
+        cfg, global_batch, config, machine, *inputs,
         algo, kernel_tuning, activation_checkpointing,
         compute_slowdown, comm_slowdown,
     )

@@ -210,7 +210,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"  searched {report.num_enumerated} grids "
         f"({report.num_feasible} feasible, {len(report.infeasible)} pruned) "
-        f"with {report.num_simulations} simulations in "
+        f"with {report.num_simulations} simulations "
+        f"({report.num_pricings} pricings) in "
         f"{report.elapsed_s:.1f}s — {report.configs_per_second:.0f} configs/s"
     )
     if args.out:
@@ -224,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
                 "autotune.num_enumerated": report.num_enumerated,
                 "autotune.num_feasible": report.num_feasible,
                 "autotune.num_simulations": report.num_simulations,
+                "autotune.num_pricings": report.num_pricings,
                 "autotune.elapsed_s": report.elapsed_s,
                 "autotune.configs_per_second": report.configs_per_second,
             },

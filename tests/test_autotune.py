@@ -22,18 +22,268 @@ from repro.autotune import (
     TunedJobConfig,
     autotune,
 )
+from repro.autotune.api import CandidateReport
 from repro.config import get_model
+from repro.core.grid import GridConfig, enumerate_grid_configs
 from repro.kernels import clear_tuner_cache
-from repro.perfmodel import rank_configurations
+from repro.perfmodel import (
+    CommBreakdown,
+    effective_bandwidths,
+    gpt_layer_shapes,
+    infeasibility_reason,
+    layer_comm_time,
+    model_comm_time,
+    rank_configurations,
+)
 from repro.perfmodel.hierarchical import clear_choice_cache
-from repro.simulate import best_configuration, clear_caches, run_point
+from repro.perfmodel.seq_parallel import ring_kv_payload_bytes, seq_ring_time
+from repro.simulate import (
+    best_configuration,
+    clear_caches,
+    run_point,
+    simulate_iteration,
+)
 from repro.simulate.executor import OverlapFlags
+
+from .test_sim_differential import FUZZED, GOLDEN_POINTS
 
 
 def _clear_all_caches():
     clear_caches()
     clear_tuner_cache()
     clear_choice_cache()
+
+
+def _reference_model_comm_time(cfg, global_batch, config, machine, db=None,
+                               include_head=True):
+    """``model_comm_time`` as it was before it priced each distinct layer
+    shape once: Eqs. 1-5 evaluated for every layer of the stack."""
+    betas = effective_bandwidths(config, machine, db)
+    per_group = global_batch // config.gdata
+    total = CommBreakdown()
+    for layer in gpt_layer_shapes(cfg, per_group, include_head=include_head):
+        total = total + layer_comm_time(layer, config, betas)
+    if config.gs > 1:
+        payload = ring_kv_payload_bytes(cfg, config, per_group, 2)
+        total = total + CommBreakdown(
+            ring_seq=cfg.num_layers
+            * seq_ring_time(payload, config.gs, betas["seq"])
+        )
+    return total
+
+
+def _reference_autotune(request, space):
+    """The four stages of ``autotune`` driven the slow way — the oracle of
+    the staged sweep: one ``simulate_iteration`` per (grid, knob combo),
+    one ``_reference_model_comm_time`` per feasible grid.  Returns the
+    same :class:`AutotuneReport` (``num_pricings`` aside: every
+    simulation here prices)."""
+    cfg, machine = request.resolved_model(), request.resolved_machine()
+    batch, db = request.resolved_batch(), request.resolved_db()
+    all_configs = enumerate_grid_configs(
+        request.num_gpus, max_gz=space.max_gz, max_gs=space.max_gs
+    )
+    infeasible, ranked = [], []
+    for config in all_configs:
+        why = infeasibility_reason(cfg, config, batch, machine)
+        if why is not None:
+            infeasible.append((config, why))
+            continue
+        bd = _reference_model_comm_time(cfg, batch, config, machine, db)
+        ranked.append((config, bd.total))
+    num_feasible = len(ranked)
+    ranked.sort(key=lambda r: r[1])
+    ranked = ranked[: space.prune_k]
+
+    sim_memo = {}
+
+    def simulate(config, overlap, kernel_tuning, algo):
+        key = (config.full_dims, overlap, kernel_tuning, algo)
+        if key not in sim_memo:
+            sim_memo[key] = simulate_iteration(
+                cfg, batch, config, machine,
+                overlap=overlap, kernel_tuning=kernel_tuning,
+                collective_algo=algo, run_salt=request.seed, timing_only=True,
+            )
+        return sim_memo[key]
+
+    reference = space.reference_combo(request)
+    screened = [
+        (rank, simulate(config, *reference).total_time, config, predicted)
+        for rank, (config, predicted) in enumerate(ranked, start=1)
+    ]
+    survivors = sorted(screened, key=lambda s: (s[1], s[0]))
+    survivors = survivors[: space.resolved_validate_k(request)]
+
+    candidates, best = [], None
+    for rank, screen_time, config, predicted in survivors:
+        cand_best = None
+        for combo in space.combos():
+            res = simulate(config, *combo)
+            if cand_best is None or res.total_time < cand_best[0]:
+                cand_best = (res.total_time, combo, res)
+        best_time, (b_ov, b_kt, b_algo), b_res = cand_best
+        report = CandidateReport(
+            config=config, analytic_rank=rank, predicted_comm_time=predicted,
+            screen_time=screen_time, best_time=best_time, best_overlap=b_ov,
+            best_kernel_tuning=b_kt, best_collective_algo=b_algo,
+            algo_choices=dict(b_res.algo_choices),
+        )
+        candidates.append(report)
+        if best is None or best_time < best[0]:
+            best = (best_time, report, b_res)
+    _, win, win_res = best
+    candidates.sort(key=lambda c: (c.best_time, c.analytic_rank))
+    winner = TunedJobConfig(
+        model=cfg.name, machine=machine.name, num_gpus=request.num_gpus,
+        global_batch=batch,
+        config=GridConfig(
+            *win.config.full_dims,
+            collective_algo=win.best_collective_algo or "flat",
+        ),
+        overlap=win.best_overlap, kernel_tuning=win.best_kernel_tuning,
+        collective_algo=win.best_collective_algo,
+        predicted_comm_time=win.predicted_comm_time,
+        simulated_time=win.best_time, tuning_speedup=win_res.tuning_speedup,
+        algo_choices=dict(win_res.algo_choices),
+    )
+    return AutotuneReport(
+        request=request, space=space, winner=winner, winner_result=win_res,
+        ranked=candidates, rank1_sim_time=screened[0][1],
+        infeasible=infeasible, num_enumerated=len(all_configs),
+        num_feasible=num_feasible, num_simulations=len(sim_memo),
+    )
+
+
+def _untimed(report):
+    doc = report.to_json()
+    for key in ("elapsed_s", "configs_per_second", "num_pricings"):
+        del doc[key]
+    return doc
+
+
+class TestStagedSweepOracle:
+    """``autotune`` composes the simulator's stages itself; the report
+    must be the one the per-(grid, combo) ``simulate_iteration`` driver
+    builds — every float by ``==``."""
+
+    _5B_64 = dict(model="GPT-5B", num_gpus=64, machine="perlmutter",
+                  global_batch=128)
+    PAIRS = {
+        "default": (PlanRequest(**_5B_64), SearchSpace()),
+        "default-frontier-seed": (
+            PlanRequest("GPT-5B", 128, "frontier", 256, seed=5),
+            SearchSpace(),
+        ),
+        # ``collective_algo=None`` defers to each grid's own algorithm:
+        # pricing is keyed on the resolved one.
+        "pinned-algo-none": (PlanRequest(**_5B_64, top_k=5), "pinned"),
+        "algo-none-beside-hierarchical": (
+            PlanRequest(**_5B_64),
+            SearchSpace(prune_k=6, validate_k=3,
+                        collective_algos=(None, "hierarchical")),
+        ),
+        "max_gs": (
+            PlanRequest("GPT-5B", 64, "frontier", 128, seed=2),
+            SearchSpace(prune_k=12, validate_k=4, max_gs=4),
+        ),
+        "max_gz": (
+            PlanRequest("GPT-5B", 256, "frontier"),
+            SearchSpace(prune_k=8, validate_k=3, max_gz=2),
+        ),
+        "prune_k": (PlanRequest(**_5B_64), SearchSpace(prune_k=3)),
+        "one-overlap": (
+            PlanRequest("GPT-10B", 256, "alps", 512),
+            SearchSpace(prune_k=8, validate_k=4,
+                        overlap_flags=(OverlapFlags(ors=True),)),
+        ),
+        "validate_k": (
+            PlanRequest(**_5B_64, seed=11), SearchSpace(validate_k=1)
+        ),
+        # The two that catch a price set outliving its key: untuned
+        # before tuned (stale tuned prices only ever tie), and one kernel
+        # mode (with two, the mode flips at every algorithm boundary).
+        "untuned-first": (
+            PlanRequest("GPT-5B", 128, "frontier", 256),
+            SearchSpace(prune_k=8, validate_k=4, kernel_tuning=(False, True)),
+        ),
+        "one-kernel-mode": (
+            PlanRequest(**_5B_64),
+            SearchSpace(prune_k=8, validate_k=4, kernel_tuning=(True,)),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_report_equals_reference_driver(self, name):
+        request, space = self.PAIRS[name]
+        if space == "pinned":
+            space = SearchSpace.pinned(request)
+            assert space.collective_algos == (None,)
+        got, ref = autotune(request, space), _reference_autotune(request, space)
+        assert _untimed(got) == _untimed(ref)
+        assert got.winner_result == ref.winner_result
+        assert got.winner == ref.winner
+        assert got.ranked == ref.ranked
+        assert got.infeasible == ref.infeasible
+        assert got.num_simulations == ref.num_simulations
+
+    def test_num_pricings_counts_price_stage_runs(self):
+        """Default space: 24 screenings, then 10 survivors x (3 algos x 2
+        kernel modes) — overlap subsets share a pricing."""
+        request = PlanRequest("GPT-5B", 512, "perlmutter")
+        report = autotune(request)
+        assert len(report.ranked) == 10
+        assert report.num_simulations == 24 + 10 * 48 - 10 == 494
+        assert report.num_pricings == 24 + 10 * 6 == 84
+        assert report.to_json()["num_pricings"] == 84
+        pinned = autotune(request, SearchSpace.pinned(request))
+        assert pinned.num_pricings == pinned.num_simulations == 10
+
+    @pytest.mark.parametrize("include_head", [True, False])
+    def test_model_comm_time_equals_per_layer_loop(self, include_head):
+        """Each distinct layer shape is priced once; every field of the
+        breakdown equals the per-layer loop's over the differential
+        corpus' grids and sequence-parallel ones."""
+        points = {
+            (machine, GridConfig(*dims), model, batch)
+            for machine, dims, _, _, model, batch, *_ in FUZZED
+        }
+        model = FUZZED[0][4]
+        points |= {(m, c, model, 4 * c.gdata) for m, c, _ in GOLDEN_POINTS}
+        gpt = get_model("GPT-5B")
+        points |= {
+            (GOLDEN_POINTS[0][0], GridConfig(*dims), gpt, 64)
+            for dims in [(2, 2, 2, 2, 2), (4, 1, 2, 1, 4), (1, 2, 1, 4, 8)]
+        }
+        assert any(c.gs > 1 for _, c, _, _ in points)
+        for machine, config, model, batch in points:
+            assert model_comm_time(
+                model, batch, config, machine, include_head=include_head
+            ) == _reference_model_comm_time(
+                model, batch, config, machine, include_head=include_head
+            )
+
+
+class TestMaxGz:
+    """``SearchSpace.max_gz`` bounds the ranking stage too (it used to
+    bound only the enumerated / infeasible counts)."""
+
+    def test_ranked_and_winner_respect_max_gz(self):
+        request = PlanRequest("GPT-5B", 256, "frontier")
+        report = autotune(request, SearchSpace(max_gz=2))
+        assert report.winner.config.gz <= 2
+        assert report.ranked and all(c.config.gz <= 2 for c in report.ranked)
+        restricted = enumerate_grid_configs(256, max_gz=2)
+        assert report.num_enumerated == len(restricted) == 81
+        assert report.num_feasible == sum(
+            infeasibility_reason(
+                request.resolved_model(), c, request.resolved_batch(),
+                request.resolved_machine(),
+            ) is None
+            for c in restricted
+        ) == 71
+        # Without the bound the same job does pick a deeper Z.
+        assert autotune(request).winner.config.gz > 2
 
 
 class TestPlanRequest:
@@ -282,6 +532,7 @@ class TestPlanOptimizeCLI:
         m = bench["metrics"]
         assert m["autotune.winner_time_s"] <= m["autotune.rank1_sim_time_s"]
         assert m["autotune.num_simulations"] > 0
+        assert 0 < 4 * m["autotune.num_pricings"] <= m["autotune.num_simulations"]
         assert m["autotune.configs_per_second"] > 0
 
     def test_optimize_deterministic_output(self, capsys):

@@ -22,6 +22,7 @@ from repro.perfmodel import (
     layer_comm_time,
     model_comm_time,
     rank_configurations,
+    rank_grids,
     reduce_scatter_time,
 )
 
@@ -264,3 +265,12 @@ class TestRanking:
         cfg = get_model("GPT-5B")
         ranked = rank_configurations(cfg, 16, 16, ALPS, max_configs=3)
         assert len(ranked) == 3
+
+    def test_rank_grids_rejects_indivisible_batch(self):
+        """Like ``model_comm_time``: a grid whose G_data does not divide
+        the batch is an error, not a floored replica batch."""
+        db = BandwidthDatabase.profile(PERLMUTTER)
+        with pytest.raises(ValueError, match="not divisible"):
+            rank_grids(
+                get_model("GPT-5B"), 10, [GridConfig(1, 1, 1, 3)], PERLMUTTER, db
+            )

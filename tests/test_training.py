@@ -1,5 +1,9 @@
 """Tests for mixed-precision training and gradient accumulation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -153,3 +157,47 @@ class TestBF16Compute:
         for _ in range(5):
             last = trainer.step(ids)
         assert last < first
+
+
+_FAULTS_OF_TWO_64MB_ARRAYS = """
+import resource
+import numpy as np
+from repro.config import GPTConfig
+from repro.nn import GPT, SGD, MixedPrecisionTrainer
+
+cfg = GPTConfig(name="mp", num_layers=1, hidden_size=16, num_heads=4,
+                seq_len=10, vocab_size=32)
+model = GPT(cfg, seed=0)
+MixedPrecisionTrainer(model, SGD(model.parameters(), lr=0.1))
+
+def faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(8 << 20)  # 64 MB, touched, dropped at once
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(faults(), faults())
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="glibc malloc thresholds"
+)
+def test_freed_step_memory_stays_with_the_process():
+    """After a trainer exists, memory freed by one step is reused by the
+    next without page faults: step time must not depend on whether
+    glibc's dynamic thresholds happen to trim the heap (they made the
+    same training run take 0.7 to 1.9 M faults by heap layout).  Own
+    process: thresholds are process-wide and other tests build trainers."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_OF_TWO_64MB_ARRAYS],
+        capture_output=True, text=True, timeout=120,
+        # Count 4 KiB pages: NumPy asks for huge pages behind big arrays.
+        env={**os.environ, "NUMPY_MADVISE_HUGEPAGE": "0"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    import resource  # not on every platform
+
+    first, second = map(int, proc.stdout.split())
+    pages = (64 << 20) // resource.getpagesize()
+    assert first >= pages // 2  # the counter sees first-touch faults
+    assert second < pages // 16
