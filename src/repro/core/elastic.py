@@ -36,13 +36,15 @@ sub-grids, e.g. 8 ranks shrinking to 6 as (1, 2, 3, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from ..config import GPTConfig
-from ..nn.training import MixedPrecisionTrainer, TrainingReport, _split_batch
-from ..runtime.faults import FaultError, fault_cause, fault_scope
-from ..telemetry.spans import get_tracer as _telemetry
+from ..nn.training import (
+    MixedPrecisionTrainer,
+    TrainingReport,
+    _train_fault_tolerant,
+)
 from ..runtime.replica_store import ReplicaStore
 from .checkpoint_io import (
     CheckpointRing,
@@ -64,8 +66,9 @@ def grid_fits(
     ``grid``?  Mirrors the divisibility constraints of the parallel
     layers analytically (no model construction): attention heads and
     vocab over X, LayerNorm features over Y, each linear's contraction
-    axis over (contract * Z) and output axis over its column axis, and —
-    when ``global_batch`` is given — the batch over Z * Data.
+    axis over (contract * Z) and output axis over its column axis, the
+    sequence over the ring degree, and — when ``global_batch`` is given
+    — the batch over Z * Data.
     """
     gx, gy, gz, gd = grid.dims
     h, ffn = cfg.hidden_size, cfg.ffn_hidden
@@ -79,6 +82,7 @@ def grid_fits(
         (3 * h) % gx == 0,
         ffn % gx == 0,  # fc1 output columns
         ffn % (gx * gz) == 0,  # fc2 contraction
+        cfg.seq_len % grid.gs == 0,  # ring attention's sequence shards
     )
     if global_batch is not None:
         checks += (global_batch % (gz * gd) == 0,)
@@ -98,24 +102,29 @@ def shrink_grid(
     most axis sizes with ``old`` (least resharding traffic), ties broken
     lexicographically for determinism.  Non-power-of-two counts
     enumerate all divisors, so 6 survivors of an 8-rank grid can form
-    (1, 2, 3, 1) rather than collapsing to 4 ranks.
+    (1, 2, 3, 1) rather than collapsing to 4 ranks.  The sequence axis
+    may keep any ring degree up to ``old.gs`` (a job that needed it may
+    not fit without), and ``old.collective_algo`` carries over.
     """
     if max_ranks < 1:
         raise ValueError("max_ranks must be >= 1")
     for n in range(max_ranks, 0, -1):
         fits = [
             c
-            for c in enumerate_grid_configs(n, powers_of_two_only=False)
+            for c in enumerate_grid_configs(
+                n, powers_of_two_only=False, max_gs=old.gs
+            )
             if grid_fits(cfg, c, global_batch)
         ]
         if fits:
-            return sorted(
+            best = min(
                 fits,
                 key=lambda c: (
-                    -sum(a == b for a, b in zip(c.dims, old.dims)),
-                    c.dims,
+                    -sum(a == b for a, b in zip(c.full_dims, old.full_dims)),
+                    c.full_dims,
                 ),
-            )[0]
+            )
+            return replace(best, collective_algo=old.collective_algo)
     raise ValueError(
         f"no grid of <= {max_ranks} ranks fits {cfg.name!r} "
         f"(hidden={cfg.hidden_size}, heads={cfg.num_heads})"
@@ -187,9 +196,7 @@ def train_elastic(
     if checkpoint_interval < 1:
         raise ValueError("checkpoint_interval must be >= 1")
     config = initial_config
-    trainer = trainer_factory(config)
-    report = ElasticReport()
-    report.grid_history.append((0, config))
+    report = ElasticReport(grid_history=[(0, config)])
 
     def make_store(t) -> ReplicaStore | None:
         if not replicate or t.model.grid.config.total < 2:
@@ -198,112 +205,95 @@ def train_elastic(
         s.commit()
         return s
 
+    trainer = trainer_factory(config)
     store = make_store(trainer)
-    if ring is not None:
-        ring.save(trainer.model, trainer.optimizer, 0, injector=injector)
-        report.checkpoint_saves += 1
-    last_saved = 0
-    step = 0
     grown = False
-    while step < len(batches):
-        if (
-            grow_step is not None
-            and step >= grow_step
-            and not grown
-            and config != initial_config
-        ):
-            grown = True
-            # The replacement capacity arrived: re-lay the current state
-            # onto the full grid and continue — the inverse of a shrink,
-            # through the same canonical arrays.
-            arrays = gather_training_arrays(trainer.model, trainer.optimizer)
-            if injector is not None:
-                injector.restart()
-            config = initial_config
-            trainer = trainer_factory(config)
-            load_training_arrays(trainer.model, trainer.optimizer, arrays)
-            store = make_store(trainer)
-            report.grows += 1
-            report.grid_history.append((step, config))
+
+    def live_state(t) -> dict:
+        return gather_training_arrays(t.model, t.optimizer)
+
+    def reform(new_config, arrays):
+        """Re-form the grid as ``new_config`` and lay ``arrays`` (the
+        canonical state) onto it — the one sequence every transition
+        (grow, in-place, shrink) shares."""
+        nonlocal config, store
         if injector is not None:
-            injector.start_step(step)
-        ids, mask = _split_batch(batches[step])
-        try:
-            with fault_scope(injector):
-                loss = trainer.step(ids, loss_mask=mask)
-            report.losses.append(loss)
-            step += 1
-            if store is not None:
-                store.commit()
-            if ring is not None and step % checkpoint_interval == 0:
-                ring.save(trainer.model, trainer.optimizer, step, injector=injector)
-                report.checkpoint_saves += 1
-                last_saved = step
-        except FaultError as exc:
-            report.restart_causes[fault_cause(exc)] += 1
-            if injector is None or report.recoveries >= max_recoveries:
-                raise
-            report.recoveries += 1
-            tel = _telemetry()
-            if tel is not None:
-                tel.metrics.counter("train.recoveries").add(1)
-            # Re-formation health check: discover *every* rank dead by
-            # now (a collective only surfaces the first), so a buddy
-            # pair dying together is seen as one correlated failure.
-            dead = sorted(injector.collect_armed_kills(total=config.total))
-            if not dead:
-                # Transient fault (timeout past the retry budget, torn
-                # checkpoint write): the fp32 masters and moments are
-                # intact — faults fire in communication, never inside
-                # the local optimizer update, and the bf16 swap restores
-                # masters on the way out — so recover in place: gather
-                # the live state, re-form the same grid, reload.  No
-                # disk, no lost steps.
-                arrays = gather_training_arrays(
-                    trainer.model, trainer.optimizer
-                )
-                injector.restart()
-                trainer = trainer_factory(config)
-                load_training_arrays(trainer.model, trainer.optimizer, arrays)
-                store = make_store(trainer)
-                continue
-            resume = step
-            if store is not None:
-                store.wipe(dead)
-            if store is not None and store.can_restore(dead):
-                # Single-rank (uncorrelated) failure: the buddy holds a
-                # current copy — restore over the interconnect.  Zero
-                # disk reads, zero steps lost.
-                store.restore(dead)
-                arrays = gather_training_arrays(
-                    trainer.model, trainer.optimizer
-                )
-                report.buddy_restores += 1
-            else:
-                # Correlated failure (buddy pair died together) or
-                # replication disabled: fall back to the newest ring
-                # checkpoint that verifies.
-                if ring is None:
-                    raise
-                found = ring.latest_verifying()
-                if found is None:
-                    raise
-                resume, arrays = found
-                report.disk_restores += 1
-                report.steps_lost += step - resume
-            config = shrink_grid(
-                trainer.model.cfg, config.total - len(dead), config,
-                global_batch,
-            )
             injector.restart()
-            trainer = trainer_factory(config)
-            load_training_arrays(trainer.model, trainer.optimizer, arrays)
-            store = make_store(trainer)
-            report.shrinks += 1
-            report.grid_history.append((resume, config))
-            del report.losses[resume:]
-            step = resume
-    if ring is not None and last_saved != step:
+        config = new_config
+        trainer = trainer_factory(config)
+        load_training_arrays(trainer.model, trainer.optimizer, arrays)
+        store = make_store(trainer)
+        return trainer
+
+    def grow(step, trainer):
+        nonlocal grown
+        due = grow_step is not None and step >= grow_step
+        if grown or not due or config == initial_config:
+            return trainer
+        grown = True
+        # The replacement capacity arrived: re-lay the current state
+        # onto the full grid and continue — the inverse of a shrink,
+        # through the same canonical arrays.
+        trainer = reform(initial_config, live_state(trainer))
+        report.grows += 1
+        report.grid_history.append((step, config))
+        return trainer
+
+    def commit():
+        if store is not None:
+            store.commit()
+
+    def recover(step, last_saved, trainer):
+        # Re-formation health check: discover *every* rank dead by
+        # now (a collective only surfaces the first), so a buddy
+        # pair dying together is seen as one correlated failure.
+        dead = sorted(injector.collect_armed_kills(total=config.total))
+        if not dead:
+            # Transient fault (timeout past the retry budget, torn
+            # checkpoint write): the fp32 masters and moments are
+            # intact — faults fire in communication, never inside
+            # the local optimizer update, and the bf16 swap restores
+            # masters on the way out — so recover in place: gather
+            # the live state, re-form the same grid, reload.  No
+            # disk, no lost steps.
+            return step, reform(config, live_state(trainer))
+        resume = step
+        if store is not None:
+            store.wipe(dead)
+        if store is not None and store.can_restore(dead):
+            # Single-rank (uncorrelated) failure: the buddy holds a
+            # current copy — restore over the interconnect.  Zero
+            # disk reads, zero steps lost.
+            store.restore(dead)
+            arrays = live_state(trainer)
+            report.buddy_restores += 1
+        else:
+            # Correlated failure (buddy pair died together) or
+            # replication disabled: fall back to the newest ring
+            # checkpoint that verifies.
+            found = None if ring is None else ring.latest_verifying()
+            if found is None:
+                return None
+            resume, arrays = found
+            report.disk_restores += 1
+        survivors = config.total - len(dead)
+        trainer = reform(
+            shrink_grid(trainer.model.cfg, survivors, config, global_batch),
+            arrays,
+        )
+        report.shrinks += 1
+        report.grid_history.append((resume, config))
+        return resume, trainer
+
+    def save(trainer, step):
+        # Unlike the restart loop's, the step-0 ring entry is written
+        # under the injector: it is one of the ring's ``keep`` files and
+        # claims save index 0 like any other.
         ring.save(trainer.model, trainer.optimizer, step, injector=injector)
-        report.checkpoint_saves += 1
-    return report
+
+    return _train_fault_tolerant(
+        trainer, batches, report, injector=injector,
+        checkpoint_interval=checkpoint_interval, budget="recoveries",
+        max_budget=max_recoveries, save=None if ring is None else save,
+        recover=recover, before_step=grow, after_step=commit,
+    )

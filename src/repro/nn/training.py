@@ -21,12 +21,14 @@ from __future__ import annotations
 import ctypes
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ..runtime.faults import FaultError, fault_cause, fault_scope
 from ..telemetry.spans import get_tracer as _telemetry, traced as _traced
 from ..tensor.dtype import to_bf16
 from .optim import clip_grad_norm
@@ -219,14 +221,17 @@ def _jsonify(value):
 
 @dataclass
 class TrainingReport:
-    """Common accounting shared by every resilient-training loop.
+    """Accounting of the one fault-tolerant training loop.
 
-    Holds the fields both :class:`RecoveryReport` and
+    Filled in by ``_train_fault_tolerant`` whichever recovery strategy
+    runs over it.  Holds the fields both :class:`RecoveryReport` and
     :class:`~repro.core.elastic.ElasticReport` need — the loss curve
     (rollbacks truncate it, so the final sequence matches an
     uninterrupted run), checkpoint and lost-step counts, and the restart
     cause histogram — plus one :meth:`to_json` serialization for the
-    goodput analysis and CI artifacts.
+    goodput analysis and CI artifacts.  The strategy's own fields
+    (``restarts`` / ``recoveries``, the grid history) live on the
+    subclasses.
     """
 
     losses: list[float] = field(default_factory=list)
@@ -268,6 +273,99 @@ def _split_batch(batch) -> tuple[np.ndarray, np.ndarray | None]:
     return np.asarray(batch), None
 
 
+def _train_fault_tolerant(
+    trainer,
+    batches: Sequence,
+    report: TrainingReport,
+    *,
+    injector,
+    checkpoint_interval: int,
+    budget: str,
+    max_budget: int,
+    save: Callable | None,
+    recover: Callable,
+    before_step: Callable = lambda step, trainer: trainer,
+    after_step: Callable = lambda: None,
+) -> TrainingReport:
+    """The one fault-tolerant step loop; both public loops are strategies
+    over it.
+
+    Owns everything recovery strategies share: the step-0 save, the
+    injector's step clock, the :func:`fault_scope` around
+    ``trainer.step``, the loss curve, the save cadence, the recovery net
+    (cause histogram, budget, lost-step accounting, loss truncation,
+    rewind), the tail save and the ``train.*`` telemetry.  A strategy
+    supplies what differs:
+
+    * ``save(trainer, step)`` persists the state after ``step`` steps
+      (``None``: nothing is ever written);
+    * ``recover(step, last_saved, trainer)`` runs on a fault inside the
+      budget and returns ``(resume_step, rebuilt_trainer)``, or ``None``
+      when there is nothing to recover from (the fault then propagates);
+    * ``before_step(step, trainer) -> trainer`` and ``after_step()``
+      bracket each step.
+
+    ``budget`` names the ``report`` field that counts survived faults
+    (``"restarts"`` / ``"recoveries"`` — also the telemetry counter's
+    suffix); once it reaches ``max_budget`` the next fault propagates.
+    """
+    if save is not None:
+        save(trainer, 0)
+        report.checkpoint_saves += 1
+    last_saved = step = 0
+    while step < len(batches):
+        trainer = before_step(step, trainer)
+        if injector is not None:
+            injector.start_step(step)
+        ids, mask = _split_batch(batches[step])
+        try:
+            with fault_scope(injector):
+                loss = trainer.step(ids, loss_mask=mask)
+            report.losses.append(loss)
+            step += 1
+            after_step()
+            # The checkpoint write lives inside the recovery net too: a
+            # torn write raises here, recovers from the previous (still
+            # intact, thanks to the atomic-replace protocol) checkpoint
+            # or the live state, and carries on instead of killing the
+            # job.
+            if save is not None and step % checkpoint_interval == 0:
+                save(trainer, step)
+                report.checkpoint_saves += 1
+                last_saved = step
+        except FaultError as exc:
+            cause = fault_cause(exc)
+            report.restart_causes[cause] += 1
+            if injector is None or getattr(report, budget) >= max_budget:
+                raise
+            setattr(report, budget, getattr(report, budget) + 1)
+            tel = _telemetry()
+            span = nullcontext()
+            if tel is not None:
+                tel.metrics.counter(f"train.{budget}").add(1)
+                args = {"cause": cause, "step": step}
+                span = tel.span("train.recovery", cat="train", args=args)
+            with span:
+                recovered = recover(step, last_saved, trainer)
+                if recovered is None:
+                    raise
+                resume, trainer = recovered
+                lost = step - resume
+                if tel is not None:
+                    args.update(resume=resume, steps_lost=lost)
+                    tel.metrics.counter("train.steps_lost").add(lost)
+            report.steps_lost += lost
+            del report.losses[resume:]
+            step = resume
+    if save is not None and last_saved != step:
+        # Final state for a run whose length is not a multiple of the
+        # interval — otherwise the tail steps would silently be lost to
+        # any later resume.
+        save(trainer, step)
+        report.checkpoint_saves += 1
+    return report
+
+
 def train_with_recovery(
     trainer_factory: Callable[[], MixedPrecisionTrainer],
     batches: Sequence,
@@ -306,59 +404,29 @@ def train_with_recovery(
     # Local import: repro.core imports repro.nn at module load, so a
     # top-level import here would be circular.
     from ..core.checkpoint_io import load_training_state, save_training_state
-    from ..runtime.faults import FaultError, fault_cause, fault_scope
 
     if checkpoint_interval < 1:
         raise ValueError("checkpoint_interval must be >= 1")
-    trainer = trainer_factory()
     report = RecoveryReport()
-    save_training_state(trainer.model, trainer.optimizer, checkpoint_path)
-    report.checkpoint_saves += 1
-    last_saved = 0
-    step = 0
-    while step < len(batches):
-        if injector is not None:
-            injector.start_step(step)
-        ids, mask = _split_batch(batches[step])
-        try:
-            with fault_scope(injector):
-                loss = trainer.step(ids, loss_mask=mask)
-            report.losses.append(loss)
-            step += 1
-            # The checkpoint write lives inside the recovery net too: a
-            # torn write raises here, rolls back to the previous (still
-            # intact, thanks to the atomic-replace protocol) checkpoint,
-            # and re-runs the window instead of killing the job.
-            if step % checkpoint_interval == 0:
-                save_training_state(
-                    trainer.model, trainer.optimizer, checkpoint_path,
-                    injector=injector,
-                )
-                report.checkpoint_saves += 1
-                last_saved = step
-        except FaultError as exc:
-            report.restart_causes[fault_cause(exc)] += 1
-            if injector is None or report.restarts >= max_restarts:
-                raise
-            report.restarts += 1
-            tel = _telemetry()
-            if tel is not None:
-                tel.metrics.counter("train.restarts").add(1)
-                tel.metrics.counter("train.steps_lost").add(step - last_saved)
-            report.resumed_from.append(last_saved)
-            report.steps_lost += step - last_saved
-            injector.restart()
-            trainer = trainer_factory()
-            load_training_state(trainer.model, trainer.optimizer, checkpoint_path)
-            del report.losses[last_saved:]
-            step = last_saved
-            continue
-    if last_saved != step:
-        # Final state for a run whose length is not a multiple of the
-        # interval — otherwise the tail steps would silently be lost to
-        # any later resume.
+
+    def save(trainer, step):
+        # The step-0 checkpoint is written before the job is exposed to
+        # faults, so it claims no save index: a ``torn_write``'s
+        # ``match`` counts from the first periodic save.
         save_training_state(
-            trainer.model, trainer.optimizer, checkpoint_path, injector=injector
+            trainer.model, trainer.optimizer, checkpoint_path,
+            injector=injector if step else None,
         )
-        report.checkpoint_saves += 1
-    return report
+
+    def recover(step, last_saved, failed):
+        report.resumed_from.append(last_saved)
+        injector.restart()
+        trainer = trainer_factory()
+        load_training_state(trainer.model, trainer.optimizer, checkpoint_path)
+        return last_saved, trainer
+
+    return _train_fault_tolerant(
+        trainer_factory(), batches, report, injector=injector,
+        checkpoint_interval=checkpoint_interval, budget="restarts",
+        max_budget=max_restarts, save=save, recover=recover,
+    )
