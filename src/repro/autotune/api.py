@@ -322,6 +322,9 @@ class AutotuneReport:
     #: overlap subsets share a pricing.
     num_pricings: int = 0
     elapsed_s: float = 0.0
+    #: Wall seconds of each search stage — ``enumerate``, ``rank``,
+    #: ``screen``, ``sweep`` — a subset of ``elapsed_s``.
+    stage_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def configs_per_second(self) -> float:
@@ -346,4 +349,5 @@ class AutotuneReport:
             "num_pricings": self.num_pricings,
             "elapsed_s": self.elapsed_s,
             "configs_per_second": self.configs_per_second,
+            "stage_s": dict(self.stage_s),
         }

@@ -28,6 +28,12 @@ varies overlap innermost — holding one grid's inputs and one price set
 at a time; nothing is memoized beyond the per-(grid, combo) results the
 report is built from.
 
+Observability: the four stages (``enumerate``, ``rank``, ``screen``,
+``sweep``) are timed into :attr:`AutotuneReport.stage_s`, and under an
+active tracer each is an ``autotune.<stage>`` span (``cat="autotune"``)
+with its candidates in and out; the sweep span also carries the run's
+``num_simulations`` and ``num_pricings``.
+
 Determinism: the whole pipeline is a pure function of the request and
 space — enumeration order, stable sorts, and strict-``<`` winner updates
 fix every tie-break, and the simulator's jitter is a seeded sha256
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
+from contextlib import contextmanager
 
 from ..core.grid import GridConfig, enumerate_grid_configs
 from ..perfmodel.configs import infeasibility_reason, rank_grids
@@ -50,6 +57,7 @@ from ..simulate.executor import (
     schedule_iteration,
     summarise_iteration,
 )
+from ..telemetry.spans import get_tracer
 from .api import (
     AutotuneReport,
     CandidateReport,
@@ -63,6 +71,25 @@ __all__ = ["autotune"]
 
 #: One knob setting: (overlap subset, kernel tuning, collective algo).
 Combo = tuple[OverlapFlags, bool, str | None]
+
+
+@contextmanager
+def _stage(stage_s: dict[str, float], name: str):
+    """Time one funnel stage into ``stage_s[name]`` (wall seconds).
+
+    Under an active tracer the stage is also an ``autotune.<name>`` span
+    (``cat="autotune"``) and the body fills its args through the yielded
+    dict; without one the body gets ``None`` and the only telemetry cost
+    is the :func:`get_tracer` read."""
+    tracer = get_tracer()
+    t0 = time.perf_counter()
+    if tracer is None:
+        yield None
+    else:
+        args: dict = {}
+        with tracer.span(f"autotune.{name}", cat="autotune", args=args):
+            yield args
+    stage_s[name] = time.perf_counter() - t0
 
 
 def autotune(
@@ -86,20 +113,26 @@ def autotune(
     machine = request.resolved_machine()
     batch = request.resolved_batch()
     db = request.resolved_db()
+    stage_s: dict[str, float] = {}
 
     # Stages 1-2: enumerate, one feasibility pass, analytic pruning
     # (Eqs. 1-7) of the grids that can run.
-    all_configs = enumerate_grid_configs(
-        request.num_gpus, max_gz=space.max_gz, max_gs=space.max_gs
-    )
-    runnable: list[GridConfig] = []
-    infeasible: list[tuple[GridConfig, str]] = []
-    for config in all_configs:
-        why = infeasibility_reason(cfg, config, batch, machine)
-        if why is None:
-            runnable.append(config)
-        else:
-            infeasible.append((config, why))
+    with _stage(stage_s, "enumerate") as span_args:
+        all_configs = enumerate_grid_configs(
+            request.num_gpus, max_gz=space.max_gz, max_gs=space.max_gs
+        )
+        runnable: list[GridConfig] = []
+        infeasible: list[tuple[GridConfig, str]] = []
+        for config in all_configs:
+            why = infeasibility_reason(cfg, config, batch, machine)
+            if why is None:
+                runnable.append(config)
+            else:
+                infeasible.append((config, why))
+        if span_args is not None:
+            span_args.update(
+                candidates_in=len(all_configs), candidates_out=len(runnable)
+            )
     if not runnable:
         raise NoFeasibleConfigError(
             f"no feasible configuration for {cfg.name} on "
@@ -107,7 +140,12 @@ def autotune(
             f"(batch {batch}; {len(infeasible)} candidates rejected)",
             reasons={str(c): why for c, why in infeasible},
         )
-    ranked = rank_grids(cfg, batch, runnable, machine, db)[: space.prune_k]
+    with _stage(stage_s, "rank") as span_args:
+        ranked = rank_grids(cfg, batch, runnable, machine, db)[: space.prune_k]
+        if span_args is not None:
+            span_args.update(
+                candidates_in=len(runnable), candidates_out=len(ranked)
+            )
 
     num_sims = num_pricings = 0
     sim_memo: dict[tuple, IterationResult] = {}
@@ -164,41 +202,56 @@ def autotune(
             yield combo, res
 
     # Stage 3: screen the analytic survivors by simulated time.
-    reference = [space.reference_combo(request)]
-    screened: list[tuple[int, float, GridConfig, float]] = []
-    for rank, cand in enumerate(ranked, start=1):
-        ((_, res),) = simulate(cand.config, reference)
-        screened.append((rank, res.total_time, cand.config, cand.predicted_time))
-    rank1_sim_time = screened[0][1]
-    # Stable sort on screened time; analytic rank breaks ties.
-    validate_k = space.resolved_validate_k(request)
-    survivors = sorted(screened, key=lambda s: (s[1], s[0]))[:validate_k]
+    with _stage(stage_s, "screen") as span_args:
+        reference = [space.reference_combo(request)]
+        screened: list[tuple[int, float, GridConfig, float]] = []
+        for rank, cand in enumerate(ranked, start=1):
+            ((_, res),) = simulate(cand.config, reference)
+            screened.append(
+                (rank, res.total_time, cand.config, cand.predicted_time)
+            )
+        rank1_sim_time = screened[0][1]
+        # Stable sort on screened time; analytic rank breaks ties.
+        validate_k = space.resolved_validate_k(request)
+        survivors = sorted(screened, key=lambda s: (s[1], s[0]))[:validate_k]
+        if span_args is not None:
+            span_args.update(
+                candidates_in=len(ranked), candidates_out=len(survivors)
+            )
 
     # Stage 4: full knob sweep over the screened survivors.
-    combos = space.combos()
-    candidates: list[CandidateReport] = []
-    best: tuple[float, CandidateReport, IterationResult] | None = None
-    for rank, screen_time, config, predicted in survivors:
-        cand_best: tuple[float, tuple, IterationResult] | None = None
-        for combo, res in simulate(config, combos):
-            if cand_best is None or res.total_time < cand_best[0]:
-                cand_best = (res.total_time, combo, res)
-        assert cand_best is not None
-        best_time, (b_ov, b_kt, b_algo), b_res = cand_best
-        report = CandidateReport(
-            config=config,
-            analytic_rank=rank,
-            predicted_comm_time=predicted,
-            screen_time=screen_time,
-            best_time=best_time,
-            best_overlap=b_ov,
-            best_kernel_tuning=b_kt,
-            best_collective_algo=b_algo,
-            algo_choices=dict(b_res.algo_choices),
-        )
-        candidates.append(report)
-        if best is None or best_time < best[0]:
-            best = (best_time, report, b_res)
+    with _stage(stage_s, "sweep") as span_args:
+        combos = space.combos()
+        candidates: list[CandidateReport] = []
+        best: tuple[float, CandidateReport, IterationResult] | None = None
+        for rank, screen_time, config, predicted in survivors:
+            cand_best: tuple[float, tuple, IterationResult] | None = None
+            for combo, res in simulate(config, combos):
+                if cand_best is None or res.total_time < cand_best[0]:
+                    cand_best = (res.total_time, combo, res)
+            assert cand_best is not None
+            best_time, (b_ov, b_kt, b_algo), b_res = cand_best
+            report = CandidateReport(
+                config=config,
+                analytic_rank=rank,
+                predicted_comm_time=predicted,
+                screen_time=screen_time,
+                best_time=best_time,
+                best_overlap=b_ov,
+                best_kernel_tuning=b_kt,
+                best_collective_algo=b_algo,
+                algo_choices=dict(b_res.algo_choices),
+            )
+            candidates.append(report)
+            if best is None or best_time < best[0]:
+                best = (best_time, report, b_res)
+        if span_args is not None:
+            # The run's totals: screening simulations and pricings
+            # included.
+            span_args.update(
+                candidates_in=len(survivors), candidates_out=1,
+                num_simulations=num_sims, num_pricings=num_pricings,
+            )
     assert best is not None
     _, win, win_res = best
     # The ranked report lists validated candidates best-first; equal
@@ -235,4 +288,5 @@ def autotune(
         num_simulations=num_sims,
         num_pricings=num_pricings,
         elapsed_s=time.perf_counter() - t0,
+        stage_s=stage_s,
     )

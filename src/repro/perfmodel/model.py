@@ -168,26 +168,37 @@ def _layers_comm_time(
 
     A GPT stack repeats a handful of shapes and a layer enters Eqs. 1-5
     through ``(m, k, n, transposed)`` only, so each distinct shape is
-    priced once; the breakdowns are still added per layer, in order, so
-    no float moves.
+    priced once; its six fields are still added per layer, in order,
+    into six float accumulators — the same adds ``CommBreakdown.__add__``
+    would do, without a breakdown per layer — so no float moves.
     """
-    priced: dict[tuple, CommBreakdown] = {}
-    total = CommBreakdown()
+    priced: dict[tuple, tuple[float, ...]] = {}
+    ag_z = rs_z = ar_y = ar_x = ar_data = ring_seq = 0.0
     for layer in layers:
         shape = (layer.m, layer.k, layer.n, layer.transposed)
-        bd = priced.get(shape)
-        if bd is None:
-            bd = priced[shape] = layer_comm_time(layer, config, betas, dtype_bytes)
-        total = total + bd
+        fields = priced.get(shape)
+        if fields is None:
+            bd = layer_comm_time(layer, config, betas, dtype_bytes)
+            fields = priced[shape] = (
+                bd.ag_z, bd.rs_z, bd.ar_y, bd.ar_x, bd.ar_data, bd.ring_seq
+            )
+        a, r, y, x, d, s = fields
+        ag_z += a
+        rs_z += r
+        ar_y += y
+        ar_x += x
+        ar_data += d
+        ring_seq += s
     if config.gs > 1:
         from .seq_parallel import ring_kv_payload_bytes, seq_ring_time
 
         payload = ring_kv_payload_bytes(cfg, config, per_group, dtype_bytes)
-        total = total + CommBreakdown(
-            ring_seq=cfg.num_layers
-            * seq_ring_time(payload, config.gs, betas["seq"])
+        # The other five fields would add 0.0: an accumulator that
+        # starts at +0.0 never holds -0.0, so that add is the identity.
+        ring_seq += cfg.num_layers * seq_ring_time(
+            payload, config.gs, betas["seq"]
         )
-    return total
+    return CommBreakdown(ag_z, rs_z, ar_y, ar_x, ar_data, ring_seq)
 
 
 def model_comm_time(

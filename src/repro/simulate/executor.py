@@ -121,7 +121,8 @@ class IterationResult:
     #: "hierarchical", "mixed" (auto chose per message size), or "n/a"
     #: (size-1 axis, nothing to communicate).
     algo_choices: dict[str, str] = field(default_factory=dict)
-    #: Positive-duration timeline events the iteration scheduled —
+    #: Timeline events the iteration scheduled with ``end > start`` (a
+    #: positive duration absorbed into a large clock does not count) —
     #: counted whether or not a trace recorded them (the unit of the
     #: benchmark suite's events/s throughput metric).
     num_events: int = 0
@@ -527,106 +528,144 @@ def schedule_iteration(
     groups proceed concurrently; collectives over the same group
     serialize).  The Z stream carries weight all-gathers and gradient
     reduce-scatters; the X/Y streams carry activation all-reduces.
-    Returns ``(end of the iteration, positive-duration events)``; each
-    event is also added to ``trace`` unless that is ``None``.
+    Returns ``(end of the iteration, events with end > start)``; each
+    such event is also added to ``trace`` unless that is ``None``.
+
+    The walk is plain float arithmetic on five local stream clocks.
+    ``x if x > y else y`` stands for ``max(y, x)`` and keeps its tie
+    rule (the first argument wins unless the second is strictly
+    greater).  An event counts when ``end > start``, which is not
+    ``duration > 0``: a tiny duration can vanish into a large clock.
     """
-    layers = prices.layers
+    oar, ors, oag = overlap.oar, overlap.ors, overlap.oag
     recompute = prices.activation_checkpointing
     seq_exp_fwd, seq_exp_bwd = prices.seq_exposed_fwd, prices.seq_exposed_bwd
-    comp_t = 0.0
-    comm = {"z": 0.0, "ar_fwd": 0.0, "ar_bwd": 0.0, "seq": 0.0}
+    traced = trace is not None
+    # The compute stream and the Z, forward-AR, backward-AR and
+    # sequence-ring communication streams.
+    comp = z = ar_f = ar_b = seq = 0.0
     num_events = 0
-
-    def emit(stream, name, start, end):
-        nonlocal num_events
-        if end > start:
-            num_events += 1
-            if trace is not None:
-                trace.add(stream, name, start, end)
 
     # Forward pass.  Size-1 groups cost nothing and must not act as
     # stream barriers, so zero-duration collectives are skipped.
-    for c in layers:
-        name = c.name
-        if c.ag_z > 0:
-            ag_start = comm["z"] if overlap.oag else max(comm["z"], comp_t)
-            comm["z"] = ag_start + c.ag_z
-            emit("comm.z", f"{name}.AG_z", ag_start, comm["z"])
-            comp_t = max(comp_t, comm["z"])
-        emit("compute", f"{name}.fwd", comp_t, comp_t + c.fwd)
-        comp_t += c.fwd
+    for name, fwd, _, _, ag_z, _, ar_fwd, _ in prices.layers:
+        if ag_z > 0:
+            start = comp if not oag and comp > z else z
+            z = start + ag_z
+            if z > start:
+                num_events += 1
+                if traced:
+                    trace.add("comm.z", f"{name}.AG_z", start, z)
+            if z > comp:
+                comp = z
+        end = comp + fwd
+        if end > comp:
+            num_events += 1
+            if traced:
+                trace.add("compute", f"{name}.fwd", comp, end)
+        comp = end
         if seq_exp_fwd > 0 and name.endswith(".qkv"):
             # Exposed part of the KV ring rotation (the hidden part ran
             # inside the attention share of the forward compute).
-            start = max(comp_t, comm["seq"])
+            start = seq if seq > comp else comp
             end = start + seq_exp_fwd
-            emit("comm.seq", f"{name}.ring_seq", start, end)
-            comp_t = comm["seq"] = end
-        if c.ar_fwd > 0:
+            if end > start:
+                num_events += 1
+                if traced:
+                    trace.add("comm.seq", f"{name}.ring_seq", start, end)
+            comp = seq = end
+        if ar_fwd > 0:
             # Forward all-reduce: blocking (the output is needed now).
-            start = max(comp_t, comm["ar_fwd"])
-            end = start + c.ar_fwd
-            emit("comm.ar_fwd", f"{name}.AR_fwd", start, end)
-            comp_t = comm["ar_fwd"] = end
+            start = ar_f if ar_f > comp else comp
+            end = start + ar_fwd
+            if end > start:
+                num_events += 1
+                if traced:
+                    trace.add("comm.ar_fwd", f"{name}.AR_fwd", start, end)
+            comp = ar_f = end
 
     # Backward pass (reverse layer order).
-    for c in reversed(layers):
-        name = c.name
+    for name, _, bwd, dw, ag_z, rs_z, _, ar_bwd in reversed(prices.layers):
         # Activation checkpointing re-gathers the layer's weights for the
         # recompute; with OAG these gathers prefetch on the Z stream.
-        if recompute and c.ag_z > 0:
-            ag_start = comm["z"] if overlap.oag else max(comm["z"], comp_t)
-            comm["z"] = ag_start + c.ag_z
-            emit("comm.z", f"{name}.AG_z(recompute)", ag_start, comm["z"])
-            comp_t = max(comp_t, comm["z"])
+        if recompute and ag_z > 0:
+            start = comp if not oag and comp > z else z
+            z = start + ag_z
+            if z > start:
+                num_events += 1
+                if traced:
+                    trace.add("comm.z", f"{name}.AG_z(recompute)", start, z)
+            if z > comp:
+                comp = z
         # Recompute + dI GEMM (+ attention backward), then AR over the
         # column axis.
-        dw_time = c.dw
-        pre_dw = c.bwd - dw_time
-        emit("compute", f"{name}.bwd", comp_t, comp_t + pre_dw)
-        comp_t += pre_dw
+        end = comp + (bwd - dw)
+        if end > comp:
+            num_events += 1
+            if traced:
+                trace.add("compute", f"{name}.bwd", comp, end)
+        comp = end
         if seq_exp_bwd > 0 and name.endswith(".qkv"):
-            start = max(comp_t, comm["seq"])
+            start = seq if seq > comp else comp
             end = start + seq_exp_bwd
-            emit("comm.seq", f"{name}.ring_seq(bwd)", start, end)
-            comp_t = comm["seq"] = end
-        if c.ar_bwd > 0:
-            if overlap.oar:
-                ar_start = max(comm["ar_bwd"], comp_t)
-                comm["ar_bwd"] = ar_start + c.ar_bwd
-                emit("comm.ar_bwd", f"{name}.AR_bwd", ar_start, comm["ar_bwd"])
-                emit("compute", f"{name}.dW", comp_t, comp_t + dw_time)
-                comp_t += dw_time
-                comp_t = max(comp_t, comm["ar_bwd"])  # wait after dW
-            else:
-                start = max(comm["ar_bwd"], comp_t)
-                end = start + c.ar_bwd
-                emit("comm.ar_bwd", f"{name}.AR_bwd", start, end)
-                comp_t = comm["ar_bwd"] = end
-                emit("compute", f"{name}.dW", comp_t, comp_t + dw_time)
-                comp_t += dw_time
-        else:
-            emit("compute", f"{name}.dW", comp_t, comp_t + dw_time)
-            comp_t += dw_time
-        if c.rs_z > 0:
-            if overlap.ors:
-                rs_start = max(comm["z"], comp_t)
-                comm["z"] = rs_start + c.rs_z  # async; waited at the end
-                emit("comm.z", f"{name}.RS_z", rs_start, comm["z"])
-            else:
-                start = max(comm["z"], comp_t)
-                end = start + c.rs_z
-                emit("comm.z", f"{name}.RS_z", start, end)
-                comp_t = comm["z"] = end
+            if end > start:
+                num_events += 1
+                if traced:
+                    trace.add("comm.seq", f"{name}.ring_seq(bwd)", start, end)
+            comp = seq = end
+        if ar_bwd > 0:
+            # Issued once the recompute + dI is done; OAR runs it beside
+            # the dW GEMM, otherwise dW waits for it.
+            start = comp if comp > ar_b else ar_b
+            ar_b = start + ar_bwd
+            if ar_b > start:
+                num_events += 1
+                if traced:
+                    trace.add("comm.ar_bwd", f"{name}.AR_bwd", start, ar_b)
+            if not oar:
+                comp = ar_b
+        end = comp + dw
+        if end > comp:
+            num_events += 1
+            if traced:
+                trace.add("compute", f"{name}.dW", comp, end)
+        comp = end
+        if oar and ar_bwd > 0 and ar_b > comp:
+            comp = ar_b  # wait after dW
+        if rs_z > 0:
+            start = comp if comp > z else z
+            end = start + rs_z
+            if end > start:
+                num_events += 1
+                if traced:
+                    trace.add("comm.z", f"{name}.RS_z", start, end)
+            z = end
+            if not ors:
+                comp = end  # blocking; with ORS it is waited on at the join
 
     # Join streams, then the data-parallel gradient all-reduce and the
     # (memory-bound) optimizer step.
-    t = max(comp_t, *comm.values())
+    t = comp
+    if z > t:
+        t = z
+    if ar_f > t:
+        t = ar_f
+    if ar_b > t:
+        t = ar_b
+    if seq > t:
+        t = seq
     dp_time, optimizer_time = prices.dp_time, prices.optimizer_time
-    if dp_time > 0:
-        emit("comm.data", "grad.AR_data", t, t + dp_time)
-    emit("compute", "optimizer.step", t + dp_time, t + dp_time + optimizer_time)
-    return t + dp_time + optimizer_time, num_events
+    start = t + dp_time
+    if dp_time > 0 and start > t:
+        num_events += 1
+        if traced:
+            trace.add("comm.data", "grad.AR_data", t, start)
+    end = start + optimizer_time
+    if end > start:
+        num_events += 1
+        if traced:
+            trace.add("compute", "optimizer.step", start, end)
+    return end, num_events
 
 
 def summarise_iteration(

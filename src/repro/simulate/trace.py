@@ -21,7 +21,9 @@ __all__ = ["TimelineEvent", "Timeline"]
 class TimelineEvent:
     """One interval on one stream of the simulated GPU."""
 
-    stream: str  # "compute" | "comm.z" | "comm.ar_fwd" | "comm.ar_bwd" | "comm.data"
+    #: "compute" | "comm.z" | "comm.ar_fwd" | "comm.ar_bwd" | "comm.seq"
+    #: | "comm.data"
+    stream: str
     name: str
     start: float
     end: float

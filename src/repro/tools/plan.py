@@ -21,8 +21,9 @@ With ``--optimize``: runs the end-to-end autotuner
 screened by simulation, the survivors sweep the full (overlap x kernel
 tuning x flat/hierarchical/auto) knob space, and the winning
 :class:`~repro.autotune.TunedJobConfig` is printed with the ranked
-evidence table.  ``--out`` writes ``BENCH_autotune.json`` (configs/s
-searched, wall-clock, winner).
+evidence table and the wall time of each search stage.  ``--out``
+writes ``BENCH_autotune.json`` (configs/s searched, wall-clock per run
+and per stage, winner).
 """
 
 from __future__ import annotations
@@ -214,6 +215,10 @@ def main(argv: list[str] | None = None) -> int:
         f"({report.num_pricings} pricings) in "
         f"{report.elapsed_s:.1f}s — {report.configs_per_second:.0f} configs/s"
     )
+    print(
+        "  stage wall time: "
+        + ", ".join(f"{k} {v:.3f}s" for k, v in report.stage_s.items())
+    )
     if args.out:
         from ..telemetry import write_bench_json
 
@@ -228,6 +233,10 @@ def main(argv: list[str] | None = None) -> int:
                 "autotune.num_pricings": report.num_pricings,
                 "autotune.elapsed_s": report.elapsed_s,
                 "autotune.configs_per_second": report.configs_per_second,
+                **{
+                    f"autotune.stage_s.{k}": v
+                    for k, v in report.stage_s.items()
+                },
             },
             meta={
                 "winner": win.to_json(),

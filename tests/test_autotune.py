@@ -7,6 +7,7 @@ agreement with the paper's hand-tuned weak-scaling shapes, the typed
 (``TypeError``), the facade exports, and the ``plan --optimize`` CLI.
 """
 
+import dataclasses
 import json
 import warnings
 
@@ -44,6 +45,7 @@ from repro.simulate import (
     simulate_iteration,
 )
 from repro.simulate.executor import OverlapFlags
+from repro.telemetry import Tracer, telemetry_scope
 
 from .test_sim_differential import FUZZED, GOLDEN_POINTS
 
@@ -157,7 +159,7 @@ def _reference_autotune(request, space):
 
 def _untimed(report):
     doc = report.to_json()
-    for key in ("elapsed_s", "configs_per_second", "num_pricings"):
+    for key in ("elapsed_s", "configs_per_second", "num_pricings", "stage_s"):
         del doc[key]
     return doc
 
@@ -241,9 +243,11 @@ class TestStagedSweepOracle:
 
     @pytest.mark.parametrize("include_head", [True, False])
     def test_model_comm_time_equals_per_layer_loop(self, include_head):
-        """Each distinct layer shape is priced once; every field of the
-        breakdown equals the per-layer loop's over the differential
-        corpus' grids and sequence-parallel ones."""
+        """Each distinct layer shape is priced once and its fields are
+        summed in six float accumulators; every field of the breakdown
+        equals the per-layer loop's, bit for bit (``float.hex``, so a
+        ``-0.0`` would show), over the differential corpus' grids and
+        sequence-parallel ones."""
         points = {
             (machine, GridConfig(*dims), model, batch)
             for machine, dims, _, _, model, batch, *_ in FUZZED
@@ -255,13 +259,59 @@ class TestStagedSweepOracle:
             (GOLDEN_POINTS[0][0], GridConfig(*dims), gpt, 64)
             for dims in [(2, 2, 2, 2, 2), (4, 1, 2, 1, 4), (1, 2, 1, 4, 8)]
         }
-        assert any(c.gs > 1 for _, c, _, _ in points)
+        assert len({c for _, c, _, _ in points if c.gs > 1}) >= 2
         for machine, config, model, batch in points:
-            assert model_comm_time(
-                model, batch, config, machine, include_head=include_head
-            ) == _reference_model_comm_time(
+            got = model_comm_time(
                 model, batch, config, machine, include_head=include_head
             )
+            ref = _reference_model_comm_time(
+                model, batch, config, machine, include_head=include_head
+            )
+            assert [f.hex() for f in dataclasses.astuple(got)] == [
+                f.hex() for f in dataclasses.astuple(ref)
+            ]
+
+
+#: The autotune funnel's stages, in order.
+STAGES = ("enumerate", "rank", "screen", "sweep")
+
+
+class TestStageTimers:
+    """The funnel's four stages are timed into ``stage_s`` and, under a
+    tracer, recorded as ``autotune.<stage>`` spans."""
+
+    def test_four_spans_per_call_with_report_counts(self):
+        request = PlanRequest("GPT-5B", 64, "perlmutter", 128)
+        tracer = Tracer()
+        with telemetry_scope(tracer):
+            reports = [autotune(request), autotune(request.replace(seed=1))]
+        spans = [s for s in tracer.spans if s.cat == "autotune"]
+        assert [s.name for s in spans] == [
+            f"autotune.{k}" for k in STAGES
+        ] * 2
+        for report, (enum, rank, screen, sweep) in zip(
+            reports, (spans[:4], spans[4:])
+        ):
+            assert enum.args == {"candidates_in": report.num_enumerated,
+                                 "candidates_out": report.num_feasible}
+            pruned = min(report.num_feasible, SearchSpace().prune_k)
+            assert rank.args == {"candidates_in": report.num_feasible,
+                                 "candidates_out": pruned}
+            assert screen.args == {"candidates_in": pruned,
+                                   "candidates_out": len(report.ranked)}
+            assert sweep.args == {
+                "candidates_in": len(report.ranked), "candidates_out": 1,
+                "num_simulations": report.num_simulations,
+                "num_pricings": report.num_pricings,
+            }
+            assert list(report.stage_s) == list(STAGES)
+            assert sum(report.stage_s.values()) <= report.elapsed_s
+            assert report.to_json()["stage_s"] == report.stage_s
+
+    def test_untraced_call_still_times_every_stage(self):
+        report = autotune(PlanRequest("GPT-5B", 64, "perlmutter", 128))
+        assert all(v > 0 for v in report.stage_s.values())
+        assert list(report.stage_s) == list(STAGES)
 
 
 class TestMaxGz:
@@ -534,6 +584,9 @@ class TestPlanOptimizeCLI:
         assert m["autotune.num_simulations"] > 0
         assert 0 < 4 * m["autotune.num_pricings"] <= m["autotune.num_simulations"]
         assert m["autotune.configs_per_second"] > 0
+        stages = [m[f"autotune.stage_s.{k}"] for k in STAGES]
+        assert 0 < sum(stages) <= m["autotune.elapsed_s"]
+        assert "stage wall time: enumerate" in out
 
     def test_optimize_deterministic_output(self, capsys):
         from repro.tools import plan
@@ -546,8 +599,11 @@ class TestPlanOptimizeCLI:
         _clear_all_caches()
         plan.main(argv)
         second = capsys.readouterr().out
-        # Identical modulo the wall-clock/rate line.
-        strip = lambda s: [l for l in s.splitlines() if "configs/s" not in l]
+        # Identical modulo the wall-clock/rate lines.
+        strip = lambda s: [
+            l for l in s.splitlines()
+            if "configs/s" not in l and "stage wall time" not in l
+        ]
         assert strip(first) == strip(second)
 
 
