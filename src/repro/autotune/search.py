@@ -25,13 +25,17 @@ assembled once, per (kernel mode, resolved collective algorithm) the
 iteration is priced once, and only the stream walk and the jitter run
 per overlap subset.  The reuse is loop order — ``SearchSpace.combos()``
 varies overlap innermost — holding one grid's inputs and one price set
-at a time; nothing is memoized beyond the per-(grid, combo) results the
-report is built from.
+at a time; beyond the per-(grid, combo) results the report is built
+from, one call memoizes only the replica's layer list per batch per
+data-parallel group (grids of equal ``G_data`` share it).
 
 Observability: the four stages (``enumerate``, ``rank``, ``screen``,
 ``sweep``) are timed into :attr:`AutotuneReport.stage_s`, and under an
 active tracer each is an ``autotune.<stage>`` span (``cat="autotune"``)
-with its candidates in and out; the sweep span also carries the run's
+with its candidates in and out.  The screen and sweep spans add the
+stage's ``inputs_assembled`` (grids whose job inputs it built) and
+``link_timings_measured`` (per-axis link timings the engine had not
+memoized yet); the sweep span also carries the run's
 ``num_simulations`` and ``num_pricings``.
 
 Determinism: the whole pipeline is a pure function of the request and
@@ -48,11 +52,13 @@ from contextlib import contextmanager
 
 from ..core.grid import GridConfig, enumerate_grid_configs
 from ..perfmodel.configs import infeasibility_reason, rank_grids
+from ..perfmodel.model import LayerShape, gpt_layer_shapes
+from ..simulate.engine import num_cached_timings
 from ..simulate.executor import (
     DEFAULT_NOISE,
     IterationResult,
     OverlapFlags,
-    job_inputs,
+    grid_inputs,
     price_iteration,
     schedule_iteration,
     summarise_iteration,
@@ -74,13 +80,16 @@ Combo = tuple[OverlapFlags, bool, str | None]
 
 
 @contextmanager
-def _stage(stage_s: dict[str, float], name: str):
+def _stage(stage_s: dict[str, float], name: str, inputs_built=None):
     """Time one funnel stage into ``stage_s[name]`` (wall seconds).
 
     Under an active tracer the stage is also an ``autotune.<name>`` span
     (``cat="autotune"``) and the body fills its args through the yielded
     dict; without one the body gets ``None`` and the only telemetry cost
-    is the :func:`get_tracer` read."""
+    is the :func:`get_tracer` read.  A stage that assembles job inputs
+    passes ``inputs_built``, a callable returning the running count of
+    them, and its span also records how many it built and how many link
+    timings the engine measured meanwhile."""
     tracer = get_tracer()
     t0 = time.perf_counter()
     if tracer is None:
@@ -88,7 +97,15 @@ def _stage(stage_s: dict[str, float], name: str):
     else:
         args: dict = {}
         with tracer.span(f"autotune.{name}", cat="autotune", args=args):
-            yield args
+            if inputs_built is None:
+                yield args
+            else:
+                built, links = inputs_built(), num_cached_timings()
+                yield args
+                args.update(
+                    inputs_assembled=inputs_built() - built,
+                    link_timings_measured=num_cached_timings() - links,
+                )
     stage_s[name] = time.perf_counter() - t0
 
 
@@ -147,8 +164,10 @@ def autotune(
                 candidates_in=len(runnable), candidates_out=len(ranked)
             )
 
-    num_sims = num_pricings = 0
+    num_sims = num_pricings = num_inputs = 0
     sim_memo: dict[tuple, IterationResult] = {}
+    # The replica's FC layers per batch per data-parallel group.
+    layers_of: dict[int, list[LayerShape]] = {}
 
     def simulate(
         config: GridConfig, combos: list[Combo]
@@ -164,7 +183,7 @@ def autotune(
         between consecutive combos, and each overlap subset costs one
         stream walk and one summary.
         """
-        nonlocal num_sims, num_pricings
+        nonlocal num_sims, num_pricings, num_inputs
         inputs = held = prices = None
         for combo in combos:
             key = (config.full_dims, *combo)
@@ -174,8 +193,15 @@ def autotune(
                 if algo is None:
                     algo = config.collective_algo
                 if inputs is None:
-                    inputs = job_inputs(
-                        cfg, batch, config, machine,
+                    num_inputs += 1
+                    per_group = batch // config.gdata
+                    layers = layers_of.get(per_group)
+                    if layers is None:
+                        layers = layers_of[per_group] = gpt_layer_shapes(
+                            cfg, per_group
+                        )
+                    inputs = grid_inputs(
+                        layers, config, machine,
                         placement_strategy="block",
                         hierarchical=any(
                             (a or config.collective_algo) != "flat"
@@ -202,7 +228,10 @@ def autotune(
             yield combo, res
 
     # Stage 3: screen the analytic survivors by simulated time.
-    with _stage(stage_s, "screen") as span_args:
+    def inputs_built() -> int:
+        return num_inputs
+
+    with _stage(stage_s, "screen", inputs_built) as span_args:
         reference = [space.reference_combo(request)]
         screened: list[tuple[int, float, GridConfig, float]] = []
         for rank, cand in enumerate(ranked, start=1):
@@ -220,7 +249,7 @@ def autotune(
             )
 
     # Stage 4: full knob sweep over the screened survivors.
-    with _stage(stage_s, "sweep") as span_args:
+    with _stage(stage_s, "sweep", inputs_built) as span_args:
         combos = space.combos()
         candidates: list[CandidateReport] = []
         best: tuple[float, CandidateReport, IterationResult] | None = None

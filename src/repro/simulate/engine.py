@@ -22,9 +22,13 @@ same operands in the same dtype.  The differential harness
 x size x algorithm) points and asserts exactly that.
 
 :func:`group_timings` and :func:`hierarchical_group_timings` memoize per
-(grid, placement) across calls (cleared via :func:`clear_caches`), so
-sweeps that revisit a configuration (run-to-run variability studies,
-top-k re-simulation, goodput reports) price the network once.
+axis signature -- (placement, axis size, axis stride) -- across calls
+(cleared via :func:`clear_caches`).  Distinct grids share most of their
+axes (a (4, 2, 8, 16) and a (4, 2, 16, 8) grid on the same placement
+share X and Y), so a sweep over thousands of grids measures each
+distinct sibling-group layout once, and sweeps that revisit a
+configuration (run-to-run variability studies, top-k re-simulation,
+goodput reports) price the network once.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
     "vectorized_hierarchical_group_timing",
     "group_timings",
     "hierarchical_group_timings",
+    "num_cached_timings",
     "clear_caches",
 ]
 
@@ -322,22 +327,31 @@ def vectorized_hierarchical_group_timing(
 
 # --- cross-call memoization -----------------------------------------------
 
-_GROUP_TIMINGS_CACHE: dict[tuple, dict[str, LinkTiming]] = {}
-_HIER_TIMINGS_CACHE: dict[tuple, dict[str, HierTiming | None]] = {}
+_GROUP_TIMINGS_CACHE: dict[tuple, LinkTiming] = {}
+_HIER_TIMINGS_CACHE: dict[tuple, HierTiming | None] = {}
+_MISS = object()
 
 
 def _all_axes(cache: dict, per_axis, grid: Grid4D, placement: Placement) -> dict:
-    """``per_axis(grid, placement, axis)`` for the five axes, memoized."""
-    # Placement is a frozen dataclass over a frozen MachineSpec; grid
-    # geometry is fully captured by its five axis degrees.  Both timing
-    # families are pure functions of this pair.
-    key = (placement, grid.config.full_dims)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = {
-            axis: per_axis(grid, placement, axis) for axis in AXES5
-        }
-    return hit
+    """``per_axis(grid, placement, axis)`` for the five axes, each
+    memoized per axis signature ``(placement, size, stride)``."""
+    # Ranks are laid out (gs, gd, gz, gy, gx), x innermost, so an axis's
+    # sibling groups are {r + j * stride : j < size} for every rank r
+    # with coordinate 0 on the axis: fixed by the size, the stride (the
+    # product of the inner axis sizes) and the rank count, which the
+    # placement carries.  Placement is a frozen dataclass over a frozen
+    # MachineSpec, and both timing families are pure functions of these
+    # groups.  A cached ``None`` (flat only) is a hit like any other.
+    timings = {}
+    stride = 1
+    for axis, size in zip(AXES5, grid.config.full_dims):
+        key = (placement, size, stride)
+        hit = cache.get(key, _MISS)
+        if hit is _MISS:
+            hit = cache[key] = per_axis(grid, placement, axis)
+        timings[axis] = hit
+        stride *= size
+    return timings
 
 
 def group_timings(
@@ -360,10 +374,16 @@ def hierarchical_group_timings(
     )
 
 
+def num_cached_timings() -> int:
+    """How many per-axis link timings (flat plus two-level) are memoized."""
+    return len(_GROUP_TIMINGS_CACHE) + len(_HIER_TIMINGS_CACHE)
+
+
 def clear_caches() -> None:
     """Drop every engine memo table (timings here, tuned GEMM shapes in
     :mod:`repro.kernels.tuner`, algorithm choices in
-    :mod:`repro.perfmodel.hierarchical`)."""
+    :mod:`repro.perfmodel.hierarchical`).  The timings here are memoized
+    per axis signature ``(placement, size, stride)``, not per grid."""
     _GROUP_TIMINGS_CACHE.clear()
     _HIER_TIMINGS_CACHE.clear()
     from ..kernels.tuner import clear_tuner_cache

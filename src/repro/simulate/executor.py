@@ -47,7 +47,7 @@ from typing import NamedTuple
 from ..cluster import MachineSpec, Placement
 from ..config import GPTConfig
 from ..core.grid import AXES5, Grid4D, GridConfig
-from ..kernels import GemmModel, MatmulOp, TunedPlan, tune_matmuls_cached
+from ..kernels import GemmModel, MatmulOp, tune_matmuls_cached
 from ..perfmodel.model import LayerShape, gpt_layer_shapes
 from ..perfmodel.hierarchical import hierarchical_time
 from ..perfmodel.ring import (
@@ -68,8 +68,10 @@ __all__ = [
     "LayerPrice",
     "IterationPrices",
     "JobInputs",
+    "ShapePlan",
     "local_matmul_ops",
     "job_inputs",
+    "grid_inputs",
     "price_iteration",
     "schedule_iteration",
     "summarise_iteration",
@@ -189,17 +191,39 @@ class IterationPrices:
     axis_picks: dict[str, frozenset[str]]
 
 
+#: Local ``(fwd, dI, dW)`` GEMM seconds of one FC-layer shape.
+GemmTimes = tuple[float, float, float]
+
+
+class ShapePlan(NamedTuple):
+    """A replica's tuned GEMM plan, per distinct FC-layer shape.
+
+    What :func:`price_iteration` reads of the per-op
+    :class:`~repro.kernels.TunedPlan` of the replica's
+    :func:`local_matmul_ops`: every layer of one shape runs the same
+    three local GEMMs, and a GPT stack has a handful of shapes.
+    """
+
+    #: ``(m, k, n, transposed)`` -> ``(default, tuned)`` local GEMM
+    #: times.
+    times: dict[tuple[int, int, int, bool], tuple[GemmTimes, GemmTimes]]
+    #: ``TunedPlan.speedup`` of the per-op plan, bitwise.
+    speedup: float
+
+
 class JobInputs(NamedTuple):
-    """The inputs of :func:`price_iteration` that no tuning knob moves.
+    """The knob-free inputs of :func:`price_iteration`, GEMMs per shape.
 
     What pricing reads of a (job, grid, placement), in that function's
     argument order — ``price_iteration(cfg, global_batch, config,
     machine, *inputs, algo, ...)`` — so one value serves every (kernel
     mode, collective algorithm, overlap) combination tried on the grid.
+    ``plan`` is a :class:`ShapePlan`, not the per-op
+    :class:`~repro.kernels.TunedPlan`.
     """
 
     layers: list[LayerShape]
-    plan: TunedPlan
+    plan: ShapePlan
     timings: dict[str, LinkTiming]
     #: Empty when the caller prices ``"flat"`` only.
     hier_timings: dict[str, HierTiming | None]
@@ -354,17 +378,52 @@ def job_inputs(
 ) -> JobInputs:
     """Stage 0: assemble one grid's :class:`JobInputs`.
 
-    The replica's FC layers, their tuned GEMM plan and the measured
-    per-axis links of ``config`` placed on ``machine``.
-    ``hierarchical`` says whether any pricing of these inputs will use a
-    non-flat ``algo``; the two-level timings are measured only then
-    (``"flat"`` pricing never reads them)."""
+    :func:`grid_inputs` over the replica's FC layers,
+    ``gpt_layer_shapes(cfg, global_batch // config.gdata)``."""
+    return grid_inputs(
+        gpt_layer_shapes(cfg, global_batch // config.gdata),
+        config, machine, placement_strategy, hierarchical,
+    )
+
+
+def grid_inputs(
+    layers: list[LayerShape],
+    config: GridConfig,
+    machine: MachineSpec,
+    placement_strategy: str,
+    hierarchical: bool,
+) -> JobInputs:
+    """Stage 0 over a given layer list: the :class:`JobInputs` of
+    ``config`` placed on ``machine``.
+
+    The layers' tuned GEMM times per distinct shape and the measured
+    per-axis links.  ``hierarchical`` says whether any pricing of these
+    inputs will use a non-flat ``algo``; the two-level timings are
+    measured only then (``"flat"`` pricing never reads them).  A caller
+    that assembles many grids of one replica builds ``layers`` once."""
     placement = Placement(machine, config.total, strategy=placement_strategy)
     grid = Grid4D(config, placement=placement)
-    layers = gpt_layer_shapes(cfg, global_batch // config.gdata)
+    gemm = GemmModel(machine)
+    times: dict[tuple, tuple[GemmTimes, GemmTimes]] = {}
+    # TunedPlan.speedup's two sums: left to right over every layer's
+    # fwd, dI, dW, from sum()'s start of 0.
+    total_default = total_tuned = 0
+    for layer in layers:
+        key = (layer.m, layer.k, layer.n, layer.transposed)
+        t = times.get(key)
+        if t is None:
+            plan = tune_matmuls_cached(local_matmul_ops([layer], config), gemm)
+            t = times[key] = (
+                tuple(plan.default_times.values()),
+                tuple(plan.tuned_times.values()),
+            )
+        (d_fwd, d_di, d_dw), (t_fwd, t_di, t_dw) = t
+        total_default = total_default + d_fwd + d_di + d_dw
+        total_tuned = total_tuned + t_fwd + t_di + t_dw
+    speedup = 1.0 if total_tuned == 0 else total_default / total_tuned
     return JobInputs(
         layers,
-        tune_matmuls_cached(local_matmul_ops(layers, config), GemmModel(machine)),
+        ShapePlan(times, speedup),
         group_timings(grid, placement),
         hierarchical_group_timings(grid, placement) if hierarchical else {},
     )
@@ -376,7 +435,7 @@ def price_iteration(
     config: GridConfig,
     machine: MachineSpec,
     layers: list[LayerShape],
-    plan: TunedPlan,
+    plan: ShapePlan,
     timings: dict[str, LinkTiming],
     hier_timings: dict[str, HierTiming | None],
     algo: str,
@@ -389,7 +448,8 @@ def price_iteration(
 
     ``layers`` are the replica's FC layers
     (``gpt_layer_shapes(cfg, global_batch // config.gdata)``), ``plan``
-    the tuned GEMM plan of their :func:`local_matmul_ops`, and
+    the tuned GEMM plan of their :func:`local_matmul_ops` per distinct
+    layer shape, and
     ``timings`` / ``hier_timings`` the per-axis link measurements
     (``hier_timings`` may be empty under ``algo="flat"``).  Each
     ``(collective, bytes, axis)`` and each repeated layer shape is
@@ -411,7 +471,8 @@ def price_iteration(
         )
     gemm = GemmModel(machine)
     batch_per_group = global_batch // config.gdata
-    times = plan.tuned_times if kernel_tuning else plan.default_times
+    gemm_times = plan.times
+    tuned = 1 if kernel_tuning else 0
 
     memo: dict[tuple, float] = {}
     picks: dict[str, set[str]] = {}
@@ -469,17 +530,18 @@ def price_iteration(
         name = layer.name
         # The attention core runs after the QKV projection of each block.
         qkv = name.endswith(".qkv")
-        fc = times[f"{name}.fwd"] * compute_slowdown + elementwise
+        # The layer only enters its GEMMs and collectives through this key.
+        shape_key = (layer.m, layer.k, layer.n, layer.transposed)
+        t_fwd, t_di, t_dw = gemm_times[shape_key][tuned]
+        fc = t_fwd * compute_slowdown + elementwise
         if qkv:
             fc += attn_fwd
         recompute = fc if activation_checkpointing else 0.0
-        dw = times[f"{name}.dW"] * compute_slowdown
-        bc = recompute + times[f"{name}.dI"] * compute_slowdown + dw
+        dw = t_dw * compute_slowdown
+        bc = recompute + t_di * compute_slowdown + dw
         bc += elementwise
         if qkv:
             bc += 2.0 * attn_fwd  # attention backward ~ 2x forward
-        # The layer only enters its collectives through this key.
-        shape_key = (layer.m, layer.k, layer.n, layer.transposed)
         c = shape_colls.get(shape_key)
         if c is None:
             c = shape_colls[shape_key] = _layer_collectives(

@@ -8,6 +8,7 @@ agreement with the paper's hand-tuned weak-scaling shapes, the typed
 """
 
 import dataclasses
+import importlib
 import json
 import warnings
 
@@ -44,6 +45,7 @@ from repro.simulate import (
     run_point,
     simulate_iteration,
 )
+from repro.simulate.engine import num_cached_timings
 from repro.simulate.executor import OverlapFlags
 from repro.telemetry import Tracer, telemetry_scope
 
@@ -283,8 +285,11 @@ class TestStageTimers:
     def test_four_spans_per_call_with_report_counts(self):
         request = PlanRequest("GPT-5B", 64, "perlmutter", 128)
         tracer = Tracer()
+        clear_caches()
         with telemetry_scope(tracer):
-            reports = [autotune(request), autotune(request.replace(seed=1))]
+            reports = [autotune(request)]
+            measured = num_cached_timings()
+            reports.append(autotune(request.replace(seed=1)))
         spans = [s for s in tracer.spans if s.cat == "autotune"]
         assert [s.name for s in spans] == [
             f"autotune.{k}" for k in STAGES
@@ -297,18 +302,32 @@ class TestStageTimers:
             pruned = min(report.num_feasible, SearchSpace().prune_k)
             assert rank.args == {"candidates_in": report.num_feasible,
                                  "candidates_out": pruned}
+            # Every screened grid and every survivor assembles its job
+            # inputs once; the link timings are measured by the first
+            # call's stages and all read back by the second's.
+            links = (screen.args.pop("link_timings_measured"),
+                     sweep.args.pop("link_timings_measured"))
+            if report is reports[0]:
+                assert links[0] > 0 and sum(links) == measured
+            else:
+                assert links == (0, 0)
             assert screen.args == {"candidates_in": pruned,
-                                   "candidates_out": len(report.ranked)}
+                                   "candidates_out": len(report.ranked),
+                                   "inputs_assembled": pruned}
             assert sweep.args == {
                 "candidates_in": len(report.ranked), "candidates_out": 1,
                 "num_simulations": report.num_simulations,
                 "num_pricings": report.num_pricings,
+                "inputs_assembled": len(report.ranked),
             }
             assert list(report.stage_s) == list(STAGES)
             assert sum(report.stage_s.values()) <= report.elapsed_s
             assert report.to_json()["stage_s"] == report.stage_s
 
-    def test_untraced_call_still_times_every_stage(self):
+    def test_untraced_call_still_times_every_stage(self, monkeypatch):
+        # Without a tracer the memo hit rates are not even read.
+        search = importlib.import_module("repro.autotune.search")
+        monkeypatch.setattr(search, "num_cached_timings", lambda: 1 / 0)
         report = autotune(PlanRequest("GPT-5B", 64, "perlmutter", 128))
         assert all(v > 0 for v in report.stage_s.values())
         assert list(report.stage_s) == list(STAGES)

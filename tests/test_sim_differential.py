@@ -171,9 +171,25 @@ def _prices(model, batch, config, machine, *, oracle, kernel_tuning=False,
     layers = gpt_layer_shapes(model, batch // config.gdata)
     plan = tune(local_matmul_ops(layers, config), GemmModel(machine))
     return price_iteration(
-        model, batch, config, machine, layers, plan, timings,
-        hier if algo != "flat" else {}, algo, kernel_tuning, True, 1.0, 1.0,
+        model, batch, config, machine, layers, _shape_plan(layers, plan),
+        timings, hier if algo != "flat" else {}, algo, kernel_tuning, True,
+        1.0, 1.0,
     )
+
+
+def _shape_plan(layers, plan):
+    """The per-op ``TunedPlan`` as the per-shape table stage 1 reads;
+    every op of one layer shape must carry the same times."""
+    times = {}
+    for layer in layers:
+        key = (layer.m, layer.k, layer.n, layer.transposed)
+        names = [f"{layer.name}.{op}" for op in ("fwd", "dI", "dW")]
+        entry = (
+            tuple(plan.default_times[n] for n in names),
+            tuple(plan.tuned_times[n] for n in names),
+        )
+        assert times.setdefault(key, entry) == entry
+    return executor.ShapePlan(times, plan.speedup)
 
 
 def _oracle_iteration(model, batch, config, machine, *, overlap=OverlapFlags.none(),
@@ -365,6 +381,41 @@ class TestEngineValidation:
         assert not vec_engine._GROUP_TIMINGS_CACHE
         after = vec_engine.group_timings(grid, placement)
         assert before == after
+
+
+class TestShapePlanSpeedup:
+    """Stage 0's per-shape speedup is the per-op plan's, bitwise."""
+
+    @pytest.mark.parametrize("machine,dims,batch", [
+        (FRONTIER, (2, 2, 2, 1, 2), 4),  # a sequence-parallel grid
+        (PERLMUTTER, (4, 2, 1, 2), 8),
+    ], ids=["gs2", "gs1"])
+    def test_speedup_hex_matches_tuned_plan(self, machine, dims, batch):
+        config = GridConfig(*dims)
+        layers = gpt_layer_shapes(SMALL, batch // config.gdata)
+        plan = tune_matmuls(local_matmul_ops(layers, config), GemmModel(machine))
+        inputs = executor.job_inputs(SMALL, batch, config, machine, "block", False)
+        assert inputs.plan.speedup.hex() == plan.speedup.hex()
+        assert inputs.plan == _shape_plan(layers, plan)
+
+    def test_zero_tuned_total_reads_one(self, monkeypatch):
+        # Every GEMM prices to 0 s on a machine of its own (the tuner's
+        # shape memo is per machine).
+        zero = MachineSpec(
+            name="zero-gemm",
+            gpu=GPUSpec("toy", 1e15, 5e14, 4e10),
+            gpus_per_node=4,
+            intra_node_bw=1e11,
+            inter_node_bw=1e11,
+            total_gpus=64,
+        )
+        monkeypatch.setattr(GemmModel, "time", lambda self, m, k, n, mode="NN": 0.0)
+        config = GridConfig(2, 2, 2, 1)
+        layers = gpt_layer_shapes(TINY, 4)
+        plan = tune_matmuls(local_matmul_ops(layers, config), GemmModel(zero))
+        assert plan.total_tuned == 0
+        inputs = executor.job_inputs(TINY, 4, config, zero, "block", False)
+        assert inputs.plan.speedup.hex() == plan.speedup.hex() == (1.0).hex()
 
 
 class TestPriceStage:
