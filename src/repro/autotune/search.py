@@ -25,9 +25,8 @@ assembled once, per (kernel mode, resolved collective algorithm) the
 iteration is priced once, and only the stream walk and the jitter run
 per overlap subset.  The reuse is loop order — ``SearchSpace.combos()``
 varies overlap innermost — holding one grid's inputs and one price set
-at a time; beyond the per-(grid, combo) results the report is built
-from, one call memoizes only the replica's layer list per batch per
-data-parallel group (grids of equal ``G_data`` share it).
+at a time; nothing is memoized beyond the per-(grid, combo) results the
+report is built from.
 
 Observability: the four stages (``enumerate``, ``rank``, ``screen``,
 ``sweep``) are timed into :attr:`AutotuneReport.stage_s`, and under an
@@ -52,13 +51,12 @@ from contextlib import contextmanager
 
 from ..core.grid import GridConfig, enumerate_grid_configs
 from ..perfmodel.configs import infeasibility_reason, rank_grids
-from ..perfmodel.model import LayerShape, gpt_layer_shapes
 from ..simulate.engine import num_cached_timings
 from ..simulate.executor import (
     DEFAULT_NOISE,
     IterationResult,
     OverlapFlags,
-    grid_inputs,
+    job_inputs,
     price_iteration,
     schedule_iteration,
     summarise_iteration,
@@ -80,16 +78,13 @@ Combo = tuple[OverlapFlags, bool, str | None]
 
 
 @contextmanager
-def _stage(stage_s: dict[str, float], name: str, inputs_built=None):
+def _stage(stage_s: dict[str, float], name: str):
     """Time one funnel stage into ``stage_s[name]`` (wall seconds).
 
     Under an active tracer the stage is also an ``autotune.<name>`` span
     (``cat="autotune"``) and the body fills its args through the yielded
     dict; without one the body gets ``None`` and the only telemetry cost
-    is the :func:`get_tracer` read.  A stage that assembles job inputs
-    passes ``inputs_built``, a callable returning the running count of
-    them, and its span also records how many it built and how many link
-    timings the engine measured meanwhile."""
+    is the :func:`get_tracer` read."""
     tracer = get_tracer()
     t0 = time.perf_counter()
     if tracer is None:
@@ -97,15 +92,7 @@ def _stage(stage_s: dict[str, float], name: str, inputs_built=None):
     else:
         args: dict = {}
         with tracer.span(f"autotune.{name}", cat="autotune", args=args):
-            if inputs_built is None:
-                yield args
-            else:
-                built, links = inputs_built(), num_cached_timings()
-                yield args
-                args.update(
-                    inputs_assembled=inputs_built() - built,
-                    link_timings_measured=num_cached_timings() - links,
-                )
+            yield args
     stage_s[name] = time.perf_counter() - t0
 
 
@@ -166,8 +153,6 @@ def autotune(
 
     num_sims = num_pricings = num_inputs = 0
     sim_memo: dict[tuple, IterationResult] = {}
-    # The replica's FC layers per batch per data-parallel group.
-    layers_of: dict[int, list[LayerShape]] = {}
 
     def simulate(
         config: GridConfig, combos: list[Combo]
@@ -194,14 +179,8 @@ def autotune(
                     algo = config.collective_algo
                 if inputs is None:
                     num_inputs += 1
-                    per_group = batch // config.gdata
-                    layers = layers_of.get(per_group)
-                    if layers is None:
-                        layers = layers_of[per_group] = gpt_layer_shapes(
-                            cfg, per_group
-                        )
-                    inputs = grid_inputs(
-                        layers, config, machine,
+                    inputs = job_inputs(
+                        cfg, batch, config, machine,
                         placement_strategy="block",
                         hierarchical=any(
                             (a or config.collective_algo) != "flat"
@@ -228,10 +207,9 @@ def autotune(
             yield combo, res
 
     # Stage 3: screen the analytic survivors by simulated time.
-    def inputs_built() -> int:
-        return num_inputs
-
-    with _stage(stage_s, "screen", inputs_built) as span_args:
+    with _stage(stage_s, "screen") as span_args:
+        if span_args is not None:
+            inputs0, links0 = num_inputs, num_cached_timings()
         reference = [space.reference_combo(request)]
         screened: list[tuple[int, float, GridConfig, float]] = []
         for rank, cand in enumerate(ranked, start=1):
@@ -245,11 +223,15 @@ def autotune(
         survivors = sorted(screened, key=lambda s: (s[1], s[0]))[:validate_k]
         if span_args is not None:
             span_args.update(
-                candidates_in=len(ranked), candidates_out=len(survivors)
+                candidates_in=len(ranked), candidates_out=len(survivors),
+                inputs_assembled=num_inputs - inputs0,
+                link_timings_measured=num_cached_timings() - links0,
             )
 
     # Stage 4: full knob sweep over the screened survivors.
-    with _stage(stage_s, "sweep", inputs_built) as span_args:
+    with _stage(stage_s, "sweep") as span_args:
+        if span_args is not None:
+            inputs0, links0 = num_inputs, num_cached_timings()
         combos = space.combos()
         candidates: list[CandidateReport] = []
         best: tuple[float, CandidateReport, IterationResult] | None = None
@@ -279,6 +261,8 @@ def autotune(
             # included.
             span_args.update(
                 candidates_in=len(survivors), candidates_out=1,
+                inputs_assembled=num_inputs - inputs0,
+                link_timings_measured=num_cached_timings() - links0,
                 num_simulations=num_sims, num_pricings=num_pricings,
             )
     assert best is not None

@@ -71,7 +71,6 @@ __all__ = [
     "ShapePlan",
     "local_matmul_ops",
     "job_inputs",
-    "grid_inputs",
     "price_iteration",
     "schedule_iteration",
     "summarise_iteration",
@@ -378,36 +377,17 @@ def job_inputs(
 ) -> JobInputs:
     """Stage 0: assemble one grid's :class:`JobInputs`.
 
-    :func:`grid_inputs` over the replica's FC layers,
-    ``gpt_layer_shapes(cfg, global_batch // config.gdata)``."""
-    return grid_inputs(
-        gpt_layer_shapes(cfg, global_batch // config.gdata),
-        config, machine, placement_strategy, hierarchical,
-    )
-
-
-def grid_inputs(
-    layers: list[LayerShape],
-    config: GridConfig,
-    machine: MachineSpec,
-    placement_strategy: str,
-    hierarchical: bool,
-) -> JobInputs:
-    """Stage 0 over a given layer list: the :class:`JobInputs` of
-    ``config`` placed on ``machine``.
-
-    The layers' tuned GEMM times per distinct shape and the measured
-    per-axis links.  ``hierarchical`` says whether any pricing of these
+    The replica's FC layers, their tuned GEMM times per distinct layer
+    shape and the measured per-axis links of ``config`` placed on
+    ``machine``.  ``hierarchical`` says whether any pricing of these
     inputs will use a non-flat ``algo``; the two-level timings are
-    measured only then (``"flat"`` pricing never reads them).  A caller
-    that assembles many grids of one replica builds ``layers`` once."""
+    measured only then (``"flat"`` pricing never reads them)."""
     placement = Placement(machine, config.total, strategy=placement_strategy)
     grid = Grid4D(config, placement=placement)
+    layers = gpt_layer_shapes(cfg, global_batch // config.gdata)
     gemm = GemmModel(machine)
     times: dict[tuple, tuple[GemmTimes, GemmTimes]] = {}
-    # TunedPlan.speedup's two sums: left to right over every layer's
-    # fwd, dI, dW, from sum()'s start of 0.
-    total_default = total_tuned = 0
+    per_layer: list[tuple[GemmTimes, GemmTimes]] = []
     for layer in layers:
         key = (layer.m, layer.k, layer.n, layer.transposed)
         t = times.get(key)
@@ -417,9 +397,12 @@ def grid_inputs(
                 tuple(plan.default_times.values()),
                 tuple(plan.tuned_times.values()),
             )
-        (d_fwd, d_di, d_dw), (t_fwd, t_di, t_dw) = t
-        total_default = total_default + d_fwd + d_di + d_dw
-        total_tuned = total_tuned + t_fwd + t_di + t_dw
+        per_layer.append(t)
+    # TunedPlan.speedup's two sums: sum() itself over the same fwd, dI,
+    # dW sequence, so the result is bitwise on every Python (3.12's
+    # float sum() is compensated, not left to right).
+    total_default = sum(v for default, _ in per_layer for v in default)
+    total_tuned = sum(v for _, tuned in per_layer for v in tuned)
     speedup = 1.0 if total_tuned == 0 else total_default / total_tuned
     return JobInputs(
         layers,

@@ -41,7 +41,7 @@ from repro.cluster import (
     MachineSpec,
     Placement,
 )
-from repro.config import GPTConfig
+from repro.config import GPTConfig, get_model
 from repro.core import Grid4D, GridConfig
 from repro.core.grid import AXES5
 from repro.kernels import GemmModel, tune_matmuls, tune_matmuls_cached
@@ -386,17 +386,45 @@ class TestEngineValidation:
 class TestShapePlanSpeedup:
     """Stage 0's per-shape speedup is the per-op plan's, bitwise."""
 
-    @pytest.mark.parametrize("machine,dims,batch", [
-        (FRONTIER, (2, 2, 2, 1, 2), 4),  # a sequence-parallel grid
-        (PERLMUTTER, (4, 2, 1, 2), 8),
-    ], ids=["gs2", "gs1"])
-    def test_speedup_hex_matches_tuned_plan(self, machine, dims, batch):
+    @pytest.mark.parametrize("model,machine,dims,batch", [
+        (SMALL, FRONTIER, (2, 2, 2, 1, 2), 4),  # a sequence-parallel grid
+        (SMALL, PERLMUTTER, (4, 2, 1, 2), 8),
+        # ~500 summed GEMM times: where a compensated sum() and a plain
+        # left-to-right one part ways.
+        (get_model("GPT-80B"), FRONTIER, (8, 4, 8, 32), 8192),
+    ], ids=["gs2", "gs1", "gpt80b"])
+    def test_speedup_hex_matches_tuned_plan(self, model, machine, dims, batch):
         config = GridConfig(*dims)
-        layers = gpt_layer_shapes(SMALL, batch // config.gdata)
+        layers = gpt_layer_shapes(model, batch // config.gdata)
         plan = tune_matmuls(local_matmul_ops(layers, config), GemmModel(machine))
-        inputs = executor.job_inputs(SMALL, batch, config, machine, "block", False)
+        inputs = executor.job_inputs(model, batch, config, machine, "block", False)
         assert inputs.plan.speedup.hex() == plan.speedup.hex()
         assert inputs.plan == _shape_plan(layers, plan)
+
+    def test_speedup_follows_a_compensated_sum(self, monkeypatch):
+        # Python 3.12's float sum() is Neumaier-compensated; both sides
+        # must go through sum() itself, whichever one the interpreter has.
+        def neumaier(values, start=0):
+            total, comp = start, 0.0
+            for v in values:
+                t = total + v
+                comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+                total = t
+            return total + comp
+
+        from repro.kernels import tuner
+        monkeypatch.setattr(tuner, "sum", neumaier, raising=False)
+        monkeypatch.setattr(executor, "sum", neumaier, raising=False)
+        model, config, batch = get_model("GPT-80B"), GridConfig(8, 4, 8, 32), 8192
+        layers = gpt_layer_shapes(model, batch // config.gdata)
+        plan = tune_matmuls(local_matmul_ops(layers, config), GemmModel(FRONTIER))
+        inputs = executor.job_inputs(model, batch, config, FRONTIER, "block", False)
+        assert inputs.plan.speedup.hex() == plan.speedup.hex()
+        # The stack is deep enough that a left-to-right sum would differ.
+        plain = 0
+        for v in plan.default_times.values():
+            plain += v
+        assert neumaier(plan.default_times.values()) != plain
 
     def test_zero_tuned_total_reads_one(self, monkeypatch):
         # Every GEMM prices to 0 s on a machine of its own (the tuner's
