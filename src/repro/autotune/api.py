@@ -316,11 +316,20 @@ class AutotuneReport:
     infeasible: list[tuple["GridConfig", str]]
     num_enumerated: int = 0
     num_feasible: int = 0
+    #: (grid, knob combination) results decided: one per screened grid,
+    #: plus every other combination of each swept grid, whether walked or
+    #: ruled out by the sweep's bound (494 on the default space).
     num_simulations: int = 0
-    #: Runs of the simulator's price stage behind those simulations: one
-    #: per (grid, kernel mode, collective algorithm) the sweep reaches —
-    #: overlap subsets share a pricing.
+    #: Runs of the simulator's price stage behind those results: at most
+    #: one per (grid, kernel mode, collective algorithm) the search
+    #: reaches.  Overlap subsets share a pricing, knobs the prices cannot
+    #: see share one too, and a knob group the bound rules out before
+    #: its price set is needed is never priced.
     num_pricings: int = 0
+    #: Stream walks actually run (``schedule_iteration`` calls): at most
+    #: one per overlap flags a price set's walk reads, and none for a
+    #: knob group the bound rules out.
+    num_walks: int = 0
     elapsed_s: float = 0.0
     #: Wall seconds of each search stage — ``enumerate``, ``rank``,
     #: ``screen``, ``sweep`` — a subset of ``elapsed_s``.
@@ -347,6 +356,7 @@ class AutotuneReport:
             "num_infeasible": len(self.infeasible),
             "num_simulations": self.num_simulations,
             "num_pricings": self.num_pricings,
+            "num_walks": self.num_walks,
             "elapsed_s": self.elapsed_s,
             "configs_per_second": self.configs_per_second,
             "stage_s": dict(self.stage_s),

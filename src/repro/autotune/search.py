@@ -22,11 +22,22 @@ Stages 3-4 compose the simulator's own stages
 (:mod:`repro.simulate.executor`) rather than calling
 ``simulate_iteration`` per combination: per grid the job inputs are
 assembled once, per (kernel mode, resolved collective algorithm) the
-iteration is priced once, and only the stream walk and the jitter run
-per overlap subset.  The reuse is loop order — ``SearchSpace.combos()``
-varies overlap innermost — holding one grid's inputs and one price set
-at a time; nothing is memoized beyond the per-(grid, combo) results the
-report is built from.
+iteration is priced at most once, and only the stream walk and the
+jitter run per overlap subset.  One grid's inputs, price sets, walks
+and results are held at a time; the screened result of each grid is
+the only one that outlives its stage.
+
+The sweep is branch-and-bound.  ``schedule_iteration`` is monotone in
+every overlap flag (a flag only drops a ``max()`` wait, and IEEE add,
+``max`` and multiplication by a positive factor are monotone), so the
+walk of the union of the space's overlap subsets — all-on by default —
+is a lower bound on every subset priced alike, after the jitter and
+the compute floor too.  Per grid, each (kernel mode, algorithm) group
+of ``combos()`` walks that bound first.  A group whose bound is not
+strictly below the grid's best so far is skipped (the best moves only
+on a strict ``<``); any other walks its subsets in order and stops at
+the first that ties the bound.  The report is the exhaustive sweep's,
+bit for bit.
 
 Observability: the four stages (``enumerate``, ``rank``, ``screen``,
 ``sweep``) are timed into :attr:`AutotuneReport.stage_s`, and under an
@@ -35,7 +46,8 @@ with its candidates in and out.  The screen and sweep spans add the
 stage's ``inputs_assembled`` (grids whose job inputs it built) and
 ``link_timings_measured`` (per-axis link timings the engine had not
 memoized yet); the sweep span also carries the run's
-``num_simulations`` and ``num_pricings``.
+``num_simulations``, ``num_pricings`` and ``num_walks``, and
+``groups_bounded`` (knob groups the bound skipped).
 
 Determinism: the whole pipeline is a pure function of the request and
 space — enumeration order, stable sorts, and strict-``<`` winner updates
@@ -46,14 +58,16 @@ hash.  Same inputs, bitwise-same winner.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Callable
 from contextlib import contextmanager
+from itertools import groupby
 
 from ..core.grid import GridConfig, enumerate_grid_configs
 from ..perfmodel.configs import infeasibility_reason, rank_grids
 from ..simulate.engine import num_cached_timings
 from ..simulate.executor import (
     DEFAULT_NOISE,
+    IterationPrices,
     IterationResult,
     OverlapFlags,
     job_inputs,
@@ -151,72 +165,106 @@ def autotune(
                 candidates_in=len(runnable), candidates_out=len(ranked)
             )
 
-    num_sims = num_pricings = num_inputs = 0
-    sim_memo: dict[tuple, IterationResult] = {}
+    num_sims = num_pricings = num_walks = num_inputs = 0
 
-    def simulate(
-        config: GridConfig, combos: list[Combo]
-    ) -> Iterator[tuple[Combo, IterationResult]]:
-        """``(combo, timing-only result)`` for each knob combination on
-        one grid, memoized per (grid, combo).
+    def knob_results(
+        config: GridConfig,
+        combos: list[Combo],
+        known: dict[Combo, IterationResult],
+    ) -> Callable[[Combo], IterationResult]:
+        """The timing-only result of any of ``combos`` on one grid, as a
+        function; ``known`` holds results already decided.
 
         What ``simulate_iteration(..., timing_only=True)`` returns for
         each under its defaults (block placement, checkpointing on, no
-        straggler slowdown, default noise), from the same stages: the
-        grid's job inputs are assembled once, the iteration is re-priced
-        only when the (kernel mode, resolved algorithm) pair changes
-        between consecutive combos, and each overlap subset costs one
-        stream walk and one summary.
+        straggler slowdown, default noise), from the same stages.  The
+        grid's job inputs are assembled at the first miss.  A price set
+        is keyed by the knobs pricing can see: the algorithm is moot
+        without a two-level timing, the kernel mode when every shape's
+        tuned GEMM times equal its default ones.  A walk is keyed by the
+        overlap flags it reads: a flag whose stream carries no positive
+        duration never is.
         """
-        nonlocal num_sims, num_pricings, num_inputs
-        inputs = held = prices = None
-        for combo in combos:
-            key = (config.full_dims, *combo)
-            res = sim_memo.get(key)
+        inputs = None
+        tuned_differs = two_level = False
+        price_sets: dict[tuple, tuple[IterationPrices, tuple, dict]] = {}
+
+        def result(combo: Combo) -> IterationResult:
+            nonlocal num_pricings, num_walks, num_inputs
+            nonlocal inputs, tuned_differs, two_level
+            res = known.get(combo)
+            if res is not None:
+                return res
+            overlap, kernel_tuning, algo = combo
+            if inputs is None:
+                num_inputs += 1
+                inputs = job_inputs(
+                    cfg, batch, config, machine,
+                    placement_strategy="block",
+                    hierarchical=any(
+                        (a or config.collective_algo) != "flat"
+                        for _, _, a in combos
+                    ),
+                )
+                tuned_differs = any(
+                    d != t for d, t in inputs.plan.times.values()
+                )
+                two_level = any(
+                    h is not None for h in inputs.hier_timings.values()
+                )
+            key = (
+                kernel_tuning and tuned_differs,
+                (algo or config.collective_algo) if two_level else "flat",
+            )
+            held = price_sets.get(key)
+            if held is None:
+                num_pricings += 1
+                prices = price_iteration(
+                    cfg, batch, config, machine, *inputs,
+                    algo=key[1], kernel_tuning=key[0],
+                    activation_checkpointing=True,
+                    compute_slowdown=1.0, comm_slowdown=1.0,
+                )
+                streams = (
+                    any(lp.ar_bwd > 0 for lp in prices.layers),
+                    any(lp.rs_z > 0 for lp in prices.layers),
+                    any(lp.ag_z > 0 for lp in prices.layers),
+                )
+                held = price_sets[key] = (prices, streams, {})
+            prices, (has_ar_bwd, has_rs_z, has_ag_z), walks = held
+            flags = (
+                overlap.oar and has_ar_bwd,
+                overlap.ors and has_rs_z,
+                overlap.oag and has_ag_z,
+            )
+            res = walks.get(flags)
             if res is None:
-                overlap, kernel_tuning, algo = combo
-                if algo is None:
-                    algo = config.collective_algo
-                if inputs is None:
-                    num_inputs += 1
-                    inputs = job_inputs(
-                        cfg, batch, config, machine,
-                        placement_strategy="block",
-                        hierarchical=any(
-                            (a or config.collective_algo) != "flat"
-                            for _, _, a in combos
-                        ),
-                    )
-                if held != (kernel_tuning, algo):
-                    held = (kernel_tuning, algo)
-                    num_pricings += 1
-                    prices = price_iteration(
-                        cfg, batch, config, machine, *inputs,
-                        algo=algo, kernel_tuning=kernel_tuning,
-                        activation_checkpointing=True,
-                        compute_slowdown=1.0, comm_slowdown=1.0,
-                    )
-                num_sims += 1
+                num_walks += 1
                 total, num_events = schedule_iteration(
                     prices, overlap, trace=None
                 )
-                res = sim_memo[key] = summarise_iteration(
+                res = walks[flags] = summarise_iteration(
                     prices, total, num_events,
                     noise=DEFAULT_NOISE, run_salt=request.seed,
                 )
-            yield combo, res
+            return res
+
+        return result
 
     # Stage 3: screen the analytic survivors by simulated time.
     with _stage(stage_s, "screen") as span_args:
         if span_args is not None:
             inputs0, links0 = num_inputs, num_cached_timings()
-        reference = [space.reference_combo(request)]
-        screened: list[tuple[int, float, GridConfig, float]] = []
+        reference = space.reference_combo(request)
+        screened: list[
+            tuple[int, float, GridConfig, float, IterationResult]
+        ] = []
         for rank, cand in enumerate(ranked, start=1):
-            ((_, res),) = simulate(cand.config, reference)
+            res = knob_results(cand.config, [reference], {})(reference)
             screened.append(
-                (rank, res.total_time, cand.config, cand.predicted_time)
+                (rank, res.total_time, cand.config, cand.predicted_time, res)
             )
+        num_sims += len(screened)
         rank1_sim_time = screened[0][1]
         # Stable sort on screened time; analytic rank breaks ties.
         validate_k = space.resolved_validate_k(request)
@@ -233,13 +281,34 @@ def autotune(
         if span_args is not None:
             inputs0, links0 = num_inputs, num_cached_timings()
         combos = space.combos()
+        # Every subset's walk is no faster than its flags' union's.
+        flags = space.overlap_flags
+        top = OverlapFlags(
+            oar=any(f.oar for f in flags),
+            ors=any(f.ors for f in flags),
+            oag=any(f.oag for f in flags),
+        )
+        groups_bounded = 0
         candidates: list[CandidateReport] = []
         best: tuple[float, CandidateReport, IterationResult] | None = None
-        for rank, screen_time, config, predicted in survivors:
+        for rank, screen_time, config, predicted, screen_res in survivors:
+            result = knob_results(config, combos, {reference: screen_res})
+            # The screen decided the reference combo.
+            num_sims += len(set(combos)) - 1
             cand_best: tuple[float, tuple, IterationResult] | None = None
-            for combo, res in simulate(config, combos):
-                if cand_best is None or res.total_time < cand_best[0]:
-                    cand_best = (res.total_time, combo, res)
+            for (kernel_tuning, algo), group in groupby(
+                combos, key=lambda c: c[1:]
+            ):
+                bound = result((top, kernel_tuning, algo)).total_time
+                if cand_best is not None and bound >= cand_best[0]:
+                    groups_bounded += 1
+                    continue
+                for combo in group:
+                    res = result(combo)
+                    if cand_best is None or res.total_time < cand_best[0]:
+                        cand_best = (res.total_time, combo, res)
+                    if res.total_time == bound:
+                        break  # no later subset is strictly faster
             assert cand_best is not None
             best_time, (b_ov, b_kt, b_algo), b_res = cand_best
             report = CandidateReport(
@@ -257,13 +326,14 @@ def autotune(
             if best is None or best_time < best[0]:
                 best = (best_time, report, b_res)
         if span_args is not None:
-            # The run's totals: screening simulations and pricings
-            # included.
+            # The run's totals, the screen's simulations, pricings and
+            # walks included.
             span_args.update(
                 candidates_in=len(survivors), candidates_out=1,
                 inputs_assembled=num_inputs - inputs0,
                 link_timings_measured=num_cached_timings() - links0,
                 num_simulations=num_sims, num_pricings=num_pricings,
+                num_walks=num_walks, groups_bounded=groups_bounded,
             )
     assert best is not None
     _, win, win_res = best
@@ -300,6 +370,7 @@ def autotune(
         num_feasible=len(runnable),
         num_simulations=num_sims,
         num_pricings=num_pricings,
+        num_walks=num_walks,
         elapsed_s=time.perf_counter() - t0,
         stage_s=stage_s,
     )

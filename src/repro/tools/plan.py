@@ -212,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         f"  searched {report.num_enumerated} grids "
         f"({report.num_feasible} feasible, {len(report.infeasible)} pruned) "
         f"with {report.num_simulations} simulations "
-        f"({report.num_pricings} pricings) in "
+        f"({report.num_pricings} pricings, {report.num_walks} walks) in "
         f"{report.elapsed_s:.1f}s — {report.configs_per_second:.0f} configs/s"
     )
     print(
@@ -231,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
                 "autotune.num_feasible": report.num_feasible,
                 "autotune.num_simulations": report.num_simulations,
                 "autotune.num_pricings": report.num_pricings,
+                "autotune.num_walks": report.num_walks,
                 "autotune.elapsed_s": report.elapsed_s,
                 "autotune.configs_per_second": report.configs_per_second,
                 **{

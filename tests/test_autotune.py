@@ -80,8 +80,8 @@ def _reference_autotune(request, space):
     """The four stages of ``autotune`` driven the slow way — the oracle of
     the staged sweep: one ``simulate_iteration`` per (grid, knob combo),
     one ``_reference_model_comm_time`` per feasible grid.  Returns the
-    same :class:`AutotuneReport` (``num_pricings`` aside: every
-    simulation here prices)."""
+    same :class:`AutotuneReport` (``num_pricings`` and ``num_walks``
+    aside: every simulation here prices and walks)."""
     cfg, machine = request.resolved_model(), request.resolved_machine()
     batch, db = request.resolved_batch(), request.resolved_db()
     all_configs = enumerate_grid_configs(
@@ -161,7 +161,8 @@ def _reference_autotune(request, space):
 
 def _untimed(report):
     doc = report.to_json()
-    for key in ("elapsed_s", "configs_per_second", "num_pricings", "stage_s"):
+    for key in ("elapsed_s", "configs_per_second", "num_pricings",
+                "num_walks", "stage_s"):
         del doc[key]
     return doc
 
@@ -215,6 +216,22 @@ class TestStagedSweepOracle:
             PlanRequest(**_5B_64),
             SearchSpace(prune_k=8, validate_k=4, kernel_tuning=(True,)),
         ),
+        # The bound is the walk of the union of the space's subsets: here
+        # OAR alone, a member, and never all-on.
+        "no-all-on-subset": (
+            PlanRequest(**_5B_64),
+            SearchSpace(
+                prune_k=8, validate_k=4,
+                overlap_flags=(OverlapFlags(), OverlapFlags(oar=True)),
+            ),
+        ),
+        # All-on first: every group the bound does not rule out stops
+        # after its first subset.
+        "all-on-first": (
+            PlanRequest("GPT-5B", 128, "frontier", 256, seed=3),
+            SearchSpace(prune_k=8, validate_k=4,
+                        overlap_flags=ALL_OVERLAP_COMBOS[::-1]),
+        ),
     }
 
     @pytest.mark.parametrize("name", PAIRS)
@@ -230,18 +247,39 @@ class TestStagedSweepOracle:
         assert got.ranked == ref.ranked
         assert got.infeasible == ref.infeasible
         assert got.num_simulations == ref.num_simulations
+        assert 1 <= got.num_walks <= got.num_simulations
 
     def test_num_pricings_counts_price_stage_runs(self):
-        """Default space: 24 screenings, then 10 survivors x (3 algos x 2
-        kernel modes) — overlap subsets share a pricing."""
+        """Default space, GPT-5B on 512 GPUs.  494 (grid, combo) results
+        decided: 24 screenings, then 10 survivors x 48 combos less the
+        screened one.
+
+        70 pricings: the 24 screenings, then 46 over the survivors.  3 of
+        them have no two-level timing, so the algorithm is moot and their
+        6 (algorithm x kernel mode) groups share 2 price sets.  The other
+        7 price each group they reach, 40 of 42: on two of them the
+        screen's walk rules the tuned ``auto`` group out unpriced.
+
+        142 walks: the 24 screenings, then 118.  41 are the groups'
+        all-on bound walks, one per price set less the 5 whose all-on
+        result the screen holds.  77 are subsets walked in order in the
+        17 groups the bound does not rule out (43 of the 60 are), each
+        stopping at the first subset that ties all-on."""
         request = PlanRequest("GPT-5B", 512, "perlmutter")
-        report = autotune(request)
+        tracer = Tracer()
+        with telemetry_scope(tracer):
+            report = autotune(request)
+        (sweep,) = [s for s in tracer.spans if s.name == "autotune.sweep"]
         assert len(report.ranked) == 10
         assert report.num_simulations == 24 + 10 * 48 - 10 == 494
-        assert report.num_pricings == 24 + 10 * 6 == 84
-        assert report.to_json()["num_pricings"] == 84
+        assert report.num_pricings == 24 + 3 * 2 + 40 == 70
+        assert report.num_walks == 24 + 41 + 77 == 142
+        assert sweep.args["groups_bounded"] == 10 * 6 - 17 == 43
+        doc = report.to_json()
+        assert (doc["num_pricings"], doc["num_walks"]) == (70, 142)
         pinned = autotune(request, SearchSpace.pinned(request))
-        assert pinned.num_pricings == pinned.num_simulations == 10
+        assert pinned.num_simulations == 10
+        assert pinned.num_pricings == pinned.num_walks == 10
 
     @pytest.mark.parametrize("include_head", [True, False])
     def test_model_comm_time_equals_per_layer_loop(self, include_head):
@@ -294,8 +332,10 @@ class TestStageTimers:
         assert [s.name for s in spans] == [
             f"autotune.{k}" for k in STAGES
         ] * 2
-        for report, (enum, rank, screen, sweep) in zip(
-            reports, (spans[:4], spans[4:])
+        # Price groups the sweep's bound rules out, per seed.
+        bounded = (43, 45)
+        for report, (enum, rank, screen, sweep), groups_bounded in zip(
+            reports, (spans[:4], spans[4:]), bounded
         ):
             assert enum.args == {"candidates_in": report.num_enumerated,
                                  "candidates_out": report.num_feasible}
@@ -318,6 +358,8 @@ class TestStageTimers:
                 "candidates_in": len(report.ranked), "candidates_out": 1,
                 "num_simulations": report.num_simulations,
                 "num_pricings": report.num_pricings,
+                "num_walks": report.num_walks,
+                "groups_bounded": groups_bounded,
                 "inputs_assembled": len(report.ranked),
             }
             assert list(report.stage_s) == list(STAGES)
@@ -602,6 +644,7 @@ class TestPlanOptimizeCLI:
         assert m["autotune.winner_time_s"] <= m["autotune.rank1_sim_time_s"]
         assert m["autotune.num_simulations"] > 0
         assert 0 < 4 * m["autotune.num_pricings"] <= m["autotune.num_simulations"]
+        assert 1 <= m["autotune.num_walks"] <= m["autotune.num_simulations"]
         assert m["autotune.configs_per_second"] > 0
         stages = [m[f"autotune.stage_s.{k}"] for k in STAGES]
         assert 0 < sum(stages) <= m["autotune.elapsed_s"]

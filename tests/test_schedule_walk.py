@@ -15,7 +15,15 @@ ties), and ``1e-17`` beside clocks of ``1e3`` (a positive duration whose
 event has ``end == start`` and is not counted).  The planner's own sweep
 never walks a ``G_seq > 1`` grid, so this corpus is also where the
 sequence-ring branches are checked.
+
+The same corpus proves the two facts the autotuner's bounded sweep
+rests on: turning an overlap flag on never makes the iteration slower,
+before or after ``summarise_iteration``, and a flag whose stream
+carries no positive duration is never read.
 """
+
+import dataclasses
+import itertools
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,10 +32,12 @@ from repro.autotune import ALL_OVERLAP_COMBOS
 from repro.core.grid import GridConfig
 from repro.simulate import Timeline
 from repro.simulate.executor import (
+    DEFAULT_NOISE,
     IterationPrices,
     LayerPrice,
     OverlapFlags,
     schedule_iteration,
+    summarise_iteration,
 )
 
 # -- the oracle: the pre-rewrite walk, verbatim -------------------------------
@@ -260,3 +270,69 @@ class TestWalkEqualsReference:
             "block0.qkv.ring_seq", "block1.qkv.ring_seq",
             "block1.qkv.ring_seq(bwd)", "block0.qkv.ring_seq(bwd)",
         ]
+
+
+# -- the bounded sweep's contract ---------------------------------------------
+
+#: Each overlap flag and the stream whose waits it drops.
+_FLAG_STREAMS = {"oar": "ar_bwd", "ors": "rs_z", "oag": "ag_z"}
+
+
+@st.composite
+def _prices_with_idle_streams(draw) -> IterationPrices:
+    """Generated prices with some flags' streams emptied."""
+    prices = draw(_prices())
+    idle = draw(st.sets(st.sampled_from(sorted(_FLAG_STREAMS.values()))))
+    return dataclasses.replace(prices, layers=tuple(
+        lp._replace(**dict.fromkeys(idle, 0.0)) for lp in prices.layers
+    ))
+
+
+def _subset(a: OverlapFlags, b: OverlapFlags) -> bool:
+    return all(getattr(b, f) or not getattr(a, f) for f in _FLAG_STREAMS)
+
+
+class TestWalkIsMonotoneInOverlap:
+    """What lets ``autotune`` walk only the overlap subsets that can
+    still win, bit for bit."""
+
+    @given(
+        _prices_with_idle_streams(),
+        st.sampled_from(_EDGES + (0.5, 2.0)),
+        st.integers(0, 3),
+    )
+    @example(_ABSORBED, 0.0, 0)
+    @example(_OAR_WAIT, 1.0, 1)
+    @example(_TIES, 1e3, 2)
+    @settings(max_examples=200, deadline=None)
+    def test_more_flags_never_slower(self, prices, floor, salt):
+        """``total(T) <= total(S)`` for every subset ``S`` of ``T``,
+        raw and after the jitter and the compute floor."""
+        prices = dataclasses.replace(prices, compute_total=floor)
+        walked = {ov: schedule_iteration(prices, ov, None)
+                  for ov in ALL_OVERLAP_COMBOS}
+        summarised = {
+            ov: summarise_iteration(prices, total, n, DEFAULT_NOISE, salt)
+            for ov, (total, n) in walked.items()
+        }
+        for s, t in itertools.product(ALL_OVERLAP_COMBOS, repeat=2):
+            if _subset(s, t):
+                assert walked[t][0] <= walked[s][0], (s, t)
+                assert summarised[t].total_time <= summarised[s].total_time
+
+    @given(_prices_with_idle_streams())
+    @example(_ABSORBED)
+    @settings(max_examples=200, deadline=None)
+    def test_flag_of_an_idle_stream_is_never_read(self, prices):
+        """A flag whose stream has no positive duration changes neither
+        the total nor the event count."""
+        for flag, stream in _FLAG_STREAMS.items():
+            if any(getattr(lp, stream) > 0 for lp in prices.layers):
+                continue
+            for ov in ALL_OVERLAP_COMBOS:
+                flipped = dataclasses.replace(
+                    ov, **{flag: not getattr(ov, flag)}
+                )
+                total, n = schedule_iteration(prices, ov, None)
+                again, m = schedule_iteration(prices, flipped, None)
+                assert (total.hex(), n) == (again.hex(), m), (flag, ov)
