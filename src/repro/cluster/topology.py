@@ -86,10 +86,6 @@ class Placement:
             return rank // self.num_nodes
         return local_rank_of(rank, self.gpus_per_node)
 
-    def same_node(self, a: int, b: int) -> bool:
-        """True if ranks ``a`` and ``b`` share a node."""
-        return self.node_of(a) == self.node_of(b)
-
     def nodes_spanned(self, ranks: list[int]) -> set[int]:
         """The set of nodes hosting any of ``ranks``."""
         return {self.node_of(r) for r in ranks}

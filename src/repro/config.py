@@ -10,7 +10,7 @@ family conventions used by Megatron-LM (sequence length 2048, vocabulary
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = [
     "GPTConfig",

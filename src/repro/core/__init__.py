@@ -18,7 +18,6 @@ from .collective_ops import (
     all_reduce_max_const,
     all_reduce_t,
     all_to_all_t,
-    reduce_scatter_t,
 )
 from .data_parallel import (
     allreduce_gradients,
@@ -29,7 +28,6 @@ from .data_parallel import (
 from .degenerate import (
     DEGENERATE_SCHEMES,
     DegenerateScheme,
-    check_scheme_trace,
     make_degenerate_grid,
 )
 from .easy_api import ACTIVATIONS, ParallelMLP
@@ -87,7 +85,6 @@ __all__ = [
     "VocabParallelEmbedding",
     "all_reduce_t",
     "all_gather_t",
-    "reduce_scatter_t",
     "all_reduce_max_const",
     "all_to_all_t",
     "broadcast_parameters",
@@ -97,7 +94,6 @@ __all__ = [
     "DEGENERATE_SCHEMES",
     "DegenerateScheme",
     "make_degenerate_grid",
-    "check_scheme_trace",
     "ParallelMLP",
     "ACTIVATIONS",
 ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..cluster import MachineSpec, Placement, get_machine
 from ..config import GPTConfig, get_model
 from ..runtime import CommTracer, Violation, assert_valid_schedule, validate_schedule

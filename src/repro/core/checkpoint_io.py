@@ -114,12 +114,6 @@ def _atomic_savez(
         injector.corrupt_checkpoint_file(idx, path)
 
 
-def _load_arrays(path: str | Path) -> dict[str, np.ndarray]:
-    """Plain npz read, manifest stripped, no verification."""
-    with np.load(Path(path)) as data:
-        return {k: data[k] for k in data.files if k != MANIFEST_KEY}
-
-
 @_traced(name="ckpt.verify", cat="ckpt")
 def verify_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Load a checkpoint and verify its CRC32 manifest.
@@ -197,12 +191,12 @@ def load_checkpoint(
     """Restore a checkpoint into ``model`` (sharding it if parallel).
 
     The checkpoint's architecture must match the model's; loading is
-    strict (missing/unexpected keys raise).  Files with an integrity
-    manifest are CRC-verified; legacy manifest-less files load as-is.
+    strict (missing/unexpected keys raise).  The file is read once,
+    through :func:`verify_checkpoint`: an unreadable file or one without
+    a valid CRC manifest raises
+    :class:`~repro.runtime.faults.CheckpointCorruptionError`.
     """
-    with np.load(Path(path)) as data:
-        has_manifest = MANIFEST_KEY in data.files
-    state = verify_checkpoint(path) if has_manifest else _load_arrays(path)
+    state = verify_checkpoint(path)
     if isinstance(model, ParallelGPT):
         serial = GPT(model.cfg, seed=0)
         serial.load_state_dict(state)

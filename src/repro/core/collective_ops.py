@@ -10,8 +10,7 @@ pattern:
 
 * all-reduce forward  -> gradient *sum* over consumers (itself an
   all-reduce, realized by autograd's accumulation);
-* all-gather forward  -> gradient reduce-scatter;
-* reduce-scatter forward -> gradient all-gather.
+* all-gather forward  -> gradient reduce-scatter.
 
 The forward data movement goes through the traced ring implementations
 in :mod:`repro.runtime.collectives`, so communication-pattern tests see
@@ -31,7 +30,6 @@ from ..tensor import Tensor
 __all__ = [
     "all_reduce_t",
     "all_gather_t",
-    "reduce_scatter_t",
     "all_reduce_max_const",
     "all_to_all_t",
 ]
@@ -91,30 +89,6 @@ def all_gather_t(
     return results
 
 
-def reduce_scatter_t(
-    tensors: Sequence[Tensor],
-    group: ProcessGroup,
-    tracer: CommTracer | None = None,
-    tag: str = "",
-) -> list[Tensor]:
-    """Differentiable sum reduce-scatter along axis 0: output ``g`` is the
-    ``g``-th shard of the elementwise sum of all inputs."""
-    outs = rc.reduce_scatter(_as_buffer_dict(tensors, group), group, tracer=tracer, tag=tag)
-    parents = tuple(tensors)
-    p = group.size
-    shard_rows = tensors[0].shape[0] // p
-    full_shape = tensors[0].shape
-    results = []
-    for pos, r in enumerate(group.ranks):
-        def backward(g, _pos=pos, _n=len(parents)):
-            # d(shard_pos of sum)/d(input_s): embed g at shard _pos,
-            # zero elsewhere — identical for every contributor.
-            full = np.zeros(full_shape, dtype=g.dtype)
-            full[_pos * shard_rows : (_pos + 1) * shard_rows] = g
-            return tuple(full if s == 0 else full.copy() for s in range(_n))
-
-        results.append(Tensor._make(outs[r], parents, backward, "reduce_scatter_t"))
-    return results
 
 
 def all_reduce_max_const(

@@ -22,14 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster import Placement
-from ..runtime import CommTracer, validate_schedule
+from ..runtime import CommTracer
 from .grid import Grid4D, GridConfig
 
 __all__ = [
     "DEGENERATE_SCHEMES",
     "DegenerateScheme",
     "make_degenerate_grid",
-    "check_scheme_trace",
 ]
 
 
@@ -120,33 +119,6 @@ def make_degenerate_grid(
         cfg = _balanced_4d(num_gpus)
     grid = Grid4D(cfg, placement=placement, tracer=tracer)
     return grid
-
-
-def check_scheme_trace(scheme: str, tracer: CommTracer) -> list[str]:
-    """Check a recorded training-step trace against a scheme's signature
-    *and* the SPMD schedule validator.
-
-    Returns a list of problem descriptions (empty = the trace both
-    matches the scheme's expected/forbidden collective tags and passes
-    every static schedule check).  This is the validator-enabled mode of
-    the degenerate-configuration tests: one call asserts the pattern the
-    paper describes and that the schedule could not hang.
-    """
-    spec = DEGENERATE_SCHEMES[scheme]
-    problems: list[str] = []
-    meaningful = {r.tag for r in tracer.records if r.group.size > 1}
-    for tag in sorted(spec.expected_tags - meaningful):
-        problems.append(
-            f"scheme {scheme!r}: expected collective tag {tag!r} absent "
-            f"from the trace"
-        )
-    for tag in sorted(spec.forbidden_tags & meaningful):
-        problems.append(
-            f"scheme {scheme!r}: forbidden collective tag {tag!r} present "
-            f"in the trace"
-        )
-    problems.extend(str(v) for v in validate_schedule(tracer))
-    return problems
 
 
 def _near_sqrt(n: int) -> int:

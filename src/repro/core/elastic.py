@@ -152,11 +152,6 @@ class ElasticReport(TrainingReport):
     disk_restores: int = 0
     recoveries: int = 0
 
-    @property
-    def final_config(self) -> GridConfig:
-        return self.grid_history[-1][1]
-
-
 def train_elastic(
     trainer_factory: Callable[[GridConfig], MixedPrecisionTrainer],
     initial_config: GridConfig,

@@ -21,7 +21,7 @@ so the ``s = 0`` sub-grid is numbered exactly like the plain 4D grid
 and every ``G_seq = 1`` configuration is bit-for-bit the old layout
 (rank math, group membership, golden traces).  ``coords_of`` keeps its
 4-tuple contract with the sequence coordinate folded out; use
-:meth:`Grid4D.coords5_of` / :meth:`Grid4D.seq_coord` and
+:meth:`Grid4D.coords5_of` and
 ``group_along("seq", rank)`` for the new axis.
 """
 
@@ -95,14 +95,6 @@ class GridConfig:
     def gtensor(self) -> int:
         """GPUs per tensor-parallel group, ``G_x * G_y * G_z``."""
         return self.gx * self.gy * self.gz
-
-    def swapped_xy(self) -> "GridConfig":
-        """The configuration with X and Y roles exchanged (the
-        'transpose' applied to every other layer)."""
-        return GridConfig(
-            self.gy, self.gx, self.gz, self.gdata, self.gs,
-            collective_algo=self.collective_algo,
-        )
 
     def __str__(self) -> str:
         base = f"(Gx={self.gx}, Gy={self.gy}, Gz={self.gz}, Gdata={self.gdata}"
@@ -194,12 +186,6 @@ class Grid4D:
         s = rank // c.gdata
         return (x, y, z, d, s)
 
-    def seq_coord(self, rank: int) -> int:
-        """Sequence-shard index of a global rank (0 when ``G_seq == 1``)."""
-        return self.coords5_of(rank)[4]
-
-    def all_ranks(self) -> list[int]:
-        return list(range(self.config.total))
 
     def iter_coords(self):
         """Yield (x, y, z, d) for every rank in rank order.
@@ -241,17 +227,6 @@ class Grid4D:
         group = ProcessGroup(tuple(members))
         self._group_cache[cache_key] = group
         return group
-
-    def groups_along(self, axis: str) -> list[ProcessGroup]:
-        """All distinct groups along ``axis``, covering every rank once."""
-        seen: set[tuple[int, ...]] = set()
-        out = []
-        for r in self.all_ranks():
-            g = self.group_along(axis, r)
-            if g.ranks not in seen:
-                seen.add(g.ranks)
-                out.append(g)
-        return out
 
     def tensor_block_ranks(self, d: int) -> list[int]:
         """All ranks of data-parallel replica ``d`` (one full model copy).

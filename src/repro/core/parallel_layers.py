@@ -21,10 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.module import Module, Parameter
-from ..runtime import CommTracer
 from ..tensor import Tensor
 from ..tensor import functional as F
-from .collective_ops import all_gather_t, all_reduce_t, reduce_scatter_t
+from .collective_ops import all_gather_t, all_reduce_t
 from .grid import Grid4D
 
 __all__ = ["ParallelLinear", "ParallelLayerNorm", "ParallelEmbedding", "RankDict"]

@@ -2,7 +2,6 @@
 
 from .flops import (
     flops_per_iteration,
-    flops_per_token,
     percent_of_peak,
     sustained_flops,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "clear_tuner_cache",
     "TRANSPOSE_OVERHEAD",
     "flops_per_iteration",
-    "flops_per_token",
     "sustained_flops",
     "percent_of_peak",
 ]

@@ -18,7 +18,6 @@ from ..config import GPTConfig
 
 __all__ = [
     "flops_per_iteration",
-    "flops_per_token",
     "sustained_flops",
     "percent_of_peak",
 ]
@@ -37,11 +36,6 @@ def flops_per_iteration(
     v = float(cfg.vocab_size)
     coef = 96.0 if checkpointing else 72.0
     return coef * b * s * l * h * h * (1.0 + s / (6.0 * h) + v / (16.0 * l * h))
-
-
-def flops_per_token(cfg: GPTConfig, checkpointing: bool = True) -> float:
-    """FLOPs charged per trained token."""
-    return flops_per_iteration(cfg, 1, checkpointing) / cfg.seq_len
 
 
 def sustained_flops(

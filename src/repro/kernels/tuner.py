@@ -70,10 +70,6 @@ class TunedPlan:
             return 1.0
         return self.total_default / self.total_tuned
 
-    def mode_for(self, name: str) -> GemmMode:
-        return self.choices[name]
-
-
 def tune_matmuls(ops: list[MatmulOp], gemm: GemmModel) -> TunedPlan:
     """Time every op in all three modes and keep the fastest.
 

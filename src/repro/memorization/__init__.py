@@ -7,7 +7,6 @@ from .tokenizer import BPETokenizer
 from .evaluate import (
     evaluate_buckets,
     exact_match_rate,
-    greedy_continuation,
     prefix_sensitivity,
 )
 from .goldfish import GOLDFISH_H, GOLDFISH_K, goldfish_mask
@@ -30,7 +29,6 @@ __all__ = [
     "goldfish_mask",
     "GOLDFISH_K",
     "GOLDFISH_H",
-    "greedy_continuation",
     "exact_match_rate",
     "evaluate_buckets",
     "prefix_sensitivity",

@@ -57,10 +57,6 @@ class BucketDesign:
         """Buckets that participate in training (epochs > 0)."""
         return [b for b in self.buckets if b.epochs > 0]
 
-    def control_bucket(self) -> Bucket:
-        """The held-out 0-epoch bucket."""
-        return next(b for b in self.buckets if b.epochs == 0)
-
     def injection_stream(self, seed: int = 0) -> np.ndarray:
         """All training sequences with their scheduled repetitions, in a
         deterministically shuffled order: bucket ``i`` appears

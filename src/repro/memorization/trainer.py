@@ -89,10 +89,6 @@ class ExperimentResult:
     final_train_loss: float
     losses: list[float] = field(default_factory=list)
 
-    @property
-    def control_rate(self) -> float:
-        return self.exact_match[0]
-
 
 def scale_ladder(seq_len: int = 32, vocab_size: int = 128) -> list[GPTConfig]:
     """A family of GPTs of increasing capacity, playing the roles of the

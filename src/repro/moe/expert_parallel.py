@@ -27,7 +27,7 @@ from ..nn.module import Module
 from ..runtime import CommTracer, ProcessGroup
 from ..core.collective_ops import all_to_all_t
 from ..tensor import Tensor
-from .layer import MoELayer, load_balance_loss
+from .layer import MoELayer
 
 __all__ = ["ExpertParallelMoE"]
 
@@ -81,7 +81,7 @@ class ExpertParallelMoE(Module):
             idx, gates, _ = routing[src]
             per_dst_rows: list[tuple[np.ndarray, np.ndarray]] = []
             chunks: list[Tensor] = []
-            owner = idx // self.experts_per_rank  # (T, k) group positions
+            owner = self.owner_position(idx)  # (T, k) group positions
             for dst_pos in range(group.size):
                 token_pos, slot = np.nonzero(owner == dst_pos)
                 per_dst_rows.append((token_pos, slot))

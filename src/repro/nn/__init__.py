@@ -4,7 +4,6 @@ from .data import Batcher, pad_or_trim
 from .layers import Dropout, Embedding, LayerNorm, Linear, init_normal
 from .module import Module, Parameter
 from .optim import (
-    SGD,
     AdamW,
     CosineSchedule,
     WarmupDecaySchedule,
@@ -20,7 +19,6 @@ from .training import (
 from .sequence_parallel import (
     RING_KV_TAG,
     ring_causal_attention,
-    shard_sequence,
 )
 from .transformer import (
     GPT,
@@ -47,8 +45,6 @@ __all__ = [
     "causal_mask",
     "RING_KV_TAG",
     "ring_causal_attention",
-    "shard_sequence",
-    "SGD",
     "AdamW",
     "WarmupDecaySchedule",
     "CosineSchedule",

@@ -370,9 +370,9 @@ def generate_greedy(
 ) -> np.ndarray:
     """Greedy continuation of a 1-D prefix using the KV cache.
 
-    Produces exactly the same tokens as the uncached
-    :func:`repro.memorization.greedy_continuation`, in O(prefix + n)
-    total forward work instead of O(n * (prefix + n)).
+    Produces exactly the same tokens as uncached greedy decoding (one
+    full forward per token), in O(prefix + n) total forward work instead
+    of O(n * (prefix + n)).
     """
     if num_tokens < 1:
         raise ValueError("num_tokens must be >= 1")

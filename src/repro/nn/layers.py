@@ -102,9 +102,6 @@ class Dropout(Module):
         self.rng = rng
         self.training = True
 
-    def eval(self) -> None:
-        self.training = False
-
     def train(self) -> None:
         self.training = True
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["SGD", "AdamW", "WarmupDecaySchedule", "CosineSchedule", "clip_grad_norm"]
+__all__ = ["AdamW", "WarmupDecaySchedule", "CosineSchedule", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
@@ -31,34 +31,6 @@ def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
             if p.grad is not None:
                 p.grad *= scale
     return norm
-
-
-class SGD:
-    """Plain (optionally momentum) SGD — used in equivalence tests where
-    optimizer statefulness would obscure gradient comparisons."""
-
-    def __init__(
-        self, params: list[Parameter], lr: float, momentum: float = 0.0
-    ) -> None:
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
 
 class AdamW:

@@ -38,18 +38,10 @@ from ..tensor import Tensor
 from ..tensor import functional as F
 from .transformer import causal_mask
 
-__all__ = ["RING_KV_TAG", "ring_causal_attention", "shard_sequence"]
+__all__ = ["RING_KV_TAG", "ring_causal_attention"]
 
 #: Tag of the fused K+V ring-rotation p2p messages.
 RING_KV_TAG = "seq.ring_kv"
-
-
-def shard_sequence(x: np.ndarray, gs: int, axis: int = 1) -> list[np.ndarray]:
-    """Split ``x`` into ``gs`` contiguous, equal shards along ``axis``."""
-    n = x.shape[axis]
-    if n % gs:
-        raise ValueError(f"sequence length {n} must divide by G_seq={gs}")
-    return np.split(x, gs, axis=axis)
 
 
 def _identity_node(data: np.ndarray, parent: Tensor) -> Tensor:

@@ -180,14 +180,3 @@ class GPT(Module):
         targets = ids[:, 1:]
         mask = None if loss_mask is None else np.asarray(loss_mask)[:, 1:]
         return F.cross_entropy(logits, targets, loss_mask=mask)
-
-    def generate(self, prefix: np.ndarray, num_tokens: int) -> np.ndarray:
-        """Greedy continuation of a 1-D token prefix (KV-cached)."""
-        from .generation import generate_greedy
-
-        return generate_greedy(self, np.asarray(prefix), num_tokens)
-
-    @staticmethod
-    def from_config(cfg: GPTConfig, **kwargs) -> "GPT":
-        """Alias constructor mirroring the parallel model's API."""
-        return GPT(cfg, **kwargs)

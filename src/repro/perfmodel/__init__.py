@@ -22,10 +22,8 @@ from .model import (
     model_comm_time,
 )
 from .seq_parallel import (
-    ring_attention_layer_time,
     ring_hop_time,
     ring_kv_payload_bytes,
-    seq_comm_time,
     seq_ring_time,
 )
 from .volume import (
@@ -39,7 +37,6 @@ from .ring import (
     all_reduce_time,
     broadcast_time,
     reduce_scatter_time,
-    ring_wire_bytes,
 )
 
 __all__ = [
@@ -47,7 +44,6 @@ __all__ = [
     "reduce_scatter_time",
     "all_reduce_time",
     "broadcast_time",
-    "ring_wire_bytes",
     "AlgorithmChoice",
     "choose_algorithm",
     "flat_time",
@@ -72,6 +68,4 @@ __all__ = [
     "ring_kv_payload_bytes",
     "ring_hop_time",
     "seq_ring_time",
-    "ring_attention_layer_time",
-    "seq_comm_time",
 ]

@@ -47,9 +47,6 @@ class LayerShape:
     n: int
     transposed: bool = False
 
-    @property
-    def weight_elems(self) -> int:
-        return self.k * self.n
 
     @property
     def flops(self) -> float:

@@ -11,31 +11,23 @@ over X).  Hops use the sequence axis' effective bandwidth — the
 outermost hierarchy level, so on multi-node grids it is the Eq. 7
 inter-node bandwidth shared by everything inside it.
 
-Two views are exposed:
-
-* :func:`seq_ring_time` — the *unoverlapped* wire time per layer, the
-  ``ring_seq`` term of :class:`repro.perfmodel.CommBreakdown` (the
-  communication model stays compute-free, like Eqs. 1–5);
-* :func:`ring_attention_layer_time` — the *overlap-aware* per-layer
-  time ``G_seq * max(c_blk, hop)`` used by the discrete-event
-  simulator: each partial-attention block's compute hides the
-  concurrent KV rotation (rotation is prefetched, flash-attention
-  style), so only the slower of the two is on the critical path.
+:func:`seq_ring_time` is the *unoverlapped* wire time per layer, the
+``ring_seq`` term of :class:`repro.perfmodel.CommBreakdown` (the
+communication model stays compute-free, like Eqs. 1–5).  The
+overlap-aware time, where each partial-attention block's compute hides
+the concurrent KV rotation, is priced by the simulator
+(:func:`repro.simulate.price_iteration`).
 """
 
 from __future__ import annotations
 
-from ..cluster import MachineSpec
 from ..config import GPTConfig
 from ..core.grid import GridConfig
-from .bandwidth import BandwidthDatabase, effective_bandwidths
 
 __all__ = [
     "ring_kv_payload_bytes",
     "ring_hop_time",
     "seq_ring_time",
-    "ring_attention_layer_time",
-    "seq_comm_time",
 ]
 
 #: Bytes per element for half-precision activations (mirrors
@@ -80,49 +72,3 @@ def seq_ring_time(
         ring_hop_time(payload_bytes, beta, alpha)
         + ring_hop_time(2.0 * payload_bytes, beta, alpha)
     )
-
-
-def ring_attention_layer_time(
-    payload_bytes: float,
-    gs: int,
-    beta: float,
-    block_compute: float,
-    alpha: float = 0.0,
-) -> tuple[float, float]:
-    """Overlap-aware (forward, backward) per-layer ring-attention times.
-
-    Each of the ``gs`` steps computes one partial-attention block while
-    the next KV block is already in flight, so a step costs
-    ``max(block_compute, hop)``; backward recomputes scores and forms
-    dQ/dK/dV (~2x compute) against a ``2P`` hop.  With ``gs == 1`` both
-    reduce to the plain local attention time.
-    """
-    if gs <= 1:
-        return (block_compute, 2.0 * block_compute)
-    hop_fwd = ring_hop_time(payload_bytes, beta, alpha)
-    hop_bwd = ring_hop_time(2.0 * payload_bytes, beta, alpha)
-    fwd = gs * max(block_compute, hop_fwd)
-    bwd = gs * max(2.0 * block_compute, hop_bwd)
-    return (fwd, bwd)
-
-
-def seq_comm_time(
-    cfg: GPTConfig,
-    global_batch: int,
-    config: GridConfig,
-    machine: MachineSpec,
-    db: BandwidthDatabase | None = None,
-    dtype_bytes: int = _BF16_BYTES,
-) -> float:
-    """Total per-iteration ring-rotation wire time over all layers.
-
-    The ``ring_seq`` term of the model: one ring per transformer layer,
-    per sequence group, at the sequence axis' effective bandwidth.
-    """
-    if config.gs <= 1:
-        return 0.0
-    betas = effective_bandwidths(config, machine, db)
-    payload = ring_kv_payload_bytes(
-        cfg, config, global_batch / config.gdata, dtype_bytes
-    )
-    return cfg.num_layers * seq_ring_time(payload, config.gs, betas["seq"])

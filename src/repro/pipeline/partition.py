@@ -26,13 +26,6 @@ class StagePlan:
     def num_stages(self) -> int:
         return len(self.ranges)
 
-    def stage_of(self, layer: int) -> int:
-        """The stage owning transformer block ``layer``."""
-        for s, (lo, hi) in enumerate(self.ranges):
-            if lo <= layer < hi:
-                return s
-        raise ValueError(f"layer {layer} outside any stage of {self.ranges}")
-
     def layers_in(self, stage: int) -> range:
         lo, hi = self.ranges[stage]
         return range(lo, hi)

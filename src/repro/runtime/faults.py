@@ -40,25 +40,19 @@ Fault classes and their runtime behaviour:
   is flipped *after* a successful write (silent storage corruption);
   only an integrity check at load time — the per-array CRC32 manifest
   of :mod:`repro.core.checkpoint_io` — can catch it.
-
-:func:`corrupt_schedule` maps each fault class to the *footprint it
-leaves on a recorded schedule* (a killed rank's truncated event stream,
-a dropped message's missing recv, a corrupted rank issuing a garbled
-size), so the static validator's detection and attribution of every
-fault class can be tested against ``repro.runtime.validate``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .process_group import CommEvent, ProcessGroup
+from .process_group import ProcessGroup
 
 __all__ = [
     "FaultError",
@@ -79,7 +73,6 @@ __all__ = [
     "fault_scope",
     "fault_cause",
     "get_active_injector",
-    "corrupt_schedule",
 ]
 
 #: The supported fault classes.
@@ -367,9 +360,6 @@ class FaultPlan:
                 )
             )
         return FaultPlan(tuple(faults), seed=seed)
-
-    def kills(self) -> list[FaultSpec]:
-        return [f for f in self.faults if f.kind == "kill"]
 
 
 @dataclass(frozen=True)
@@ -728,66 +718,3 @@ def fault_scope(injector: FaultInjector | None) -> Iterator[FaultInjector | None
 
 
 # -- schedule footprints -------------------------------------------------------
-
-
-def corrupt_schedule(
-    events: Iterable[CommEvent], plan: FaultPlan
-) -> list[CommEvent]:
-    """Apply each fault's *schedule footprint* to a recorded event list.
-
-    This is the bridge between runtime fault injection and the static
-    validator: a fault that fires at runtime leaves a characteristic
-    defect in the per-rank schedules, and the validator must detect and
-    attribute exactly that defect.
-
-    * ``kill`` — the victim's event stream truncates after its first
-      ``match`` events (fail-stop silence);
-    * ``drop_p2p`` — the ``match``-th recv on the channel disappears
-      (the receiver never observed the message);
-    * ``bitflip`` — the victim's ``match``-th matching collective is
-      issued with a garbled element count (a rank computing on corrupted
-      state calls the collective with the wrong size).
-
-    Delay faults leave no static footprint (the schedule is correct,
-    just late) and are ignored here.
-    """
-    out = list(events)
-    for f in plan.faults:
-        if f.kind == "kill":
-            kept: list[CommEvent] = []
-            seen = 0
-            for ev in out:
-                if ev.rank == f.rank:
-                    seen += 1
-                    if seen > f.match:
-                        continue
-                kept.append(ev)
-            out = kept
-        elif f.kind == "drop_p2p":
-            seen = 0
-            kept = []
-            for ev in out:
-                if ev.op == "recv" and ev.rank == f.dst and ev.peer == f.src:
-                    if seen == f.match:
-                        seen += 1
-                        continue
-                    seen += 1
-                kept.append(ev)
-            out = kept
-        elif f.kind == "bitflip":
-            seen = 0
-            kept = []
-            for ev in out:
-                if (
-                    ev.rank == f.rank
-                    and (not f.op or ev.op == f.op)
-                    and ev.op not in ("send", "recv")
-                ):
-                    if seen == f.match:
-                        seen += 1
-                        kept.append(replace(ev, count=ev.count + 1))
-                        continue
-                    seen += 1
-                kept.append(ev)
-            out = kept
-    return out

@@ -63,7 +63,6 @@ __all__ = [
     "hierarchical_broadcast",
     "CollectivePolicy",
     "collective_policy_scope",
-    "get_active_policy",
 ]
 
 
@@ -156,11 +155,6 @@ def collective_policy_scope(
         yield policy
     finally:
         rc._POLICIES.pop()
-
-
-def get_active_policy() -> CollectivePolicy | None:
-    """The innermost active policy, or ``None``."""
-    return rc._POLICIES[-1] if rc._POLICIES else None
 
 
 #: True while a hierarchical collective is composing its sub-phases —

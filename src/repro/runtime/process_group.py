@@ -281,14 +281,3 @@ class CommTracer:
             for r in self.records
             if op is None or r.op == op
         )
-
-    def by_tag(self, tag: str) -> list[CollectiveRecord]:
-        return [r for r in self.records if r.tag == tag]
-
-    def events_for(self, rank: int) -> list[CommEvent]:
-        """The event stream of one rank, in its program order."""
-        return [e for e in self.events if e.rank == rank]
-
-    def event_ranks(self) -> list[int]:
-        """All ranks appearing in the event streams, sorted."""
-        return sorted({e.rank for e in self.events})

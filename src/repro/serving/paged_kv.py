@@ -162,10 +162,6 @@ class PagedKVCache:
     def seq_len(self, seq_id: int) -> int:
         return self._lens[seq_id]
 
-    @property
-    def num_sequences(self) -> int:
-        return len(self._tables)
-
     # -- writes ------------------------------------------------------------
 
     def reserve(self, seq_id: int, num_new: int) -> None:

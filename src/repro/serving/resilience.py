@@ -87,10 +87,6 @@ class ResilienceReport:
     #: ``(step, old_gx, new_gx)`` per recovery re-formation.
     shrink_history: list[tuple[int, int, int]] = field(default_factory=list)
 
-    @property
-    def survived_faults(self) -> int:
-        return self.rank_failures + self.step_timeouts
-
 
 @dataclass
 class _History:

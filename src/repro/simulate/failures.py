@@ -107,13 +107,6 @@ class FailureModel:
         """Mean seconds between failures anywhere in the job."""
         return 1.0 / self.failure_rate(num_nodes)
 
-    def expected_iteration_time(self, base: float) -> float:
-        """Mean iteration time once stragglers are factored in."""
-        return base * (
-            1.0 + self.straggler_prob * (self.straggler_slowdown - 1.0)
-        )
-
-
 def checkpoint_time(
     cfg: GPTConfig,
     machine: MachineSpec,

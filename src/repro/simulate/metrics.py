@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ..cluster import MachineSpec
 from ..config import GPTConfig
-from ..kernels import flops_per_iteration, percent_of_peak, sustained_flops
+from ..kernels import percent_of_peak, sustained_flops
 
 __all__ = [
     "RunMetrics",
@@ -40,18 +40,6 @@ class RunMetrics:
     @property
     def pflops(self) -> float:
         return self.total_flops / 1e15
-
-    def record_to(self, registry) -> None:
-        """Publish this row into a telemetry
-        :class:`~repro.telemetry.MetricsRegistry` as ``sim.*`` gauges,
-        so simulated and measured runs serialize through the same
-        ``BENCH_*.json`` schema."""
-        registry.gauge("sim.num_gpus").set(self.num_gpus)
-        registry.gauge("sim.batch_time").set(self.batch_time)
-        registry.gauge("sim.total_flops").set(self.total_flops)
-        registry.gauge("sim.pct_advertised_peak").set(self.pct_advertised_peak)
-        registry.gauge("sim.pct_empirical_peak").set(self.pct_empirical_peak)
-
 
 def compute_metrics(
     cfg: GPTConfig,

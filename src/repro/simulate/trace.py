@@ -50,23 +50,10 @@ class Timeline:
     def on_stream(self, stream: str) -> list[TimelineEvent]:
         return [e for e in self.events if e.stream == stream]
 
-    def busy_time(self, stream: str) -> float:
-        return sum(e.duration for e in self.on_stream(stream))
-
     def makespan(self) -> float:
         if not self.events:
             return 0.0
         return max(e.end for e in self.events)
-
-    def validate_no_stream_overlap(self) -> bool:
-        """Each stream executes serially: its events must not overlap."""
-        streams = {e.stream for e in self.events}
-        for s in streams:
-            evs = sorted(self.on_stream(s), key=lambda e: e.start)
-            for a, b in zip(evs, evs[1:]):
-                if b.start < a.end - 1e-12:
-                    return False
-        return True
 
     def overlap_seconds(self) -> float:
         """Communication time hidden behind compute: total comm busy time
@@ -101,14 +88,6 @@ class Timeline:
             )
             for e in self.events
         ]
-
-    def to_chrome_trace(self) -> dict:
-        """A Chrome ``trace_event`` JSON document of the simulated
-        iteration — one viewer lane per stream, loadable in Perfetto
-        alongside wall-clock runtime traces."""
-        from ..telemetry.export import chrome_trace
-
-        return chrome_trace(self.to_trace_events())
 
     def render(self, width: int = 72) -> str:
         """A text Gantt chart (one row per stream)."""

@@ -156,23 +156,6 @@ class Tracer:
             return _NULL_CM
         return _SpanHandle(self, name, cat, tid, args)
 
-    def complete(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        cat: str = "",
-        tid: str = "main",
-        args: dict[str, Any] | None = None,
-    ) -> None:
-        """Record an externally-timed interval (e.g. replayed from a
-        simulator timeline) without touching the span stack."""
-        if not self.enabled:
-            return
-        self._records.append(
-            (name, cat, start, duration, 0, name, tid, args)
-        )
-
     def count_collective(
         self, op: str, nbytes: int, tag: str = "", group_size: int = 1
     ) -> None:

@@ -1,7 +1,7 @@
 """Autograd engine: Tensor, fused NN ops, bf16 emulation, checkpointing."""
 
 from .checkpoint import checkpoint
-from .dtype import bf16_eps, is_bf16_exact, to_bf16
+from .dtype import to_bf16
 from .functional import (
     cross_entropy,
     dropout,
@@ -13,16 +13,13 @@ from .functional import (
     softmax,
     where_mask,
 )
-from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad
+from .tensor import Tensor, as_tensor, no_grad
 
 __all__ = [
     "Tensor",
     "as_tensor",
     "no_grad",
-    "is_grad_enabled",
     "to_bf16",
-    "bf16_eps",
-    "is_bf16_exact",
     "checkpoint",
     "gelu",
     "relu",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["to_bf16", "bf16_eps", "is_bf16_exact"]
+__all__ = ["to_bf16"]
 
 #: Machine epsilon of bfloat16 (7 explicit mantissa bits => spacing of
 #: 2**-7 at 1.0); the max relative rounding error is half this.
@@ -44,15 +44,3 @@ def to_bf16(x: np.ndarray | float) -> np.ndarray:
     if np.isnan(x32).any():
         out = np.where(np.isnan(x32), np.float32(np.nan), out)
     return out.reshape(np.shape(x))
-
-
-def bf16_eps() -> float:
-    """Machine epsilon of the emulated bfloat16 format."""
-    return BF16_EPS
-
-
-def is_bf16_exact(x: np.ndarray) -> bool:
-    """True if every element of ``x`` is exactly representable in bf16."""
-    x32 = np.ascontiguousarray(x, dtype=np.float32)
-    bits = x32.view(np.uint32)
-    return bool(((bits & np.uint32(0xFFFF)) == 0).all())

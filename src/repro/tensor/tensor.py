@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
+__all__ = ["Tensor", "no_grad", "as_tensor"]
 
 _GRAD_ENABLED = True
 
@@ -37,11 +37,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def is_grad_enabled() -> bool:
-    """Whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -54,7 +54,7 @@ __all__ = ["main"]
 
 def _smoke_engine(seed: int) -> dict[str, float]:
     """Tiny real-engine run: actual floats, paged vs concat KV traffic."""
-    from ..nn.generation import KVCache, generate_greedy
+    from ..nn.generation import generate_greedy
     from ..nn.transformer import GPT
     from ..serving import ServingEngine
 
@@ -412,4 +412,3 @@ def _chaos_main(args, cfg, machine, model, batching, rates, trace) -> int:
         )
         print(f"wrote {path}")
     return 0
-

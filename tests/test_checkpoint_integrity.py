@@ -18,7 +18,9 @@ from repro.core import (
     Grid4D,
     GridConfig,
     ParallelGPT,
+    load_checkpoint,
     load_training_state,
+    save_checkpoint,
     save_training_state,
     verify_checkpoint,
 )
@@ -168,6 +170,35 @@ class TestCRCManifest:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointCorruptionError):
             verify_checkpoint(path)
+
+
+class TestLoadCheckpointVerifies:
+    """``load_checkpoint`` has one read path, :func:`verify_checkpoint`."""
+
+    def test_half_written_file_raises_typed_error(self, tmp_path):
+        model = GPT(tiny_cfg(), seed=0)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(CheckpointCorruptionError, match="unreadable"):
+            load_checkpoint(GPT(tiny_cfg(), seed=1), path)
+
+    def test_stripped_manifest_and_altered_array_rejected(self, tmp_path):
+        model = GPT(tiny_cfg(), seed=0)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != MANIFEST_KEY}
+        name = sorted(arrays)[0]
+        arrays[name] = arrays[name] + 1.0
+        np.savez(path, **arrays)
+        target = GPT(tiny_cfg(), seed=1)
+        before = {k: v.copy() for k, v in target.state_dict().items()}
+        with pytest.raises(CheckpointCorruptionError, match="manifest"):
+            load_checkpoint(target, path)
+        for k, v in target.state_dict().items():
+            np.testing.assert_array_equal(v, before[k])
 
 
 class TestCorruptCheckpointFault:

@@ -12,7 +12,8 @@ from repro.core import (
     reshard,
     save_checkpoint,
 )
-from repro.nn import GPT, SGD
+from repro.nn import GPT
+from tests.oracles.optim import SGD
 
 
 def tiny_config():

@@ -69,8 +69,7 @@ class TestPlacement:
         assert p.node_of(7) == 0
         assert p.node_of(8) == 1
         assert p.local_rank_of(9) == 1
-        assert p.same_node(0, 7)
-        assert not p.same_node(7, 8)
+        assert p.node_of(0) == p.node_of(7) != p.node_of(8)
 
     def test_out_of_range(self):
         p = Placement(PERLMUTTER, 8)

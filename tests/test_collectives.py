@@ -248,7 +248,7 @@ class TestTracer:
         all_gather(bufs, g, tracer=tr)
         assert tr.ops() == ["all_reduce", "all_gather"]
         assert tr.total_bytes("all_reduce") == 8 * 8
-        assert len(tr.by_tag("grad")) == 1
+        assert [r.tag for r in tr.records].count("grad") == 1
         tr.clear()
         assert tr.records == []
 

@@ -15,8 +15,9 @@ from repro.core import (
     make_degenerate_grid,
     replicas_in_sync,
 )
-from repro.nn import GPT, AdamW, SGD
+from repro.nn import GPT, AdamW
 from repro.runtime import CommTracer
+from tests.oracles.optim import SGD
 
 
 def tiny_config(**kw) -> GPTConfig:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import ACTIVATIONS, Grid4D, GridConfig, ParallelMLP
-from repro.nn import Linear, SGD
+from repro.nn import Linear
 from repro.tensor import Tensor
 from repro.tensor import functional as F
+from tests.oracles.optim import SGD
 
 
 def serial_forward(layers, x, activation):

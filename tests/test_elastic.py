@@ -223,7 +223,7 @@ class TestBuddyRecovery:
         assert rep.restart_causes["kill"] == 1
         # Pre-shrink losses match the no-fault run bit for bit.
         assert rep.losses[:2] == ref.losses[:2]
-        assert rep.final_config.total == 6
+        assert rep.grid_history[-1][1].total == 6
 
     def test_defense_disabled_kill_needs_disk_and_loses_steps(self, tmp_path):
         """Same kill with replication off: recovery must fall back to
@@ -319,7 +319,7 @@ class TestCorrelatedFailure:
         assert rep.disk_restores == 1
         assert ring.stats["skipped_corrupt"] >= 1  # corrupted newest skipped
         assert rep.steps_lost >= 1  # rolled past the corrupted save
-        assert rep.final_config.total == 6
+        assert rep.grid_history[-1][1].total == 6
         assert len(rep.losses) == len(batches)
 
     def test_correlated_failure_without_ring_propagates(self):
@@ -405,7 +405,7 @@ class TestGrow:
             global_batch=BATCH,
         )
         assert rep.shrinks == 1 and rep.grows == 1
-        assert rep.final_config == GRID8
+        assert rep.grid_history[-1][1] == GRID8
         assert [s for s, _ in rep.grid_history] == [0, 1, 3]
         # Pre-shrink steps ran on the identical grid: bitwise equal.
         assert rep.losses[:1] == ref.losses[:1]
@@ -446,6 +446,6 @@ class TestTransientFaults:
         assert rep.shrinks == 0
         assert rep.disk_restores == 0
         assert rep.steps_lost == 0
-        assert rep.final_config == GRID8
+        assert rep.grid_history[-1][1] == GRID8
         assert rep.losses == ref.losses  # bitwise: same grid throughout
         assert len(rep.losses) == len(batches)

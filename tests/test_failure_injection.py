@@ -6,8 +6,9 @@ import pytest
 
 from repro.config import GPTConfig
 from repro.core import broadcast_parameters, replicas_in_sync
-from repro.nn import GPT, MixedPrecisionTrainer, SGD
+from repro.nn import GPT, MixedPrecisionTrainer
 from repro.runtime import ProcessGroup, all_reduce
+from tests.oracles.optim import SGD
 
 
 def tiny_config():

@@ -32,10 +32,6 @@ class TestFailureModel:
         assert fm.job_mtbf(100) == pytest.approx(10.0)
         assert fm.failure_rate(10) == pytest.approx(0.01)
 
-    def test_straggler_expectation(self):
-        fm = FailureModel(straggler_prob=0.1, straggler_slowdown=3.0)
-        assert fm.expected_iteration_time(10.0) == pytest.approx(12.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FailureModel(node_mtbf=0.0)

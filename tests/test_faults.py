@@ -5,10 +5,14 @@ right rank and op*.  An injector whose faults the validator cannot see
 is testing nothing.
 """
 
+from dataclasses import replace
+from typing import Iterable
+
 import numpy as np
 import pytest
 
 from repro.runtime import (
+    CommEvent,
     CommTracer,
     CommTimeoutError,
     FaultInjector,
@@ -20,7 +24,6 @@ from repro.runtime import (
     all_reduce,
     all_to_all,
     broadcast,
-    corrupt_schedule,
     fault_scope,
     gather,
     get_active_injector,
@@ -299,6 +302,69 @@ class TestFaultScope:
 
 
 # -- validator failure paths (the injector/validator contract) -----------------
+
+
+def corrupt_schedule(
+    events: Iterable[CommEvent], plan: FaultPlan
+) -> list[CommEvent]:
+    """Apply each fault's *schedule footprint* to a recorded event list.
+
+    This is the bridge between runtime fault injection and the static
+    validator: a fault that fires at runtime leaves a characteristic
+    defect in the per-rank schedules, and the validator must detect and
+    attribute exactly that defect.
+
+    * ``kill`` — the victim's event stream truncates after its first
+      ``match`` events (fail-stop silence);
+    * ``drop_p2p`` — the ``match``-th recv on the channel disappears
+      (the receiver never observed the message);
+    * ``bitflip`` — the victim's ``match``-th matching collective is
+      issued with a garbled element count (a rank computing on corrupted
+      state calls the collective with the wrong size).
+
+    Delay faults leave no static footprint (the schedule is correct,
+    just late) and are ignored here.
+    """
+    out = list(events)
+    for f in plan.faults:
+        if f.kind == "kill":
+            kept: list[CommEvent] = []
+            seen = 0
+            for ev in out:
+                if ev.rank == f.rank:
+                    seen += 1
+                    if seen > f.match:
+                        continue
+                kept.append(ev)
+            out = kept
+        elif f.kind == "drop_p2p":
+            seen = 0
+            kept = []
+            for ev in out:
+                if ev.op == "recv" and ev.rank == f.dst and ev.peer == f.src:
+                    if seen == f.match:
+                        seen += 1
+                        continue
+                    seen += 1
+                kept.append(ev)
+            out = kept
+        elif f.kind == "bitflip":
+            seen = 0
+            kept = []
+            for ev in out:
+                if (
+                    ev.rank == f.rank
+                    and (not f.op or ev.op == f.op)
+                    and ev.op not in ("send", "recv")
+                ):
+                    if seen == f.match:
+                        seen += 1
+                        kept.append(replace(ev, count=ev.count + 1))
+                        continue
+                    seen += 1
+                kept.append(ev)
+            out = kept
+    return out
 
 
 class TestValidatorDetectsInjectedFaults:

@@ -48,7 +48,7 @@ class TestCacheEquivalence:
             np.testing.assert_allclose(logits, full, rtol=1e-12, atol=1e-12)
 
     def test_generate_matches_uncached(self):
-        from repro.memorization import greedy_continuation
+        from tests.oracles.generation import greedy_continuation
 
         model = model_for(seed=5)
         prefix = np.random.default_rng(2).integers(0, 64, 9)
@@ -169,15 +169,6 @@ class TestCacheMechanics:
     def test_empty_cache_properties(self):
         c = KVCache()
         assert c.seq_len == 0
-
-
-class TestModelGenerateMethod:
-    def test_generate_delegates_to_cached_decoding(self):
-        model = model_for(seed=9)
-        prefix = np.array([1, 2, 3])
-        a = model.generate(prefix, 5)
-        b = generate_greedy(model, prefix, 5)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestNoStaleWeights:

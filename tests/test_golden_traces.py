@@ -15,7 +15,8 @@ import json
 
 import pytest
 
-from repro.runtime import normalized_schedule, schedule_diff, validate_schedule
+from repro.runtime import normalized_schedule, validate_schedule
+from tests.oracles.schedule import schedule_diff
 from repro.tools.regen_goldens import (
     GOLDEN_SCENARIOS,
     build_schedule,

@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.memorization import TextCorpus
 from repro.nn import GPT, AdamW, MixedPrecisionTrainer
+from repro.nn.generation import generate_greedy
 from repro.runtime import CommTracer
 
 
@@ -79,8 +80,8 @@ def test_full_user_workflow(tmp_path):
     # --- inference: gather to serial, generate with the KV cache ----------
     final = resumed.gather_state_to_serial()
     prefix = corpus.document(5).tokens[:8]
-    continuation = final.generate(prefix, 6)
+    continuation = generate_greedy(final, prefix, 6)
     assert continuation.shape == (6,)
     assert (0 <= continuation).all() and (continuation < vocab).all()
     # Deterministic: the same prompt regenerates the same tokens.
-    np.testing.assert_array_equal(final.generate(prefix, 6), continuation)
+    np.testing.assert_array_equal(generate_greedy(final, prefix, 6), continuation)

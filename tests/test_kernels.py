@@ -9,7 +9,6 @@ from repro.kernels import (
     GemmModel,
     MatmulOp,
     flops_per_iteration,
-    flops_per_token,
     percent_of_peak,
     sustained_flops,
     tune_matmuls,
@@ -72,7 +71,7 @@ class TestTuner:
         g = GemmModel(FRONTIER)
         ops = [MatmulOp("block.dW", m=16384, k=4096, n=16384, default_mode="TN")]
         plan = tune_matmuls(ops, g)
-        assert plan.mode_for("block.dW") == "NN"
+        assert plan.choices["block.dW"] == "NN"
         # NN is ~8x faster; the relayout charge (5% of the *default* TN
         # time) caps the realized speedup at 1 / (1/8 + 0.05).
         assert plan.speedup > 5.0
@@ -81,7 +80,7 @@ class TestTuner:
         g = GemmModel(PERLMUTTER)
         ops = [MatmulOp("fwd", 4096, 4096, 4096, "NN")]
         plan = tune_matmuls(ops, g)
-        assert plan.mode_for("fwd") == "NN"
+        assert plan.choices["fwd"] == "NN"
         assert plan.speedup == pytest.approx(1.0)
 
     def test_transpose_overhead_prevents_marginal_switches(self):
@@ -90,7 +89,7 @@ class TestTuner:
         g = GemmModel(PERLMUTTER)
         ops = [MatmulOp("dI", 4096, 4096, 4096, "NT")]
         plan = tune_matmuls(ops, g)
-        assert plan.mode_for("dI") == "NT"
+        assert plan.choices["dI"] == "NT"
 
     def test_modest_gains_for_small_models_on_frontier(self):
         """Fig. 7: kernel tuning helps only 2-4% for models below the
@@ -125,7 +124,7 @@ class TestTuner:
         plan = tune_matmuls(
             [MatmulOp("dW", 256, 256, 256, default_mode="TN")], FixedTimes()
         )
-        assert plan.mode_for("dW") == "TN"
+        assert plan.choices["dW"] == "TN"
         assert plan.tuned_times["dW"] == pytest.approx(10.0)
 
     def test_switched_op_pays_default_relative_overhead(self):
@@ -141,7 +140,7 @@ class TestTuner:
         plan = tune_matmuls(
             [MatmulOp("dW", 256, 256, 256, default_mode="TN")], FixedTimes()
         )
-        assert plan.mode_for("dW") == "NN"
+        assert plan.choices["dW"] == "NN"
         assert plan.tuned_times["dW"] == pytest.approx(1.0 + 0.05 * 10.0)
         assert plan.speedup == pytest.approx(10.0 / 1.5)
 
@@ -167,8 +166,9 @@ class TestFlops:
 
     def test_flops_per_token_consistent(self):
         cfg = get_model("GPT-10B")
-        assert flops_per_token(cfg) * cfg.seq_len == pytest.approx(
-            flops_per_iteration(cfg, 1)
+        per_token = flops_per_iteration(cfg, 1) / cfg.seq_len
+        assert flops_per_iteration(cfg, 8) / (8 * cfg.seq_len) == pytest.approx(
+            per_token
         )
 
     def test_sustained_and_percent(self):
@@ -187,6 +187,8 @@ class TestFlops:
             percent_of_peak(1.0, 0.0)
 
     def test_bigger_models_need_more_flops_per_token(self):
-        small = flops_per_token(get_model("GPT-5B"))
-        big = flops_per_token(get_model("GPT-80B"))
+        small, big = (
+            flops_per_iteration(cfg, 1) / cfg.seq_len
+            for cfg in (get_model("GPT-5B"), get_model("GPT-80B"))
+        )
         assert big > 10 * small

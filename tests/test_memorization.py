@@ -11,12 +11,12 @@ from repro.memorization import (
     evaluate_buckets,
     exact_match_rate,
     goldfish_mask,
-    greedy_continuation,
     pretrain,
     run_experiment,
     scale_ladder,
 )
 from repro.nn import GPT
+from tests.oracles.generation import greedy_continuation
 
 
 class TestCorpus:
@@ -74,7 +74,8 @@ class TestBuckets:
 
     def test_control_bucket(self):
         design = BucketDesign(SyntheticCorpus(128, 32), docs_per_bucket=3)
-        assert design.control_bucket().epochs == 0
+        control = [b for b in design.buckets if b not in design.trained_buckets()]
+        assert [b.epochs for b in control] == [0]
         assert len(design.trained_buckets()) == 3
 
     def test_injection_stream_counts(self):
@@ -89,7 +90,8 @@ class TestBuckets:
                 )
                 assert hits == bucket.epochs
         # Control docs never appear.
-        for doc in design.control_bucket().documents:
+        control = next(b for b in design.buckets if b.epochs == 0)
+        for doc in control.documents:
             assert not any(np.array_equal(r, doc.tokens) for r in stream)
 
     def test_stream_shuffle_deterministic(self):

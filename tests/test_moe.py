@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.moe import ExpertParallelMoE, MoELayer, TopKRouter, load_balance_loss
-from repro.nn import SGD
 from repro.runtime import CommTracer, ProcessGroup, all_to_all
 from repro.tensor import Tensor
+from tests.oracles.optim import SGD
 
 
 def tokens(t=12, dim=8, seed=0):

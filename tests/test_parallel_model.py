@@ -346,7 +346,7 @@ class TestParallelGPTEquivalence:
 
     def test_training_steps_stay_equivalent(self):
         """Three SGD steps on both models keep losses identical."""
-        from repro.nn import SGD
+        from tests.oracles.optim import SGD
 
         cfg = tiny_config(num_layers=1)
         serial = GPT(cfg, seed=7)
@@ -529,7 +529,7 @@ class TestGridShapeFuzz:
     def test_parallel_step_matches_serial_and_schedule_clean(
         self, gx, gy, gz, gd, seed
     ):
-        from repro.nn import SGD
+        from tests.oracles.optim import SGD
         from repro.runtime import validate_schedule
 
         cfg = tiny_config(num_layers=1)

@@ -27,9 +27,9 @@ from repro.runtime import (
     FaultSpec,
     RankFailure,
     normalized_schedule,
-    schedule_diff,
     validate_schedule,
 )
+from tests.oracles.schedule import schedule_diff
 
 
 def tiny_cfg():

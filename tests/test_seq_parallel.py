@@ -41,7 +41,6 @@ from repro.nn import (
     causal_attention,
     causal_mask,
     ring_causal_attention,
-    shard_sequence,
 )
 from repro.nn import transformer as transformer_mod
 from repro.perfmodel import rank_configurations, seq_ring_volumes
@@ -81,9 +80,9 @@ def batch_for(cfg, b, s=None, seed=0):
 def _ring_outputs(qd, kd, vd, num_heads, gs, tracer=None):
     """Run the ring on numpy q/k/v, returning (shard tensors, concat data)."""
     group = ProcessGroup(tuple(range(gs)))
-    qs = [Tensor(a.copy(), requires_grad=True) for a in shard_sequence(qd, gs)]
-    ks = [Tensor(a.copy(), requires_grad=True) for a in shard_sequence(kd, gs)]
-    vs = [Tensor(a.copy(), requires_grad=True) for a in shard_sequence(vd, gs)]
+    qs = [Tensor(a.copy(), requires_grad=True) for a in np.split(qd, gs, axis=1)]
+    ks = [Tensor(a.copy(), requires_grad=True) for a in np.split(kd, gs, axis=1)]
+    vs = [Tensor(a.copy(), requires_grad=True) for a in np.split(vd, gs, axis=1)]
     outs = ring_causal_attention(qs, ks, vs, num_heads, group, tracer=tracer)
     full = np.concatenate([o.data for o in outs], axis=1)
     return (qs, ks, vs), outs, full
@@ -112,7 +111,7 @@ class TestRingAttentionCore:
 
         loss = sum(
             (o * Tensor(ws)).sum()
-            for o, ws in zip(outs, shard_sequence(w, gs))
+            for o, ws in zip(outs, np.split(w, gs, axis=1))
         )
         loss.backward()
         qs, ks, vs = shards
@@ -170,8 +169,6 @@ class TestRingAttentionCore:
         assert validate_schedule(tracer) == []
 
     def test_shard_validation_errors(self):
-        with pytest.raises(ValueError):
-            shard_sequence(np.zeros((1, 10, 4)), 3)
         group = ProcessGroup((0, 1))
         t = Tensor(np.zeros((1, 2, 4)))
         with pytest.raises(ValueError):

@@ -301,11 +301,9 @@ class TestJitterDeterminism:
         assert vec_engine.deterministic_jitter is deterministic_jitter
 
     def test_variability_reexport(self):
-        from repro.simulate.variability import (
-            deterministic_jitter as from_variability,
-        )
+        from repro.simulate import deterministic_jitter as from_package
 
-        assert from_variability is deterministic_jitter
+        assert from_package is deterministic_jitter
 
     def test_zero_amplitude_is_identity(self):
         assert deterministic_jitter("any-key", 0.0) == 1.0

@@ -249,51 +249,27 @@ class TestScalingStudies:
 
 
 class TestVariability:
-    """Section VI-B's run-to-run variability, modeled."""
+    """Section VI-B's run-to-run variability, modeled: each submission
+    of a job is one ``run_salt`` of the congestion jitter."""
+
+    @staticmethod
+    def submissions(runs):
+        cfg = get_model("GPT-10B")
+        return [
+            simulate_iteration(
+                cfg, 128, GridConfig(2, 1, 8, 4), FRONTIER, run_salt=salt
+            ).total_time
+            for salt in range(runs)
+        ]
 
     def test_repeated_runs_vary(self):
-        from repro.simulate import variability_study
-
-        cfg = get_model("GPT-10B")
-        stats = variability_study(
-            cfg, GridConfig(2, 1, 8, 4), FRONTIER, 128, runs=8
-        )
-        assert len(stats.times) == 8
-        assert stats.max > stats.min  # real spread
-        assert 0 < stats.spread_pct < 15  # a few percent, like the paper
-        assert stats.min <= stats.mean <= stats.max
+        times = self.submissions(8)
+        assert max(times) > min(times)  # real spread
+        spread_pct = 100.0 * (max(times) - min(times)) / (sum(times) / len(times))
+        assert 0 < spread_pct < 15  # a few percent, like the paper
 
     def test_variability_deterministic(self):
-        from repro.simulate import variability_study
-
-        cfg = get_model("GPT-10B")
-        a = variability_study(cfg, GridConfig(2, 1, 8, 4), FRONTIER, 128, runs=4)
-        b = variability_study(cfg, GridConfig(2, 1, 8, 4), FRONTIER, 128, runs=4)
-        assert a.times == b.times
-
-    def test_validation(self):
-        from repro.simulate import variability_study
-
-        with pytest.raises(ValueError):
-            variability_study(
-                get_model("GPT-10B"), GridConfig(1, 1, 8, 1), FRONTIER, 8, runs=1
-            )
-
-    def test_measurement_protocol(self):
-        """10 iterations, discard 2 warmups, average 8 (Section VI-C)."""
-        from repro.simulate import measured_batch_time
-
-        cfg = get_model("GPT-10B")
-        t = measured_batch_time(cfg, GridConfig(2, 1, 8, 4), FRONTIER, 128)
-        one = simulate_iteration(cfg, 128, GridConfig(2, 1, 8, 4), FRONTIER)
-        # The averaged measurement is close to a single draw but not
-        # identical (different jitter draws).
-        assert t == pytest.approx(one.total_time, rel=0.1)
-        with pytest.raises(ValueError):
-            measured_batch_time(
-                cfg, GridConfig(2, 1, 8, 4), FRONTIER, 128,
-                iterations=2, warmup=2,
-            )
+        assert self.submissions(4) == self.submissions(4)
 
 
 class TestPlacementImpact:

@@ -122,7 +122,6 @@ class TestSpans:
         tr = Tracer(enabled=False)
         with tr.span("x"):
             pass
-        tr.complete("y", 0.0, 1.0)
         tr.count_collective("all_reduce", 64, tag="t")
         assert tr.spans == []
         assert len(tr.metrics) == 0
@@ -367,7 +366,7 @@ class TestChromeTraceExport:
         events = tl.to_trace_events()
         assert all(isinstance(e, TraceEvent) for e in events)
         assert {e.tid for e in events} == {"compute", "comm.z"}
-        assert validate_chrome_trace(tl.to_chrome_trace()) == []
+        assert validate_chrome_trace(chrome_trace(events)) == []
 
 
 class TestBenchJson:
@@ -385,19 +384,6 @@ class TestBenchJson:
         assert path.name == "BENCH_smoke.json"
         doc = json.loads(path.read_text())
         assert doc["schema"] == BENCH_SCHEMA and doc["metrics"] == {"m": 1.0}
-
-    def test_sim_metrics_record_to_registry(self):
-        from repro.cluster import get_machine
-        from repro.config import get_model
-        from repro.simulate import compute_metrics
-
-        rm = compute_metrics(
-            get_model("GPT-5B"), 64, 64, get_machine("frontier"), 10.0
-        )
-        m = MetricsRegistry()
-        rm.record_to(m)
-        assert m.value("sim.num_gpus") == 64
-        assert m.value("sim.total_flops") == pytest.approx(rm.total_flops)
 
 
 class TestFlamegraph:

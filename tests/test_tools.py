@@ -106,6 +106,17 @@ class TestApiDocsGenerator:
             for sym in getattr(mod, "__all__", []):
                 assert f"`{sym}`" in text
 
+    def test_committed_reference_is_current(self):
+        from pathlib import Path
+
+        from repro.tools.gen_api_docs import render
+
+        committed = Path(__file__).resolve().parent.parent / "docs" / "API.md"
+        assert committed.read_text() == render(), (
+            "docs/API.md is stale: python -m repro.tools gen-api-docs "
+            "--out docs/API.md"
+        )
+
     def test_covers_new_subsystems(self):
         from repro.tools.gen_api_docs import PACKAGES
 

@@ -9,8 +9,9 @@ import pytest
 
 from repro.config import GPTConfig
 from repro.core import Grid4D, GridConfig, ParallelGPT
-from repro.nn import GPT, AdamW, MixedPrecisionTrainer, SGD
-from repro.tensor import is_bf16_exact
+from repro.nn import GPT, AdamW, MixedPrecisionTrainer
+from repro.tensor import to_bf16
+from tests.oracles.optim import SGD
 
 
 def tiny_config():
@@ -105,7 +106,7 @@ class TestBF16Compute:
         cfg = tiny_config()
         model = GPT(cfg, seed=0)
         orig = model.wte.weight.data.copy()
-        assert not is_bf16_exact(orig)
+        assert not np.array_equal(to_bf16(orig), orig)
         trainer = MixedPrecisionTrainer(
             model, SGD(model.parameters(), lr=0.0), bf16=True
         )
@@ -163,12 +164,12 @@ _FAULTS_OF_TWO_64MB_ARRAYS = """
 import resource
 import numpy as np
 from repro.config import GPTConfig
-from repro.nn import GPT, SGD, MixedPrecisionTrainer
+from repro.nn import GPT, AdamW, MixedPrecisionTrainer
 
 cfg = GPTConfig(name="mp", num_layers=1, hidden_size=16, num_heads=4,
                 seq_len=10, vocab_size=32)
 model = GPT(cfg, seed=0)
-MixedPrecisionTrainer(model, SGD(model.parameters(), lr=0.1))
+MixedPrecisionTrainer(model, AdamW(model.parameters(), lr=0.1))
 
 def faults():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -575,12 +575,12 @@ class TestShrinkKeepsSequenceAxis:
         batches = _batches(4, BATCH)
         rep = _elastic(grid=self.SEQ_GRID)
         assert rep.buddy_restores == 1 and rep.shrinks == 1
-        assert rep.final_config.full_dims == (1, 1, 1, 3, 2)
+        assert rep.grid_history[-1][1].full_dims == (1, 1, 1, 3, 2)
 
         big = _trainer(cfg, self.SEQ_GRID)
         for ids in batches[:2]:
             big.step(ids)
-        small = _trainer(cfg, rep.final_config)
+        small = _trainer(cfg, rep.grid_history[-1][1])
         load_training_arrays(
             small.model, small.optimizer,
             gather_training_arrays(big.model, big.optimizer),

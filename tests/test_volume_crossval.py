@@ -33,10 +33,10 @@ from repro.perfmodel.ring import (
     all_reduce_time,
     broadcast_time,
     reduce_scatter_time,
-    ring_wire_bytes,
 )
 from repro.runtime import CommTracer, ProcessGroup, broadcast
 from repro.runtime import collectives as rc
+from tests.oracles.ring import ring_wire_bytes
 
 
 def traced_bytes(tracer: CommTracer, tags: set[str]) -> float:
