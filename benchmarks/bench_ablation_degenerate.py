@@ -15,7 +15,7 @@ from repro.autotune import PlanRequest
 from repro.cluster import FRONTIER
 from repro.config import get_model
 from repro.core import make_degenerate_grid
-from repro.perfmodel import feasible
+from repro.perfmodel import infeasibility_reason
 from repro.simulate import (
     OverlapFlags,
     baseline_config,
@@ -36,7 +36,7 @@ def test_ablation_degenerate_schemes(benchmark, report):
         for scheme in ("fsdp", "hsdp", "megatron"):
             grid = make_degenerate_grid(scheme, GCDS)
             gc = grid.config
-            if not feasible(cfg, gc, BATCH, FRONTIER):
+            if infeasibility_reason(cfg, gc, BATCH, FRONTIER) is not None:
                 results[scheme] = (gc, None)
                 continue
             r = simulate_iteration(
@@ -108,7 +108,7 @@ def test_pure_data_parallel_infeasible_for_large_models(report):
     exactly the motivation for sharding (Section IV-A)."""
     cfg = get_model(MODEL)
     grid = make_degenerate_grid("pure_data", GCDS)
-    assert not feasible(cfg, grid.config, BATCH, FRONTIER)
+    assert infeasibility_reason(cfg, grid.config, BATCH, FRONTIER) is not None
     report.line(
         "pure data parallelism for GPT-20B on Frontier: infeasible "
         "(model state exceeds one GCD's memory), as expected"

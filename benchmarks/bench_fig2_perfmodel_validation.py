@@ -19,7 +19,7 @@ from conftest import run_once
 from repro.cluster import PERLMUTTER
 from repro.config import get_model
 from repro.core import enumerate_grid_configs
-from repro.perfmodel import BandwidthDatabase, feasible, model_comm_time
+from repro.perfmodel import BandwidthDatabase, infeasibility_reason, model_comm_time
 from repro.simulate import OverlapFlags, simulate_iteration
 
 CASES = [
@@ -36,7 +36,7 @@ def test_fig2_perfmodel_validation(benchmark, report, model_name, num_gpus, batc
     def experiment():
         rows = []
         for gc in enumerate_grid_configs(num_gpus):
-            if not feasible(cfg, gc, batch, machine=None):
+            if infeasibility_reason(cfg, gc, batch) is not None:
                 continue
             predicted = model_comm_time(cfg, batch, gc, PERLMUTTER, db=db).total
             observed = simulate_iteration(

@@ -62,8 +62,8 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from itertools import groupby
 
-from ..core.grid import GridConfig, enumerate_grid_configs
-from ..perfmodel.configs import infeasibility_reason, rank_grids
+from ..core.grid import GridConfig, enumerate_grid_configs, infeasibility_reason
+from ..perfmodel.configs import rank_grids
 from ..simulate.engine import num_cached_timings
 from ..simulate.executor import (
     DEFAULT_NOISE,

@@ -8,7 +8,6 @@ from .checkpoint_io import (
     load_checkpoint,
     load_training_arrays,
     load_training_state,
-    reshard,
     save_checkpoint,
     save_training_state,
     verify_checkpoint,
@@ -31,8 +30,8 @@ from .degenerate import (
     make_degenerate_grid,
 )
 from .easy_api import ACTIVATIONS, ParallelMLP
-from .elastic import ElasticReport, grid_fits, shrink_grid, train_elastic
-from .grid import Grid4D, GridConfig, enumerate_grid_configs
+from .elastic import ElasticReport, shrink_grid, train_elastic
+from .grid import Grid4D, GridConfig, enumerate_grid_configs, infeasibility_reason
 from .parallel_layers import ParallelEmbedding, ParallelLayerNorm, ParallelLinear
 from .parallel_loss import vocab_parallel_cross_entropy
 from .vocab_parallel import VocabParallelEmbedding
@@ -53,20 +52,19 @@ __all__ = [
     "axonn_init",
     "save_checkpoint",
     "load_checkpoint",
-    "reshard",
     "save_training_state",
     "load_training_state",
     "gather_training_arrays",
     "load_training_arrays",
     "verify_checkpoint",
     "CheckpointRing",
-    "grid_fits",
     "shrink_grid",
     "ElasticReport",
     "train_elastic",
     "Grid4D",
     "GridConfig",
     "enumerate_grid_configs",
+    "infeasibility_reason",
     "pmm3d_forward",
     "pmm3d_backward",
     "shard_input",

@@ -43,13 +43,11 @@ import numpy as np
 from ..nn.transformer import GPT
 from ..runtime.faults import CheckpointCorruptionError, get_active_injector
 from ..telemetry.spans import get_tracer as _telemetry, traced as _traced
-from .grid import Grid4D
 from .parallel_transformer import ParallelGPT
 
 __all__ = [
     "save_checkpoint",
     "load_checkpoint",
-    "reshard",
     "save_training_state",
     "load_training_state",
     "gather_training_arrays",
@@ -212,17 +210,6 @@ def _copy_parallel_state(src: ParallelGPT, dst: ParallelGPT) -> None:
     src_params = dict(src.named_parameters())
     for name, p in dst.named_parameters():
         p.data = src_params[name].data.copy()
-
-
-def reshard(model: ParallelGPT, new_grid: Grid4D) -> ParallelGPT:
-    """Re-lay a parallel model's weights onto a different 4D grid.
-
-    Gathers to the canonical layout and re-shards — exactly what a
-    restart with a different GPU count does through the checkpoint file,
-    but in memory.
-    """
-    serial = model.gather_state_to_serial()
-    return ParallelGPT.from_serial(serial, new_grid)
 
 
 # -- layout-bound training state (same-grid bit-exact resume) ------------------

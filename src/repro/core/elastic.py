@@ -29,9 +29,10 @@ Recovery sources, in preference order (see :func:`train_elastic`):
 
 :func:`shrink_grid` is the planner: the largest rank count ``<= n`` that
 admits a 4D factorization compatible with the model's divisibility
-constraints (:func:`grid_fits`), preferring candidates that keep grid
-axes unchanged (less state movement) — including non-power-of-two
-sub-grids, e.g. 8 ranks shrinking to 6 as (1, 2, 3, 1).
+constraints (:func:`~repro.core.grid.infeasibility_reason`), preferring
+candidates that keep grid axes unchanged (less state movement) —
+including non-power-of-two sub-grids, e.g. 8 ranks shrinking to 6 as
+(1, 2, 3, 1).
 """
 
 from __future__ import annotations
@@ -51,42 +52,12 @@ from .checkpoint_io import (
     gather_training_arrays,
     load_training_arrays,
 )
-from .grid import GridConfig, enumerate_grid_configs
+from .grid import GridConfig, enumerate_grid_configs, infeasibility_reason
 
-__all__ = ["grid_fits", "shrink_grid", "ElasticReport", "train_elastic"]
+__all__ = ["shrink_grid", "ElasticReport", "train_elastic"]
 
 
 # -- the shrink planner --------------------------------------------------------
-
-
-def grid_fits(
-    cfg: GPTConfig, grid: GridConfig, global_batch: int | None = None
-) -> bool:
-    """Can a :class:`~repro.core.ParallelGPT` of ``cfg`` be built on
-    ``grid``?  Mirrors the divisibility constraints of the parallel
-    layers analytically (no model construction): attention heads and
-    vocab over X, LayerNorm features over Y, each linear's contraction
-    axis over (contract * Z) and output axis over its column axis, the
-    sequence over the ring degree, and — when ``global_batch`` is given
-    — the batch over Z * Data.
-    """
-    gx, gy, gz, gd = grid.dims
-    h, ffn = cfg.hidden_size, cfg.ffn_hidden
-    checks = (
-        cfg.num_heads % gx == 0,
-        cfg.vocab_size % gx == 0,
-        h % gx == 0,  # QKV column permutation / head split
-        h % gy == 0,  # LayerNorm features, proj/fc2 outputs
-        h % (gy * gz) == 0,  # qkv/fc1 contraction (normal orientation)
-        h % (gx * gz) == 0,  # proj contraction (transposed orientation)
-        (3 * h) % gx == 0,
-        ffn % gx == 0,  # fc1 output columns
-        ffn % (gx * gz) == 0,  # fc2 contraction
-        cfg.seq_len % grid.gs == 0,  # ring attention's sequence shards
-    )
-    if global_batch is not None:
-        checks += (global_batch % (gz * gd) == 0,)
-    return all(checks)
 
 
 def shrink_grid(
@@ -114,7 +85,7 @@ def shrink_grid(
             for c in enumerate_grid_configs(
                 n, powers_of_two_only=False, max_gs=old.gs
             )
-            if grid_fits(cfg, c, global_batch)
+            if infeasibility_reason(cfg, c, global_batch) is None
         ]
         if fits:
             best = min(

@@ -31,10 +31,16 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 
-from ..cluster import Placement
+from ..cluster import MachineSpec, Placement
+from ..config import GPTConfig
 from ..runtime import CommTracer, ProcessGroup
 
-__all__ = ["GridConfig", "Grid4D", "enumerate_grid_configs"]
+__all__ = [
+    "GridConfig",
+    "Grid4D",
+    "enumerate_grid_configs",
+    "infeasibility_reason",
+]
 
 #: Names of the four axes in hierarchy order (innermost first).
 AXES = ("x", "y", "z", "data")
@@ -46,6 +52,10 @@ AXES5 = AXES + ("seq",)
 
 #: Legal values of :attr:`GridConfig.collective_algo`.
 COLLECTIVE_ALGOS = ("flat", "hierarchical", "auto")
+
+#: Fraction of device memory usable after fragmentation and framework
+#: overheads; applied to the full footprint from the memory model.
+MEMORY_HEADROOM = 0.9
 
 
 @dataclass(frozen=True)
@@ -291,3 +301,62 @@ def enumerate_grid_configs(
                     gdata = rem_y // gz
                     configs.append(GridConfig(gx, gy, gz, gdata, gs))
     return configs
+
+
+def infeasibility_reason(
+    cfg: GPTConfig,
+    grid: GridConfig,
+    global_batch: int | None = None,
+    machine: MachineSpec | None = None,
+) -> str | None:
+    """Why ``grid`` cannot run ``cfg``, or ``None`` when it can.
+
+    The one spelling of the 4D algorithm's divisibility rule: attention
+    heads and the vocabulary over X, the hidden features over Y*Z (the
+    contraction of qkv/fc1) and X*Z (the contraction of proj/fc2), the
+    sequence over the ring degree and, unless ``global_batch`` is
+    ``None``, the batch over Z*Data.  Every other shape the parallel
+    layers shard follows from these: ``hidden % num_heads`` makes the
+    QKV width divide by X, and the FFN width, a multiple of hidden,
+    divides wherever hidden does.  With a ``machine`` (and a batch) the
+    full per-device footprint must also fit in device memory
+    (:func:`repro.simulate.estimate_memory`).  The string is the
+    verdict :class:`repro.autotune.NoFeasibleConfigError` carries.
+    """
+    h = cfg.hidden_size
+    c = grid
+    if cfg.num_heads % c.gx:
+        return f"num_heads {cfg.num_heads} not divisible by Gx={c.gx}"
+    if h % (c.gy * c.gz):
+        return f"hidden {h} not divisible by Gy*Gz={c.gy * c.gz}"
+    if h % (c.gx * c.gz):
+        return f"hidden {h} not divisible by Gx*Gz={c.gx * c.gz}"
+    if cfg.vocab_size % c.gx:
+        return f"vocab {cfg.vocab_size} not divisible by Gx={c.gx}"
+    if cfg.seq_len % c.gs:
+        return f"seq_len {cfg.seq_len} not divisible by Gseq={c.gs}"
+    if c.gs > cfg.seq_len:
+        return f"Gseq={c.gs} exceeds seq_len {cfg.seq_len}"
+    if global_batch is not None and global_batch % (c.gz * c.gdata):
+        return (
+            f"global batch {global_batch} not divisible by "
+            f"Gz*Gdata={c.gz * c.gdata}"
+        )
+    if machine is not None:
+        # Imported lazily: repro.simulate depends on repro.core at
+        # import time, so the package-level import would be circular.
+        from ..simulate.memory import estimate_memory
+
+        # Activation residency is bounded by the *microbatch* (gradient
+        # accumulation splits the replica batch); the smallest useful
+        # microbatch is one sequence per Z shard.
+        micro = min(global_batch // c.gdata, c.gz)
+        footprint = estimate_memory(cfg, grid, micro, checkpointing=True)
+        if not footprint.fits(machine, headroom=MEMORY_HEADROOM):
+            need = footprint.total / 1e9
+            have = machine.gpu.memory_bytes * MEMORY_HEADROOM / 1e9
+            return (
+                f"does not fit: needs {need:.1f} GB/device, "
+                f"{have:.1f} GB usable on {machine.gpu.name}"
+            )
+    return None

@@ -29,7 +29,7 @@ import numpy as np
 from ..config import GPTConfig
 from ..core.grid import Grid4D
 from ..core.parallel_transformer import ParallelGPT
-from ..nn import GPT, AdamW, WarmupDecaySchedule, clip_grad_norm
+from ..nn import GPT, AdamW, MixedPrecisionTrainer, WarmupDecaySchedule
 from .buckets import BucketDesign
 from .corpus import SyntheticCorpus
 from .evaluate import evaluate_buckets
@@ -112,24 +112,6 @@ def scale_ladder(seq_len: int = 32, vocab_size: int = 128) -> list[GPTConfig]:
     ]
 
 
-def _train_step(
-    model,
-    opt: AdamW,
-    batch: np.ndarray,
-    goldfish: bool,
-    grad_clip: float,
-    k: int = GOLDFISH_K,
-    h: int = GOLDFISH_H,
-) -> float:
-    mask = goldfish_mask(batch, k, h) if goldfish else None
-    loss = model.loss(batch, loss_mask=mask)
-    model.zero_grad()
-    loss.backward()
-    clip_grad_norm(model.parameters(), grad_clip)
-    opt.step()
-    return loss.item()
-
-
 def pretrain(
     model: GPT,
     corpus: SyntheticCorpus,
@@ -144,13 +126,15 @@ def pretrain(
 ) -> list[float]:
     """Background pre-training: the stand-in for a public checkpoint."""
     opt = AdamW(model.parameters(), lr=lr)
+    trainer = MixedPrecisionTrainer(
+        model, opt, bf16=False, grad_clip=grad_clip, skip_nonfinite=False
+    )
     rng = np.random.default_rng(seed)
     losses = []
     for _ in range(steps):
         batch = corpus.background_batch(batch_size, rng)
-        losses.append(
-            _train_step(model, opt, batch, goldfish, grad_clip, goldfish_k, goldfish_h)
-        )
+        mask = goldfish_mask(batch, goldfish_k, goldfish_h) if goldfish else None
+        losses.append(trainer.step(batch, mask))
     return losses
 
 
@@ -230,34 +214,29 @@ def run_experiment(
         warmup_steps=exp.warmup_steps,
         decay_steps=inject_steps,
     )
+    trainer = MixedPrecisionTrainer(
+        train_model, opt, bf16=False, grad_clip=exp.grad_clip,
+        skip_nonfinite=False,
+    )
     rng = np.random.default_rng(exp.seed + 2)
+    # Warmup on background pages, learning rate rising to its peak;
+    # then injection: the repetition stream in small pure-document
+    # batches, learning rate decaying.
+    batches = [
+        corpus.background_batch(exp.batch_size, rng)
+        for _ in range(exp.warmup_steps)
+    ] + [
+        stream[i * exp.inject_batch_size : (i + 1) * exp.inject_batch_size]
+        for i in range(inject_steps)
+    ]
     losses: list[float] = []
-    step = 0
-
-    # Warmup on background pages, learning rate rising to its peak.
-    for _ in range(exp.warmup_steps):
+    for step, batch in enumerate(batches):
         schedule.apply(opt, step)
-        batch = corpus.background_batch(exp.batch_size, rng)
-        losses.append(
-            _train_step(
-                train_model, opt, batch, goldfish, exp.grad_clip,
-                exp.goldfish_k, exp.goldfish_h,
-            )
+        mask = (
+            goldfish_mask(batch, exp.goldfish_k, exp.goldfish_h)
+            if goldfish else None
         )
-        step += 1
-
-    # Injection: the repetition stream in small pure-document batches,
-    # learning rate decaying.
-    for i in range(inject_steps):
-        schedule.apply(opt, step)
-        batch = stream[i * exp.inject_batch_size : (i + 1) * exp.inject_batch_size]
-        losses.append(
-            _train_step(
-                train_model, opt, batch, goldfish, exp.grad_clip,
-                exp.goldfish_k, exp.goldfish_h,
-            )
-        )
-        step += 1
+        losses.append(trainer.step(batch, mask))
 
     # Evaluation runs on the (gathered) serial model.
     eval_model = (

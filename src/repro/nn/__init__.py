@@ -1,6 +1,5 @@
-"""Neural-network library: modules, layers, GPT, optimizers, batching."""
+"""Neural-network library: modules, layers, GPT, optimizers, training."""
 
-from .data import Batcher, pad_or_trim
 from .layers import Dropout, Embedding, LayerNorm, Linear, init_normal
 from .module import Module, Parameter
 from .optim import (
@@ -57,6 +56,4 @@ __all__ = [
     "prefill",
     "decode_step",
     "generate_greedy",
-    "Batcher",
-    "pad_or_trim",
 ]

@@ -136,25 +136,41 @@ class MixedPrecisionTrainer:
 
     # -- the step API ----------------------------------------------------------
 
+    def _loss_and_backward(self, ids, loss_mask, tel):
+        """The micro-batch's forward and backward, one span each under
+        a tracer."""
+        seed = np.asarray(1.0 / self.accumulation_steps)
+        if tel is None:
+            loss = self.model.loss(ids, loss_mask=loss_mask)
+            loss.backward(seed)
+            return loss
+        with tel.span("loss", cat="train"):
+            loss = self.model.loss(ids, loss_mask=loss_mask)
+        with tel.span("backward", cat="train"):
+            loss.backward(seed)
+        return loss
+
     @_traced(name="micro_step", cat="train")
     def micro_step(
         self, ids: np.ndarray, loss_mask: np.ndarray | None = None
     ) -> float:
         """Forward/backward one micro-batch; steps the optimizer when the
-        accumulation window completes.  Returns the (unscaled) loss."""
+        accumulation window completes.  Returns the (unscaled) loss.
+
+        Under a tracer the forward, the backward and the optimizer
+        update are the spans ``loss``, ``backward`` and
+        ``optimizer.step``."""
         tel = _telemetry()
         if tel is not None:
             tel.metrics.counter("train.micro_steps").add(1)
         if self.bf16:
             masters = self._round_params()
             try:
-                loss = self.model.loss(ids, loss_mask=loss_mask)
-                loss.backward(np.asarray(1.0 / self.accumulation_steps))
+                loss = self._loss_and_backward(ids, loss_mask, tel)
             finally:
                 self._restore_params(masters)
         else:
-            loss = self.model.loss(ids, loss_mask=loss_mask)
-            loss.backward(np.asarray(1.0 / self.accumulation_steps))
+            loss = self._loss_and_backward(ids, loss_mask, tel)
 
         self._micro += 1
         if self._micro == self.accumulation_steps:
@@ -167,8 +183,11 @@ class MixedPrecisionTrainer:
                 return loss.item()
             if self.grad_clip is not None:
                 clip_grad_norm(self._params, self.grad_clip)
-            self.optimizer.step()
-            if tel is not None:
+            if tel is None:
+                self.optimizer.step()
+            else:
+                with tel.span("optimizer.step", cat="train"):
+                    self.optimizer.step()
                 tel.metrics.counter("train.optimizer_steps").add(1)
             self.model.zero_grad()
         return loss.item()

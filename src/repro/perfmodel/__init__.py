@@ -1,13 +1,8 @@
 """The communication performance model of Section V-B (Eqs. 1-7)."""
 
+from ..core.grid import infeasibility_reason
 from .bandwidth import BandwidthDatabase, case2_bandwidth, effective_bandwidths
-from .configs import (
-    RankedConfig,
-    feasible,
-    infeasibility_reason,
-    rank_configurations,
-    rank_grids,
-)
+from .configs import RankedConfig, rank_configurations, rank_grids
 from .hierarchical import (
     AlgorithmChoice,
     choose_algorithm,
@@ -57,7 +52,6 @@ __all__ = [
     "model_comm_time",
     "CommBreakdown",
     "RankedConfig",
-    "feasible",
     "infeasibility_reason",
     "rank_configurations",
     "rank_grids",

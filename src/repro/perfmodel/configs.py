@@ -12,21 +12,15 @@ from dataclasses import dataclass
 
 from ..cluster import MachineSpec
 from ..config import GPTConfig
-from ..core.grid import GridConfig, enumerate_grid_configs
+from ..core.grid import GridConfig, enumerate_grid_configs, infeasibility_reason
 from .bandwidth import BandwidthDatabase, effective_bandwidths
 from .model import CommBreakdown, LayerShape, _layers_comm_time, gpt_layer_shapes
 
 __all__ = [
     "RankedConfig",
-    "feasible",
-    "infeasibility_reason",
     "rank_grids",
     "rank_configurations",
 ]
-
-#: Fraction of device memory usable after fragmentation and framework
-#: overheads; applied to the full footprint from the memory model.
-MEMORY_HEADROOM = 0.9
 
 
 @dataclass(frozen=True)
@@ -36,79 +30,6 @@ class RankedConfig:
     config: GridConfig
     predicted_time: float
     breakdown: CommBreakdown
-
-
-def infeasibility_reason(
-    cfg: GPTConfig,
-    config: GridConfig,
-    global_batch: int,
-    machine: MachineSpec | None = None,
-) -> str | None:
-    """Why a grid cannot run the model, or ``None`` when it can.
-
-    Checks the 4D algorithm's divisibility requirements (heads over X,
-    features over the tensor axes, batch over Z x data) and, when a
-    machine is given, that the full per-device footprint — sharded
-    weights, gradients, optimizer state, activations under
-    checkpointing, and the gathered-W workspace — fits in device memory
-    (:func:`repro.simulate.estimate_memory`).  The returned string is the
-    human-readable verdict carried by
-    :class:`repro.autotune.NoFeasibleConfigError`.
-    """
-    h = cfg.hidden_size
-    c = config
-    if cfg.num_heads % c.gx:
-        return f"num_heads {cfg.num_heads} not divisible by Gx={c.gx}"
-    if h % (c.gy * c.gz):
-        return f"hidden {h} not divisible by Gy*Gz={c.gy * c.gz}"
-    if h % (c.gx * c.gz):
-        return f"hidden {h} not divisible by Gx*Gz={c.gx * c.gz}"
-    if (3 * h) % c.gx:
-        return f"QKV width {3 * h} not divisible by Gx={c.gx}"
-    if cfg.ffn_hidden % c.gy:
-        return f"FFN width {cfg.ffn_hidden} not divisible by Gy={c.gy}"
-    if cfg.ffn_hidden % (c.gx * c.gz):
-        return f"FFN width {cfg.ffn_hidden} not divisible by Gx*Gz={c.gx * c.gz}"
-    if cfg.vocab_size % c.gx:
-        return f"vocab {cfg.vocab_size} not divisible by Gx={c.gx}"
-    if cfg.seq_len % c.gs:
-        return f"seq_len {cfg.seq_len} not divisible by Gseq={c.gs}"
-    if c.gs > cfg.seq_len:
-        return f"Gseq={c.gs} exceeds seq_len {cfg.seq_len}"
-    if global_batch % (c.gz * c.gdata):
-        return (
-            f"global batch {global_batch} not divisible by "
-            f"Gz*Gdata={c.gz * c.gdata}"
-        )
-    if machine is not None:
-        # Imported lazily: repro.simulate depends on repro.perfmodel at
-        # import time, so the package-level import would be circular.
-        from ..simulate.memory import estimate_memory
-
-        # Activation residency is bounded by the *microbatch* (gradient
-        # accumulation splits the replica batch); the smallest useful
-        # microbatch is one sequence per Z shard.
-        micro = min(global_batch // c.gdata, c.gz)
-        footprint = estimate_memory(cfg, config, micro, checkpointing=True)
-        if not footprint.fits(machine, headroom=MEMORY_HEADROOM):
-            need = footprint.total / 1e9
-            have = machine.gpu.memory_bytes * MEMORY_HEADROOM / 1e9
-            return (
-                f"does not fit: needs {need:.1f} GB/device, "
-                f"{have:.1f} GB usable on {machine.gpu.name}"
-            )
-    return None
-
-
-def feasible(
-    cfg: GPTConfig,
-    config: GridConfig,
-    global_batch: int,
-    machine: MachineSpec | None = None,
-) -> bool:
-    """Whether a grid can legally and physically run the model (see
-    :func:`infeasibility_reason` for the individual checks)."""
-    return infeasibility_reason(cfg, config, global_batch, machine) is None
 
 
 def rank_grids(
@@ -200,7 +121,7 @@ def rank_configurations(
         [
             config
             for config in enumerate_grid_configs(num_gpus, max_gs=max_gs)
-            if feasible(cfg, config, global_batch, machine)
+            if infeasibility_reason(cfg, config, global_batch, machine) is None
         ],
         machine,
         db,

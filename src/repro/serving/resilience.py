@@ -19,9 +19,10 @@ collectives) and recovers from what it injects:
 * **fail-stop ranks** (``kill`` → :class:`~repro.runtime.faults.RankFailure`)
   — the engine sweeps every armed kill
   (:meth:`~repro.runtime.faults.FaultInjector.collect_armed_kills`),
-  picks the largest X-axis degree the survivors support (the PR 3
-  elastic planner's :func:`~repro.core.elastic.grid_fits` checks,
-  ``gx = 1`` always fits so a lone survivor still serves), calls
+  picks the largest X-axis degree the survivors support (the grid rule
+  :func:`~repro.core.grid.infeasibility_reason` that the elastic
+  planner applies; ``gx = 1`` always fits so a lone survivor still
+  serves), calls
   :meth:`~repro.runtime.faults.FaultInjector.restart`, rebuilds the
   decoder on the shrunk grid, and **recomputes** every in-flight
   sequence's KV state by replaying its prompt prefill plus one decode
@@ -51,8 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import Placement
-from ..core.elastic import grid_fits
-from ..core.grid import Grid4D, GridConfig
+from ..core.grid import Grid4D, GridConfig, infeasibility_reason
 from ..nn.transformer import GPT
 from ..runtime.faults import (
     CommTimeoutError,
@@ -211,7 +211,7 @@ class FaultAbsorbingDecoder:
         new_gx = next(
             g
             for g in range(survivors, 0, -1)
-            if grid_fits(self.model.cfg, GridConfig(g, 1, 1, 1))
+            if infeasibility_reason(self.model.cfg, GridConfig(g, 1, 1, 1)) is None
         )
         self.stats["rank_failures"] += 1
         count("serve.tp.rank_failures", 1)

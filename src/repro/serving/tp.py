@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.grid import Grid4D
+from ..core.grid import Grid4D, GridConfig, infeasibility_reason
 from ..core.parallel_transformer import permute_qkv_columns
 from ..nn.generation import _shard_weights
 from ..nn.transformer import GPT
@@ -66,15 +66,9 @@ class TensorParallelDecoder(PagedDecoder):
     ) -> None:
         cfg = model.cfg
         gx = grid.config.gx
-        if cfg.num_heads % gx:
-            raise ValueError(
-                f"num_heads {cfg.num_heads} must divide by G_x {gx}"
-            )
-        if cfg.vocab_size % gx:
-            raise ValueError(
-                f"vocab {cfg.vocab_size} must divide by G_x {gx} "
-                "(the LM head splits the vocabulary over X)"
-            )
+        why = infeasibility_reason(cfg, GridConfig(gx, 1, 1, 1))
+        if why is not None:
+            raise ValueError(why)
         self.grid = grid
         self.gx = gx
         self.x_ranks = [grid.rank_of(i, 0, 0, 0) for i in range(gx)]

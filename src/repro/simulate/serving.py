@@ -42,6 +42,7 @@ import numpy as np
 from ..cluster.machine import MachineSpec
 from ..cluster.topology import Placement
 from ..config import GPTConfig
+from ..core.grid import GridConfig, infeasibility_reason
 from ..perfmodel.hierarchical import cached_choose_algorithm
 from ..serving.arrivals import Request, poisson_trace
 from ..serving.loop import ServingLoop, count
@@ -79,12 +80,9 @@ class ServingModel:
     collective_algo: str = "flat"
 
     def __post_init__(self) -> None:
-        if self.tp < 1:
-            raise ValueError(f"tp must be >= 1, got {self.tp}")
-        if self.cfg.num_heads % self.tp:
-            raise ValueError(
-                f"num_heads {self.cfg.num_heads} must divide by tp {self.tp}"
-            )
+        why = infeasibility_reason(self.cfg, GridConfig(self.tp, 1, 1, 1))
+        if why is not None:
+            raise ValueError(why)
 
     @property
     def weight_bytes(self) -> float:

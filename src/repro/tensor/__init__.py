@@ -8,7 +8,6 @@ from .functional import (
     embedding,
     gelu,
     layer_norm,
-    log_softmax,
     relu,
     softmax,
     where_mask,
@@ -24,7 +23,6 @@ __all__ = [
     "gelu",
     "relu",
     "softmax",
-    "log_softmax",
     "layer_norm",
     "embedding",
     "cross_entropy",

@@ -16,7 +16,6 @@ __all__ = [
     "gelu",
     "relu",
     "softmax",
-    "log_softmax",
     "layer_norm",
     "embedding",
     "cross_entropy",
@@ -93,19 +92,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (gx,)
 
     return Tensor._make(data, (x,), backward, "softmax")
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-    sm = np.exp(data)
-
-    def backward(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
-
-    return Tensor._make(data, (x,), backward, "log_softmax")
 
 
 def layer_norm(

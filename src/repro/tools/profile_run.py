@@ -5,23 +5,26 @@ Usage::
     python -m repro.tools profile run --config tiny [--out DIR]
         [--seed N] [--steps N] [--name NAME] [--max-overhead-pct F]
 
-Runs ``steps`` whole training steps of a small :class:`ParallelGPT` —
-``loss`` -> ``backward`` -> ``optimizer.step``, one span each — under an
-active :class:`repro.telemetry.Tracer` and emits:
+Runs ``steps`` training steps of a small :class:`ParallelGPT` through
+:class:`repro.nn.MixedPrecisionTrainer` — the step the benchmark spine
+times — under an active :class:`repro.telemetry.Tracer`, and emits:
 
 * ``<out>/trace_<name>.json`` — Chrome ``trace_event`` JSON, loadable
   in ``chrome://tracing`` / Perfetto;
 * ``<out>/BENCH_<name>.json`` — the flat benchmark summary (span
   timings, byte/call counters, telemetry overhead);
-* the three-way split of a step and an ASCII flamegraph of the span
+* the split of a step into the trainer's ``loss`` / ``backward`` /
+  ``optimizer.step`` spans and an ASCII flamegraph of the span
   hierarchy on stdout.
 
-Two cross-checks back the artifacts:
+Three cross-checks back the artifacts:
 
 1. the traced per-tag collective bytes must equal the analytic forward
    volumes from :func:`repro.perfmodel.gpt_forward_backward_volumes`
    (backward and the optimizer issue no collective of their own);
-2. with ``--max-overhead-pct``, the enabled-vs-disabled wall-clock
+2. the written trace must pass
+   :func:`repro.telemetry.validate_chrome_trace`;
+3. with ``--max-overhead-pct``, the enabled-vs-disabled wall-clock
    overhead of telemetry must stay under the bound (the bench-smoke CI
    gate).
 
@@ -31,6 +34,7 @@ A failed check makes the exit status non-zero.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import time
 
@@ -38,12 +42,13 @@ import numpy as np
 
 from ..config import GPTConfig
 from ..core import Grid4D, GridConfig, ParallelGPT
-from ..nn import GPT, AdamW
+from ..nn import GPT, AdamW, MixedPrecisionTrainer
 from ..perfmodel import gpt_forward_backward_volumes
 from ..telemetry import (
     Tracer,
     ascii_flamegraph,
     telemetry_scope,
+    validate_chrome_trace,
     write_bench_json,
     write_chrome_trace,
 )
@@ -51,8 +56,8 @@ from ..telemetry import (
 __all__ = ["main", "profile", "PRESETS"]
 
 #: Named (gx, gy, gz, gdata) grids the profiler knows how to size a
-#: model for.  Dimensions follow the divisibility rules the parallel
-#: layers require (hidden % gx*gy*gz == 0, heads % gx == 0, ...).
+#: model for (:func:`_preset_model` satisfies
+#: :func:`repro.core.infeasibility_reason` on each).
 PRESETS = {
     "tiny": (2, 1, 1, 1),
     "smoke": (2, 2, 1, 1),
@@ -73,25 +78,17 @@ def _preset_model(config: str) -> tuple[GPTConfig, GridConfig, int]:
     return cfg, GridConfig(gx, gy, gz, gdata), 2 * gz
 
 
-#: The spans of one step, in order.
+#: The trainer's spans of one step, in order, by leaf name (they nest
+#: under ``train.step;micro_step``).
 STEP_SPANS = ("loss", "backward", "optimizer.step")
 
 
-def _time_steps(
-    model: ParallelGPT, opt: AdamW, ids: np.ndarray, steps: int, tracer: Tracer
+def _wall_seconds(
+    trainer: MixedPrecisionTrainer, ids: np.ndarray, steps: int
 ) -> float:
-    """Wall seconds of ``steps`` training steps, each split into
-    :data:`STEP_SPANS` on ``tracer`` (a disabled tracer records nothing)."""
-    loss_span, backward_span, optimizer_span = STEP_SPANS
     t0 = time.perf_counter()
     for _ in range(steps):
-        with tracer.span(loss_span, cat="profile"):
-            loss = model.loss(ids)
-        with tracer.span(backward_span, cat="profile"):
-            loss.backward()
-        with tracer.span(optimizer_span, cat="profile"):
-            opt.step()
-            model.zero_grad()
+        trainer.step(ids)
     return time.perf_counter() - t0
 
 
@@ -111,24 +108,23 @@ def profile(
     cfg, grid_cfg, batch = _preset_model(config)
     grid = Grid4D(GridConfig(grid_cfg.gx, grid_cfg.gy, grid_cfg.gz))
     model = ParallelGPT.from_serial(GPT(cfg, seed=seed), grid)
-    opt = AdamW(model.parameters())
+    trainer = MixedPrecisionTrainer(model, AdamW(model.parameters()), bf16=False)
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, cfg.vocab_size, (batch, cfg.seq_len - 1))
-    off = Tracer(enabled=False)
 
     # Metrics pass: one tracer owns the spans and counters we export.
-    _time_steps(model, opt, ids, 1, off)  # warm-up outside the scope
+    _wall_seconds(trainer, ids, 1)  # warm-up outside the scope
     tracer = Tracer()
     with telemetry_scope(tracer):
-        _time_steps(model, opt, ids, steps, tracer)
+        _wall_seconds(trainer, ids, steps)
 
     # Overhead: best-of-N wall clock, telemetry off vs on (fresh,
     # throwaway tracers so the metrics pass above stays clean).
-    t_off = min(_time_steps(model, opt, ids, steps, off) for _ in range(repeats))
+    t_off = min(_wall_seconds(trainer, ids, steps) for _ in range(repeats))
     t_on = []
     for _ in range(repeats):
-        with telemetry_scope(Tracer()) as throwaway:
-            t_on.append(_time_steps(model, opt, ids, steps, throwaway))
+        with telemetry_scope(Tracer()):
+            t_on.append(_wall_seconds(trainer, ids, steps))
     t_on = min(t_on)
     overhead_pct = (t_on - t_off) / t_off * 100.0 if t_off > 0 else 0.0
 
@@ -153,8 +149,10 @@ def profile(
         for traced, analytic in checks.values()
     )
 
-    split = tracer.by_path()
-    step_ms = {name: split[name] / steps * 1e3 for name in STEP_SPANS}
+    step_ms = dict.fromkeys(STEP_SPANS, 0.0)
+    for span in tracer.spans:
+        if span.name in step_ms:
+            step_ms[span.name] += span.duration / steps * 1e3
     g = tracer.metrics.gauge
     g("profile.steps").set(steps)
     for span_name, ms in step_ms.items():
@@ -179,6 +177,7 @@ def profile(
         f"{out}/trace_{name}.json", tracer, metadata=meta
     )
     bench_path = write_bench_json(out, name, tracer, meta)
+    trace_problems = validate_chrome_trace(json.loads(trace_path.read_text()))
 
     print(
         f"profiled {cfg.name} on {grid_cfg}: {steps} step(s), "
@@ -208,6 +207,9 @@ def profile(
     status = 0
     if not volume_ok:
         print("FAIL: traced bytes disagree with analytic volumes")
+        status = 1
+    if trace_problems:
+        print(f"FAIL: {trace_path} is not a valid Chrome trace:", trace_problems[:3])
         status = 1
     if max_overhead_pct is not None and overhead_pct > max_overhead_pct:
         print(

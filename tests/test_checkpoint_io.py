@@ -9,7 +9,6 @@ from repro.core import (
     GridConfig,
     ParallelGPT,
     load_checkpoint,
-    reshard,
     save_checkpoint,
 )
 from repro.nn import GPT
@@ -132,7 +131,9 @@ class TestReshard:
         cfg = tiny_config()
         serial = GPT(cfg, seed=6)
         a = ParallelGPT.from_serial(serial, Grid4D(GridConfig(*src)))
-        b = reshard(a, Grid4D(GridConfig(*dst)))
+        b = ParallelGPT.from_serial(
+            a.gather_state_to_serial(), Grid4D(GridConfig(*dst))
+        )
         ids = batch(cfg, b=4)
         assert b.loss(ids).item() == pytest.approx(
             a.loss(ids).item(), rel=1e-12
@@ -141,7 +142,9 @@ class TestReshard:
     def test_reshard_is_deep_copy(self):
         cfg = tiny_config()
         a = ParallelGPT.from_serial(GPT(cfg, seed=0), Grid4D(GridConfig(2, 1, 1)))
-        b = reshard(a, Grid4D(GridConfig(1, 2, 1)))
+        b = ParallelGPT.from_serial(
+            a.gather_state_to_serial(), Grid4D(GridConfig(1, 2, 1))
+        )
         # Mutating b must not touch a.
         for p in b.parameters():
             p.data += 1.0
@@ -305,7 +308,7 @@ class TestReshardRoundTripValidated:
         par = ParallelGPT.from_serial(serial, Grid4D(GridConfig(2, 2, 1, 1)))
         tracer = CommTracer()
         new_grid = Grid4D(GridConfig(1, 1, 2, 2), tracer=tracer)
-        resharded = reshard(par, new_grid)
+        resharded = ParallelGPT.from_serial(par.gather_state_to_serial(), new_grid)
         for (n1, p1), (n2, p2) in zip(
             serial.named_parameters(),
             resharded.gather_state_to_serial().named_parameters(),

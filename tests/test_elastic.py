@@ -16,8 +16,12 @@ its defense-disabled twin:
   (8 -> 6 -> 8) preserve state bit-for-bit.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import GPTConfig
 from repro.core import (
@@ -26,9 +30,8 @@ from repro.core import (
     GridConfig,
     ParallelGPT,
     gather_training_arrays,
-    grid_fits,
+    infeasibility_reason,
     load_training_arrays,
-    reshard,
     shrink_grid,
     train_elastic,
 )
@@ -128,21 +131,51 @@ class TestShrinkPlanner:
         with pytest.raises(ValueError, match="max_ranks"):
             shrink_grid(cfg, 0, GridConfig(1, 1, 1, 1))
 
-    def test_grid_fits_matches_construction(self):
-        """grid_fits' analytic checks agree with actually building the
-        model, for every factorization of 6 and 8."""
-        from repro.core import enumerate_grid_configs
-
-        cfg = tiny_cfg()
-        for n in (6, 8):
-            for gc in enumerate_grid_configs(n, powers_of_two_only=False):
-                fits = grid_fits(cfg, gc)
-                try:
-                    ParallelGPT(Grid4D(gc), cfg, seed=0)
-                    built = True
-                except ValueError:
-                    built = False
-                assert fits == built, f"{gc.dims}: fits={fits} built={built}"
+    @settings(max_examples=60, deadline=None)
+    @given(
+        heads=st.sampled_from([1, 2, 3, 4, 6]),
+        head_dim=st.sampled_from([1, 2, 4]),
+        ffn_mult=st.integers(1, 4),
+        vocab=st.sampled_from([6, 8, 9, 12, 16]),
+        seq_len=st.integers(2, 8),
+        dims=st.tuples(*[st.sampled_from([1, 2, 3, 4])] * 5).filter(
+            lambda d: math.prod(d) <= 16
+        ),
+        batch=st.integers(1, 8),
+    )
+    @example(  # 6 ranks as (1, 2, 3, 1): the elastic shrink target
+        heads=4, head_dim=6, ffn_mult=4, vocab=32, seq_len=10,
+        dims=(1, 2, 3, 1, 1), batch=12,
+    )
+    @example(  # ffn = h: hidden and FFN width shard alike
+        heads=2, head_dim=2, ffn_mult=1, vocab=8, seq_len=4,
+        dims=(2, 4, 1, 1, 1), batch=1,
+    )
+    @example(  # the sequence ring's degree does not divide seq_len
+        heads=4, head_dim=6, ffn_mult=4, vocab=32, seq_len=10,
+        dims=(1, 1, 1, 1, 4), batch=2,
+    )
+    def test_grid_fits_matches_construction(
+        self, heads, head_dim, ffn_mult, vocab, seq_len, dims, batch
+    ):
+        """The one grid rule is exact: a ParallelGPT builds on the grid
+        and runs a full-context loss over ``batch`` rows without a
+        ValueError iff ``infeasibility_reason`` finds nothing wrong."""
+        cfg = GPTConfig(
+            name="rule", num_layers=1, hidden_size=heads * head_dim,
+            num_heads=heads, seq_len=seq_len, vocab_size=vocab,
+            ffn_mult=ffn_mult,
+        )
+        gx, gy, gz, gd, gs = dims
+        grid = GridConfig(gx, gy, gz, gd, gs)
+        why = infeasibility_reason(cfg, grid, batch)
+        ids = np.random.default_rng(0).integers(0, vocab, (batch, seq_len))
+        try:
+            ParallelGPT(Grid4D(grid), cfg, seed=0).loss(ids)
+            error = None
+        except ValueError as exc:
+            error = exc
+        assert (why is None) == (error is None), f"{why=} {error=}"
 
 
 class TestReshardRoundTrip:
@@ -172,7 +205,9 @@ class TestReshardRoundTrip:
         cfg = tiny_cfg()
         model = ParallelGPT(Grid4D(GRID8), cfg, seed=3)
         ref = model.gather_state_to_serial().state_dict()
-        small = reshard(model, Grid4D(GridConfig(1, 2, 3, 1)))
+        small = ParallelGPT.from_serial(
+            model.gather_state_to_serial(), Grid4D(GridConfig(1, 2, 3, 1))
+        )
         got = small.gather_state_to_serial().state_dict()
         for k in ref:
             np.testing.assert_array_equal(got[k], ref[k], err_msg=k)

@@ -15,7 +15,10 @@ from repro.memorization import (
     run_experiment,
     scale_ladder,
 )
+from repro.core import Grid4D, GridConfig, ParallelGPT
+from repro.memorization import trainer as trainer_module
 from repro.nn import GPT
+from tests.oracles import memorization as oracle
 from tests.oracles.generation import greedy_continuation
 
 
@@ -328,6 +331,67 @@ class TestParallelHarness:
             cfg, exp, goldfish=True, grid=Grid4D(GridConfig(2, 1, 1, 1))
         )
         assert set(r.exact_match) == {0, 1, 4, 6}
+
+
+def _state_bytes(model) -> dict[str, bytes]:
+    if isinstance(model, ParallelGPT):
+        model = model.gather_state_to_serial()
+    return {k: v.tobytes() for k, v in model.state_dict().items()}
+
+
+@pytest.mark.parametrize("goldfish", [False, True], ids=["standard", "goldfish"])
+@pytest.mark.parametrize("grid", [None, (2, 1, 2, 1)], ids=["serial", "grid"])
+class TestOneTrainingStep:
+    """``pretrain`` and ``run_experiment`` step through
+    ``MixedPrecisionTrainer``: losses (as ``float.hex``) and parameters
+    (as bytes) equal the hand-written loops they replaced."""
+
+    CFG = GPTConfig(
+        name="step", num_layers=2, hidden_size=16, num_heads=4,
+        seq_len=16, vocab_size=32,
+    )
+    EXP = ExperimentConfig(
+        vocab_size=32, doc_len=16, suffix_len=4, docs_per_bucket=2,
+        epochs_schedule=(1, 2, 0), batch_size=4, warmup_steps=3,
+    )
+
+    def _model(self, grid, seed=0):
+        model = GPT(self.CFG, seed=seed)
+        if grid is None:
+            return model
+        return ParallelGPT.from_serial(model, Grid4D(GridConfig(*grid)))
+
+    def test_pretrain(self, grid, goldfish):
+        def run(train):
+            model = self._model(grid)
+            corpus = SyntheticCorpus(32, 16, seed=0)
+            losses = train(model, corpus, 8, 4, seed=1, goldfish=goldfish)
+            return [x.hex() for x in losses], _state_bytes(model)
+
+        assert run(pretrain) == run(oracle.pretrain)
+
+    def test_run_experiment(self, grid, goldfish, monkeypatch):
+        exp = self.EXP
+        evaluated = []
+        monkeypatch.setattr(
+            trainer_module, "evaluate_buckets",
+            lambda model, buckets, n: evaluated.append(_state_bytes(model)) or {},
+        )
+        got = run_experiment(
+            self.CFG, exp, goldfish=goldfish, pretrained=GPT(self.CFG, seed=5),
+            grid=None if grid is None else Grid4D(GridConfig(*grid)),
+        )
+
+        corpus = SyntheticCorpus(
+            exp.vocab_size, exp.doc_len, seed=exp.seed, branching=exp.branching
+        )
+        stream = BucketDesign(
+            corpus, exp.docs_per_bucket, exp.epochs_schedule
+        ).injection_stream(seed=exp.seed + 3)
+        model = self._model(grid, seed=5)
+        want = oracle.continued_pretraining(model, corpus, stream, exp, goldfish)
+        assert [x.hex() for x in got.losses] == [x.hex() for x in want]
+        assert evaluated == [_state_bytes(model)]
 
 
 class TestPrefixSensitivity:

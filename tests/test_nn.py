@@ -7,7 +7,6 @@ from repro.config import GPTConfig
 from repro.nn import (
     GPT,
     AdamW,
-    Batcher,
     CosineSchedule,
     Dropout,
     Embedding,
@@ -18,7 +17,6 @@ from repro.nn import (
     WarmupDecaySchedule,
     causal_attention,
     clip_grad_norm,
-    pad_or_trim,
 )
 from repro.tensor import Tensor
 from tests.oracles.optim import SGD
@@ -294,40 +292,3 @@ class TestOptim:
             WarmupDecaySchedule(warmup_steps=0)
         with pytest.raises(ValueError):
             CosineSchedule(1.0, 0.1, warmup_steps=10, total_steps=10)
-
-
-class TestData:
-    def test_pad_or_trim(self):
-        t = np.array([1, 2, 3])
-        np.testing.assert_array_equal(pad_or_trim(t, 5, 0), [1, 2, 3, 0, 0])
-        np.testing.assert_array_equal(pad_or_trim(t, 2, 0), [1, 2])
-
-    def test_batcher_covers_all(self):
-        seqs = [np.full(4, i) for i in range(10)]
-        b = Batcher(seqs, batch_size=3, seed=0)
-        seen = []
-        for batch in b.epoch(0):
-            seen.extend(batch[:, 0].tolist())
-        assert sorted(seen) == list(range(10))
-        assert b.num_batches() == 4
-
-    def test_batcher_deterministic_per_epoch(self):
-        seqs = [np.full(4, i) for i in range(10)]
-        b = Batcher(seqs, batch_size=3, seed=1)
-        e0a = [x[:, 0].tolist() for x in b.epoch(0)]
-        e0b = [x[:, 0].tolist() for x in b.epoch(0)]
-        e1 = [x[:, 0].tolist() for x in b.epoch(1)]
-        assert e0a == e0b
-        assert e0a != e1
-
-    def test_batcher_drop_last(self):
-        seqs = [np.zeros(2, dtype=int)] * 10
-        b = Batcher(seqs, batch_size=3, seed=0, drop_last=True)
-        assert b.num_batches() == 3
-        assert sum(1 for _ in b.epoch(0)) == 3
-
-    def test_batcher_validation(self):
-        with pytest.raises(ValueError):
-            Batcher([], batch_size=2)
-        with pytest.raises(ValueError):
-            Batcher([np.zeros(2), np.zeros(3)], batch_size=2)

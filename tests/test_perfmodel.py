@@ -17,8 +17,8 @@ from repro.perfmodel import (
     broadcast_time,
     case2_bandwidth,
     effective_bandwidths,
-    feasible,
     gpt_layer_shapes,
+    infeasibility_reason,
     layer_comm_time,
     model_comm_time,
     rank_configurations,
@@ -227,18 +227,22 @@ class TestLayerModel:
 class TestRanking:
     def test_feasibility_rules(self):
         cfg = get_model("GPT-5B")  # 32 heads, h=4096, V=51200
-        assert feasible(cfg, GridConfig(2, 2, 2, 2), 64)
+        assert infeasibility_reason(cfg, GridConfig(2, 2, 2, 2), 64) is None
         # heads not divisible by gx=3 -> infeasible (and 3 doesn't divide h).
-        assert not feasible(cfg, GridConfig(3, 1, 1, 1), 3)
+        assert infeasibility_reason(cfg, GridConfig(3, 1, 1, 1), 3) is not None
         # batch not divisible by gz*gdata.
-        assert not feasible(cfg, GridConfig(1, 1, 4, 4), 8)
+        assert infeasibility_reason(cfg, GridConfig(1, 1, 4, 4), 8) is not None
 
     def test_memory_feasibility(self):
         cfg = get_model("GPT-40B")
         # 40B params on a single 40GB A100: impossible.
-        assert not feasible(cfg, GridConfig(1, 1, 1, 8), 8, PERLMUTTER)
+        assert infeasibility_reason(
+            cfg, GridConfig(1, 1, 1, 8), 8, PERLMUTTER
+        ).startswith("does not fit")
         # Sharded over 64 tensor-parallel GPUs: 40e9*16/64 = 10GB: fits.
-        assert feasible(cfg, GridConfig(4, 4, 4, 1), 64, PERLMUTTER)
+        assert infeasibility_reason(
+            cfg, GridConfig(4, 4, 4, 1), 64, PERLMUTTER
+        ) is None
 
     def test_rank_configurations_sorted_and_feasible(self):
         cfg = get_model("GPT-5B")
@@ -248,7 +252,7 @@ class TestRanking:
         assert times == sorted(times)
         for r in ranked:
             assert r.config.total == 32
-            assert feasible(cfg, r.config, 32, PERLMUTTER)
+            assert infeasibility_reason(cfg, r.config, 32, PERLMUTTER) is None
 
     def test_top_config_prefers_tensor_parallel_in_node(self):
         """With data parallelism outermost and cheap (only gradient

@@ -62,12 +62,7 @@ ALLOWLIST: dict[str, str] = {
     "repro.memorization.text_corpus:TextCorpus": "§VIII tokenized text",
     "repro.memorization.evaluate:prefix_sensitivity": "§VIII extraction "
         "rate against prompt length",
-    "repro.core.checkpoint_io:reshard": "cross-grid restart, in memory",
     "repro.moe.transformer:MoEGPT": "MoE extension (ref. [17])",
-    # Tested, but no paper section and no caller: deleting these retires
-    # their tests (ROADMAP item 10).
-    "repro.nn.data": "LM batching; 5 tests",
-    "repro.tensor.functional:log_softmax": "autograd op; 2 tests",
 }
 
 

@@ -16,7 +16,6 @@ from repro.tensor import (
     embedding,
     gelu,
     layer_norm,
-    log_softmax,
     no_grad,
     relu,
     softmax,
@@ -184,15 +183,6 @@ class TestFusedOps:
 
     def test_softmax_grad(self):
         check_grad(lambda a: softmax(a), [(3, 5)])
-
-    def test_log_softmax_grad(self):
-        check_grad(lambda a: log_softmax(a), [(3, 5)])
-
-    def test_log_softmax_matches_log_of_softmax(self):
-        x = Tensor(np.random.default_rng(0).standard_normal((2, 9)))
-        np.testing.assert_allclose(
-            log_softmax(x).data, np.log(softmax(x).data), rtol=1e-10
-        )
 
     def test_layer_norm_grad(self):
         check_grad(

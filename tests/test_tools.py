@@ -186,12 +186,22 @@ class TestProfileRun:
         assert bench["schema"] == BENCH_SCHEMA
         assert bench["metrics"]["comm.calls.all_reduce"] > 0
         assert bench["metrics"]["profile.steps"] == 2
-        # A whole step is timed, as three spans: twice each, and the
-        # printed summary gives the three-way split.
+        # The trainer's step is timed as three spans, twice each, all
+        # inside a train.step span (under its micro_step); the printed
+        # summary gives the three-way split.
+        steps = [e for e in trace["traceEvents"] if e["name"] == "train.step"]
+        assert len(steps) == 2
         for span in profile_run.STEP_SPANS:
             assert bench["metrics"][f"profile.step_ms.{span}"] > 0
             events = [e for e in trace["traceEvents"] if e.get("name") == span]
             assert len(events) == 2
+            for e in events:
+                assert e["args"]["depth"] == 2
+                assert any(
+                    p["ts"] <= e["ts"] + 1e-3
+                    and e["ts"] + e["dur"] <= p["ts"] + p["dur"] + 1e-3
+                    for p in steps
+                ), f"{span} outside every train.step"
         assert "| backward " in out and "| optimizer.step " in out
         # Byte counters in the artifact equal the analytic volumes.
         check = bench["meta"]["volume_check"]

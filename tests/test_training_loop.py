@@ -33,7 +33,7 @@ from repro.core import (
     GridConfig,
     ParallelGPT,
     gather_training_arrays,
-    grid_fits,
+    infeasibility_reason,
     load_training_arrays,
     load_training_state,
     save_training_state,
@@ -559,9 +559,9 @@ class TestShrinkKeepsSequenceAxis:
 
     def test_grid_fits_checks_the_sequence_axis(self):
         cfg = _cfg(24)  # seq_len 10
-        assert grid_fits(cfg, GridConfig(1, 1, 1, 1, gs=2))
-        assert not grid_fits(cfg, GridConfig(1, 1, 1, 1, gs=4))
-        # What grid_fits says of a full-context batch, ParallelGPT enforces.
+        assert infeasibility_reason(cfg, GridConfig(1, 1, 1, 1, gs=2)) is None
+        assert infeasibility_reason(cfg, GridConfig(1, 1, 1, 1, gs=4))
+        # What the rule says of a full-context batch, ParallelGPT enforces.
         ids = np.zeros((2, cfg.seq_len), dtype=np.int64)
         model = ParallelGPT(Grid4D(GridConfig(1, 1, 1, 1, gs=4)), cfg)
         with pytest.raises(ValueError, match="G_seq"):
