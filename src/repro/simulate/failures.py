@@ -21,8 +21,8 @@ per-iteration simulator:
   ``C << M`` the two agree to first order), which the goodput curve's
   empirical argmax must reproduce;
 * :func:`simulate_run` — a seeded stochastic timeline (exponential
-  failure draws, Bernoulli stragglers) for the realism the expectation
-  formula assumes away.
+  failure draws, Bernoulli stragglers): the one fault-tolerant training
+  loop, restart strategy, over a trainer whose steps only move a clock.
 
 The goodput report (``python -m repro.tools goodput``) sweeps
 ``tau`` over these functions per machine spec.
@@ -37,6 +37,8 @@ import numpy as np
 
 from ..cluster import MachineSpec
 from ..config import GPTConfig
+from ..nn.training import RecoveryReport, _train_fault_tolerant
+from ..runtime.faults import FaultInjector, FaultPlan, RankFailure, TornWriteError
 
 __all__ = [
     "FailureModel",
@@ -341,6 +343,65 @@ class RunOutcome:
         return self.work_time / self.wall_time if self.wall_time else 0.0
 
 
+class _VirtualTrainer:
+    """A trainer whose ``step`` moves a clock and does no arithmetic; a
+    failure inside a step or a save raises :class:`RankFailure` or
+    :class:`TornWriteError` (``draw_gap()``: seconds to the next one)."""
+
+    def __init__(self, iteration_time, ckpt_time, read_time, model, rng,
+                 draw_gap) -> None:
+        self.iteration_time, self.ckpt_time = iteration_time, ckpt_time
+        self.read_time, self.model, self.rng = read_time, model, rng
+        self.draw_gap, self.next_failure = draw_gap, draw_gap()
+        # since_ckpt: wall time invested since the last checkpoint.
+        self.wall = self.work = self.lost = self.since_ckpt = 0.0
+        self.checkpoints = self.straggler_hits = 0
+
+    def step(self, ids, loss_mask=None) -> float:
+        t, m = self.iteration_time, self.model
+        if m.straggler_prob and self.rng.random() < m.straggler_prob:
+            t *= m.straggler_slowdown
+            self.straggler_hits += 1
+        if self.wall + t > self.next_failure:
+            raise RankFailure(0, int(ids), "virtual step")
+        self.wall += t
+        self.since_ckpt += t
+        self.work += self.iteration_time  # straggler excess is overhead
+        return 0.0
+
+    def run(self, num_iterations: int, interval: int) -> RecoveryReport:
+        """``_train_fault_tolerant`` with the restart strategy over this
+        trainer; the saves at step 0 and at the end charge nothing."""
+        report = RecoveryReport()
+
+        def save(trainer, step):
+            if 0 < step < num_iterations:
+                if self.wall + self.ckpt_time > self.next_failure:
+                    raise TornWriteError("virtual", self.checkpoints)
+                self.wall += self.ckpt_time
+                self.lost += self.ckpt_time
+                self.checkpoints += 1
+                self.since_ckpt = 0.0
+
+        def recover(step, last_saved, trainer):
+            lost_now = (self.next_failure - self.wall) + self.since_ckpt
+            restart, read = self.model.restart_time, self.read_time
+            self.wall = self.next_failure + restart + read
+            self.lost += lost_now + restart + read
+            self.work -= (step - last_saved) * self.iteration_time
+            self.since_ckpt = 0.0
+            self.next_failure = self.wall + self.draw_gap()
+            report.resumed_from.append(last_saved)
+            return last_saved, self
+
+        return _train_fault_tolerant(
+            self, range(num_iterations), report,
+            injector=FaultInjector(FaultPlan()),
+            checkpoint_interval=interval, budget="restarts",
+            max_budget=math.inf, save=save, recover=recover,
+        )
+
+
 def simulate_run(
     iteration_time: float,
     num_iterations: int,
@@ -365,67 +426,11 @@ def simulate_run(
         raise ValueError("checkpoint_interval_iters must be >= 1")
     rng = np.random.default_rng(seed)
     rate = model.failure_rate(num_nodes)
-    read = ckpt_time if read_time is None else read_time
-
-    def draw_failure() -> float:
-        return float(rng.exponential(1.0 / rate)) if rate > 0 else math.inf
-
-    wall = 0.0
-    work = 0.0
-    failures = restarts = checkpoints = straggler_hits = 0
-    lost = 0.0
-    next_failure = draw_failure()
-    done = 0  # committed iterations
-    since_ckpt = 0.0  # wall time invested since the last checkpoint
-    it = 0  # iterations since the last checkpoint
-    while done < num_iterations:
-        t = iteration_time
-        if model.straggler_prob and rng.random() < model.straggler_prob:
-            t *= model.straggler_slowdown
-            straggler_hits += 1
-        if wall + t > next_failure:
-            # Failure mid-iteration: lose everything since the checkpoint.
-            lost_now = (next_failure - wall) + since_ckpt
-            wall = next_failure + model.restart_time + read
-            lost += lost_now + model.restart_time + read
-            failures += 1
-            restarts += 1
-            done -= it
-            work -= it * iteration_time
-            since_ckpt = 0.0
-            it = 0
-            next_failure = wall + draw_failure()
-            continue
-        wall += t
-        since_ckpt += t
-        work += iteration_time  # straggler excess is overhead, not work
-        done += 1
-        it += 1
-        if it == checkpoint_interval_iters and done < num_iterations:
-            if wall + ckpt_time > next_failure:
-                lost_now = (next_failure - wall) + since_ckpt
-                wall = next_failure + model.restart_time + read
-                lost += lost_now + model.restart_time + read
-                failures += 1
-                restarts += 1
-                # The in-flight checkpoint never landed: roll back.
-                done -= it
-                work -= it * iteration_time
-                since_ckpt = 0.0
-                it = 0
-                next_failure = wall + draw_failure()
-                continue
-            wall += ckpt_time
-            lost += ckpt_time
-            checkpoints += 1
-            since_ckpt = 0.0
-            it = 0
-    return RunOutcome(
-        wall_time=wall,
-        work_time=work,
-        failures=failures,
-        restarts=restarts,
-        checkpoints=checkpoints,
-        straggler_hits=straggler_hits,
-        lost_time=lost,
+    vt = _VirtualTrainer(
+        iteration_time, ckpt_time,
+        ckpt_time if read_time is None else read_time, model, rng,
+        lambda: float(rng.exponential(1.0 / rate)) if rate > 0 else math.inf,
     )
+    n = vt.run(num_iterations, checkpoint_interval_iters).restarts
+    return RunOutcome(vt.wall, vt.work, n, n, vt.checkpoints,
+                      vt.straggler_hits, vt.lost)

@@ -19,6 +19,7 @@ dispatcher is the one way to run them.
 from __future__ import annotations
 
 import argparse
+import sys
 from importlib import import_module
 
 __all__ = ["main", "SUBCOMMANDS"]
@@ -55,5 +56,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     module_name, _ = SUBCOMMANDS[args.subcommand]
     module = import_module(f".{module_name}", __name__)
-    return module.main(args.rest)
+    try:
+        return module.main(args.rest)
+    except (ValueError, KeyError) as exc:
+        # Bad input the subcommand's parser cannot see (an unknown model
+        # or machine, a count of zero) ends in one line, not a traceback.
+        message = exc.args[0] if exc.args else type(exc).__name__
+        print(f"repro.tools {args.subcommand}: error: {message}",
+              file=sys.stderr)
+        return 2
 

@@ -9,11 +9,16 @@ argparse *parent* parser:
 * ``--seed N`` — deterministic seed (simulator jitter salt, arrival
   traces, stochastic replays — each command documents its use);
 * ``--out DIR`` — directory for the command's ``BENCH_*.json`` artifact.
+
+``memory`` and ``trace`` read their ``GX,GY,GZ,GDATA[,GSEQ]`` grid
+argument through one parser.
 """
 
 from __future__ import annotations
 
 import argparse
+
+from ..core.grid import GridConfig
 
 __all__ = ["planner_parent_parser"]
 
@@ -40,3 +45,13 @@ def planner_parent_parser(
     parent.add_argument("--seed", type=int, default=0, help=seed_help)
     parent.add_argument("--out", default=None, help=out_help)
     return parent
+
+
+def _parse_grid(text: str) -> GridConfig:
+    parts = [int(p) for p in text.split(",")]
+    if len(parts) not in (4, 5):
+        raise argparse.ArgumentTypeError(
+            "grid must be four or five comma-separated integers: "
+            "GX,GY,GZ,GDATA[,GSEQ]"
+        )
+    return GridConfig(*parts)

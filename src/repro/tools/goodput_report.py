@@ -144,6 +144,13 @@ def _report(
     }
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     from .common import planner_parent_parser
 
@@ -175,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--straggler-slowdown", type=float, default=2.0)
     parser.add_argument(
-        "--iter-time", type=float, default=15.0,
+        "--iter-time", type=_positive_float, default=15.0,
         help="seconds per training iteration in the stochastic replay",
     )
     parser.add_argument(

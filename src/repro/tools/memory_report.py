@@ -20,20 +20,11 @@ import argparse
 
 from ..cluster import get_machine
 from ..config import get_model
-from ..core.grid import GridConfig
+from ..core.grid import infeasibility_reason
 from ..simulate import estimate_memory, max_batch_per_replica
+from .common import _parse_grid
 
 __all__ = ["main"]
-
-
-def _parse_grid(text: str) -> GridConfig:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) not in (4, 5):
-        raise argparse.ArgumentTypeError(
-            "grid must be four or five comma-separated integers: "
-            "GX,GY,GZ,GDATA[,GSEQ]"
-        )
-    return GridConfig(*parts)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,6 +43,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cfg = get_model(args.model)
+    reason = infeasibility_reason(cfg, args.grid)
+    if reason:
+        parser.error(reason)
     machine = get_machine(args.machine)
     ck = not args.no_checkpointing
     batch = args.batch or max(args.grid.gz, 1)

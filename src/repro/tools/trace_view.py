@@ -25,20 +25,11 @@ import argparse
 
 from ..cluster import get_machine
 from ..config import get_model
-from ..core.grid import GridConfig
+from ..core.grid import infeasibility_reason
 from ..simulate import OverlapFlags, Timeline, simulate_iteration
+from .common import _parse_grid
 
 __all__ = ["main"]
-
-
-def _parse_grid(text: str) -> GridConfig:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) not in (4, 5):
-        raise argparse.ArgumentTypeError(
-            "grid must be four or five comma-separated integers: "
-            "GX,GY,GZ,GDATA[,GSEQ]"
-        )
-    return GridConfig(*parts)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,6 +50,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cfg = get_model(args.model)
+    reason = infeasibility_reason(cfg, args.grid)
+    if reason:
+        parser.error(reason)
     machine = get_machine(args.machine)
     batch = args.batch or 2 * args.grid.total
     overlap = OverlapFlags.none() if args.no_overlap else OverlapFlags.all()

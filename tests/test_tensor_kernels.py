@@ -10,7 +10,7 @@ backward).  See "Kernel rewrite contract" in DESIGN.md.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import AdamW
@@ -108,6 +108,9 @@ class TestGelu:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**16), shape=SHAPES, dtype=DTYPES,
            scale=st.sampled_from([0.1, 1.0, 4.0]))
+    # An ulp of tanh near x = -3.1, amplified ~10x in the gradient.
+    @example(seed=1167, shape=(4, 5, 6, 7), dtype=np.float64, scale=4.0)
+    @example(seed=295, shape=(2, 4, 7, 7), dtype=np.float64, scale=4.0)
     def test_forward_and_backward_match_the_pow_formula(self, seed, shape, dtype, scale):
         xd = draw_array(seed, shape, dtype, scale)
         g = draw_array(seed + 1, shape, dtype)
@@ -120,7 +123,18 @@ class TestGelu:
         # as an absolute, not a relative, difference there.
         tol = dict(rtol=1e-14, atol=1e-15) if dtype == np.float64 else dict(rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(y.data, want, **tol)
-        np.testing.assert_allclose(x.grad, want_grad, **tol)
+        if dtype != np.float64:
+            np.testing.assert_allclose(x.grad, want_grad, **tol)
+            return
+        # The gradient is g (0.5 (1 + t) + 0.5 x (1 - t^2) d), with
+        # d = c (1 + 3a x^2).  The two sides round tanh's argument
+        # differently, so t may differ by an ulp (2^-53 below 1), which
+        # the gradient scales by |g (0.5 - x t d)|; the rounding of
+        # 1 - t^2 is scaled by |g x d| / 2, and the sums add an ulp of 1.
+        t = np.tanh(_GELU_C * (xd + 0.044715 * xd**3))
+        d = _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
+        bound = 2.0**-52 * np.abs(g) * (np.abs(0.5 - xd * t * d) + np.abs(xd * d) + 1.0)
+        assert (np.abs(x.grad - want_grad) <= bound + 1e-14 * np.abs(want_grad)).all()
 
     @pytest.mark.parametrize("shape", [(), (0,), (4, 0), (1,)])
     def test_degenerate_shapes(self, shape):

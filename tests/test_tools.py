@@ -162,6 +162,40 @@ class TestDispatcher:
             assert "__main__" not in inspect.getsource(mod)
 
 
+class TestInputErrors:
+    """Bad input ends in one ``error:`` line and rc 2, not a traceback."""
+
+    @staticmethod
+    def _run(argv):
+        from repro.tools import main
+
+        try:
+            return main(argv.split())
+        except SystemExit as exc:  # the subcommand's own parser.error
+            return exc.code
+
+    @pytest.mark.parametrize("argv", [
+        "memory GPT-XX 1,1,1,1 frontier",
+        "memory GPT-5B 1,1,1,1 nosuch",
+        "goodput GPT-5B 0",
+        "goodput GPT-5B 64 --node-mtbf-hours 0",
+        "goodput GPT-5B 64 --iter-time 0",
+        "plan GPT-5B 0 frontier",
+        "serve-report GPT-5B 0 frontier",
+    ])
+    def test_ends_in_a_message(self, argv, capsys):
+        assert self._run(argv) == 2
+        err = capsys.readouterr().err
+        assert ": error: " in err.strip().splitlines()[-1]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["trace", "memory"])
+    def test_grid_breaking_the_rule_is_refused(self, command, capsys):
+        assert self._run(f"{command} GPT-5B 3,1,1,1 frontier") == 2
+        err = capsys.readouterr().err
+        assert err.strip().endswith("error: num_heads 32 not divisible by Gx=3")
+
+
 class TestProfileRun:
     def test_profile_run_tiny_emits_artifacts(self, tmp_path, capsys):
         import json
