@@ -23,10 +23,7 @@ from repro.cluster import FRONTIER, PERLMUTTER, Placement
 from repro.core import Grid4D, GridConfig
 from repro.perfmodel import choose_algorithm
 from repro.perfmodel.hierarchical import flat_time, hierarchical_time
-from repro.simulate.network_sim import (
-    hierarchical_group_timing,
-    measured_group_bandwidth,
-)
+from repro.simulate.engine import group_timings, hierarchical_group_timings
 
 MACHINES = [PERLMUTTER, FRONTIER]
 
@@ -41,8 +38,8 @@ def test_hierarchical_crossover(benchmark, report, machine):
     p = 2 * machine.gpus_per_node
     placement = Placement(machine, p)
     grid = Grid4D(GridConfig(p, 1, 1, 1), placement=placement)
-    lt = measured_group_bandwidth(grid, placement, "x")
-    ht = hierarchical_group_timing(grid, placement, "x")
+    lt = group_timings(grid, placement)["x"]
+    ht = hierarchical_group_timings(grid, placement)["x"]
     assert ht is not None
 
     def experiment():

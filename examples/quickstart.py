@@ -16,8 +16,8 @@ import numpy as np
 
 from repro import axonn_init
 from repro.config import GPTConfig
-from repro.core import ParallelGPT
-from repro.nn import GPT, AdamW
+from repro.nn import AdamW
+from repro.runtime import validate_schedule
 
 
 def main() -> None:
@@ -37,9 +37,9 @@ def main() -> None:
     ctx = axonn_init(gx=2, gy=1, gz=2, gdata=1)
     print(f"grid: {ctx.config}  ({ctx.config.total} virtual GPUs)")
 
-    # 2. Serial reference and its 4D-parallel twin (same weights).
-    serial = GPT(cfg, seed=0)
-    parallel = ParallelGPT.from_serial(serial, ctx.grid)
+    # 2. The 4D-parallel model and its serial twin (same weights).
+    parallel = ctx.parallelize(cfg, seed=0)
+    serial = parallel.gather_state_to_serial()
     print(f"model: {cfg.name}, {serial.num_parameters():,} parameters")
 
     # 3. Train both for a few steps on the same batches.
@@ -66,7 +66,8 @@ def main() -> None:
         )
         assert drift < 1e-9, "parallel training diverged from serial!"
 
-    # 4. Peek at the communication the 4D algorithm issued.
+    # 4. Peek at the communication the 4D algorithm issued, and check
+    #    that every rank issued the same collectives in the same order.
     tags = {}
     for rec in ctx.tracer.records:
         if rec.group.size > 1:
@@ -74,6 +75,7 @@ def main() -> None:
     print("\ncollectives issued (Algorithm 1):")
     for tag, count in sorted(tags.items()):
         print(f"  {tag:20s} x{count}")
+    assert validate_schedule(ctx.tracer) == [], "SPMD schedule violation"
     print("\nquickstart OK: 4D-parallel training == serial training")
 
 

@@ -32,9 +32,17 @@ The package rebuilds the paper's system, AxoNN, in pure Python:
 This module is the blessed public surface: everything in ``__all__``
 below is a supported entry point.  Quick start::
 
+    import numpy as np
     from repro import axonn_init
-    ctx = axonn_init(gx=2, gy=2, gz=2, gdata=1)
-    model = ctx.parallelize("GPT-5B")       # 4D-parallel GPT
+    from repro.config import GPTConfig
+    cfg = GPTConfig(name="demo", num_layers=2, hidden_size=64,
+                    num_heads=8, seq_len=16, vocab_size=64)
+    ctx = axonn_init(gx=2, gy=1, gz=8, machine="frontier",
+                     collective_algo="auto")
+    model = ctx.parallelize(cfg)            # 4D-parallel GPT
+    ids = np.random.default_rng(0).integers(0, 64, (8, 16))
+    with ctx.grid.collective_scope():       # two-level where it pays
+        model.loss(ids).backward()
 """
 
 from .autotune import (

@@ -86,10 +86,6 @@ class Placement:
             return rank // self.num_nodes
         return local_rank_of(rank, self.gpus_per_node)
 
-    def nodes_spanned(self, ranks: list[int]) -> set[int]:
-        """The set of nodes hosting any of ``ranks``."""
-        return {self.node_of(r) for r in ranks}
-
     def _check(self, rank: int) -> None:
         if not 0 <= rank < self.num_gpus:
             raise ValueError(

@@ -18,12 +18,6 @@ from .collective_ops import (
     all_reduce_t,
     all_to_all_t,
 )
-from .data_parallel import (
-    allreduce_gradients,
-    broadcast_parameters,
-    data_parallel_step,
-    replicas_in_sync,
-)
 from .degenerate import (
     DEGENERATE_SCHEMES,
     DegenerateScheme,
@@ -34,7 +28,6 @@ from .elastic import ElasticReport, shrink_grid, train_elastic
 from .grid import Grid4D, GridConfig, enumerate_grid_configs, infeasibility_reason
 from .parallel_layers import ParallelEmbedding, ParallelLayerNorm, ParallelLinear
 from .parallel_loss import vocab_parallel_cross_entropy
-from .vocab_parallel import VocabParallelEmbedding
 from .parallel_transformer import ParallelBlock, ParallelGPT, permute_qkv_columns
 from .pmm3d import (
     PMMCache,
@@ -42,9 +35,7 @@ from .pmm3d import (
     pmm3d_forward,
     shard_input,
     shard_weight,
-    unshard_input_grad,
     unshard_output,
-    unshard_weight_grad,
 )
 
 __all__ = [
@@ -70,8 +61,6 @@ __all__ = [
     "shard_input",
     "shard_weight",
     "unshard_output",
-    "unshard_input_grad",
-    "unshard_weight_grad",
     "PMMCache",
     "ParallelLinear",
     "ParallelLayerNorm",
@@ -80,15 +69,10 @@ __all__ = [
     "ParallelBlock",
     "permute_qkv_columns",
     "vocab_parallel_cross_entropy",
-    "VocabParallelEmbedding",
     "all_reduce_t",
     "all_gather_t",
     "all_reduce_max_const",
     "all_to_all_t",
-    "broadcast_parameters",
-    "allreduce_gradients",
-    "replicas_in_sync",
-    "data_parallel_step",
     "DEGENERATE_SCHEMES",
     "DegenerateScheme",
     "make_degenerate_grid",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..cluster import MachineSpec, Placement, get_machine
 from ..config import GPTConfig, get_model
-from ..runtime import CommTracer, Violation, assert_valid_schedule, validate_schedule
+from ..runtime import CommTracer
 from .grid import Grid4D, GridConfig
 from .parallel_transformer import ParallelGPT
 
@@ -38,22 +38,6 @@ class AxoNN:
             model_cfg = get_model(model_cfg)
         return ParallelGPT(self.grid, model_cfg, seed=seed)
 
-    def collective_scope(self):
-        """Activate the grid's ``collective_algo`` policy (see
-        :meth:`repro.core.Grid4D.collective_scope`); no-op for
-        ``"flat"``."""
-        return self.grid.collective_scope()
-
-    def validate_schedule(self) -> list[Violation]:
-        """Run the SPMD schedule validator over everything traced so far."""
-        return validate_schedule(self.tracer)
-
-    def assert_clean_schedule(self) -> None:
-        """Raise :class:`~repro.runtime.ScheduleValidationError` on any
-        recorded schedule violation (desync, deadlock, split asymmetry,
-        unbalanced non-blocking handles)."""
-        assert_valid_schedule(self.tracer)
-
 
 def init(
     gx: int,
@@ -77,7 +61,7 @@ def init(
 
     ``collective_algo`` (``"flat"`` | ``"hierarchical"`` | ``"auto"``)
     picks how node-straddling collectives execute; activate it around
-    model code with ``with ctx.collective_scope(): ...``.  The non-flat
+    model code with ``with ctx.grid.collective_scope(): ...``.  The non-flat
     algorithms need ``machine`` — the decomposition is defined by the
     node topology.
     """

@@ -43,8 +43,7 @@ class ParallelLinear(Module):
     Weight shards are :class:`Parameter`\\ s keyed by tensor coordinates
     ``(x, y, z)`` — one *distinct* piece of ``W`` per rank, shared across
     data-parallel replicas in the functional model (gradient accumulation
-    plays the role of the data-parallel all-reduce; see
-    :mod:`repro.core.data_parallel` for the explicitly-replicated form).
+    plays the role of the data-parallel all-reduce).
 
     The forward pass issues, per Algorithm 1: all-gather over Z (line 2),
     a local matmul (line 3), and an all-reduce over the contraction axis

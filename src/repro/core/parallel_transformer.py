@@ -19,8 +19,7 @@ Functional-model convention: parameters that a real deployment would
 replicate (embeddings, LayerNorm shards across non-feature axes, weight
 shards across data replicas) are single shared :class:`Parameter`
 objects; autograd's gradient accumulation then computes exactly what the
-replica all-reduce would.  :mod:`repro.core.data_parallel` provides the
-explicitly-replicated training step with real gradient collectives.
+replica all-reduce would.
 """
 
 from __future__ import annotations

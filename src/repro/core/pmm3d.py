@@ -22,8 +22,8 @@ reduce-scatter_z).  For transposed layers pass ``transposed=True``; every
 collective then runs over the swapped group.
 
 These functions are the specification-level artifact used by the unit
-tests; the autograd-integrated version lives in
-:mod:`repro.core.parallel_linear`.
+tests; the autograd-integrated version is
+:class:`repro.core.parallel_layers.ParallelLinear`.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
     "shard_input",
     "shard_weight",
     "unshard_output",
-    "unshard_input_grad",
-    "unshard_weight_grad",
     "pmm3d_forward",
     "pmm3d_backward",
     "PMMCache",
@@ -132,51 +130,6 @@ def unshard_output(
             cols.append(O_parts[rank])
         rows.append(np.concatenate(cols, axis=1))
     return np.concatenate(rows, axis=0)
-
-
-def unshard_input_grad(
-    dI_parts: dict[int, np.ndarray], grid: Grid4D, d: int = 0, transposed: bool = False
-) -> np.ndarray:
-    """Reassemble the full input gradient (replicated along the column
-    axis; blocks over Z rows and contraction-axis columns)."""
-    c = grid.config
-    _, contract_axis = _axes(transposed)
-    n_contract = c.gy if contract_axis == "y" else c.gx
-    rows = []
-    for z in range(c.gz):
-        cols = []
-        for j in range(n_contract):
-            if contract_axis == "y":
-                rank = grid.rank_of(0, j, z, d)
-            else:
-                rank = grid.rank_of(j, 0, z, d)
-            cols.append(dI_parts[rank])
-        rows.append(np.concatenate(cols, axis=1))
-    return np.concatenate(rows, axis=0)
-
-
-def unshard_weight_grad(
-    dW_parts: dict[int, np.ndarray], grid: Grid4D, d: int = 0, transposed: bool = False
-) -> np.ndarray:
-    """Reassemble the full (k, n) weight gradient from Z-sharded blocks."""
-    c = grid.config
-    col_axis, contract_axis = _axes(transposed)
-    n_contract = c.gy if contract_axis == "y" else c.gx
-    n_col = c.gx if col_axis == "x" else c.gy
-    row_blocks = []
-    for j in range(n_contract):
-        col_blocks = []
-        for i in range(n_col):
-            shards = []
-            for z in range(c.gz):
-                if col_axis == "x":
-                    rank = grid.rank_of(i, j, z, d)
-                else:
-                    rank = grid.rank_of(j, i, z, d)
-                shards.append(dW_parts[rank])
-            col_blocks.append(np.concatenate(shards, axis=0))
-        row_blocks.append(np.concatenate(col_blocks, axis=1))
-    return np.concatenate(row_blocks, axis=0)
 
 
 @dataclass

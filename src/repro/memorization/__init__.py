@@ -4,11 +4,7 @@ from .buckets import Bucket, BucketDesign
 from .corpus import Document, SyntheticCorpus
 from .text_corpus import TextCorpus, make_wordlist
 from .tokenizer import BPETokenizer
-from .evaluate import (
-    evaluate_buckets,
-    exact_match_rate,
-    prefix_sensitivity,
-)
+from .evaluate import evaluate_buckets, exact_match_rate
 from .goldfish import GOLDFISH_H, GOLDFISH_K, goldfish_mask
 from .trainer import (
     ExperimentConfig,
@@ -31,7 +27,6 @@ __all__ = [
     "GOLDFISH_H",
     "exact_match_rate",
     "evaluate_buckets",
-    "prefix_sensitivity",
     "ExperimentConfig",
     "ExperimentResult",
     "scale_ladder",

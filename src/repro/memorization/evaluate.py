@@ -23,7 +23,6 @@ from .buckets import Bucket
 __all__ = [
     "exact_match_rate",
     "evaluate_buckets",
-    "prefix_sensitivity",
 ]
 
 
@@ -81,35 +80,3 @@ def evaluate_buckets(
         for b in buckets
     }
 
-
-def prefix_sensitivity(
-    model: GPT,
-    documents: np.ndarray,
-    suffix_len: int,
-    prefix_lens: list[int],
-) -> dict[int, float]:
-    """Exact-match rate as a function of the prompt length.
-
-    Extraction-attack style (Carlini et al. [44], [46]): instead of the
-    full document prefix, the model is prompted with only the
-    ``prefix_len`` tokens immediately preceding the suffix.  Longer
-    prompts give the model more of the memorized context, so the
-    extraction rate is non-decreasing in ``prefix_len`` for a model that
-    memorized the passage — the shape this evaluation measures.
-    """
-    documents = np.atleast_2d(documents)
-    doc_len = documents.shape[1]
-    if suffix_len < 1 or suffix_len >= doc_len:
-        raise ValueError(f"suffix_len {suffix_len} invalid for {doc_len}-token docs")
-    out: dict[int, float] = {}
-    for plen in prefix_lens:
-        if plen < 1 or plen + suffix_len > doc_len:
-            raise ValueError(
-                f"prefix_len {plen} invalid (doc {doc_len}, suffix {suffix_len})"
-            )
-        hits = 0
-        for doc in documents:
-            window = doc[doc_len - suffix_len - plen :]
-            hits += _matches_suffix(model, window, suffix_len)
-        out[plen] = hits / len(documents)
-    return out

@@ -6,7 +6,6 @@ from .schedule import (
     PipelineConfig,
     bubble_fraction,
     PipelineResult,
-    pipeline_memory_factor,
     simulate_pipeline_iteration,
 )
 
@@ -19,6 +18,5 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "simulate_pipeline_iteration",
-    "pipeline_memory_factor",
     "bubble_fraction",
 ]

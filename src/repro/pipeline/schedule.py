@@ -13,8 +13,7 @@ compare it against AxoNN's 4D algorithm:
 * the pipeline bubble: with ``m`` microbatches and ``S`` stages, work
   occupies ``m`` slots of ``S`` in flight, so the iteration takes
   ``(m + S - 1)`` slot times (GPipe and 1F1B share this steady-state
-  bubble; they differ in activation memory, which
-  :func:`pipeline_memory_factor` captures);
+  bubble; they differ only in activation memory);
 * p2p activation/gradient transfers between adjacent stages (inter-node);
 * the data-parallel gradient all-reduce.
 """
@@ -34,7 +33,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "simulate_pipeline_iteration",
-    "pipeline_memory_factor",
     "bubble_fraction",
 ]
 
@@ -80,22 +78,6 @@ class PipelineResult:
     @property
     def bubble_fraction(self) -> float:
         return self.bubble_time / self.total_time
-
-
-def pipeline_memory_factor(
-    num_microbatches: int, num_stages: int, schedule: str = "1f1b"
-) -> float:
-    """Peak live microbatch-activations per stage, relative to one.
-
-    GPipe holds every in-flight microbatch's boundary activations until
-    the flush (factor m); 1F1B caps it at the stage depth; the
-    interleaved schedule matches 1F1B's cap (each of a stage's virtual
-    chunks holds proportionally less)."""
-    if schedule == "gpipe":
-        return float(num_microbatches)
-    if schedule in ("1f1b", "interleaved"):
-        return float(min(num_microbatches, num_stages))
-    raise ValueError(f"unknown schedule {schedule!r}")
 
 
 def bubble_fraction(

@@ -1,18 +1,18 @@
 """The simulator's timing engine: vectorized, memoized link timings.
 
-The scalar walks of :mod:`repro.simulate.network_sim` define what a
-group's bandwidth *is*, visiting every rank of the job in Python —
+A group's bandwidth is defined by a walk over every rank of the job —
 ``group_along`` per rank, ``build_ring`` per sibling group,
-``shared_ring_bandwidths`` per edge — which cannot reach the paper's
-4096–8192+ GPU scales in reasonable wall-clock.  This module derives the
-exact same quantities with NumPy array operations: all sibling rings of
-an axis advance through ring construction, stream counting, and
-bottleneck-bandwidth reduction as a handful of vectorized updates.  It
-is the only path :func:`repro.simulate.simulate_iteration` takes; the
-scalar walks stay as the readable definition and the test oracle.
+``shared_ring_bandwidths`` per edge — which in Python cannot reach the
+paper's 4096–8192+ GPU scales in reasonable wall-clock.  This module
+derives the exact same quantities with NumPy array operations: all
+sibling rings of an axis advance through ring construction, stream
+counting, and bottleneck-bandwidth reduction as a handful of vectorized
+updates.  It is the only path :func:`repro.simulate.simulate_iteration`
+takes; the per-rank walks are the readable definition and test oracle
+(``tests/oracles/network.py``).
 
 **Equivalence contract.**  Every bandwidth/latency this engine returns
-is *bitwise identical* to the scalar walk's: the group enumeration, the
+is *bitwise identical* to the per-rank walk's: the group enumeration, the
 (node, rank) ring ordering, the NIC/pair stream counters, and the
 order-independent min-reductions reproduce the same IEEE-754 doubles,
 because every arithmetic expression (``inter_node_bw / share``,
@@ -177,7 +177,8 @@ def _shared_bottlenecks(
 def vectorized_group_timing(
     grid: Grid4D, placement: Placement, axis: str
 ) -> LinkTiming:
-    """Vectorized :func:`~repro.simulate.network_sim.measured_group_bandwidth`."""
+    """Bandwidth/latency of collectives along ``axis``, under contention
+    from every sibling group sharing its nodes."""
     size = grid.config.full_dims[_AXIS_INDEX[axis]]
     if size == 1:
         return LinkTiming(float("inf"), 0.0, 1)
@@ -245,7 +246,15 @@ def _decomposable_rows(
 def vectorized_hierarchical_group_timing(
     grid: Grid4D, placement: Placement, axis: str
 ) -> HierTiming | None:
-    """Vectorized :func:`~repro.simulate.network_sim.hierarchical_group_timing`."""
+    """Timings of the two-level decomposition of ``axis``'s groups, or
+    ``None`` when they do not decompose (single node, one member per
+    node, or uneven spread).
+
+    Every sibling axis group with a member on the representative
+    group's nodes runs the same decomposition simultaneously, so the
+    intra-node rings of all siblings contend for device pairs and their
+    cross rings contend for the NICs.
+    """
     p = grid.config.full_dims[_AXIS_INDEX[axis]]
     if p == 1:
         return None

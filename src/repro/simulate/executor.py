@@ -19,7 +19,7 @@ optimizations of Section V-D as switches:
 Compute times come from the platform GEMM model (optionally after
 kernel-mode tuning, Section V-C); communication times use ring-collective
 costs over bandwidths *measured* on the network substrate under
-contention (:mod:`repro.simulate.network_sim`) plus per-step latency —
+contention (:mod:`repro.simulate.engine`) plus per-step latency —
 i.e. the simulator deliberately includes the effects (latency, compute,
 exact contention, run-to-run variability) that the analytical model of
 Section V-B assumes away.
@@ -33,8 +33,8 @@ varies only some knobs composes the same stages itself and repeats only
 what its knob moves (:func:`repro.autotune.autotune` prices once per
 kernel mode x collective algorithm and schedules once per overlap
 subset).
-There is one timing engine; the per-rank scalar walks of
-:mod:`repro.simulate.network_sim` and the uncached
+There is one timing engine; the per-rank link walks
+(``tests/oracles/network.py``) and the uncached
 :func:`repro.kernels.tune_matmuls` define the same numbers readably and
 feed the same price stage in ``tests/test_sim_differential.py``.
 """

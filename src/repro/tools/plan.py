@@ -107,6 +107,13 @@ def _optimize_table(report) -> None:
         )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.tools plan",
@@ -131,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         "overlap search) and print the winning job config",
     )
     parser.add_argument(
-        "--prune-k", type=int, default=24,
+        "--prune-k", type=_positive_int, default=24,
         help="analytic survivors screened by simulation in --optimize "
         "(default: 24)",
     )

@@ -365,7 +365,7 @@ class TestModelVsSimulatorRanking:
     @pytest.mark.parametrize("machine", [PERLMUTTER, FRONTIER], ids=lambda m: m.name)
     @pytest.mark.parametrize("op", ["all_reduce", "all_gather", "reduce_scatter"])
     def test_ranking_agreement(self, machine, op):
-        from repro.simulate.network_sim import (
+        from tests.oracles.network import (
             hierarchical_group_timing,
             measured_group_bandwidth,
         )

@@ -392,44 +392,3 @@ class TestOneTrainingStep:
         want = oracle.continued_pretraining(model, corpus, stream, exp, goldfish)
         assert [x.hex() for x in got.losses] == [x.hex() for x in want]
         assert evaluated == [_state_bytes(model)]
-
-
-class TestPrefixSensitivity:
-    def test_memorized_doc_extracts_more_with_longer_prompts(self):
-        """Extraction-attack shape: a model overfit on a document
-        reproduces its suffix from long prompts; short prompts give less
-        of the memorized context."""
-        from repro.memorization import prefix_sensitivity
-        from repro.nn import AdamW
-
-        model = tiny_model(width=64)
-        corpus = SyntheticCorpus(128, 32, seed=0, branching=4)
-        docs = np.stack([corpus.document(i).tokens for i in range(2)])
-        opt = AdamW(model.parameters(), lr=1e-2)
-        for _ in range(60):
-            loss = model.loss(docs)
-            model.zero_grad()
-            loss.backward()
-            opt.step()
-        rates = prefix_sensitivity(model, docs, suffix_len=8, prefix_lens=[2, 8, 24])
-        assert rates[24] == 1.0  # full-context extraction succeeds
-        assert rates[2] <= rates[8] <= rates[24]
-
-    def test_untrained_model_extracts_nothing(self):
-        from repro.memorization import prefix_sensitivity
-
-        model = tiny_model()
-        corpus = SyntheticCorpus(128, 32, seed=1)
-        docs = np.stack([corpus.document(i).tokens for i in range(4)])
-        rates = prefix_sensitivity(model, docs, suffix_len=8, prefix_lens=[4, 16])
-        assert all(v == 0.0 for v in rates.values())
-
-    def test_validation(self):
-        from repro.memorization import prefix_sensitivity
-
-        model = tiny_model()
-        docs = np.zeros((1, 16), dtype=int)
-        with pytest.raises(ValueError):
-            prefix_sensitivity(model, docs, suffix_len=16, prefix_lens=[2])
-        with pytest.raises(ValueError):
-            prefix_sensitivity(model, docs, suffix_len=8, prefix_lens=[16])

@@ -425,85 +425,6 @@ class TestFacade:
             Grid4D(GridConfig(2, 2, 2), placement=Placement(FRONTIER, 16))
 
 
-class TestVocabParallelEmbedding:
-    def test_matches_full_table_lookup(self):
-        from repro.core import VocabParallelEmbedding
-
-        rng = np.random.default_rng(0)
-        group = ProcessGroup((0, 1, 2, 3))
-        emb = VocabParallelEmbedding(group, 32, 8, rng=rng)
-        table = rng.standard_normal((32, 8))
-        emb.load_full(table)
-        np.testing.assert_array_equal(emb.full_table(), table)
-
-        ids = rng.integers(0, 32, (3, 5))
-        outs = emb.forward(ids)
-        for t in outs:
-            np.testing.assert_allclose(t.data, table[ids], rtol=1e-12)
-
-    def test_gradients_land_on_owning_shards_only(self):
-        from repro.core import VocabParallelEmbedding
-
-        rng = np.random.default_rng(1)
-        group = ProcessGroup((0, 1))
-        emb = VocabParallelEmbedding(group, 8, 4, rng=rng)
-        ids = np.array([[0, 1, 2]])  # all ids in shard 0's range [0, 4)
-        outs = emb.forward(ids)
-        outs[0].sum().backward()
-        assert np.abs(emb.shards[0].grad).sum() > 0
-        np.testing.assert_array_equal(emb.shards[1].grad, 0.0)
-
-    def test_gradient_matches_serial_embedding(self):
-        from repro.core import VocabParallelEmbedding
-        from repro.tensor import functional as F
-
-        rng = np.random.default_rng(2)
-        group = ProcessGroup((0, 1))
-        emb = VocabParallelEmbedding(group, 16, 6, rng=rng)
-        table = rng.standard_normal((16, 6))
-        emb.load_full(table)
-        ids = rng.integers(0, 16, (4, 3))
-
-        ref = Tensor(table, requires_grad=True)
-        (F.embedding(ref, ids) * F.embedding(ref, ids)).sum().backward()
-
-        outs = emb.forward(ids)
-        (outs[0] * outs[0]).sum().backward()
-        got = np.concatenate([emb.shards[0].grad, emb.shards[1].grad])
-        np.testing.assert_allclose(got, ref.grad, rtol=1e-10, atol=1e-12)
-
-    def test_comm_pattern(self):
-        from repro.core import VocabParallelEmbedding
-
-        group = ProcessGroup((0, 1))
-        tr = CommTracer()
-        emb = VocabParallelEmbedding(
-            group, 8, 4, rng=np.random.default_rng(0), tracer=tr
-        )
-        emb.forward(np.array([[1, 5]]))
-        assert [r.tag for r in tr.records] == ["vocab_embed.AR"]
-
-    def test_validation(self):
-        from repro.core import VocabParallelEmbedding
-
-        group = ProcessGroup((0, 1, 2))
-        with pytest.raises(ValueError):
-            VocabParallelEmbedding(group, 8, 4)  # 8 % 3 != 0
-        emb = VocabParallelEmbedding(ProcessGroup((0, 1)), 8, 4)
-        with pytest.raises(IndexError):
-            emb.forward(np.array([9]))
-        with pytest.raises(ValueError):
-            emb.load_full(np.zeros((4, 4)))
-
-    def test_memory_sharding(self):
-        """The point of the scheme: per-rank table state shrinks by p."""
-        from repro.core import VocabParallelEmbedding
-
-        small = VocabParallelEmbedding(ProcessGroup((0,)), 64, 8)
-        big = VocabParallelEmbedding(ProcessGroup((0, 1, 2, 3)), 64, 8)
-        assert big.shards[0].size == small.shards[0].size // 4
-
-
 class TestGridShapeFuzz:
     """Property-based sweep over (Gx, Gy, Gz, Gdata): on every sampled
     shape a parallel training step must equal the serial step AND leave a

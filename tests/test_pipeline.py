@@ -11,7 +11,6 @@ from repro.pipeline import (
     PipelineConfig,
     PipelineGPT,
     partition_layers,
-    pipeline_memory_factor,
     simulate_pipeline_iteration,
 )
 from tests.oracles.optim import SGD
@@ -194,13 +193,6 @@ class TestPipelineSchedule:
                 num_microbatches=20,  # 64 % 20 != 0
             )
 
-    def test_memory_factor(self):
-        assert pipeline_memory_factor(32, 8, "gpipe") == 32
-        assert pipeline_memory_factor(32, 8, "1f1b") == 8
-        assert pipeline_memory_factor(4, 8, "1f1b") == 4
-        with pytest.raises(ValueError):
-            pipeline_memory_factor(4, 2, "interleaved?")
-
     def test_result_components_sum_sensibly(self):
         cfg = get_model("GPT-40B")
         pc = PipelineConfig(tp=8, pp=2, dp=8)
@@ -236,11 +228,6 @@ class TestInterleavedSchedule:
         assert inter.bubble_time < plain.bubble_time * 0.7
         assert inter.p2p_time == pytest.approx(2 * plain.p2p_time)
         assert inter.total_time < plain.total_time
-
-    def test_interleaved_memory_factor(self):
-        from repro.pipeline import pipeline_memory_factor
-
-        assert pipeline_memory_factor(32, 8, "interleaved") == 8
 
     def test_validation(self):
         cfg = get_model("GPT-20B")

@@ -2,6 +2,8 @@
 ``__all__`` entry resolves, and the facade wires together."""
 
 import importlib
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,3 +205,48 @@ class TestSignatureContracts:
         import json
 
         json.dumps(doc)  # round-trips through JSON
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _python_blocks(heading: str) -> list[str]:
+    """The ```python blocks of the README section under ``heading``."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, ln in enumerate(lines)
+                 if ln.lstrip("#").strip() == heading and ln.startswith("#"))
+    level = len(lines[start]) - len(lines[start].lstrip("#"))
+    blocks, block = [], None
+    for ln in lines[start + 1:]:
+        if block is None:
+            if ln.startswith("#") and \
+                    len(ln) - len(ln.lstrip("#")) <= level:
+                break  # the next section at the same or a higher level
+            if ln.strip() == "```python":
+                block = []
+        elif ln.strip() == "```":
+            blocks.append("\n".join(block) + "\n")
+            block = None
+        else:
+            block.append(ln)
+    return blocks
+
+
+class TestDocSnippetsRun:
+    """The README and package-docstring snippets run as written."""
+
+    @pytest.mark.parametrize(
+        "heading", ["Quickstart", "Two-level hierarchical collectives"])
+    def test_readme_section(self, heading):
+        blocks = _python_blocks(heading)
+        assert blocks
+        for code in blocks:
+            exec(compile(code, f"README.md: {heading}", "exec"), {})
+
+    def test_package_docstring_quick_start(self):
+        import repro
+
+        doc = repro.__doc__
+        body = doc[doc.index("Quick start::") + len("Quick start::"):]
+        code = textwrap.dedent(body.strip("\n"))
+        exec(compile(code, "repro.__doc__", "exec"), {})

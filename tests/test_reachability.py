@@ -45,24 +45,15 @@ CALLER_DIRS = ("bench", "examples", "benchmarks")
 ALLOWLIST: dict[str, str] = {
     # Functional-runtime surface that a paper section describes and
     # that tests exercise; no experiment, workload or CLI drives it.
-    "repro.core.axonn:AxoNN": "§V-A easy API: ctx.parallelize(), the "
-        "quick start of the package docstring and README",
     "repro.core.easy_api:ParallelMLP": "§V-A easy API beyond GPT: "
         "parallelize a serial Linear stack",
-    "repro.core.data_parallel": "§IV data parallelism as a standalone step",
     "repro.core.pmm3d:unshard_output": "§V-A Algorithm 1, reassembly",
-    "repro.core.pmm3d:unshard_input_grad": "§V-A Algorithm 1, reassembly",
-    "repro.core.pmm3d:unshard_weight_grad": "§V-A Algorithm 1, reassembly",
-    "repro.core.vocab_parallel:VocabParallelEmbedding": "§V-A 4D model, "
-        "vocab-parallel embedding",
-    "repro.runtime.nonblocking": "§V-D non-blocking collectives and Handle",
-    "repro.pipeline.schedule:pipeline_memory_factor": "§IV pipeline "
-        "parallelism, GPipe vs 1F1B activation memory",
+    "repro.runtime.nonblocking": "§V-D non-blocking collectives and "
+        "Handle; ROADMAP item 14 decides it",
     "repro.memorization.tokenizer:BPETokenizer": "§VIII tokenized text",
     "repro.memorization.text_corpus:TextCorpus": "§VIII tokenized text",
-    "repro.memorization.evaluate:prefix_sensitivity": "§VIII extraction "
-        "rate against prompt length",
-    "repro.moe.transformer:MoEGPT": "MoE extension (ref. [17])",
+    "repro.moe.transformer:MoEGPT": "MoE extension (ref. [17]); "
+        "ROADMAP parked item (d)",
 }
 
 

@@ -5,7 +5,8 @@ Two previously untested edge surfaces of the simulator:
 * ``simulate/scaling.py`` — weak scaling must be *monotone*: growing the
   rank count at fixed per-GPU work (batch proportional to devices) can
   only add communication, so noise-free batch time never decreases;
-* ``network_sim.hierarchical_group_timing`` / ``measured_group_bandwidth``
+* ``hierarchical_group_timing`` / ``measured_group_bandwidth`` (the
+  per-rank walks of ``tests/oracles/network.py``)
   — contention can only *cost*: a group's measured bandwidth under
   sibling contention (and job-scale congestion) must never beat the
   uncontended bottleneck of its lone ring, for the flat ring and for
@@ -28,7 +29,8 @@ from repro.config import GPTConfig
 from repro.core import Grid4D, GridConfig
 from repro.runtime.hierarchical import decompose_by_node
 from repro.simulate import OverlapFlags, simulate_iteration
-from repro.simulate.network_sim import (
+
+from tests.oracles.network import (
     hierarchical_group_timing,
     measured_group_bandwidth,
 )

@@ -26,6 +26,7 @@ from repro.runtime import (
     ScheduleValidationError,
     ScheduleValidator,
     all_reduce,
+    assert_valid_schedule,
     iall_reduce,
     send_recv,
     validate_schedule,
@@ -103,8 +104,8 @@ class TestCleanSchedules:
         ctx = axonn_init(2, 1, 2, 1)
         model = ctx.parallelize(tiny_cfg())
         model.loss(np.random.default_rng(0).integers(0, 32, (2, 5))).backward()
-        assert ctx.validate_schedule() == []
-        ctx.assert_clean_schedule()
+        assert validate_schedule(ctx.tracer) == []
+        assert_valid_schedule(ctx.tracer)
 
     def test_degenerate_scheme_trace_clean(self):
         tracer = gpt_trace(1, 1, 4, 1)

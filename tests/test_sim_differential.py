@@ -5,7 +5,7 @@ The simulator prices its links with the vectorized, memoized
 Those rewrite the numbers the whole repo is gated on — crossover
 frontiers, goodput reports, plan CLI rankings — so their contract is
 *bitwise equality* with the readable definitions: the per-rank scalar
-walks of ``repro.simulate.network_sim`` and the uncached
+walks of ``tests/oracles/network.py`` and the uncached
 ``tune_matmuls``.  There is no second engine to select; instead this
 suite derives link timings and the GEMM plan the slow way, feeds them to
 the *same* ``price_iteration`` -> ``schedule_iteration`` ->
@@ -58,7 +58,8 @@ from repro.simulate import (
 )
 from repro.simulate import engine as vec_engine
 from repro.simulate import executor
-from repro.simulate import network_sim as ns
+
+from tests.oracles import network as ns
 
 FUZZ_POINTS = int(os.environ.get("SIM_DIFF_POINTS", "200"))
 

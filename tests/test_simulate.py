@@ -21,7 +21,6 @@ from repro.simulate import (
     compute_metrics,
     default_global_batch,
     group_timings,
-    measured_group_bandwidth,
     run_point,
     simulate_iteration,
     strong_scaling_efficiency,
@@ -29,6 +28,8 @@ from repro.simulate import (
     weak_scaling_efficiency,
 )
 from repro.simulate.network_sim import congestion_factor
+
+from tests.oracles.network import measured_group_bandwidth
 
 
 class TestNetworkSim:

@@ -181,6 +181,7 @@ class TestInputErrors:
         "goodput GPT-5B 64 --node-mtbf-hours 0",
         "goodput GPT-5B 64 --iter-time 0",
         "plan GPT-5B 0 frontier",
+        "plan GPT-5B 64 frontier --optimize --prune-k 0",
         "serve-report GPT-5B 0 frontier",
     ])
     def test_ends_in_a_message(self, argv, capsys):
