@@ -135,7 +135,7 @@ def test_seq_parallel(benchmark, report):
     report.bench_name = "seq_parallel"
     report.line(f"wrote {RESULTS_DIR / 'BENCH_seq_parallel.json'}")
 
-    # The CI gates (seq-parallel-smoke).
+    # The CI gates (hierarchical-smoke).
     for mname in MACHINES:
         short = next(
             p

@@ -20,8 +20,8 @@ from repro.cluster import FRONTIER
 from repro.config import GPTConfig, get_model
 from repro.core import Grid4D, GridConfig, ParallelGPT
 from repro.nn import GPT
+from repro.runtime import CommTracer
 from repro.pipeline import (
-    P2PTracer,
     PipelineConfig,
     PipelineGPT,
     partition_layers,
@@ -42,7 +42,7 @@ def functional_demo() -> None:
     ref = serial.loss(ids).item()
 
     pipe_model = GPT(cfg, seed=1)
-    tracer = P2PTracer()
+    tracer = CommTracer()
     pipe = PipelineGPT(pipe_model, partition_layers(4, 4), tracer=tracer)
     pipe_loss = pipe.loss(ids, num_microbatches=2)
 
@@ -52,9 +52,12 @@ def functional_demo() -> None:
     print(f"  serial loss            : {ref:.8f}")
     print(f"  GPipe (4 stages, 2 mb) : {pipe_loss:.8f}")
     print(f"  AxoNN 4D (2x1x2 grid)  : {par_loss:.8f}")
+    def sends(kind: str) -> int:
+        return sum(r.tag.startswith(f"pipeline.{kind}:") for r in tracer.records)
+
     print(
-        f"  pipeline p2p transfers : {tracer.count('activation')} activation"
-        f" + {tracer.count('gradient')} gradient sends"
+        f"  pipeline p2p transfers : {sends('activation')} activation"
+        f" + {sends('gradient')} gradient sends"
     )
     assert abs(pipe_loss - ref) < 1e-9 and abs(par_loss - ref) < 1e-9
 

@@ -73,16 +73,13 @@ def _atomic_savez(
     path: Path,
     arrays: dict[str, np.ndarray],
     injector=None,
-    atomic: bool = True,
 ) -> None:
     """Write ``arrays`` + CRC manifest to ``path`` via tmp + ``os.replace``.
 
     ``injector`` (default: the ambient :func:`fault_scope` injector)
     gets the checkpoint-fault hooks: a ``torn_write`` truncates the file
     being written and raises before the rename; a ``corrupt_checkpoint``
-    silently flips a bit after a successful write.  ``atomic=False``
-    writes in place — only for demonstrating why the tmp/replace
-    protocol exists.
+    silently flips a bit after a successful write.
     """
     if injector is None:
         injector = get_active_injector()
@@ -100,14 +97,13 @@ def _atomic_savez(
     payload[MANIFEST_KEY] = np.asarray(json.dumps(manifest))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    target = path.with_name(path.name + ".tmp") if atomic else path
+    target = path.with_name(path.name + ".tmp")
     with open(target, "wb") as f:
         np.savez(f, **payload)
     idx = injector.next_checkpoint_save() if injector is not None else None
     if injector is not None:
         injector.check_torn_write(idx, target, path)  # may raise
-    if atomic:
-        os.replace(target, path)
+    os.replace(target, path)
     if injector is not None:
         injector.corrupt_checkpoint_file(idx, path)
 
@@ -172,7 +168,6 @@ def save_checkpoint(
     path: str | Path,
     *,
     injector=None,
-    atomic: bool = True,
 ) -> None:
     """Persist a model (serial or 4D-parallel) as a portable ``.npz``.
 
@@ -180,7 +175,7 @@ def save_checkpoint(
     the distributed analogue of a rank-0 consolidated save.  The write
     is atomic and carries the CRC manifest.
     """
-    _atomic_savez(Path(path), _serial_state(model), injector, atomic)
+    _atomic_savez(Path(path), _serial_state(model), injector)
 
 
 def load_checkpoint(
@@ -246,7 +241,6 @@ def save_training_state(
     path: str | Path,
     *,
     injector=None,
-    atomic: bool = True,
 ) -> None:
     """Persist model + AdamW optimizer state for bit-exact resume.
 
@@ -266,7 +260,7 @@ def save_training_state(
         arrays[f"adam_m::{name}"] = optimizer._m[i]
         arrays[f"adam_v::{name}"] = optimizer._v[i]
     arrays["adam_t::"] = np.asarray(optimizer.t)
-    _atomic_savez(Path(path), arrays, injector, atomic)
+    _atomic_savez(Path(path), arrays, injector)
 
 
 def load_training_state(

@@ -88,12 +88,11 @@ def make_degenerate_grid(
     num_gpus: int,
     placement: Placement | None = None,
     tracer: CommTracer | None = None,
-    shard_group_size: int | None = None,
 ) -> Grid4D:
     """Build the grid realizing a named scheme on ``num_gpus`` devices.
 
-    ``shard_group_size`` sets Gz for ``hsdp`` (defaults to the machine
-    node size when a placement is given, else to a square-ish split).
+    ``hsdp`` shards over Gz = the machine node size when a placement is
+    given, else over a square-ish split.
     """
     try:
         spec = DEGENERATE_SCHEMES[scheme]
@@ -109,9 +108,7 @@ def make_degenerate_grid(
     elif scheme == "pure_data":
         cfg = GridConfig(1, 1, 1, num_gpus)
     elif scheme == "hsdp":
-        gz = shard_group_size
-        if gz is None:
-            gz = placement.gpus_per_node if placement is not None else _near_sqrt(num_gpus)
+        gz = placement.gpus_per_node if placement is not None else _near_sqrt(num_gpus)
         if num_gpus % gz:
             raise ValueError(f"{num_gpus} GPUs not divisible by Gz={gz}")
         cfg = GridConfig(1, 1, gz, num_gpus // gz)

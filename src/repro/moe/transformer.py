@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import GPTConfig
-from ..nn.layers import Dropout, Embedding, LayerNorm
+from ..nn.layers import Embedding, LayerNorm
 from ..nn.module import Module
 from ..nn.transformer import Block, CausalSelfAttention
 from ..tensor import Tensor
@@ -76,7 +76,6 @@ class MoEGPT(Module):
         self.aux_weight = aux_weight
         self.wte = Embedding(cfg.vocab_size, cfg.hidden_size, rng=rng)
         self.wpe = Embedding(cfg.seq_len, cfg.hidden_size, rng=rng)
-        self.drop = Dropout(0.0)
         self.blocks: list[Module] = []
         for i in range(cfg.num_layers):
             if (i + 1) % moe_every == 0:
@@ -99,7 +98,6 @@ class MoEGPT(Module):
             raise ValueError(f"sequence {s} exceeds max {self.cfg.seq_len}")
         pos = np.arange(s)[None, :].repeat(b, axis=0)
         x = self.wte(ids) + self.wpe(pos)
-        x = self.drop(x)
         aux_sum: Tensor | None = None
         for block in self.blocks:
             if isinstance(block, MoEBlock):

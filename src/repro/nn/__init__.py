@@ -1,6 +1,6 @@
 """Neural-network library: modules, layers, GPT, optimizers, training."""
 
-from .layers import Dropout, Embedding, LayerNorm, Linear, init_normal
+from .layers import Embedding, LayerNorm, Linear, init_normal
 from .module import Module, Parameter
 from .optim import (
     AdamW,
@@ -34,7 +34,6 @@ __all__ = [
     "Linear",
     "Embedding",
     "LayerNorm",
-    "Dropout",
     "init_normal",
     "GPT",
     "Block",

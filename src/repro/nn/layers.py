@@ -1,4 +1,4 @@
-"""Basic layers: Linear, Embedding, LayerNorm, Dropout.
+"""Basic layers: Linear, Embedding, LayerNorm.
 
 Initialization follows GPT-2/GPT-3 conventions: normal(0, 0.02) weights,
 zero biases, with residual-branch output projections scaled down by
@@ -13,7 +13,7 @@ from ..tensor import Tensor
 from ..tensor import functional as F
 from .module import Module, Parameter
 
-__all__ = ["Linear", "Embedding", "LayerNorm", "Dropout", "init_normal"]
+__all__ = ["Linear", "Embedding", "LayerNorm", "init_normal"]
 
 INIT_STD = 0.02
 
@@ -92,20 +92,3 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.weight, self.bias, self.eps)
-
-
-class Dropout(Module):
-    """Dropout layer; a no-op when ``p == 0`` or in eval mode."""
-
-    def __init__(self, p: float = 0.0, rng: np.random.Generator | None = None) -> None:
-        self.p = p
-        self.rng = rng
-        self.training = True
-
-    def train(self) -> None:
-        self.training = True
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        return F.dropout(x, self.p, self.rng)

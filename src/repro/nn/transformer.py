@@ -14,7 +14,7 @@ import numpy as np
 from ..config import GPTConfig
 from ..tensor import Tensor, checkpoint
 from ..tensor import functional as F
-from .layers import Dropout, Embedding, LayerNorm, Linear
+from .layers import Embedding, LayerNorm, Linear
 from .module import Module
 
 __all__ = ["CausalSelfAttention", "MLP", "Block", "GPT", "causal_mask"]
@@ -134,7 +134,6 @@ class GPT(Module):
         self,
         cfg: GPTConfig,
         seed: int = 0,
-        dropout: float = 0.0,
         activation_checkpointing: bool = False,
     ) -> None:
         rng = np.random.default_rng(seed)
@@ -142,7 +141,6 @@ class GPT(Module):
         self.activation_checkpointing = activation_checkpointing
         self.wte = Embedding(cfg.vocab_size, cfg.hidden_size, rng=rng)
         self.wpe = Embedding(cfg.seq_len, cfg.hidden_size, rng=rng)
-        self.drop = Dropout(dropout, rng=np.random.default_rng(seed + 1))
         self.blocks = [Block(cfg, rng) for _ in range(cfg.num_layers)]
         self.ln_f = LayerNorm(cfg.hidden_size)
 
@@ -156,7 +154,6 @@ class GPT(Module):
             raise ValueError(f"sequence {s} exceeds max {self.cfg.seq_len}")
         pos = np.arange(s)[None, :].repeat(b, axis=0)
         x = self.wte(ids) + self.wpe(pos)
-        x = self.drop(x)
         for block in self.blocks:
             if self.activation_checkpointing:
                 x = checkpoint(block, x)

@@ -30,7 +30,6 @@ from .volume import (
 from .ring import (
     all_gather_time,
     all_reduce_time,
-    broadcast_time,
     reduce_scatter_time,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "all_gather_time",
     "reduce_scatter_time",
     "all_reduce_time",
-    "broadcast_time",
     "AlgorithmChoice",
     "choose_algorithm",
     "flat_time",

@@ -6,8 +6,9 @@ two-level decomposition of :mod:`repro.runtime.hierarchical`: a group of
 ``p = L * Q`` ranks (``Q`` nodes, ``L`` members each) runs its intra
 phases at ``intra_node_bw`` and its leaders phase at Eq. 7's shared NIC
 bandwidth ``case2_bandwidth(machine, L)`` — the ``L`` simultaneous
-cross-node rings divide the node's NIC aggregate.  (Broadcast runs a
-*single* leaders ring, so its leaders phase keeps the full aggregate.)
+cross-node rings divide the node's NIC aggregate.  The three priced ops
+are the ones Algorithm 1 issues: all-reduce, reduce-scatter and
+all-gather.
 
 Where the win comes from in this model: the network substrate lets a
 lone flat ring drive the full NIC aggregate (it enters and leaves each
@@ -44,7 +45,6 @@ from .bandwidth import case2_bandwidth
 from .ring import (
     all_gather_time,
     all_reduce_time,
-    broadcast_time,
     reduce_scatter_time,
 )
 
@@ -58,13 +58,12 @@ __all__ = [
 ]
 
 #: Ops the two-level decomposition covers.
-HIERARCHICAL_OPS = ("all_reduce", "reduce_scatter", "all_gather", "broadcast")
+HIERARCHICAL_OPS = ("all_reduce", "reduce_scatter", "all_gather")
 
 _FLAT = {
     "all_reduce": all_reduce_time,
     "reduce_scatter": reduce_scatter_time,
     "all_gather": all_gather_time,
-    "broadcast": broadcast_time,
 }
 
 
@@ -74,7 +73,7 @@ def flat_time(
     """Flat-ring cost of ``op`` (Eqs. 1–5 dispatch).
 
     ``nbytes`` follows the traced-record convention: input-buffer bytes
-    for ``all_reduce``/``reduce_scatter``/``broadcast``, per-rank shard
+    for ``all_reduce``/``reduce_scatter``, per-rank shard
     bytes for ``all_gather``.
     """
     try:
@@ -104,9 +103,7 @@ def hierarchical_time(
     * ``reduce_scatter``: intra reduce-scatter, leaders reduce-scatter
       of the slice;
     * ``all_gather`` (``nbytes`` = shard): leaders all-gather, then the
-      intra all-gather of the ``Q``-fold concatenation;
-    * ``broadcast``: leaders broadcast, then intra broadcast of the full
-      buffer.
+      intra all-gather of the ``Q``-fold concatenation.
     """
     if L < 1 or Q < 1:
         raise ValueError(f"need L, Q >= 1, got L={L}, Q={Q}")
@@ -125,11 +122,6 @@ def hierarchical_time(
         return (
             all_gather_time(nbytes, Q, beta_leaders, alpha_leaders)
             + all_gather_time(Q * nbytes, L, beta_intra, alpha_intra)
-        )
-    if op == "broadcast":
-        return (
-            broadcast_time(nbytes, Q, beta_leaders, alpha_leaders)
-            + broadcast_time(nbytes, L, beta_intra, alpha_intra)
         )
     raise ValueError(f"unknown collective {op!r}")
 
@@ -181,9 +173,8 @@ def choose_algorithm(
     dec = decompose_by_node(ranks, placement)
     if dec is None:
         return AlgorithmChoice(op, nbytes, "flat", t_flat, math.inf)
-    # Broadcast runs one leaders ring; the reducing collectives run L
-    # simultaneous cross rings that share the NICs (Eq. 7).
-    beta_leaders = case2_bandwidth(machine, 1 if op == "broadcast" else dec.L)
+    # L simultaneous cross rings share the NICs (Eq. 7).
+    beta_leaders = case2_bandwidth(machine, dec.L)
     t_hier = hierarchical_time(
         op, nbytes, dec.L, dec.Q,
         machine.intra_node_bw, beta_leaders, alpha_intra, alpha_inter,

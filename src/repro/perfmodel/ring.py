@@ -17,7 +17,6 @@ __all__ = [
     "all_gather_time",
     "reduce_scatter_time",
     "all_reduce_time",
-    "broadcast_time",
 ]
 
 
@@ -61,25 +60,6 @@ def all_reduce_time(
 ) -> float:
     """Ring all-reduce (reduce-scatter + all-gather):
     ``2 * (p-1)/p * buffer / beta``  (+ ``2 * (p-1) * alpha``)."""
-    _check(p, beta, buffer_bytes)
-    if p == 1:
-        return 0.0
-    return 2 * (p - 1) / p * buffer_bytes / beta + 2 * (p - 1) * alpha
-
-
-def broadcast_time(
-    buffer_bytes: float, p: int, beta: float, alpha: float = 0.0
-) -> float:
-    """Scatter–allgather broadcast (Thakur & Gropp; van de Geijn):
-    ``2 * (p-1)/p * buffer / beta``  (+ ``2 * (p-1) * alpha``).
-
-    The root scatters ``1/p`` of the buffer to each rank (a ring of
-    ``p-1`` shard-sized sends), then a ring all-gather reassembles it —
-    the large-message algorithm NCCL/MPI actually select.  This function
-    used to return the idealized ``buffer / beta`` pipeline bound, which
-    under-counts the bandwidth term by up to 2x (each byte crosses two
-    phases) and half the startup terms.
-    """
     _check(p, beta, buffer_bytes)
     if p == 1:
         return 0.0

@@ -1,6 +1,6 @@
 """Pipeline parallelism: the paper's baseline model-parallel family."""
 
-from .functional import P2PRecord, P2PTracer, PipelineGPT
+from .functional import PipelineGPT
 from .partition import StagePlan, partition_layers
 from .schedule import (
     PipelineConfig,
@@ -13,8 +13,6 @@ __all__ = [
     "StagePlan",
     "partition_layers",
     "PipelineGPT",
-    "P2PRecord",
-    "P2PTracer",
     "PipelineConfig",
     "PipelineResult",
     "simulate_pipeline_iteration",

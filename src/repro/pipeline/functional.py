@@ -2,13 +2,13 @@
 
 A GPipe-style execution of the serial GPT: the model's blocks are
 partitioned across virtual stages; each microbatch flows forward stage
-by stage with the activation *physically cut* at every stage boundary
-(detached and re-wrapped, exactly like a p2p send), and gradients flow
-back across the same boundaries during the backward pass.  Activation
-and gradient transfers are recorded so tests can assert the pipeline's
-communication pattern, and the final parameter gradients are verified
-equal to serial large-batch training (microbatch losses are averaged,
-the GPipe convention).
+by stage with the activation *physically cut* at every stage boundary,
+and gradients flow back across the same boundaries during the backward
+pass.  Every boundary crossing is a :func:`repro.runtime.send_recv`
+message from one stage (virtual rank) to its neighbour, so it is traced,
+counted by telemetry and a fault site like any other message.  The
+final parameter gradients are verified equal to serial large-batch
+training (microbatch losses are averaged, the GPipe convention).
 
 This substrate exists because the paper's baselines (Megatron-LM's
 hybrid, MT-NLG, Megatron-DeepSpeed — Table I) all use pipeline
@@ -17,45 +17,14 @@ parallelism; :mod:`repro.pipeline.schedule` models their performance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..nn.transformer import GPT
-from ..runtime import CommTracer
+from ..runtime import CommTracer, send_recv
 from ..tensor import Tensor
 from ..tensor import functional as F
 
-__all__ = ["P2PRecord", "P2PTracer", "PipelineGPT"]
-
-
-@dataclass(frozen=True)
-class P2PRecord:
-    """One point-to-point transfer between adjacent stages."""
-
-    kind: str  # "activation" | "gradient"
-    src_stage: int
-    dst_stage: int
-    microbatch: int
-    nbytes: int
-
-
-@dataclass
-class P2PTracer:
-    """Records stage-boundary transfers for pattern assertions."""
-
-    records: list[P2PRecord] = field(default_factory=list)
-
-    def record(self, rec: P2PRecord) -> None:
-        self.records.append(rec)
-
-    def count(self, kind: str | None = None) -> int:
-        return sum(1 for r in self.records if kind is None or r.kind == kind)
-
-    def total_bytes(self, kind: str | None = None) -> int:
-        return sum(
-            r.nbytes for r in self.records if kind is None or r.kind == kind
-        )
+__all__ = ["PipelineGPT"]
 
 
 class PipelineGPT:
@@ -64,14 +33,16 @@ class PipelineGPT:
     ``model`` keeps owning the parameters (each stage holds a disjoint
     subset of blocks, plus embeddings on stage 0 and the LN+head on the
     last stage); this class orchestrates the microbatched schedule.
+    Stage ``i`` is virtual rank ``i``; ``tracer`` records each boundary
+    message as a send + recv event pair, tagged
+    ``pipeline.<activation|gradient>:mb<m>``.
     """
 
     def __init__(
         self,
         model: GPT,
         stage_plan,
-        tracer: P2PTracer | None = None,
-        comm_tracer: CommTracer | None = None,
+        tracer: CommTracer | None = None,
     ) -> None:
         from .partition import StagePlan
 
@@ -85,25 +56,14 @@ class PipelineGPT:
         self.model = model
         self.plan = stage_plan
         self.tracer = tracer
-        # Validator-enabled mode: stage-boundary transfers additionally
-        # recorded as per-stage send/recv events (stage index == virtual
-        # rank) so the SPMD schedule validator can check p2p pairing.
-        self.comm_tracer = comm_tracer
 
-    def _record_p2p(
+    def _send(
         self, kind: str, src: int, dst: int, microbatch: int, arr: np.ndarray
-    ) -> None:
-        if self.tracer is not None:
-            self.tracer.record(P2PRecord(kind, src, dst, microbatch, arr.nbytes))
-        if self.comm_tracer is not None:
-            self.comm_tracer.record_p2p(
-                src,
-                dst,
-                arr.nbytes,
-                dtype=str(arr.dtype),
-                count=int(arr.size),
-                tag=f"pipeline.{kind}:mb{microbatch}",
-            )
+    ) -> np.ndarray:
+        return send_recv(
+            arr, src, dst, tracer=self.tracer,
+            tag=f"pipeline.{kind}:mb{microbatch}",
+        )
 
     @property
     def num_stages(self) -> int:
@@ -117,7 +77,6 @@ class PipelineGPT:
             b, s = ids.shape
             pos = np.arange(s)[None, :].repeat(b, axis=0)
             x = model.wte(ids) + model.wpe(pos)
-            x = model.drop(x)
         for layer in self.plan.layers_in(stage):
             x = model.blocks[layer](x)
         if stage == self.num_stages - 1:
@@ -165,10 +124,10 @@ class PipelineGPT:
             for stage in range(self.num_stages):
                 out = self._stage_forward(stage, x, inputs)
                 if stage < self.num_stages - 1:
-                    # p2p send: the activation leaves this stage's graph
-                    # and re-enters the next as a fresh leaf.
-                    self._record_p2p("activation", stage, stage + 1, m, out.data)
-                    nxt = Tensor(out.data, requires_grad=True)
+                    # The activation leaves this stage's graph and
+                    # re-enters the next as a fresh leaf.
+                    received = self._send("activation", stage, stage + 1, m, out.data)
+                    nxt = Tensor(received, requires_grad=True)
                     boundary_pairs.append((out, nxt))
                     x = nxt
                 else:
@@ -189,6 +148,5 @@ class PipelineGPT:
                 out, nxt = cuts[m][stage]
                 g = nxt.grad
                 assert g is not None, "boundary received no gradient"
-                self._record_p2p("gradient", stage + 1, stage, m, g)
-                out.backward(g)
+                out.backward(self._send("gradient", stage + 1, stage, m, g))
         return total_loss / num_microbatches

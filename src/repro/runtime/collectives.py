@@ -32,7 +32,6 @@ __all__ = [
     "all_reduce",
     "reduce_scatter",
     "all_gather",
-    "broadcast",
     "all_to_all",
     "REDUCE_OPS",
 ]
@@ -67,7 +66,6 @@ def _trace(
     group: ProcessGroup,
     sample: np.ndarray,
     tag: str,
-    root: int | None = None,
     internal: bool = False,
 ) -> None:
     # Ambient telemetry sees every user-visible collective; the internal
@@ -88,7 +86,6 @@ def _trace(
                 tag,
                 dtype=str(sample.dtype),
                 count=int(sample.size),
-                root=root,
             )
         )
 
@@ -159,17 +156,14 @@ def _begin(
 ):
     """The front every ring collective shares: check the buffers, defer
     to the two-level implementation an active policy elects (it gets
-    ``impl_kwargs``: ``op=`` / ``root=``), consult the fault injector,
-    record the call, settle size-1 groups.
+    ``impl_kwargs``: ``op=``), consult the fault injector, record the
+    call, settle size-1 groups.
 
     Returns ``(buffers, None)`` — the possibly fault-injected buffers to
     run the ring on — or ``(None, result)`` when already answered.
     """
     _check_buffers(buffers, group)
-    root = impl_kwargs.get("root")
-    if root is not None and root not in group:
-        raise ValueError(f"root {root} not in group {group.ranks}")
-    lead = group.ranks[0] if root is None else root
+    lead = group.ranks[0]
     if _POLICIES and injector is not _DISABLED:
         hier = _hier_route(name, group, buffers[lead].nbytes)
         if hier is not None:
@@ -179,10 +173,7 @@ def _begin(
             )
     buffers = _inject(name, group, buffers, tag, tracer, injector)
     sample = buffers[lead]
-    _trace(
-        tracer, name, group, sample, tag, root=root,
-        internal=injector is _DISABLED,
-    )
+    _trace(tracer, name, group, sample, tag, internal=injector is _DISABLED)
     if group.size == 1:
         return None, {lead: sample.copy()}
     return buffers, None
@@ -301,49 +292,6 @@ def all_reduce(
     scattered = reduce_scatter(flat, group, op=op, injector=_DISABLED)
     gathered = all_gather(scattered, group, injector=_DISABLED)
     return {r: gathered[r][:n].reshape(shape) for r in group}
-
-
-@_traced(cat="comm")
-def broadcast(
-    buffers: Mapping[int, np.ndarray],
-    group: ProcessGroup,
-    root: int,
-    tracer: CommTracer | None = None,
-    tag: str = "",
-    injector=None,
-) -> dict[int, np.ndarray]:
-    """Broadcast ``root``'s buffer to every rank in the group.
-
-    ``root`` is a *global* rank that must belong to the group.  Executed
-    as the large-message scatter–allgather (van de Geijn) algorithm the
-    analytic :func:`repro.perfmodel.broadcast_time` prices: the root
-    scatters ``1/p`` of the (flattened, padded) buffer to each rank,
-    then a ring all-gather reassembles it — each rank forwards
-    ``2 (p-1)/p`` of the payload in total, matching the traced byte
-    volume to the cost model.
-    """
-    buffers, done = _begin(
-        "broadcast", buffers, group, tracer, tag, injector, root=root
-    )
-    if done is not None:
-        return done
-    src = buffers[root]
-    p = group.size
-    # Scatter phase: flatten/pad the root's buffer and hand group
-    # position g its g-th shard (p-1 root sends of 1/p each).
-    flat = np.ravel(src)
-    pad = (-flat.size) % p
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad, dtype=flat.dtype)])
-    shard = flat.size // p
-    shards = {
-        r: flat[g * shard : (g + 1) * shard].copy()
-        for g, r in enumerate(group.ranks)
-    }
-    # All-gather phase reassembles the full buffer on every rank.
-    gathered = all_gather(shards, group, injector=_DISABLED)
-    n = src.size
-    return {r: gathered[r][:n].reshape(src.shape) for r in group}
 
 
 @_traced(cat="comm")

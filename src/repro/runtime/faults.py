@@ -362,33 +362,35 @@ class FaultPlan:
         return FaultPlan(tuple(faults), seed=seed)
 
 
+#: Exponential backoff factor: each retry waits twice as long as the
+#: attempt before it.
+_BACKOFF = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Timeout/retry/backoff knobs for blocking waits.
+    """Timeout/retry knobs for blocking waits.
 
-    Attempt ``i`` (0-based) waits ``timeout * backoff**i`` virtual
-    seconds; up to ``1 + max_retries`` attempts are made before the wait
-    gives up with :class:`CommTimeoutError`.  Mirrors the NCCL watchdog
-    + framework-level retry loops production trainers run.
+    Attempt ``i`` (0-based) waits ``timeout * 2**i`` virtual seconds; up
+    to ``1 + max_retries`` attempts are made before the wait gives up
+    with :class:`CommTimeoutError`.  Mirrors the NCCL watchdog +
+    framework-level retry loops production trainers run.
     """
 
     timeout: float = 30.0
     max_retries: int = 3
-    backoff: float = 2.0
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
 
     @property
     def budget(self) -> float:
         """Total virtual seconds waited across all attempts."""
         return sum(
-            self.timeout * self.backoff**i for i in range(self.max_retries + 1)
+            self.timeout * _BACKOFF**i for i in range(self.max_retries + 1)
         )
 
     def attempts_to_cover(self, delay: float) -> int | None:
@@ -396,7 +398,7 @@ class RetryPolicy:
         (``None`` if the full budget still falls short)."""
         waited = 0.0
         for i in range(self.max_retries + 1):
-            waited += self.timeout * self.backoff**i
+            waited += self.timeout * _BACKOFF**i
             if waited >= delay:
                 return i + 1
         return None
@@ -497,7 +499,7 @@ class FaultInjector:
             )
         self.stats["retries"] += attempts - 1
         self.waited += sum(
-            self.retry.timeout * self.retry.backoff**i for i in range(attempts)
+            self.retry.timeout * _BACKOFF**i for i in range(attempts)
         )
 
     # -- runtime hooks -----------------------------------------------------
@@ -651,7 +653,7 @@ class FaultInjector:
 
     def check_torn_write(self, save_index: int, written, final) -> None:
         """Fire a matching ``torn_write``: truncate the freshly-written
-        file (``written`` — the tmp file under the atomic protocol) and
+        file (``written`` — the writer's tmp sibling of ``final``) and
         raise :class:`TornWriteError`, modelling a crash before the
         rename onto ``final``."""
         for i, f in enumerate(self.plan.faults):

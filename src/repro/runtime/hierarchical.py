@@ -14,9 +14,10 @@ with ``O(L + Q)``:
   (with a local block pre-permutation so every rank lands on exactly the
   shard the flat ring would give it);
 * ``all_gather`` = leaders all-gather -> intra all-gather -> local
-  permutation back to group order;
-* ``broadcast`` = one leaders-group broadcast from the root, then a
-  broadcast inside every node.
+  permutation back to group order.
+
+These are the three collectives Algorithm 1 issues; there is no rooted
+collective to decompose.
 
 Every phase executes through the *existing traced ring primitives* of
 :mod:`repro.runtime.collectives`, so the CommTracer, the SPMD schedule
@@ -24,8 +25,8 @@ validator, fault injection, and telemetry byte counters all observe the
 real sub-collectives with no special cases.  Sub-collective tags get a
 ``|hier.<phase>`` suffix.
 
-**Bitwise caveat.**  ``all_gather`` and ``broadcast`` move data without
-arithmetic and are bitwise-identical to the flat ring for any payload.
+**Bitwise caveat.**  ``all_gather`` moves data without arithmetic and
+is bitwise-identical to the flat ring for any payload.
 For the reducing collectives, floating-point addition is not
 associative: the two-level summation order differs from the flat ring's,
 so results are bitwise-equal only for payloads that are exact under
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -60,7 +61,6 @@ __all__ = [
     "hierarchical_all_reduce",
     "hierarchical_reduce_scatter",
     "hierarchical_all_gather",
-    "hierarchical_broadcast",
     "CollectivePolicy",
     "collective_policy_scope",
 ]
@@ -118,23 +118,17 @@ def decompose_by_node(
 
 # --- ambient policy -------------------------------------------------------
 
-#: Selector signature: (op, nbytes, ranks, placement) -> AlgorithmChoice.
-Selector = Callable[..., object]
-
-
 @dataclass
 class CollectivePolicy:
     """Which algorithm node-straddling collectives should use.
 
     ``algo`` is ``"hierarchical"`` (always two-level when decomposable)
-    or ``"auto"`` (ask ``selector`` — default
-    :func:`repro.perfmodel.hierarchical.choose_algorithm` — per
-    (op, message size, group)).
+    or ``"auto"`` (ask :func:`repro.perfmodel.hierarchical.choose_algorithm`
+    per (op, message size, group)).
     """
 
     placement: Placement
     algo: str = "hierarchical"
-    selector: Selector | None = None
 
     def __post_init__(self) -> None:
         if self.algo not in ("hierarchical", "auto"):
@@ -144,12 +138,10 @@ class CollectivePolicy:
 
 
 @contextmanager
-def collective_policy_scope(
-    placement: Placement, algo: str = "hierarchical", selector: Selector | None = None
-):
+def collective_policy_scope(placement: Placement, algo: str = "hierarchical"):
     """Route node-straddling collectives through the two-level path
     for the duration of the ``with`` block (innermost scope wins)."""
-    policy = CollectivePolicy(placement, algo, selector)
+    policy = CollectivePolicy(placement, algo)
     rc._POLICIES.append(policy)
     try:
         yield policy
@@ -182,13 +174,12 @@ def route(op: str, group: ProcessGroup, nbytes: int, policy: CollectivePolicy):
     if decomposition is None:
         return None
     if policy.algo == "auto":
-        selector = policy.selector
-        if selector is None:
-            # Memoized: a traced iteration asks the same (op, bytes,
-            # group) question once per identical layer.
-            from ..perfmodel.hierarchical import cached_choose_algorithm as selector
-        choice = selector(op, nbytes, group.ranks, policy.placement)
-        if getattr(choice, "algo", choice) != "hierarchical":
+        # Memoized: a traced iteration asks the same (op, bytes, group)
+        # question once per identical layer.
+        from ..perfmodel.hierarchical import cached_choose_algorithm
+
+        choice = cached_choose_algorithm(op, nbytes, group.ranks, policy.placement)
+        if choice.algo != "hierarchical":
             return None
     impl = _IMPLS[op]
 
@@ -372,50 +363,8 @@ def hierarchical_all_gather(
     }
 
 
-def hierarchical_broadcast(
-    buffers: Mapping[int, np.ndarray],
-    group: ProcessGroup,
-    placement: Placement,
-    root: int,
-    tracer: CommTracer | None = None,
-    tag: str = "",
-    injector=None,
-) -> dict[int, np.ndarray]:
-    """Two-level broadcast: the root's leaders group first (one ring
-    crossing the NICs), then one broadcast inside every node."""
-    rc._check_buffers(buffers, group)
-    if root not in group:
-        raise ValueError(f"root {root} not in group {group.ranks}")
-    dec = decompose_by_node(group.ranks, placement)
-    if dec is None:
-        with _hier_phase():
-            return rc.broadcast(
-                buffers, group, root, tracer=tracer, tag=tag, injector=injector
-            )
-    home = next(g for g in dec.node_groups if root in g)
-    pos = home.group_rank(root)
-    with _hier_phase():
-        leaders = dec.cross_groups[pos]
-        seeded = rc.broadcast(
-            {r: buffers[r] for r in leaders.ranks}, leaders, root,
-            tracer=tracer, tag=f"{tag}|hier.bc", injector=injector,
-        )
-        out: dict[int, np.ndarray] = {}
-        for ng in dec.node_groups:
-            local_root = ng.ranks[pos]
-            out.update(
-                rc.broadcast(
-                    {r: seeded.get(r, buffers[r]) for r in ng.ranks},
-                    ng, local_root,
-                    tracer=tracer, tag=f"{tag}|hier.bc2", injector=injector,
-                )
-            )
-    return out
-
-
 _IMPLS = {
     "all_reduce": hierarchical_all_reduce,
     "reduce_scatter": hierarchical_reduce_scatter,
     "all_gather": hierarchical_all_gather,
-    "broadcast": hierarchical_broadcast,
 }

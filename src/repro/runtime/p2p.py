@@ -1,24 +1,23 @@
-"""Point-to-point and rooted collectives.
+"""Point-to-point messages.
 
-Algorithm 1 needs only the three ring collectives, but a complete
-runtime also serves the surrounding machinery: pipeline stages exchange
-activations point-to-point, data loaders scatter shards from a reader
-rank, and evaluation gathers results to rank 0.  These primitives follow
-the same conventions as :mod:`repro.runtime.collectives` (per-rank
-buffer mappings in, per-rank results out, optional tracing).
+Algorithm 1 needs only the three ring collectives; the one other
+inter-rank channel is a single message from one rank to another.  The
+sequence-parallel ring attention passes key/value blocks around the
+ring with it, and pipeline stages hand boundary activations and
+gradients to their neighbours.  It follows the same conventions as
+:mod:`repro.runtime.collectives` (optional tracing, ambient telemetry
+and fault injection).
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
-from .process_group import CollectiveRecord, CommTracer, ProcessGroup
+from .process_group import CommTracer
 from . import faults as _faults
 from ..telemetry.spans import get_tracer as _telemetry, traced as _traced
 
-__all__ = ["send_recv", "scatter", "gather"]
+__all__ = ["send_recv"]
 
 
 @_traced(cat="comm")
@@ -61,93 +60,3 @@ def send_recv(
             tag=tag,
         )
     return np.array(buffer, copy=True)
-
-
-@_traced(cat="comm")
-def scatter(
-    chunks: list[np.ndarray],
-    group: ProcessGroup,
-    root: int,
-    tracer: CommTracer | None = None,
-    tag: str = "",
-) -> dict[int, np.ndarray]:
-    """Distribute ``chunks`` (held at ``root``) across the group.
-
-    ``chunks[i]`` goes to the rank at group position ``i``; chunk shapes
-    may differ (MPI_Scatterv semantics).
-    """
-    if root not in group:
-        raise ValueError(f"root {root} not in group {group.ranks}")
-    if len(chunks) != group.size:
-        raise ValueError(
-            f"{len(chunks)} chunks for a group of {group.size}"
-        )
-    inj = _faults.get_active_injector()
-    if inj is not None:
-        inj.check_kills("scatter", group.ranks, tracer)
-    tel = _telemetry()
-    if tel is not None:
-        tel.count_collective(
-            "scatter",
-            int(sum(c.nbytes for c in chunks)),
-            tag=tag,
-            group_size=group.size,
-        )
-    if tracer is not None:
-        tracer.record(
-            CollectiveRecord(
-                "scatter",
-                group,
-                int(sum(c.nbytes for c in chunks)),
-                tag,
-                dtype=str(chunks[0].dtype),
-                count=int(sum(c.size for c in chunks)),
-                root=root,
-            )
-        )
-    return {r: np.array(chunks[i], copy=True) for i, r in enumerate(group.ranks)}
-
-
-@_traced(cat="comm")
-def gather(
-    buffers: Mapping[int, np.ndarray],
-    group: ProcessGroup,
-    root: int,
-    tracer: CommTracer | None = None,
-    tag: str = "",
-) -> list[np.ndarray]:
-    """Collect each rank's buffer at ``root``, in group order.
-
-    The inverse of :func:`scatter`; shapes may differ per rank.
-    """
-    if root not in group:
-        raise ValueError(f"root {root} not in group {group.ranks}")
-    if set(buffers) != set(group.ranks):
-        raise ValueError(
-            f"buffers keyed by {sorted(buffers)} do not match group "
-            f"{sorted(group.ranks)}"
-        )
-    inj = _faults.get_active_injector()
-    if inj is not None:
-        inj.check_kills("gather", group.ranks, tracer)
-    tel = _telemetry()
-    if tel is not None:
-        tel.count_collective(
-            "gather",
-            int(sum(buffers[r].nbytes for r in group)),
-            tag=tag,
-            group_size=group.size,
-        )
-    if tracer is not None:
-        tracer.record(
-            CollectiveRecord(
-                "gather",
-                group,
-                int(sum(buffers[r].nbytes for r in group)),
-                tag,
-                dtype=str(buffers[root].dtype),
-                count=int(sum(buffers[r].size for r in group)),
-                root=root,
-            )
-        )
-    return [np.array(buffers[r], copy=True) for r in group.ranks]

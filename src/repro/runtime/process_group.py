@@ -9,8 +9,9 @@ same numbers a real distributed run would.
 
 Tracing happens at two granularities:
 
-* :class:`CollectiveRecord` — one record per collective *call* (the
-  historical volume/pattern API used by the perf cross-validation tests);
+* :class:`CollectiveRecord` — one record per collective *call* (op,
+  group, bytes and tag: what the volume cross-validation and the
+  pipeline's message counts read);
 * :class:`CommEvent` — one event per *participating rank*, forming the
   per-rank schedules that :mod:`repro.runtime.validate` checks for SPMD
   consistency (desync, deadlock, split symmetry, handle discipline).
@@ -79,18 +80,16 @@ class CollectiveRecord:
     ``bytes_per_rank`` is the size of each rank's *input* buffer in
     bytes; together with ``op`` and the group size this determines the
     communication volume of the ring algorithm.  ``dtype``/``count``
-    (element type and per-rank element count) and ``root`` feed the
-    schedule validator; they default to empty for records constructed by
-    legacy call sites.
+    (element type and per-rank element count) feed the schedule
+    validator's per-rank events.
     """
 
-    op: str  # "all_reduce" | "reduce_scatter" | "all_gather" | "broadcast" | ...
+    op: str  # "all_reduce" | "reduce_scatter" | "all_gather" | "p2p" | "all_to_all"
     group: ProcessGroup
     bytes_per_rank: int
     tag: str = ""
     dtype: str = ""
     count: int = 0
-    root: int | None = None
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,6 @@ class CommEvent:
     Optional fields by op kind:
 
     * ``peer`` — the other endpoint, for ``send``/``recv``;
-    * ``root`` — root rank, for ``broadcast``/``scatter``/``gather``;
     * ``splits`` — per-destination element counts, for ``all_to_all``;
     * ``handle_id`` — links non-blocking ``issue:*`` events to their
       ``wait`` event.
@@ -117,7 +115,6 @@ class CommEvent:
     count: int = 0
     tag: str = ""
     peer: int | None = None
-    root: int | None = None
     splits: tuple[int, ...] | None = None
     handle_id: int | None = None
 
@@ -165,7 +162,6 @@ class CommTracer:
                     dtype=rec.dtype,
                     count=rec.count,
                     tag=rec.tag,
-                    root=rec.root,
                 )
             )
 

@@ -14,7 +14,7 @@ with the offending rank and operation named.
 
 1. **Collective consistency** — every member of a group issues the same
    collectives on it, in the same order, with matching dtype, element
-   count, tag, and root (desync/hang detection).
+   count, and tag (desync/hang detection).
 2. **P2P pairing and acyclicity** — every send has exactly one matching
    recv with the same size/dtype/tag, and the happens-before graph of
    p2p events is acyclic (deadlock detection for pipeline schedules).
@@ -53,10 +53,7 @@ COLLECTIVE_OPS = frozenset(
         "all_reduce",
         "reduce_scatter",
         "all_gather",
-        "broadcast",
         "all_to_all",
-        "scatter",
-        "gather",
     }
 )
 
@@ -103,7 +100,7 @@ def _sig(ev: CommEvent) -> tuple:
     """
     if ev.op == "all_to_all":
         return (ev.op, ev.dtype, ev.tag)
-    return (ev.op, ev.dtype, ev.count, ev.tag, ev.root)
+    return (ev.op, ev.dtype, ev.count, ev.tag)
 
 
 class ScheduleValidator:
@@ -220,7 +217,7 @@ class ScheduleValidator:
                                 i,
                                 f"rank {r} issued {ev.op!r} (dtype "
                                 f"{ev.dtype!r}, count {ev.count}, tag "
-                                f"{ev.tag!r}, root {ev.root}) on group "
+                                f"{ev.tag!r}) on group "
                                 f"{gkey} where the group majority issued "
                                 f"{majority!r}",
                             )
@@ -589,8 +586,6 @@ def _event_dict(ev: CommEvent) -> dict:
     }
     if ev.peer is not None:
         d["peer"] = ev.peer
-    if ev.root is not None:
-        d["root"] = ev.root
     if ev.splits is not None:
         d["splits"] = list(ev.splits)
     if ev.handle_id is not None:

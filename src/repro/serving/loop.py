@@ -108,13 +108,10 @@ class _Running:
 class ServingLoop:
     """Request-level serving runtime: queue -> prefill -> batched decode.
 
-    Under the default *optimistic* reservation, admission reserves only
-    ``prompt + 1`` KV tokens and each decode round grows reservations
-    one token at a time; when the pool runs dry the youngest sequence is
-    preempted (:meth:`_grow_blocks`) and later recompute-restarted
-    (:meth:`_resume_preempted`).  Under ``reservation="worst_case"`` an
-    admitted sequence can never fail an allocation and the preemption
-    path is never exercised.
+    Admission reserves only ``prompt + 1`` KV tokens and each decode
+    round grows reservations one token at a time; when the pool runs
+    dry the youngest sequence is preempted (:meth:`_grow_blocks`) and
+    later recompute-restarted (:meth:`_resume_preempted`).
 
     Overload never raises: requests that cannot be served end as typed
     :class:`~repro.serving.scheduler.RejectedRequest` outcomes on
@@ -206,9 +203,8 @@ class ServingLoop:
             admitted_time=self.time,
         )
         self._next_seq_id += 1
-        # Reserve what admission accounted for: the worst case under
-        # "worst_case", just the prompt plus the first decode write
-        # under "optimistic".
+        # Reserve what admission accounted for: the prompt plus the
+        # first decode write.
         self.decoder.add_sequence(r.seq_id, self.config.reserve_tokens(req))
         logits = self.decoder.prefill(r.seq_id, req.prompt)
         r.out.append(int(np.argmax(logits)))
@@ -273,17 +269,12 @@ class ServingLoop:
         for r in sorted(self.preempted, key=lambda r: r.seq_id):
             # A preempted sequence has emitted at least its first token.
             ctx_len = r.request.prompt_len + len(r.out) - 1
-            reserve = (
-                r.request.total_tokens
-                if self.config.reservation == "worst_case"
-                else ctx_len + 1
-            )
             if (
                 len(self.running) >= self.config.max_batch
-                or self.config.blocks_for(reserve) > self.decoder.num_free_blocks
+                or self.config.blocks_for(ctx_len + 1) > self.decoder.num_free_blocks
             ):
                 break
-            self.decoder.add_sequence(r.seq_id, reserve)
+            self.decoder.add_sequence(r.seq_id, ctx_len + 1)
             self.decoder.prefill(r.seq_id, r.request.prompt)
             for t in r.out[:-1]:
                 self.decoder.decode_step(

@@ -51,10 +51,9 @@ __all__ = ["CacheOutOfBlocks", "BlockAllocator", "PagedKVCache"]
 class CacheOutOfBlocks(RuntimeError):
     """The block pool cannot satisfy an allocation.
 
-    Under worst-case reservation the scheduler prevents this for
-    admitted sequences; under optimistic reservation (the default since
-    the resilience work) the engine catches it mid-decode and preempts
-    the youngest sequence to free blocks.
+    Admission reserves only ``prompt + 1`` tokens, so a decode round can
+    run the pool dry; the serving loop catches this mid-decode and
+    preempts the youngest sequence to free blocks.
     """
 
 

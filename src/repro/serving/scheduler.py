@@ -11,16 +11,11 @@ Policy (deliberately simple and deterministic):
 
 * FIFO admission in arrival order;
 * a request is admitted only when a batch slot is free **and** the
-  block pool can cover its reservation.  Two reservation modes:
-
-  - ``"optimistic"`` (default): reserve only ``prompt + 1`` tokens of
-    KV at admission.  Utilization rises — sequences whose budgets would
-    never overlap in time no longer exclude each other — at the cost of
-    a mid-decode out-of-blocks condition the loop handles by
-    preempting the youngest sequence and recomputing it later;
-  - ``"worst_case"``: reserve ``prompt + max_new_tokens`` up front, so
-    an admitted sequence can never fail an allocation mid-decode (the
-    PR 7 behaviour, kept for A/B comparison);
+  block pool can cover its reservation of ``prompt + 1`` tokens of KV
+  (optimistic reservation).  Sequences whose budgets would never
+  overlap in time do not exclude each other; the price is a mid-decode
+  out-of-blocks condition the loop handles by preempting the youngest
+  sequence and recomputing it later;
 
 * head-of-line blocking is kept: if the oldest waiting request does not
   fit, nothing behind it is admitted (preserves arrival-order fairness
@@ -88,9 +83,6 @@ class BatchingConfig:
     #: request not yet *admitted* past it can no longer meet the budget
     #: and is shed with cause ``"deadline"``.
     ttft_deadline: float | None = None
-    #: ``"optimistic"`` (reserve ``prompt + 1``) or ``"worst_case"``
-    #: (reserve ``prompt + max_new_tokens``).
-    reservation: str = "optimistic"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -105,8 +97,6 @@ class BatchingConfig:
             raise ValueError("deadline must be > 0 (or None)")
         if self.ttft_deadline is not None and self.ttft_deadline <= 0:
             raise ValueError("ttft_deadline must be > 0 (or None)")
-        if self.reservation not in ("optimistic", "worst_case"):
-            raise ValueError("reservation must be 'optimistic' or 'worst_case'")
 
     def blocks_for(self, tokens: int) -> int:
         return -(-tokens // self.block_size)
@@ -114,16 +104,15 @@ class BatchingConfig:
     def fits(self, request: Request) -> bool:
         """Whether the request can *ever* be admitted on this instance.
 
-        Always the worst-case footprint: even under optimistic
-        reservation, a lone request must be able to decode its full
-        budget, or preemption could never make progress on it.
+        Always the full footprint, not the admission reservation: a lone
+        request must be able to decode its whole budget, or preemption
+        could never make progress on it.
         """
         return self.blocks_for(request.total_tokens) <= self.num_blocks
 
     def reserve_tokens(self, request: Request) -> int:
-        """KV tokens to reserve for ``request`` at admission."""
-        if self.reservation == "worst_case":
-            return request.total_tokens
+        """KV tokens to reserve for ``request`` at admission: the prompt
+        plus the first decode write."""
         return request.prompt_len + 1
 
     def expiry(self, request: Request) -> float:

@@ -11,7 +11,7 @@ The Chrome format emitted is the "JSON object" flavor: a top-level
 object with a ``traceEvents`` array of complete (``"ph": "X"``) events,
 timestamps/durations in microseconds — the subset every trace viewer
 accepts.  :func:`validate_chrome_trace` checks a document against that
-contract and is what the test suite (and the bench-smoke CI job) runs
+contract and is what the test suite (and the bench-spine-smoke CI job) runs
 in place of a real Perfetto instance.
 """
 

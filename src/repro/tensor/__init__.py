@@ -4,7 +4,6 @@ from .checkpoint import checkpoint
 from .dtype import to_bf16
 from .functional import (
     cross_entropy,
-    dropout,
     embedding,
     gelu,
     layer_norm,
@@ -26,6 +25,5 @@ __all__ = [
     "layer_norm",
     "embedding",
     "cross_entropy",
-    "dropout",
     "where_mask",
 ]

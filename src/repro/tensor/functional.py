@@ -19,7 +19,6 @@ __all__ = [
     "layer_norm",
     "embedding",
     "cross_entropy",
-    "dropout",
     "where_mask",
 ]
 
@@ -182,25 +181,6 @@ def cross_entropy(
         return (grad.reshape(logits.shape),)
 
     return Tensor._make(np.asarray(nll), (logits,), backward, "cross_entropy")
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout with probability ``p`` of zeroing an element.
-
-    With ``p == 0`` (the default everywhere in this repo's deterministic
-    experiments) the input passes through untouched.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return x
-    rng = rng or np.random.default_rng()
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-
-    def backward(g):
-        return (g * keep,)
-
-    return Tensor._make(x.data * keep, (x,), backward, "dropout")
 
 
 def where_mask(x: Tensor, mask: np.ndarray, fill: float) -> Tensor:

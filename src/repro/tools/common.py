@@ -25,7 +25,6 @@ __all__ = ["planner_parent_parser"]
 
 def planner_parent_parser(
     *,
-    default_algo: str = "auto",
     seed_help: str = "deterministic seed (default: 0)",
     out_help: str = "directory to write the command's BENCH_*.json artifact",
 ) -> argparse.ArgumentParser:
@@ -38,9 +37,9 @@ def planner_parent_parser(
     parent.add_argument(
         "--collective-algo",
         choices=("flat", "hierarchical", "auto"),
-        default=default_algo,
+        default="auto",
         help="collective algorithm policy priced by the simulator "
-        f"(default: {default_algo})",
+        "(default: auto)",
     )
     parent.add_argument("--seed", type=int, default=0, help=seed_help)
     parent.add_argument("--out", default=None, help=out_help)

@@ -25,8 +25,8 @@ Three cross-checks back the artifacts:
 2. the written trace must pass
    :func:`repro.telemetry.validate_chrome_trace`;
 3. with ``--max-overhead-pct``, the enabled-vs-disabled wall-clock
-   overhead of telemetry must stay under the bound (the bench-smoke CI
-   gate).
+   overhead of telemetry must stay under the bound (a gate of the
+   bench-spine-smoke CI job).
 
 A failed check makes the exit status non-zero.
 """

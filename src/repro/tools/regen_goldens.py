@@ -119,7 +119,7 @@ def _scenario_pipeline() -> CommTracer:
     cfg = _tiny_cfg(num_layers=4)
     model = GPT(cfg, seed=0)
     tracer = CommTracer()
-    pipe = PipelineGPT(model, partition_layers(4, 3), comm_tracer=tracer)
+    pipe = PipelineGPT(model, partition_layers(4, 3), tracer=tracer)
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size, (4, 6))
     pipe.loss(ids, num_microbatches=2)
     return tracer

@@ -5,8 +5,8 @@ the write (torn file) and storage can corrupt bytes silently.  These
 tests pin the three defenses — tmp + ``os.replace`` atomicity, the
 per-array CRC32 manifest, and the keep-last-K ring's fall-back to the
 newest checkpoint that verifies — and, crucially, that each test fails
-when the corresponding defense is disabled (``atomic=False``, stale
-manifest, corrupted newest ring entry).
+when the corresponding defense is disabled (a torn write on the live
+file, stale manifest, corrupted newest ring entry).
 """
 
 import numpy as np
@@ -77,17 +77,17 @@ class TestAtomicWrite:
         verify_checkpoint(path)  # still loads clean
 
     def test_torn_write_without_atomicity_destroys_checkpoint(self, tmp_path):
-        """Defense disabled: with ``atomic=False`` the same torn write
-        lands on the live file and corrupts it — why tmp+replace exists."""
+        """Defense disabled: the same torn write landing on the live file
+        (what a writer without tmp+replace would expose) corrupts it —
+        why tmp+replace exists."""
         cfg = tiny_cfg()
         model, opt = serial_pair(cfg)
         path = tmp_path / "state.npz"
         inj = FaultInjector(FaultPlan((FaultSpec("torn_write", match=1),)))
         save_training_state(model, opt, path, injector=inj)
 
-        take_steps(model, opt)
         with pytest.raises(TornWriteError):
-            save_training_state(model, opt, path, injector=inj, atomic=False)
+            inj.check_torn_write(inj.next_checkpoint_save(), path, path)
         with pytest.raises(CheckpointCorruptionError):
             verify_checkpoint(path)
 

@@ -17,7 +17,6 @@ from repro.runtime import (
     ProcessGroup,
     all_gather,
     all_reduce,
-    broadcast,
     iall_gather,
     iall_reduce,
     ireduce_scatter,
@@ -198,20 +197,6 @@ class TestAllGather:
             np.testing.assert_allclose(ag[r], ar[r], rtol=1e-12)
 
 
-class TestBroadcast:
-    def test_broadcast_from_root(self):
-        g = ProcessGroup((0, 1, 2))
-        bufs = _buffers(g, (3,))
-        out = broadcast(bufs, g, root=1)
-        for r in g:
-            np.testing.assert_array_equal(out[r], bufs[1])
-
-    def test_root_must_be_member(self):
-        g = ProcessGroup((0, 1))
-        with pytest.raises(ValueError):
-            broadcast(_buffers(g, (2,)), g, root=9)
-
-
 class TestNonBlocking:
     def test_handle_semantics(self):
         g = ProcessGroup((0, 1))
@@ -318,42 +303,3 @@ class TestPointToPointAndRooted:
         assert [e.op for e in tr.events] == ["send", "recv"]
         assert {e.rank for e in tr.events} == {1}
         assert_valid_schedule(tr)
-
-    def test_scatter_gather_roundtrip(self):
-        from repro.runtime import gather, scatter
-
-        g = ProcessGroup((0, 1, 2))
-        chunks = [np.full(i + 1, float(i)) for i in range(3)]
-        scattered = scatter(chunks, g, root=0)
-        for i, r in enumerate(g.ranks):
-            np.testing.assert_array_equal(scattered[r], chunks[i])
-        back = gather(scattered, g, root=0)
-        for a, b in zip(back, chunks):
-            np.testing.assert_array_equal(a, b)
-
-    def test_scatter_validation(self):
-        from repro.runtime import scatter
-
-        g = ProcessGroup((0, 1))
-        with pytest.raises(ValueError):
-            scatter([np.zeros(1)], g, root=0)  # wrong chunk count
-        with pytest.raises(ValueError):
-            scatter([np.zeros(1), np.zeros(1)], g, root=9)
-
-    def test_gather_validation(self):
-        from repro.runtime import gather
-
-        g = ProcessGroup((0, 1))
-        with pytest.raises(ValueError):
-            gather({0: np.zeros(1)}, g, root=0)  # missing rank 1
-        with pytest.raises(ValueError):
-            gather({0: np.zeros(1), 1: np.zeros(1)}, g, root=5)
-
-    def test_traced_ops(self):
-        from repro.runtime import gather, scatter
-
-        g = ProcessGroup((0, 1))
-        tr = CommTracer()
-        scattered = scatter([np.zeros(2), np.zeros(2)], g, 0, tracer=tr)
-        gather(scattered, g, 0, tracer=tr)
-        assert tr.ops() == ["scatter", "gather"]

@@ -49,7 +49,8 @@ class TestDegenerateSchemes:
         assert grid.config.dims == (1, 1, 8, 4)
 
     def test_hsdp_custom_shard_group(self):
-        grid = make_degenerate_grid("hsdp", 16, shard_group_size=4)
+        """Without a placement, hsdp shards over a square-ish group."""
+        grid = make_degenerate_grid("hsdp", 16)
         assert grid.config.dims == (1, 1, 4, 4)
 
     def test_axonn_4d_balanced(self):

@@ -72,7 +72,6 @@ def test_golden_schedule_is_validator_clean(name):
                     count=d["count"],
                     tag=d["tag"],
                     peer=d.get("peer"),
-                    root=d.get("root"),
                     splits=tuple(d["splits"]) if "splits" in d else None,
                     handle_id=d.get("handle_id"),
                 )

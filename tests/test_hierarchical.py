@@ -25,12 +25,10 @@ from repro.runtime import (
     all_gather,
     all_reduce,
     assert_valid_schedule,
-    broadcast,
     collective_policy_scope,
     decompose_by_node,
     hierarchical_all_gather,
     hierarchical_all_reduce,
-    hierarchical_broadcast,
     hierarchical_reduce_scatter,
     reduce_scatter,
 )
@@ -163,26 +161,6 @@ class TestBitwiseEquivalence:
         for r in group:
             np.testing.assert_array_equal(hier[r], flat[r])
 
-    @given(
-        gpn=st.sampled_from([2, 4]),
-        nodes=st.sampled_from([2, 3]),
-        root=st.integers(0, 7),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_broadcast_matches_flat_any_payload(self, gpn, nodes, root, seed):
-        p = gpn * nodes
-        root %= p
-        placement = Placement(toy_machine(gpn), p)
-        group = ProcessGroup(tuple(range(p)))
-        rng = np.random.default_rng(seed)
-        buffers = {r: rng.standard_normal((3, 4)) for r in group}
-        flat = broadcast(buffers, group, root)
-        hier = hierarchical_broadcast(buffers, group, placement, root)
-        for r in group:
-            np.testing.assert_array_equal(hier[r], flat[r])
-            np.testing.assert_array_equal(hier[r], buffers[root])
-
 
 class TestRoundingTolerance:
     def test_random_fp64_allclose(self):
@@ -259,23 +237,18 @@ class TestPolicyScope:
             all_reduce(big, group, tracer=tracer2, tag="b")
         assert [(r.op, r.tag) for r in tracer2.records] == [("all_reduce", "b")]
 
-    def test_custom_selector_and_validation(self):
+    def test_policy_validation(self):
+        """Only the two policy algorithms exist; an unknown one is
+        refused at construction and installs no scope."""
+        from repro.runtime import CollectivePolicy
+        from repro.runtime import collectives as rc
+
         placement = Placement(toy_machine(2), 4)
-        group = ProcessGroup((0, 1, 2, 3))
-        buffers = int_buffers(group, (4, 2))
-        calls = []
-
-        def always_flat(op, nbytes, ranks, pl):
-            calls.append((op, nbytes))
-            return "flat"
-
-        tracer = CommTracer()
-        with collective_policy_scope(placement, "auto", selector=always_flat):
-            all_reduce(buffers, group, tracer=tracer, tag="t")
-        assert calls and calls[0][0] == "all_reduce"
-        assert [(r.op, r.tag) for r in tracer.records] == [("all_reduce", "t")]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'hierarchical' or 'auto'"):
+            CollectivePolicy(placement, "flat")
+        with pytest.raises(ValueError, match="'hierarchical' or 'auto'"):
             collective_policy_scope(placement, "fancy").__enter__()
+        assert rc._POLICIES == []
 
 
 class TestChooseAlgorithm:

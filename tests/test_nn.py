@@ -8,7 +8,6 @@ from repro.nn import (
     GPT,
     AdamW,
     CosineSchedule,
-    Dropout,
     Embedding,
     LayerNorm,
     Linear,
@@ -114,14 +113,6 @@ class TestLayers:
         ln = LayerNorm(6)
         out = ln(Tensor(np.random.default_rng(0).standard_normal((2, 3, 6))))
         assert out.shape == (2, 3, 6)
-
-    def test_dropout_eval_mode(self):
-        d = Dropout(0.9, rng=np.random.default_rng(0))
-        d.training = False
-        x = Tensor(np.ones(10))
-        assert d(x) is x
-        d.train()
-        assert (d(x).data == 0).any()
 
 
 class TestAttention:

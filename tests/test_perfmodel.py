@@ -14,7 +14,6 @@ from repro.perfmodel import (
     LayerShape,
     all_gather_time,
     all_reduce_time,
-    broadcast_time,
     case2_bandwidth,
     effective_bandwidths,
     gpt_layer_shapes,
@@ -46,7 +45,6 @@ class TestRingFormulas:
     def test_single_rank_free(self):
         assert all_reduce_time(100, 1, 10.0) == 0.0
         assert all_gather_time(100, 1, 10.0) == 0.0
-        assert broadcast_time(100, 1, 10.0) == 0.0
 
     def test_alpha_term(self):
         base = all_reduce_time(100, 4, 10.0)
@@ -69,22 +67,9 @@ class TestRingFormulas:
         assert reduce_scatter_time(960, p, beta, alpha) == pytest.approx(87.5)
         # all-reduce: 2 * 7/8 * 960/10 + 14*0.5 = 168 + 7 = 175
         assert all_reduce_time(960, p, beta, alpha) == pytest.approx(175.0)
-        # broadcast (scatter + all-gather): same wire traffic as
-        # all-reduce, 2 * 7/8 * 960/10 + 14*0.5 = 175
-        assert broadcast_time(960, p, beta, alpha) == pytest.approx(175.0)
-
-    def test_broadcast_scatter_allgather_structure(self):
-        """The fixed broadcast equals a scatter (one shard to each
-        non-root, expressed as an all-gather of 1/p shards) plus the
-        ring all-gather reassembly — NOT the old ``buffer/beta``."""
-        buf, p, beta = 4000.0, 5, 8.0
-        two_phase = 2 * all_gather_time(buf / p, p, beta)
-        assert broadcast_time(buf, p, beta) == pytest.approx(two_phase)
-        assert broadcast_time(buf, p, beta) > buf / beta  # old formula
 
     def test_rejects_bad_byte_counts(self):
-        for fn in (all_gather_time, reduce_scatter_time, all_reduce_time,
-                   broadcast_time):
+        for fn in (all_gather_time, reduce_scatter_time, all_reduce_time):
             with pytest.raises(ValueError):
                 fn(-1.0, 4, 10.0)
             with pytest.raises(ValueError):
@@ -101,8 +86,7 @@ class TestRingFormulas:
     )
     @settings(max_examples=100, deadline=None)
     def test_ring_costs_finite_and_nonnegative(self, nbytes, p, beta, alpha):
-        for fn in (all_gather_time, reduce_scatter_time, all_reduce_time,
-                   broadcast_time):
+        for fn in (all_gather_time, reduce_scatter_time, all_reduce_time):
             t = fn(nbytes, p, beta, alpha)
             assert np.isfinite(t)
             assert t >= 0.0

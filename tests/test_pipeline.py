@@ -6,8 +6,8 @@ import pytest
 from repro.cluster import FRONTIER, PERLMUTTER
 from repro.config import GPTConfig, get_model
 from repro.nn import GPT
+from repro.runtime import CommTracer
 from repro.pipeline import (
-    P2PTracer,
     PipelineConfig,
     PipelineGPT,
     partition_layers,
@@ -77,27 +77,35 @@ class TestFunctionalPipeline:
         many gradient sends, each of microbatch-activation size."""
         cfg = tiny_config(layers=4)
         model = GPT(cfg, seed=0)
-        tracer = P2PTracer()
+        tracer = CommTracer()
         pipe = PipelineGPT(model, partition_layers(4, 4), tracer=tracer)
         ids = np.random.default_rng(1).integers(0, cfg.vocab_size, (4, 8))
         pipe.loss(ids, num_microbatches=2)
-        assert tracer.count("activation") == 2 * 3
-        assert tracer.count("gradient") == 2 * 3
+
+        def count(kind):
+            return sum(
+                r.tag.startswith(f"pipeline.{kind}:") for r in tracer.records
+            )
+
+        assert count("activation") == 2 * 3
+        assert count("gradient") == 2 * 3
+        assert len(tracer.records) == 2 * 3 * 2
+        assert all(r.op == "p2p" for r in tracer.records)
         # Activation bytes: (micro, seq-1, hidden) float64.
         expect = 2 * 7 * 16 * 8
         assert all(
-            r.nbytes == expect for r in tracer.records
+            r.bytes_per_rank == expect for r in tracer.records
         )
 
     def test_p2p_schedule_is_validator_clean(self):
         """Validation-enabled mode: the stage-boundary send/recv schedule
         passes the SPMD validator (pairing, sizes, no deadlock cycle)."""
-        from repro.runtime import CommTracer, validate_schedule
+        from repro.runtime import validate_schedule
 
         cfg = tiny_config(layers=4)
         model = GPT(cfg, seed=0)
         comm = CommTracer()
-        pipe = PipelineGPT(model, partition_layers(4, 4), comm_tracer=comm)
+        pipe = PipelineGPT(model, partition_layers(4, 4), tracer=comm)
         ids = np.random.default_rng(1).integers(0, cfg.vocab_size, (4, 8))
         pipe.loss(ids, num_microbatches=2)
         # 2 microbatches * 3 boundaries, activations + gradients, each a
@@ -105,6 +113,32 @@ class TestFunctionalPipeline:
         assert len(comm.events) == 2 * (2 * 3) * 2
         violations = validate_schedule(comm)
         assert violations == [], "\n".join(str(v) for v in violations)
+
+    def test_boundaries_are_runtime_messages(self):
+        """Every stage-boundary crossing is a runtime ``send_recv``:
+        telemetry counts it, and a dead stage rank stops the loss."""
+        from repro.runtime import FaultInjector, FaultPlan, FaultSpec
+        from repro.runtime import RankFailure, fault_scope
+        from repro.telemetry import Tracer, telemetry_scope
+
+        cfg = tiny_config(layers=4)
+        ids = np.random.default_rng(1).integers(0, cfg.vocab_size, (4, 8))
+
+        tel = Tracer()
+        with telemetry_scope(tel):
+            PipelineGPT(GPT(cfg, seed=0), partition_layers(4, 4)).loss(
+                ids, num_microbatches=2
+            )
+        # 2 microbatches x 3 boundaries, activations + gradients.
+        assert tel.metrics.value("comm.calls.p2p") == 12
+
+        inj = FaultInjector(FaultPlan((FaultSpec("kill", rank=2, step=0),)))
+        pipe = PipelineGPT(GPT(cfg, seed=0), partition_layers(4, 4))
+        with fault_scope(inj):
+            with pytest.raises(
+                RankFailure, match=r"entering 'send_recv' on group \(1, 2\)"
+            ):
+                pipe.loss(ids, num_microbatches=2)
 
     def test_training_step_equivalence(self):
         """One SGD step through the pipeline == one serial step."""

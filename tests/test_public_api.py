@@ -190,7 +190,6 @@ class TestSignatureContracts:
 
         for fn in (save_checkpoint, save_training_state):
             params = inspect.signature(fn).parameters
-            assert params["atomic"].kind is inspect.Parameter.KEYWORD_ONLY
             assert params["injector"].kind is inspect.Parameter.KEYWORD_ONLY
 
     def test_reports_share_base_and_to_json(self):

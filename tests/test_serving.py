@@ -221,14 +221,13 @@ class TestContinuousBatcher:
         assert b.num_waiting == 2
 
     def test_head_of_line_blocking(self):
-        cfgb = BatchingConfig(max_batch=4, block_size=4, num_blocks=16,
-                              reservation="worst_case")
+        cfgb = BatchingConfig(max_batch=4, block_size=4, num_blocks=16)
         b = ContinuousBatcher(cfgb)
-        b.enqueue(self._req(0, prompt_len=40, new=20))  # 15 blocks
+        b.enqueue(self._req(0, prompt_len=40, new=20))  # 11 blocks (prompt+1)
         b.enqueue(self._req(1, prompt_len=4, new=4))    # 2 blocks
         got = b.admit(0, 10)  # head does not fit -> nothing admitted
         assert got == []
-        got = b.admit(0, 16)
+        got = b.admit(0, 12)  # 1 block left: the request behind waits
         assert [r.request_id for r in got] == [0]
 
     def test_optimistic_reservation_admits_more(self):

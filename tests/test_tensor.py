@@ -12,7 +12,6 @@ from repro.tensor import (
     as_tensor,
     checkpoint,
     cross_entropy,
-    dropout,
     embedding,
     gelu,
     layer_norm,
@@ -250,22 +249,6 @@ class TestFusedOps:
         t = Tensor(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             cross_entropy(t, np.array([0, 1]), loss_mask=np.zeros(2))
-
-    def test_dropout_zero_p_identity(self):
-        x = Tensor(np.ones((3, 3)), requires_grad=True)
-        assert dropout(x, 0.0) is x
-
-    def test_dropout_scales_kept(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones(10000))
-        y = dropout(x, 0.5, rng=rng)
-        kept = y.data[y.data > 0]
-        np.testing.assert_allclose(kept, 2.0)
-        assert 0.4 < (y.data > 0).mean() < 0.6
-
-    def test_dropout_bad_p(self):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(2)), 1.0)
 
     def test_where_mask(self):
         x = Tensor(np.arange(4.0), requires_grad=True)

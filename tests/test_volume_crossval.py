@@ -31,11 +31,9 @@ from repro.perfmodel import (
 from repro.perfmodel.ring import (
     all_gather_time,
     all_reduce_time,
-    broadcast_time,
     reduce_scatter_time,
 )
-from repro.runtime import CommTracer, ProcessGroup, broadcast
-from repro.runtime import collectives as rc
+from repro.runtime import CommTracer
 from tests.oracles.ring import ring_wire_bytes
 
 
@@ -162,35 +160,7 @@ class TestParallelGPTVolumes:
         assert (c.ag_z, c.rs_z, c.ar_fwd, c.ar_bwd) == (2, 3, 4, 5)
 
 
-class TestBroadcastVolumes:
-    """Regression: the traced broadcast volume must match the
-    scatter–allgather cost :func:`repro.perfmodel.broadcast_time` prices
-    (2 (p-1)/p of the buffer on the wire), not the naive root-sends-all
-    tree the old implementation traced."""
-
-    @pytest.mark.parametrize("p", [2, 3, 4, 8])
-    def test_traced_record_matches_cost_model(self, p):
-        rng = np.random.default_rng(p)
-        group = ProcessGroup(tuple(range(p)))
-        src = rng.standard_normal((5, 3))
-        buffers = {r: (src.copy() if r == 0 else np.zeros_like(src)) for r in group}
-        tracer = CommTracer()
-        out = broadcast(buffers, group, root=0, tracer=tracer, tag="bc")
-
-        # Functional: every rank holds the root's exact bytes.
-        for r in group:
-            np.testing.assert_array_equal(out[r], src)
-        # One record, carrying the root-buffer byte count the model keys on.
-        recs = [r for r in tracer.records if r.tag == "bc"]
-        assert len(recs) == 1
-        assert recs[0].bytes_per_rank == src.nbytes
-        assert recs[0].root == 0
-        # Time = wire bytes / bandwidth, for any bandwidth.
-        beta = 7.5e9
-        assert broadcast_time(src.nbytes, p, beta) == pytest.approx(
-            ring_wire_bytes("broadcast", src.nbytes, p) / beta
-        )
-
+class TestRingWireBytes:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_wire_bytes_consistent_with_all_time_fns(self, p):
         """ring_wire_bytes / beta reproduces every *_time bandwidth term."""
@@ -200,7 +170,6 @@ class TestBroadcastVolumes:
             ("all_reduce", all_reduce_time),
             ("reduce_scatter", reduce_scatter_time),
             ("all_gather", all_gather_time),
-            ("broadcast", broadcast_time),
         ]
         for op, fn in cases:
             assert fn(n, p, beta) == pytest.approx(
@@ -208,40 +177,3 @@ class TestBroadcastVolumes:
             ), op
         with pytest.raises(ValueError):
             ring_wire_bytes("gossip", n, p)
-
-    def test_broadcast_routes_through_scatter_allgather(self, monkeypatch):
-        """Structural: the executable broadcast must actually run the
-        scatter + ring-all-gather the cost model prices (the pre-fix
-        implementation copied the root buffer without any ring phase)."""
-        calls = []
-        real_ag = rc.all_gather
-
-        def spy(buffers, group, *args, **kwargs):
-            sample = buffers[group.ranks[0]]
-            calls.append((group.size, sample.size))
-            return real_ag(buffers, group, *args, **kwargs)
-
-        monkeypatch.setattr(rc, "all_gather", spy)
-        p = 4
-        group = ProcessGroup(tuple(range(p)))
-        src = np.arange(12, dtype=np.float64).reshape(3, 4)
-        buffers = {r: (src.copy() if r == 0 else np.zeros_like(src)) for r in group}
-        out = rc.broadcast(buffers, group, root=0)
-        for r in group:
-            np.testing.assert_array_equal(out[r], src)
-        # Exactly one internal all-gather, over 1/p shards of the payload.
-        assert calls == [(p, src.size // p)]
-
-    def test_telemetry_counts_broadcast_once(self):
-        from repro.telemetry import Tracer, telemetry_scope
-
-        group = ProcessGroup((0, 1, 2, 3))
-        src = np.ones((8, 2))
-        buffers = {r: src.copy() for r in group}
-        tr = Tracer()
-        with telemetry_scope(tr):
-            broadcast(buffers, group, root=0)
-        # The composite reports once; the internal all-gather is silent.
-        assert tr.metrics.value("comm.calls.broadcast") == 1
-        assert tr.metrics.value("comm.bytes.broadcast") == src.nbytes
-        assert tr.metrics.value("comm.calls.all_gather", default=0) == 0
