@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.module import Module, Parameter
+from ..telemetry.spans import get_tracer as _telemetry
 from ..tensor import Tensor
 from ..tensor import functional as F
 from .collective_ops import all_gather_t, all_reduce_t
@@ -35,6 +36,17 @@ RankDict = dict[int, Tensor]
 def _check_divisible(value: int, by: int, what: str) -> None:
     if value % by:
         raise ValueError(f"{what} ({value}) must be divisible by {by}")
+
+
+def _count_local_flops(x_parts: RankDict, block, n_local: int) -> None:
+    """Add each rank's local product ``x_parts[r] @ W`` (``n_local``
+    output columns), ``2 * rows * k_local * n_local`` flops, to the
+    ``compute.flops.pmm3d`` counter while telemetry is active."""
+    tel = _telemetry()
+    if tel is not None:
+        tel.metrics.counter("compute.flops.pmm3d").add(
+            sum(2 * x_parts[r].size * n_local for r in block)
+        )
 
 
 class ParallelLinear(Module):
@@ -154,6 +166,7 @@ class ParallelLinear(Module):
 
         # Line 3: local matmul.
         out_hat = {r: x_parts[r] @ W_full[r] for r in block}
+        _count_local_flops(x_parts, block, self.out_block)
 
         # Line 4: all-reduce over the contraction axis.
         out: RankDict = {}
@@ -180,7 +193,9 @@ class ParallelLayerNorm(Module):
 
     Mean and variance need the *full* feature dimension, so the layer
     all-reduces the local first and second moments over the feature
-    group before normalizing locally.  Scale/shift parameters are
+    group before normalizing locally, one autograd node per rank (the
+    backward issues no collective: the moments' gradients flow back
+    through the all-reduce nodes).  Scale/shift parameters are
     sharded the same way as the features (one Parameter per coordinate
     along ``feature_axis``, shared by the ranks that hold that shard).
     """
@@ -219,34 +234,87 @@ class ParallelLayerNorm(Module):
 
         # Distributed moments over the feature axis.
         local_sum = {r: x_parts[r].sum(axis=-1, keepdims=True) for r in block}
-        local_sq = {
-            r: (x_parts[r] * x_parts[r]).sum(axis=-1, keepdims=True) for r in block
-        }
-        mu: dict[int, Tensor] = {}
-        ex2: dict[int, Tensor] = {}
+        local_sq = {r: _sum_of_squares(x_parts[r]) for r in block}
+        sums: dict[int, Tensor] = {}
+        sqs: dict[int, Tensor] = {}
         for r in block:
-            if r in mu:
+            if r in sums:
                 continue
             g = grid.group_along(self.feature_axis, r)
-            sums = all_reduce_t(
+            summed = all_reduce_t(
                 [local_sum[s] for s in g.ranks], g, tracer=tracer, tag="ln.AR_sum"
             )
-            sqs = all_reduce_t(
+            squared = all_reduce_t(
                 [local_sq[s] for s in g.ranks], g, tracer=tracer, tag="ln.AR_sq"
             )
-            for s, sm, sq in zip(g.ranks, sums, sqs):
-                mu[s] = sm * (1.0 / self.dim)
-                ex2[s] = sq * (1.0 / self.dim)
+            sums.update(zip(g.ranks, summed))
+            sqs.update(zip(g.ranks, squared))
 
         out: RankDict = {}
         for r in block:
             x, y, _, _ = grid.coords_of(r)
             i = y if self.feature_axis == "y" else x
-            var = ex2[r] - mu[r] * mu[r]
-            inv = (var + self.eps) ** -0.5
-            xhat = (x_parts[r] - mu[r]) * inv
-            out[r] = xhat * self.weight_shards[i] + self.bias_shards[i]
+            out[r] = _normalize(
+                x_parts[r], sums[r], sqs[r], self.weight_shards[i],
+                self.bias_shards[i], self.dim, self.eps,
+            )
         return out
+
+
+def _sum_of_squares(x: Tensor) -> Tensor:
+    """``(x * x).sum(axis=-1, keepdims=True)`` as one node."""
+    xd = x.data
+
+    def backward(g):
+        gx = xd * g
+        gx += gx  # 2·x·g; doubling is exact
+        return (gx,)
+
+    return Tensor._make(
+        (xd * xd).sum(axis=-1, keepdims=True), (x,), backward, "sum_of_squares"
+    )
+
+
+def _normalize(
+    x: Tensor, sum_x: Tensor, sum_sq: Tensor, weight: Tensor, bias: Tensor,
+    dim: int, eps: float,
+) -> Tensor:
+    """One rank's LayerNorm output from its feature shard ``x`` and the
+    moments ``sum_x`` / ``sum_sq`` all-reduced over the whole feature
+    dimension ``dim``, as one node with a closed-form backward.
+
+    The forward is the scalar-op composite's arithmetic in its order, so
+    it is bit-identical to it; the backward differs from the composite's
+    chain of nodes by rounding only.
+    """
+    xd = x.data
+    scale = np.asarray(1.0 / dim, dtype=xd.dtype)
+    mu = sum_x.data * scale
+    var_eps = sum_sq.data * scale - mu * mu
+    var_eps += np.asarray(eps, dtype=xd.dtype)
+    inv = var_eps**-0.5
+    centered = xd - mu
+    xhat = centered * inv
+    data = xhat * weight.data
+    data += bias.data
+
+    def backward(g):
+        n = xhat.shape[-1]
+        gw = (g * xhat).reshape(-1, n).sum(axis=0)
+        gb = g.reshape(-1, n).sum(axis=0)
+        gx = g * weight.data  # d/d xhat
+        # d/d var, through inv = var_eps ** -0.5; var = E[x²] - mu².
+        g_var = (gx * centered).sum(axis=-1, keepdims=True)
+        g_var *= -0.5 * var_eps**-1.5
+        gx *= inv  # the direct path, moments held fixed
+        g_mu = gx.sum(axis=-1, keepdims=True)
+        g_mu += 2.0 * mu * g_var
+        np.negative(g_mu, out=g_mu)
+        return (gx, g_mu * scale, g_var * scale, gw, gb)
+
+    return Tensor._make(
+        data, (x, sum_x, sum_sq, weight, bias), backward, "layer_norm_shard"
+    )
 
 
 class ParallelEmbedding(Module):

@@ -39,6 +39,7 @@ from .parallel_layers import (
     ParallelLayerNorm,
     ParallelLinear,
     RankDict,
+    _count_local_flops,
 )
 from .parallel_loss import head_loss_over_grid
 
@@ -268,6 +269,7 @@ class ParallelGPT(Module):
                 x_ * vb : (x_ + 1) * vb, y_ * hb : (y_ + 1) * hb
             ].t()  # (H/Gy, V/Gx)
             out_hat[r] = x_parts[r] @ w_block
+        _count_local_flops(x_parts, block, vb)
         out: RankDict = {}
         for r in block:
             if r in out:

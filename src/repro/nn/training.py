@@ -332,23 +332,32 @@ def _train_fault_tolerant(
         save(trainer, 0)
         report.checkpoint_saves += 1
     last_saved = step = 0
-    while step < len(batches):
-        trainer = before_step(step, trainer)
-        if injector is not None:
-            injector.start_step(step)
-        ids, mask = _split_batch(batches[step])
+    # Past the last batch the loop runs on only while the tail save is
+    # owed: a torn tail write recovered in place must be written again.
+    while step < len(batches) or (save is not None and last_saved != step):
+        batch = None
+        if step < len(batches):
+            trainer = before_step(step, trainer)
+            if injector is not None:
+                injector.start_step(step)
+            batch = _split_batch(batches[step])
         try:
-            with fault_scope(injector):
-                loss = trainer.step(ids, loss_mask=mask)
-            report.losses.append(loss)
-            step += 1
-            after_step()
-            # The checkpoint write lives inside the recovery net too: a
-            # torn write raises here, recovers from the previous (still
-            # intact, thanks to the atomic-replace protocol) checkpoint
-            # or the live state, and carries on instead of killing the
-            # job.
-            if save is not None and step % checkpoint_interval == 0:
+            if batch is not None:
+                ids, mask = batch
+                with fault_scope(injector):
+                    loss = trainer.step(ids, loss_mask=mask)
+                report.losses.append(loss)
+                step += 1
+                after_step()
+            # The checkpoint writes live inside the recovery net too, the
+            # final one of a run whose length is not a multiple of the
+            # interval included: a torn write raises here, recovers from
+            # the previous (still intact, thanks to the atomic-replace
+            # protocol) checkpoint or the live state, and carries on
+            # instead of killing the job.
+            if save is not None and (
+                step % checkpoint_interval == 0 or step == len(batches)
+            ):
                 save(trainer, step)
                 report.checkpoint_saves += 1
                 last_saved = step
@@ -376,12 +385,6 @@ def _train_fault_tolerant(
             report.steps_lost += lost
             del report.losses[resume:]
             step = resume
-    if save is not None and last_saved != step:
-        # Final state for a run whose length is not a multiple of the
-        # interval — otherwise the tail steps would silently be lost to
-        # any later resume.
-        save(trainer, step)
-        report.checkpoint_saves += 1
     return report
 
 

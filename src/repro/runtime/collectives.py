@@ -2,17 +2,23 @@
 
 Each collective takes ``buffers``: a mapping from *global rank* to that
 rank's local NumPy array, covering exactly the members of the group, and
-returns a mapping of the same shape.  Internally the ring algorithm is
-executed step by step — chunks really travel around the ring — so the
-data movement (and floating-point summation order) matches what
-NCCL/RCCL's ring implementations do:
+returns a mapping of the same shape.  "Ring" names the reduction order:
+reductions are executed step by step in the order NCCL/RCCL's ring
+implementations use, so floating-point sums match them bit for bit.
+Data is copied only where a result needs a fresh array:
 
 * ``reduce_scatter``: p-1 steps; each chunk is reduced as it circles the
-  ring and lands, fully reduced, on its owner.
-* ``all_gather``: p-1 steps passing shards around the ring.
-* ``all_reduce``: reduce-scatter followed by all-gather (Rabenseifner),
-  which also guarantees NCCL's invariant that every rank receives an
-  *identical* result array.
+  ring and lands, fully reduced, on its owner.  Every result is a fresh
+  reduction, private to its rank.
+* ``all_gather``: one concatenation of the shards in group order — the
+  bytes the p-1 ring hops would deliver.
+* ``all_reduce``: reduce-scatter followed by all-gather (Rabenseifner).
+
+``all_gather`` and ``all_reduce`` hand every rank of the group the *same*
+read-only array (``writeable = False``): NCCL's invariant that every
+rank receives an identical result is object identity here, and a write
+into a result raises instead of silently changing another rank's copy.
+Inputs are never written.
 
 These functions are the only inter-rank channel in the runtime; the 4D
 parallel algorithm in :mod:`repro.core` is built exclusively on them.
@@ -130,10 +136,19 @@ def _inject(
     return inj.before_collective(op, group, buffers, tag, tracer=tracer)
 
 
+def _shared(result: np.ndarray) -> np.ndarray:
+    """Mark a result every rank of a group receives as read-only."""
+    result.flags.writeable = False
+    return result
+
+
 def _flatten_padded(
     buffers: Mapping[int, np.ndarray], group: ProcessGroup, p: int
 ) -> tuple[dict[int, np.ndarray], int]:
-    """Flatten each buffer and zero-pad to a multiple of ``p`` elements."""
+    """Flatten each buffer and zero-pad to a multiple of ``p`` elements.
+
+    Unpadded buffers come back as views of the inputs, which the ring
+    only reads."""
     n = buffers[group.ranks[0]].size
     pad = (-n) % p
     flat = {}
@@ -141,7 +156,7 @@ def _flatten_padded(
         v = np.ravel(buffers[r])
         if pad:
             v = np.concatenate([v, np.zeros(pad, dtype=v.dtype)])
-        flat[r] = v.copy()
+        flat[r] = v
     return flat, n
 
 
@@ -157,12 +172,15 @@ def _begin(
     """The front every ring collective shares: check the buffers, defer
     to the two-level implementation an active policy elects (it gets
     ``impl_kwargs``: ``op=``), consult the fault injector, record the
-    call, settle size-1 groups.
+    call, settle size-1 groups.  The internal sub-collectives of
+    ``all_reduce`` skip the check: the composite already made it.
 
     Returns ``(buffers, None)`` — the possibly fault-injected buffers to
-    run the ring on — or ``(None, result)`` when already answered.
+    run the ring on — or ``(None, result)`` when already answered (a
+    size-1 group gets a read-only copy of its input).
     """
-    _check_buffers(buffers, group)
+    if injector is not _DISABLED:
+        _check_buffers(buffers, group)
     lead = group.ranks[0]
     if _POLICIES and injector is not _DISABLED:
         hier = _hier_route(name, group, buffers[lead].nbytes)
@@ -175,7 +193,7 @@ def _begin(
     sample = buffers[lead]
     _trace(tracer, name, group, sample, tag, internal=injector is _DISABLED)
     if group.size == 1:
-        return None, {lead: sample.copy()}
+        return None, {lead: _shared(sample.copy())}
     return buffers, None
 
 
@@ -209,13 +227,14 @@ def reduce_scatter(
         return done
     reduce_fn = REDUCE_OPS[op]
     shard_rows = buffers[group.ranks[0]].shape[0] // p
-    # Working state: chunk c of rank r.
+    # Working state: chunk c of rank r — views of the input until the
+    # first reduction into them (``reduce_fn`` is never in place).
     chunks = {
-        r: [buffers[r][c * shard_rows : (c + 1) * shard_rows].copy() for c in range(p)]
+        r: [buffers[r][c * shard_rows : (c + 1) * shard_rows] for c in range(p)]
         for r in group
     }
     # p-1 ring steps: at step s, group-rank g sends chunk (g - s - 1) mod p
-    # to its right neighbour, which reduces it into its own copy.
+    # to its right neighbour, which reduces it into its own chunk.
     for s in range(p - 1):
         in_flight = {}
         for g, r in enumerate(group.ranks):
@@ -238,33 +257,17 @@ def all_gather(
 ) -> dict[int, np.ndarray]:
     """Ring all-gather.
 
-    Each rank contributes a shard; every rank receives the shards of all
-    group members concatenated along axis 0 in group order.
+    Each rank contributes a shard; every rank receives the same read-only
+    array: the shards of all group members concatenated along axis 0 in
+    group order.
     """
     buffers, done = _begin("all_gather", buffers, group, tracer, tag, injector)
     if done is not None:
         return done
-    p = group.size
-    # slots[r][c] is rank r's copy of group-rank c's shard (None = not yet
-    # received).
-    slots: dict[int, list[np.ndarray | None]] = {
-        r: [None] * p for r in group
-    }
-    for g, r in enumerate(group.ranks):
-        slots[r][g] = buffers[r].copy()
-    # p-1 ring steps: at step s, group-rank g forwards shard (g - s) mod p.
-    for s in range(p - 1):
-        in_flight = {}
-        for g, r in enumerate(group.ranks):
-            c = (g - s) % p
-            payload = slots[r][c]
-            assert payload is not None, "ring all-gather invariant violated"
-            in_flight[(g + 1) % p, c] = payload
-        for (g_dst, c), payload in in_flight.items():
-            slots[group.ranks[g_dst]][c] = payload.copy()
-    return {
-        r: np.concatenate(slots[r], axis=0) for r in group  # type: ignore[arg-type]
-    }
+    # The ring's p-1 hops deliver every shard to every rank unchanged:
+    # one concatenation in group order is the same bytes.
+    gathered = _shared(np.concatenate([buffers[r] for r in group.ranks], axis=0))
+    return {r: gathered for r in group}
 
 
 @_traced(cat="comm")
@@ -278,9 +281,9 @@ def all_reduce(
 ) -> dict[int, np.ndarray]:
     """Ring all-reduce (reduce-scatter + all-gather).
 
-    All ranks receive identical, fully reduced arrays of the input shape.
-    Arrays are flattened and zero-padded internally, so no divisibility
-    constraint applies.
+    All ranks receive the same read-only, fully reduced array of the
+    input shape.  Arrays are flattened and zero-padded internally, so no
+    divisibility constraint applies.
     """
     buffers, done = _begin(
         "all_reduce", buffers, group, tracer, tag, injector, op=op
@@ -291,7 +294,8 @@ def all_reduce(
     flat, n = _flatten_padded(buffers, group, group.size)
     scattered = reduce_scatter(flat, group, op=op, injector=_DISABLED)
     gathered = all_gather(scattered, group, injector=_DISABLED)
-    return {r: gathered[r][:n].reshape(shape) for r in group}
+    out = gathered[group.ranks[0]][:n].reshape(shape)  # a read-only view
+    return {r: out for r in group}
 
 
 @_traced(cat="comm")

@@ -17,7 +17,7 @@ times — under an active :class:`repro.telemetry.Tracer`, and emits:
   ``optimizer.step`` spans and an ASCII flamegraph of the span
   hierarchy on stdout.
 
-Three cross-checks back the artifacts:
+Four cross-checks back the artifacts:
 
 1. the traced per-tag collective bytes must equal the analytic forward
    volumes from :func:`repro.perfmodel.gpt_forward_backward_volumes`
@@ -26,7 +26,10 @@ Three cross-checks back the artifacts:
    :func:`repro.telemetry.validate_chrome_trace`;
 3. with ``--max-overhead-pct``, the enabled-vs-disabled wall-clock
    overhead of telemetry must stay under the bound (a gate of the
-   bench-spine-smoke CI job).
+   bench-spine-smoke CI job);
+4. the traced forward flops (``compute.flops.pmm3d``, the grid's local
+   matmuls) must equal the analytic ones, ``LayerShape.flops`` summed
+   over :func:`repro.perfmodel.gpt_layer_shapes`.
 
 A failed check makes the exit status non-zero.
 """
@@ -43,7 +46,7 @@ import numpy as np
 from ..config import GPTConfig
 from ..core import Grid4D, GridConfig, ParallelGPT
 from ..nn import GPT, AdamW, MixedPrecisionTrainer
-from ..perfmodel import gpt_forward_backward_volumes
+from ..perfmodel import gpt_forward_backward_volumes, gpt_layer_shapes
 from ..telemetry import (
     Tracer,
     ascii_flamegraph,
@@ -148,6 +151,17 @@ def profile(
         math.isclose(traced, analytic, rel_tol=1e-9, abs_tol=1e-6)
         for traced, analytic in checks.values()
     )
+    # Cross-check: traced flops vs the analytic GEMM shapes (the forward's
+    # FC layers and LM head; backward products are not counted).
+    flops = (
+        val("compute.flops.pmm3d"),
+        steps * sum(
+            layer.flops for layer in gpt_layer_shapes(
+                cfg.scaled(seq_len=ids.shape[1] - 1), batch
+            )
+        ),
+    )
+    flops_ok = flops[0] == flops[1]
 
     step_ms = dict.fromkeys(STEP_SPANS, 0.0)
     for span in tracer.spans:
@@ -172,6 +186,8 @@ def profile(
             for k, (traced, analytic) in checks.items()
         },
         "volume_ok": volume_ok,
+        "flops_check": {"traced": flops[0], "analytic": flops[1]},
+        "flops_ok": flops_ok,
     }
     trace_path = write_chrome_trace(
         f"{out}/trace_{name}.json", tracer, metadata=meta
@@ -199,6 +215,8 @@ def profile(
     for k, (traced, analytic) in checks.items():
         mark = "==" if volume_ok else "!="
         print(f"  bytes[{k}]: traced {traced:.0f} {mark} analytic {analytic:.0f}")
+    mark = "==" if flops_ok else "!="
+    print(f"  flops: traced {flops[0]:.0f} {mark} analytic {flops[1]:.0f}")
     print(f"  wrote {trace_path}")
     print(f"  wrote {bench_path}")
     print()
@@ -207,6 +225,9 @@ def profile(
     status = 0
     if not volume_ok:
         print("FAIL: traced bytes disagree with analytic volumes")
+        status = 1
+    if not flops_ok:
+        print("FAIL: traced flops disagree with the analytic GEMM shapes")
         status = 1
     if trace_problems:
         print(f"FAIL: {trace_path} is not a valid Chrome trace:", trace_problems[:3])

@@ -22,6 +22,7 @@ from repro.runtime import (
     ireduce_scatter,
     reduce_scatter,
 )
+from tests.oracles import ring as step_by_step
 
 
 def _buffers(group, shape, seed=0, dtype=np.float64):
@@ -272,6 +273,80 @@ class TestProperties:
         out = all_gather(reduce_scatter(bufs, g), g)
         for r in g:
             np.testing.assert_allclose(out[r], full, rtol=1e-10, atol=1e-10)
+
+
+class TestRingOracle:
+    """The runtime's ring against the step-by-step ring it replaced
+    (``tests/oracles/ring.py``, which copies every chunk at every hop):
+    the same arrays bit for bit, inputs untouched, and one shared
+    read-only result per group for ``all_gather`` / ``all_reduce``."""
+
+    @given(
+        p=st.sampled_from([1, 2, 3, 4, 5, 8]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        op=st.sampled_from(["sum", "max", "min"]),
+        rows=st.integers(1, 3),
+        cols=st.integers(1, 4),
+        extra=st.integers(1, 7),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_step_by_step_ring(
+        self, p, dtype, op, rows, cols, extra, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # Global ranks in a shuffled group order: the order decides both
+        # the shard layout and the reduction order.
+        group = ProcessGroup(tuple(int(r) for r in rng.permutation(16)[:p]))
+
+        def payload(shape):
+            # Non-integer values spread over magnitudes, so a different
+            # summation order shows in the bits.
+            return {
+                r: (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4))
+                .astype(dtype)
+                for r in group
+            }
+
+        inputs = {
+            "reduce_scatter": payload((p * rows, cols)),
+            "all_gather": payload((rows, cols)),
+            # p * cols + extra columns: padded whenever extra % p != 0.
+            "all_reduce": payload((rows, p * cols + extra)),
+        }
+        saved = {
+            name: {r: a.copy() for r, a in bufs.items()}
+            for name, bufs in inputs.items()
+        }
+        runs = {
+            "reduce_scatter": (
+                reduce_scatter(inputs["reduce_scatter"], group, op=op),
+                step_by_step.reduce_scatter(saved["reduce_scatter"], group, op=op),
+            ),
+            "all_gather": (
+                all_gather(inputs["all_gather"], group),
+                step_by_step.all_gather(saved["all_gather"], group),
+            ),
+            "all_reduce": (
+                all_reduce(inputs["all_reduce"], group, op=op),
+                step_by_step.all_reduce(saved["all_reduce"], group, op=op),
+            ),
+        }
+        for name, (got, want) in runs.items():
+            for r in group:
+                assert got[r].dtype == want[r].dtype, name
+                np.testing.assert_array_equal(got[r], want[r], err_msg=name)
+                np.testing.assert_array_equal(
+                    inputs[name][r], saved[name][r], err_msg=name
+                )
+                assert inputs[name][r].flags.writeable, name
+        for name in ("all_gather", "all_reduce"):
+            got = runs[name][0]
+            shared = got[group.ranks[0]]
+            assert all(got[r] is shared for r in group), name
+            assert not shared.flags.writeable, name
+            with pytest.raises(ValueError):
+                shared[...] = 0
 
 
 class TestPointToPointAndRooted:

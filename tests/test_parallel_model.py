@@ -24,9 +24,12 @@ from repro.core import (
     vocab_parallel_cross_entropy,
 )
 from repro.nn import GPT
+from repro.perfmodel import gpt_layer_shapes
 from repro.runtime import CommTracer, ProcessGroup
+from repro.telemetry import Tracer, telemetry_scope
 from repro.tensor import Tensor
 from repro.tensor import functional as F
+from tests.oracles.layernorm import composite_layer_norm
 
 
 def tiny_config(**kw) -> GPTConfig:
@@ -177,6 +180,60 @@ class TestParallelLayerNorm:
             [out[grid.rank_of(0, j, 0)].data for j in range(gy)], axis=1
         )
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("feature_axis", ["y", "x"])
+    @pytest.mark.parametrize("gx", [1, 2, 4])
+    @pytest.mark.parametrize("gy", [1, 2, 4])
+    def test_one_node_matches_the_composite(self, gy, gx, feature_axis):
+        """The fused per-rank node against the scalar-op composite it
+        replaced: forward ``float.hex``-equal, x / weight / bias
+        gradients within ``rtol=1e-12``, the same traced collectives."""
+        rng = np.random.default_rng(gx * 10 + gy)
+        h = 16
+        n = gy if feature_axis == "y" else gx
+        size = h // n
+        grid = Grid4D(GridConfig(gx, gy, 1), tracer=CommTracer())
+        ln = ParallelLayerNorm(grid, h, feature_axis=feature_axis)
+        ln.load_full(rng.standard_normal(h), rng.standard_normal(h))
+        x = rng.standard_normal((2, 3, h)) * 3.0 + 1.0
+        block = grid.tensor_block_ranks(0)
+        seeds = {r: rng.standard_normal((2, 3, size)) for r in block}
+
+        def run(forward):
+            for p in ln.parameters():
+                p.zero_grad()
+            parts = {}
+            for r in block:
+                cx, cy, _, _ = grid.coords_of(r)
+                i = cy if feature_axis == "y" else cx
+                parts[r] = Tensor(
+                    x[..., i * size : (i + 1) * size], requires_grad=True
+                )
+            grid.tracer.events.clear()
+            out = forward(parts)
+            events = list(grid.tracer.events)
+            total = None
+            for r in block:
+                term = (out[r] * Tensor(seeds[r])).sum()
+                total = term if total is None else total + term
+            total.backward()
+            return (
+                {r: [v.hex() for v in out[r].data.ravel()] for r in block},
+                {r: parts[r].grad for r in block},
+                [p.grad.copy() for p in ln.parameters()],
+                events,
+            )
+
+        fused = run(ln.forward)
+        composite = run(lambda parts: composite_layer_norm(ln, parts))
+        assert fused[0] == composite[0]
+        for r in block:
+            np.testing.assert_allclose(
+                fused[1][r], composite[1][r], rtol=1e-12, atol=0
+            )
+        for got, want in zip(fused[2], composite[2]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert fused[3] == composite[3]
 
     def test_bad_axis(self):
         grid = Grid4D(GridConfig(1, 1, 1))
@@ -403,6 +460,47 @@ class TestParallelGPTEquivalence:
         ):
             assert n1 == n2
             np.testing.assert_allclose(p1.data, p2.data, rtol=1e-14)
+
+
+class TestGraphAndFlops:
+    """What one grid step builds and counts."""
+
+    def test_loss_graph_size_is_pinned(self):
+        """One ``ParallelGPT.loss`` on the benchmark fixture (4 layers,
+        h=128, 8 heads, vocab 512, batch 8 x 64) on a (2, 2, 2, 2) grid
+        builds exactly this many nodes that backward visits.  Each of the
+        9 LayerNorms is 3 nodes per rank (Σx, Σx², the fused normalize)
+        plus its two all-reduces; the scalar-op composite is 10 more per
+        rank, 1440 in all."""
+        cfg = tiny_config(
+            name="bench", num_layers=4, hidden_size=128, num_heads=8,
+            seq_len=64, vocab_size=512,
+        )
+        model = ParallelGPT(Grid4D(GridConfig(2, 2, 2, 2)), cfg, seed=0)
+        loss = model.loss(batch_for(cfg, 8))
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or not node.requires_grad:
+                continue
+            seen.add(id(node))
+            stack.extend(node._parents)
+        assert len(seen) == 3409
+
+    @pytest.mark.parametrize(
+        "dims", [(1, 1, 1, 1), (2, 2, 2, 2), (2, 1, 2, 1), (1, 2, 1, 2, 2)]
+    )
+    def test_traced_forward_flops_equal_the_analytic_shapes(self, dims):
+        """``compute.flops.pmm3d`` of one traced forward is the GEMM
+        flops of ``gpt_layer_shapes`` for the same global batch: every
+        FC layer and the LM head, summed over ranks."""
+        cfg = tiny_config(hidden_size=32, vocab_size=32, seq_len=8)
+        model = ParallelGPT(Grid4D(GridConfig(*dims)), cfg, seed=0)
+        ids = batch_for(cfg, 4)
+        with telemetry_scope(Tracer()) as tracer:
+            model.forward_parts(ids)
+        analytic = sum(layer.flops for layer in gpt_layer_shapes(cfg, 4))
+        assert tracer.metrics.value("compute.flops.pmm3d") == analytic > 0
 
 
 class TestFacade:

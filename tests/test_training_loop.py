@@ -59,6 +59,11 @@ from repro.telemetry import Tracer, telemetry_scope
 from repro.telemetry.spans import get_tracer as _telemetry
 
 # -- the oracle: the two pre-merge loops, verbatim ------------------------------
+#
+# One change to both since the merge: the tail save (the final state of a
+# run whose length is not a multiple of the interval) is written inside
+# the recovery net, as `_train_fault_tolerant`'s is, and not after the
+# loop, where a torn write escaped it.
 
 
 def _ref_train_with_recovery(
@@ -90,8 +95,10 @@ def _ref_train_with_recovery(
             # The checkpoint write lives inside the recovery net too: a
             # torn write raises here, rolls back to the previous (still
             # intact, thanks to the atomic-replace protocol) checkpoint,
-            # and re-runs the window instead of killing the job.
-            if step % checkpoint_interval == 0:
+            # and re-runs the window instead of killing the job.  The
+            # final state of a run whose length is not a multiple of the
+            # interval is written here as well (the tail save).
+            if step % checkpoint_interval == 0 or step == len(batches):
                 save_training_state(
                     trainer.model, trainer.optimizer, checkpoint_path,
                     injector=injector,
@@ -115,14 +122,6 @@ def _ref_train_with_recovery(
             del report.losses[last_saved:]
             step = last_saved
             continue
-    if last_saved != step:
-        # Final state for a run whose length is not a multiple of the
-        # interval — otherwise the tail steps would silently be lost to
-        # any later resume.
-        save_training_state(
-            trainer.model, trainer.optimizer, checkpoint_path, injector=injector
-        )
-        report.checkpoint_saves += 1
     return report
 
 
@@ -160,9 +159,12 @@ def _ref_train_elastic(
     last_saved = 0
     step = 0
     grown = False
-    while step < len(batches):
+    while step < len(batches) or (ring is not None and last_saved != step):
+        # Past the last batch only the tail save is left to (re)try.
+        tail = step == len(batches)
         if (
-            grow_step is not None
+            not tail
+            and grow_step is not None
             and step >= grow_step
             and not grown
             and config != initial_config
@@ -180,17 +182,20 @@ def _ref_train_elastic(
             store = make_store(trainer)
             report.grows += 1
             report.grid_history.append((step, config))
-        if injector is not None:
+        if injector is not None and not tail:
             injector.start_step(step)
-        ids, mask = _split_batch(batches[step])
         try:
-            with fault_scope(injector):
-                loss = trainer.step(ids, loss_mask=mask)
-            report.losses.append(loss)
-            step += 1
-            if store is not None:
-                store.commit()
-            if ring is not None and step % checkpoint_interval == 0:
+            if not tail:
+                ids, mask = _split_batch(batches[step])
+                with fault_scope(injector):
+                    loss = trainer.step(ids, loss_mask=mask)
+                report.losses.append(loss)
+                step += 1
+                if store is not None:
+                    store.commit()
+            if ring is not None and (
+                step % checkpoint_interval == 0 or step == len(batches)
+            ):
                 ring.save(trainer.model, trainer.optimizer, step, injector=injector)
                 report.checkpoint_saves += 1
                 last_saved = step
@@ -258,9 +263,6 @@ def _ref_train_elastic(
             report.grid_history.append((resume, config))
             del report.losses[resume:]
             step = resume
-    if ring is not None and last_saved != step:
-        ring.save(trainer.model, trainer.optimizer, step, injector=injector)
-        report.checkpoint_saves += 1
     return report
 
 
@@ -586,3 +588,51 @@ class TestShrinkKeepsSequenceAxis:
             gather_training_arrays(big.model, big.optimizer),
         )
         assert [small.step(ids) for ids in batches[2:]] == rep.losses[2:]
+
+
+class TestTornTailSave:
+    """The final save of a run whose length is not a multiple of the
+    interval is inside the recovery net like every other save: with 3
+    batches at interval 2, the saves under the injector are step 2
+    (``match=0``) and the tail, step 3 (``match=1``)."""
+
+    TORN_TAIL = FaultPlan((FaultSpec("torn_write", match=1),))
+
+    def test_restart_strategy_recovers(self, tmp_path):
+        cfg = _cfg(16)
+        batches = _batches(3, 2)
+        rep = train_with_recovery(
+            lambda: _trainer(cfg, RESTART_GRID), batches,
+            tmp_path / "state.npz", checkpoint_interval=2,
+            injector=FaultInjector(self.TORN_TAIL),
+        )
+        clean = train_with_recovery(
+            lambda: _trainer(cfg, RESTART_GRID), batches,
+            tmp_path / "clean.npz", checkpoint_interval=2,
+        )
+        assert rep.restarts == 1
+        assert rep.restart_causes == {"corruption": 1}
+        assert rep.resumed_from == [2] and rep.steps_lost == 1
+        assert [x.hex() for x in rep.losses] == [x.hex() for x in clean.losses]
+        # The step-3 state is on disk: what a resume would load.
+        written, expected = _trainer(cfg, RESTART_GRID), _trainer(cfg, RESTART_GRID)
+        load_training_state(written.model, written.optimizer, tmp_path / "state.npz")
+        load_training_state(expected.model, expected.optimizer, tmp_path / "clean.npz")
+        assert written.optimizer.t == 3
+        for a, b in zip(written.model.parameters(), expected.model.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_elastic_strategy_writes_the_tail_again(self, tmp_path):
+        ring = CheckpointRing(tmp_path, keep=3)
+        rep = _elastic(
+            plan=FaultPlan((FaultSpec("torn_write", match=2),)), ring=ring,
+            checkpoint_interval=3,
+        )
+        # Ring saves under the injector: steps 0 and 3 (match 0 and 1),
+        # then the tail at step 4 (match 2) — torn, recovered in place
+        # (no rank died), and written again.
+        assert rep.recoveries == 1 and rep.steps_lost == 0
+        assert rep.restart_causes == {"corruption": 1}
+        assert rep.steps == 4
+        step, _ = ring.latest_verifying()
+        assert step == 4
