@@ -2,15 +2,22 @@
 
 The functional 4D-parallel model is built as **one** autograd graph in
 which every rank's local tensors are distinct nodes and collectives are
-multi-input/multi-output operations.  Because each collective node
-encodes the *true mathematical relation* between its inputs and outputs
-(e.g. every all-reduce output equals the sum of all inputs), reverse-mode
-differentiation automatically produces the correct backward communication
-pattern:
+multi-input operations.  A collective leaves every rank of its group
+with the same value, so it is **one** node whose one output every rank
+of the group holds (the runtime already hands them one shared read-only
+array).  Because the node encodes the *true mathematical relation*
+between its inputs and its output, reverse-mode differentiation
+produces the paper's backward communication:
 
-* all-reduce forward  -> gradient *sum* over consumers (itself an
-  all-reduce, realized by autograd's accumulation);
-* all-gather forward  -> gradient reduce-scatter.
+* all-reduce forward  -> autograd sums the gradients of every consumer
+  on every rank into the node, and each input receives that sum (the
+  backward all-reduce, Algorithm 1 line 12);
+* all-gather forward  -> the same sum, sliced back to each contributor
+  (the backward reduce-scatter, line 14).
+
+Summing per consumer rather than per rank changes the order of the
+gradient additions, so grid gradients may move by ulps from a
+per-rank-node graph; the forward values do not move.
 
 The forward data movement goes through the traced ring implementations
 in :mod:`repro.runtime.collectives`, so communication-pattern tests see
@@ -52,17 +59,21 @@ def all_reduce_t(
     tag: str = "",
 ) -> list[Tensor]:
     """Differentiable sum all-reduce: every output is the elementwise sum
-    of all inputs.  Inputs are ordered by group position."""
-    outs = rc.all_reduce(_as_buffer_dict(tensors, group), group, tracer=tracer, tag=tag)
-    parents = tuple(tensors)
-    results = []
-    for r in group.ranks:
-        def backward(g, _n=len(parents)):
-            # d(sum)/d(input_s) = identity for every s.
-            return tuple(g for _ in range(_n))
+    of all inputs.  Inputs are ordered by group position.
 
-        results.append(Tensor._make(outs[r], parents, backward, "all_reduce_t"))
-    return results
+    Every rank of the group gets the *same* :class:`Tensor`, one node
+    over the shared result: autograd sums the gradients of all its
+    consumers into it (Algorithm 1's backward all-reduce, line 12), and
+    d(sum)/d(input) is the identity, so each input receives that sum.
+    """
+    outs = rc.all_reduce(_as_buffer_dict(tensors, group), group, tracer=tracer, tag=tag)
+    n = len(tensors)
+
+    def backward(g):
+        return (g,) * n
+
+    out = Tensor._make(outs[group.ranks[0]], tensors, backward, "all_reduce_t")
+    return [out] * n
 
 
 def all_gather_t(
@@ -72,23 +83,21 @@ def all_gather_t(
     tag: str = "",
 ) -> list[Tensor]:
     """Differentiable all-gather along axis 0: every output is the
-    concatenation of all inputs in group order."""
+    concatenation of all inputs in group order.
+
+    Every rank of the group gets the *same* :class:`Tensor`; the summed
+    gradient of its consumers is sliced back to each contributor, which
+    is the reduce-scatter of Algorithm 1's line 14.
+    """
     outs = rc.all_gather(_as_buffer_dict(tensors, group), group, tracer=tracer, tag=tag)
-    parents = tuple(tensors)
-    sizes = [t.shape[0] for t in tensors]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    results = []
-    for r in group.ranks:
-        def backward(g, _offsets=offsets, _n=len(parents)):
-            # Slice the output gradient back to each contributor.
-            return tuple(
-                g[_offsets[s] : _offsets[s + 1]] for s in range(_n)
-            )
+    offsets = np.cumsum([0] + [t.shape[0] for t in tensors]).tolist()
+    n = len(tensors)
 
-        results.append(Tensor._make(outs[r], parents, backward, "all_gather_t"))
-    return results
+    def backward(g):
+        return tuple(g[offsets[s] : offsets[s + 1]] for s in range(n))
 
-
+    out = Tensor._make(outs[group.ranks[0]], tensors, backward, "all_gather_t")
+    return [out] * n
 
 
 def all_reduce_max_const(

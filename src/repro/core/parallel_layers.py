@@ -38,6 +38,29 @@ def _check_divisible(value: int, by: int, what: str) -> None:
         raise ValueError(f"{what} ({value}) must be divisible by {by}")
 
 
+def _per_distinct(fn, block, *inputs: RankDict) -> RankDict:
+    """``{r: fn(inputs[0][r], inputs[1][r], ...) for r in block}``, with
+    ``fn`` applied once per distinct tuple of input *objects*.
+
+    A collective hands every rank of its group one shared output, so the
+    ranks of that group hold the same tensors until something rank-local
+    (a weight shard) enters; work on those tensors runs once and every
+    rank holding them gets the one result.  Identity, not value, decides:
+    a corrupted collective result is one object for its whole group, and
+    distinct objects with equal values still run per rank.
+    """
+    done: dict[tuple[int, ...], Tensor] = {}
+    out: RankDict = {}
+    for r in block:
+        args = tuple(x[r] for x in inputs)
+        key = tuple(map(id, args))
+        res = done.get(key)
+        if res is None:
+            res = done[key] = fn(*args)
+        out[r] = res
+    return out
+
+
 def _count_local_flops(x_parts: RankDict, block, n_local: int) -> None:
     """Add each rank's local product ``x_parts[r] @ W`` (``n_local``
     output columns), ``2 * rows * k_local * n_local`` flops, to the
@@ -181,10 +204,11 @@ class ParallelLinear(Module):
             out.update(dict(zip(g.ranks, reduced)))
 
         if self.bias_shards is not None:
-            for r in block:
-                x, y, _, _ = grid.coords_of(r)
-                i = y if self.transposed else x
-                out[r] = out[r] + self.bias_shards[i]
+            # Once per contraction group: its ranks share ``out`` and
+            # the column coordinate that picks the bias shard.
+            col = 1 if self.transposed else 0
+            bias = {r: self.bias_shards[grid.coords_of(r)[col]] for r in block}
+            out = _per_distinct(Tensor.__add__, block, out, bias)
         return out
 
 
@@ -195,7 +219,8 @@ class ParallelLayerNorm(Module):
     all-reduces the local first and second moments over the feature
     group before normalizing locally, one autograd node per rank (the
     backward issues no collective: the moments' gradients flow back
-    through the all-reduce nodes).  Scale/shift parameters are
+    through the all-reduce nodes); the local moments run once per
+    distinct input tensor.  Scale/shift parameters are
     sharded the same way as the features (one Parameter per coordinate
     along ``feature_axis``, shared by the ranks that hold that shard).
     """
@@ -232,9 +257,10 @@ class ParallelLayerNorm(Module):
         tracer = grid.tracer
         block = grid.tensor_block_ranks(d)
 
-        # Distributed moments over the feature axis.
-        local_sum = {r: x_parts[r].sum(axis=-1, keepdims=True) for r in block}
-        local_sq = {r: _sum_of_squares(x_parts[r]) for r in block}
+        # Distributed moments over the feature axis, once per distinct
+        # input tensor (the residual stream is shared along X).
+        local_sum = _per_distinct(_sum_last, block, x_parts)
+        local_sq = _per_distinct(_sum_of_squares, block, x_parts)
         sums: dict[int, Tensor] = {}
         sqs: dict[int, Tensor] = {}
         for r in block:
@@ -259,6 +285,10 @@ class ParallelLayerNorm(Module):
                 self.bias_shards[i], self.dim, self.eps,
             )
         return out
+
+
+def _sum_last(x: Tensor) -> Tensor:
+    return x.sum(axis=-1, keepdims=True)
 
 
 def _sum_of_squares(x: Tensor) -> Tensor:
@@ -356,14 +386,18 @@ class ParallelEmbedding(Module):
         """
         grid = self.grid
         c = grid.config
+        n = c.gy if self.feature_axis == "y" else c.gx
         out: RankDict = {}
-        # One gather per batch shard, then feature slices per (x, y).
+        # One gather per batch shard, then one feature slice per shard
+        # coordinate, shared by the ranks replicating it.
         for key, ids in ids_by_z.items():
             z, s = key if isinstance(key, tuple) else (key, 0)
-            full = F.embedding(self.weight, np.asarray(ids))
+            ids = np.asarray(ids)
+            F.check_token_ids(ids, self.num_embeddings)
+            full = F.embedding(self.weight, ids)
+            parts = [full[..., i * self.block : (i + 1) * self.block] for i in range(n)]
             for y in range(c.gy):
                 for x in range(c.gx):
                     i = y if self.feature_axis == "y" else x
-                    sl = slice(i * self.block, (i + 1) * self.block)
-                    out[grid.rank_of(x, y, z, d, s)] = full[..., sl]
+                    out[grid.rank_of(x, y, z, d, s)] = parts[i]
         return out

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..runtime import CommTracer, ProcessGroup
 from ..tensor import Tensor
+from ..tensor.functional import check_token_ids
 from .collective_ops import all_reduce_max_const, all_reduce_t
 from .grid import Grid4D
 
@@ -50,6 +51,8 @@ def vocab_parallel_cross_entropy(
     weights = np.asarray(weights, dtype=np.float64)
     vb = logits_parts[0].shape[-1]
     b, s = targets.shape
+    # Unchecked, a target no shard owns would just drop out of the sum.
+    check_token_ids(targets, p * vb)
 
     # (1) Stabilizing shift: global max, as a constant.
     local_max = [Tensor(lp.data.max(axis=-1, keepdims=True)) for lp in logits_parts]

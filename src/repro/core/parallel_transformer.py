@@ -15,6 +15,16 @@ The batch dimension is split over Z x data; attention is exactly local
 because Z splits *samples* (each rank holds full sequences for its batch
 shard) and X splits *heads*.
 
+Replicated work runs once.  A collective hands every rank of its group
+one shared :class:`Tensor`, and per-rank functions run once per distinct
+tuple of input objects: after the Y all-reduces of QKV and FC1 the bias
+adds, attention and GELU run once per Y group; after the X all-reduces
+of PROJ and FC2 the bias and residual adds, and the next LayerNorm's
+local moments, once per X group.  Only the local matmuls and the
+LayerNorm normalize (whose all-reduced moments are distinct per group)
+run on every rank.  The collectives issued, and so every rank's
+communication schedule, are the same as with all work per rank.
+
 Functional-model convention: parameters that a real deployment would
 replicate (embeddings, LayerNorm shards across non-feature axes, weight
 shards across data replicas) are single shared :class:`Parameter`
@@ -23,6 +33,8 @@ replica all-reduce would.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +52,7 @@ from .parallel_layers import (
     ParallelLinear,
     RankDict,
     _count_local_flops,
+    _per_distinct,
 )
 from .parallel_loss import head_loss_over_grid
 
@@ -103,16 +116,16 @@ class ParallelBlock(Module):
 
         h1 = self.ln1(x_parts, d)
         qkv = self.qkv(h1, d)  # layout B: (B_loc, S, 3*H/Gx), cols = [Qi Ki Vi]
-        attn_out: RankDict = {}
         if grid.config.gs == 1:
-            for r in block:
-                t = qkv[r]
-                q, k, v = t[..., :hb], t[..., hb : 2 * hb], t[..., 2 * hb :]
-                attn_out[r] = causal_attention(q, k, v, self.heads_local)
+            # Once per Y group: its ranks share the all-reduced ``qkv``.
+            attention = partial(causal_attention, num_heads=self.heads_local)
+            attn_out = _per_distinct(attention, block, qkv)
         else:
             # Sequence axis active: attention is the one place shards
             # couple, so each (x, y, z) runs a KV ring over its sequence
-            # group (ranks ordered by shard index).
+            # group (ranks ordered by shard index); every ring issues
+            # its own p2p messages.
+            attn_out = {}
             for r in block:
                 if r in attn_out:
                     continue
@@ -128,13 +141,14 @@ class ParallelBlock(Module):
                 )
                 attn_out.update(dict(zip(ring.ranks, outs)))
         proj_out = self.proj(attn_out, d)  # B -> A
-        x_parts = {r: x_parts[r] + proj_out[r] for r in block}
+        # Residual adds once per X group, GELU once per Y group.
+        x_parts = _per_distinct(Tensor.__add__, block, x_parts, proj_out)
 
         h2 = self.ln2(x_parts, d)
         f1 = self.fc1(h2, d)  # A -> B
-        act = {r: F.gelu(f1[r]) for r in block}
+        act = _per_distinct(F.gelu, block, f1)
         f2 = self.fc2(act, d)  # B -> A
-        return {r: x_parts[r] + f2[r] for r in block}
+        return _per_distinct(Tensor.__add__, block, x_parts, f2)
 
     def load_from_serial(self, blk) -> None:
         """Copy weights from a serial :class:`repro.nn.transformer.Block`."""
@@ -238,7 +252,7 @@ class ParallelGPT(Module):
                         )
             tok = self.wte(ids_by_z, d)
             pe = self.wpe(pos_by_z, d)
-            x = {r: tok[r] + pe[r] for r in grid.tensor_block_ranks(d)}
+            x = _per_distinct(Tensor.__add__, grid.tensor_block_ranks(d), tok, pe)
             for blk in self.blocks:
                 x = blk(x, d)
             x = self.ln_f(x, d)
@@ -262,12 +276,15 @@ class ParallelGPT(Module):
         hb = h // c.gy
         vb = v // c.gx
         block = grid.tensor_block_ranks(d)
+        w_blocks: dict[tuple[int, int], Tensor] = {}
         out_hat: RankDict = {}
         for r in block:
             x_, y_, _, _ = grid.coords_of(r)
-            w_block = self.wte.weight[
-                x_ * vb : (x_ + 1) * vb, y_ * hb : (y_ + 1) * hb
-            ].t()  # (H/Gy, V/Gx)
+            w_block = w_blocks.get((x_, y_))
+            if w_block is None:
+                w_block = w_blocks[(x_, y_)] = self.wte.weight[
+                    x_ * vb : (x_ + 1) * vb, y_ * hb : (y_ + 1) * hb
+                ].t()  # (H/Gy, V/Gx)
             out_hat[r] = x_parts[r] @ w_block
         _count_local_flops(x_parts, block, vb)
         out: RankDict = {}

@@ -74,10 +74,7 @@ class Embedding(Module):
 
     def forward(self, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
-            raise IndexError(
-                f"token id out of range [0, {self.num_embeddings})"
-            )
+        F.check_token_ids(ids, self.num_embeddings)
         return F.embedding(self.weight, ids)
 
 

@@ -68,9 +68,9 @@ def ring_causal_attention(
     ``q_shards[i]``/``k_shards[i]``/``v_shards[i]`` are the (B, S/gs, H)
     projections held by the rank at ring position ``i`` (= sequence
     shard ``i``, in group order).  Returns the per-shard attention
-    outputs, each (B, S/gs, H), matching
-    ``causal_attention(concat(q), concat(k), concat(v))`` split back
-    into shards.
+    outputs, each (B, S/gs, H), matching :func:`causal_attention` of
+    the full sequence's ``[Q | K | V]`` projection split back into
+    shards.
 
     The schedule is uniform compute-then-rotate: at step ``t`` position
     ``i`` holds KV block ``(i - t) mod gs``, folds it into its online

@@ -39,31 +39,61 @@ def causal_mask(s: int, kv_len: int | None = None) -> np.ndarray:
     return m
 
 
-def causal_attention(
-    q: Tensor, k: Tensor, v: Tensor, num_heads: int
-) -> Tensor:
-    """Multi-head causal self-attention core on (B, S, H) projections.
+def causal_attention(qkv: Tensor, num_heads: int) -> Tensor:
+    """Multi-head causal self-attention on a fused (B, S, 3H) QKV projection.
 
-    Shared by the serial and parallel models (the parallel model calls
-    it with its local slice of heads), guaranteeing identical math.
+    ``qkv`` holds the projections side by side, ``[Q | K | V]``, each H
+    wide.  Shared by the serial and parallel models (the parallel model
+    calls it with its local slice of heads), guaranteeing identical math.
+
+    One autograd node.  The forward runs the ops of the node-per-op form
+    (the oracle in ``tests/oracles/attention.py``) in its order: scaled
+    ``q @ k^T``, max-subtracted softmax over the causal prefix, ``att @
+    v``; only visible scores are exponentiated, into a zeroed array.  Masked scores are never read: the row max runs over
+    the visible ones, which is what a ``-inf`` fill gives — a finite
+    fill could end up *above* legitimate scores (large-magnitude float32
+    activations reach below -1e30).  The backward is closed form and
+    writes dq, dk and dv into one gradient of ``qkv``'s shape.
     """
-    b, s, h = q.shape
+    b, s, h3 = qkv.shape
+    h = h3 // 3
     hd = h // num_heads
+    mask = causal_mask(s)
 
-    def split(t: Tensor) -> Tensor:
-        return t.reshape(b, s, num_heads, hd).transpose((0, 2, 1, 3))
+    def split(a: np.ndarray) -> np.ndarray:
+        return a.reshape(b, s, num_heads, hd).transpose((0, 2, 1, 3))
 
-    qh, kh, vh = split(q), split(k), split(v)  # (B, nh, S, hd)
-    scores = (qh @ kh.t()) * (1.0 / np.sqrt(hd))
-    # -inf, not a finite "very negative" constant: a finite fill can end
-    # up *above* legitimate scores (large-magnitude float32 activations
-    # reach below -1e30), silently handing the softmax mass to future
-    # positions.  With max-subtracted softmax, exp(-inf - m) == 0 exactly
-    # for any finite row max, so the fill is dtype-independent.
-    scores = F.where_mask(scores, causal_mask(s), -np.inf)
-    att = F.softmax(scores, axis=-1)
+    xd = qkv.data
+    qh, kh, vh = split(xd[..., :h]), split(xd[..., h : 2 * h]), split(xd[..., 2 * h :])
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=xd.dtype)
+    scores = qh @ np.swapaxes(kh, -1, -2)  # (B, nh, S, S)
+    scores *= scale
+    scores -= np.max(scores, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    att = np.zeros_like(scores)
+    np.exp(scores, out=att, where=mask)
+    att /= att.sum(axis=-1, keepdims=True)
     out = att @ vh  # (B, nh, S, hd)
-    return out.transpose((0, 2, 1, 3)).reshape(b, s, h)
+    data = out.transpose((0, 2, 1, 3)).reshape(b, s, h)
+
+    def backward(g):
+        go = g.reshape(b, s, num_heads, hd).transpose((0, 2, 1, 3))
+        g_att = go @ np.swapaxes(vh, -1, -2)
+        gv = np.swapaxes(att, -1, -2) @ go
+        # Softmax backward, then the mask and the scale.
+        gx = g_att * att
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g_att, dot, out=gx)
+        gx *= att
+        g_scores = np.zeros_like(gx)
+        np.multiply(gx, scale, out=g_scores, where=mask)
+        gq = g_scores @ kh
+        gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2)
+        grad = np.empty((b, s, 3, num_heads, hd), dtype=xd.dtype)
+        for i, gi in enumerate((gq, gk, gv)):
+            grad[:, :, i] = gi.transpose((0, 2, 1, 3))
+        return (grad.reshape(b, s, h3),)
+
+    return Tensor._make(data, (qkv,), backward, "causal_attention")
 
 
 class CausalSelfAttention(Module):
@@ -83,11 +113,7 @@ class CausalSelfAttention(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.hidden
-        qkv = self.qkv(x)
-        q, k, v = qkv[..., :h], qkv[..., h : 2 * h], qkv[..., 2 * h :]
-        out = causal_attention(q, k, v, self.num_heads)
-        return self.proj(out)
+        return self.proj(causal_attention(self.qkv(x), self.num_heads))
 
 
 class MLP(Module):

@@ -125,6 +125,20 @@ def layer_norm(
     return Tensor._make(data, (x, weight, bias), backward, "layer_norm")
 
 
+def check_token_ids(ids: np.ndarray, n: int) -> None:
+    """Raise :class:`IndexError` unless every id in ``ids`` is in ``[0, n)``.
+
+    Unchecked, NumPy reads a negative id from the end of a table and a
+    vocabulary-sharded loss finds no owner for an id past the end: both
+    give a wrong loss without a word.  ``Embedding``,
+    ``ParallelEmbedding`` and both cross-entropies (serial and
+    vocab-parallel) call this one check.
+    """
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        bad = ids[(ids < 0) | (ids >= n)].flat[0]
+        raise IndexError(f"token id {bad} out of range [0, {n})")
+
+
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows ``ids`` from the embedding matrix ``weight``."""
     ids = np.asarray(ids)
@@ -159,6 +173,7 @@ def cross_entropy(
             f"targets shape {targets.shape} incompatible with logits "
             f"{logits.shape}"
         )
+    check_token_ids(flat_targets, v)
     if loss_mask is None:
         mask = np.ones(flat_targets.shape[0])
     else:

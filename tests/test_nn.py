@@ -123,11 +123,11 @@ class TestAttention:
         q = rng.standard_normal((b, s, h))
         k = rng.standard_normal((b, s, h))
         v = rng.standard_normal((b, s, h))
-        base = causal_attention(Tensor(q), Tensor(k), Tensor(v), nh).data
+        base = causal_attention(Tensor(np.concatenate([q, k, v], -1)), nh).data
         k2, v2 = k.copy(), v.copy()
         k2[0, -1] += 10.0
         v2[0, -1] -= 5.0
-        pert = causal_attention(Tensor(q), Tensor(k2), Tensor(v2), nh).data
+        pert = causal_attention(Tensor(np.concatenate([q, k2, v2], -1)), nh).data
         np.testing.assert_allclose(base[0, :-1], pert[0, :-1], rtol=1e-12)
         assert not np.allclose(base[0, -1], pert[0, -1])
 
@@ -137,7 +137,7 @@ class TestAttention:
         q = rng.standard_normal((1, s, h))
         k = rng.standard_normal((1, s, h))
         v = rng.standard_normal((1, s, h))
-        out = causal_attention(Tensor(q), Tensor(k), Tensor(v), 1).data[0]
+        out = causal_attention(Tensor(np.concatenate([q, k, v], -1)), 1).data[0]
         scores = q[0] @ k[0].T / np.sqrt(h)
         scores[~np.tril(np.ones((s, s), dtype=bool))] = -1e30
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))

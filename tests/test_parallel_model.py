@@ -7,6 +7,8 @@ distributed LayerNorm, head-split attention, the Z-sharded weights, and
 the vocab-parallel loss.
 """
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from repro.core import (
     ParallelGPT,
     ParallelLayerNorm,
     ParallelLinear,
+    all_gather_t,
+    all_reduce_t,
     axonn_init,
     permute_qkv_columns,
     vocab_parallel_cross_entropy,
@@ -462,30 +466,163 @@ class TestParallelGPTEquivalence:
             np.testing.assert_allclose(p1.data, p2.data, rtol=1e-14)
 
 
+def _loss_graph(loss: Tensor) -> list[Tensor]:
+    """Every node backward visits from ``loss``."""
+    seen, nodes, stack = set(), [], [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+class _Inputs:
+    """Records the per-rank inputs of every call of ``cls.forward``."""
+
+    def __init__(self, monkeypatch, cls) -> None:
+        self.calls: list[tuple[object, dict]] = []
+        real = cls.forward
+
+        def spy(layer, x_parts, d=0):
+            self.calls.append((layer, x_parts))
+            return real(layer, x_parts, d)
+
+        monkeypatch.setattr(cls, "forward", spy)
+
+    def of(self, layer) -> list[dict]:
+        return [x for lay, x in self.calls if lay is layer]
+
+
+class TestReplicaSharing:
+    """A collective leaves its group one shared :class:`Tensor`, and the
+    work downstream of it runs once for the whole group."""
+
+    def test_collectives_return_one_node_per_group(self):
+        group = ProcessGroup((0, 1, 2))
+        parts = [Tensor(np.full((2, 3), i + 1.0), requires_grad=True) for i in range(3)]
+        for op in (all_reduce_t, all_gather_t):
+            outs = op(parts, group)
+            assert len(outs) == 3 and all(o is outs[0] for o in outs)
+        reduced = all_reduce_t(parts, group)
+        gathered = all_gather_t(parts, group)
+        # Consumers on every rank sum into the one node, and each input
+        # gets that sum (all-reduce) or its slice of it (all-gather).
+        loss = sum((r * float(i + 1)).sum() for i, r in enumerate(reduced))
+        loss = loss + sum((g * 2.0).sum() for g in gathered)
+        loss.backward()
+        for p in parts:
+            np.testing.assert_array_equal(p.grad, np.full((2, 3), 6.0 + 6.0))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 1, 1, 2)])
+    def test_replicas_hold_one_tensor(self, dims, monkeypatch):
+        cfg = tiny_config()
+        grid = Grid4D(GridConfig(*dims), tracer=CommTracer())
+        model = ParallelGPT(grid, cfg, seed=0)
+        linear = _Inputs(monkeypatch, ParallelLinear)
+        norm = _Inputs(monkeypatch, ParallelLayerNorm)
+        loss = model.loss(batch_for(cfg, b=2 * grid.config.gz * grid.config.gdata))
+        c = grid.config
+
+        def shared_along(axis, parts):
+            for r, t in parts.items():
+                assert all(parts[p] is t for p in grid.group_along(axis, r).ranks)
+            return len({id(t) for t in parts.values()})
+
+        # Each call sees one data replica's ranks.
+        for blk in model.blocks:
+            for gelu_out in linear.of(blk.fc2):
+                assert shared_along("y", gelu_out) == c.gx * c.gz * c.gs
+            for attn_out in linear.of(blk.proj):
+                if c.gs == 1:
+                    assert shared_along("y", attn_out) == c.gx * c.gz
+                else:  # every (x, y, z) ring issues its own p2p messages
+                    assert len({id(t) for t in attn_out.values()}) == len(attn_out)
+        for ln in [model.ln_f] + [n for b in model.blocks for n in (b.ln1, b.ln2)]:
+            residuals = norm.of(ln)
+            assert len(residuals) == c.gdata
+            for residual in residuals:
+                assert shared_along("x", residual) == c.gy * c.gz * c.gs
+
+        # One graph node per traced collective: a node per rank would
+        # make these counts a group size larger.
+        nodes = collections.Counter(n.name for n in _loss_graph(loss))
+        calls = collections.Counter(
+            r.op for r in grid.tracer.records
+            if r.tag and r.tag != "vpce.AR_max"
+        )
+        assert nodes["all_reduce_t"] == calls["all_reduce"] > 0
+        assert nodes["all_gather_t"] == calls["all_gather"] > 0
+
+
+class TestTokenIdRange:
+    """Out-of-range token ids raise one ``IndexError`` on every path
+    rather than read a wrapped-around row or drop an unowned target."""
+
+    @pytest.mark.parametrize("where,bad", [
+        ("input", -1), ("input", 32), ("target", -1), ("target", 32), ("target", 40),
+    ])
+    def test_serial_and_grid_loss_raise_the_same_error(self, where, bad):
+        cfg = tiny_config()
+        ids = batch_for(cfg, b=4, s=6)
+        if where == "input":
+            ids[0, 3] = bad
+        else:
+            ids[0, -1] = bad
+        serial = GPT(cfg, seed=0)
+        par = ParallelGPT.from_serial(serial, Grid4D(GridConfig(2, 2, 1, 1)))
+        with pytest.raises(IndexError) as want:
+            serial.loss(ids)
+        with pytest.raises(IndexError) as got:
+            par.loss(ids)
+        assert str(got.value) == str(want.value) == (
+            f"token id {bad} out of range [0, {cfg.vocab_size})"
+        )
+
+    def test_vocab_parallel_loss_checks_the_whole_vocabulary(self):
+        parts = [Tensor(np.zeros((1, 2, 4))) for _ in range(2)]
+        weights = np.full((1, 2), 0.5)
+        group = ProcessGroup((0, 1))
+        vocab_parallel_cross_entropy(parts, group, np.array([[0, 7]]), weights)
+        for bad in (-1, 8):
+            with pytest.raises(IndexError, match=f"token id {bad} out of range"):
+                vocab_parallel_cross_entropy(
+                    parts, group, np.array([[0, bad]]), weights
+                )
+
+
 class TestGraphAndFlops:
     """What one grid step builds and counts."""
 
     def test_loss_graph_size_is_pinned(self):
         """One ``ParallelGPT.loss`` on the benchmark fixture (4 layers,
         h=128, 8 heads, vocab 512, batch 8 x 64) on a (2, 2, 2, 2) grid
-        builds exactly this many nodes that backward visits.  Each of the
-        9 LayerNorms is 3 nodes per rank (Σx, Σx², the fused normalize)
-        plus its two all-reduces; the scalar-op composite is 10 more per
-        rank, 1440 in all."""
+        builds exactly this many nodes that backward visits.
+
+        A collective is one node per group, and replicated work runs
+        once per distinct input.  Per data replica (8 ranks) and layer:
+
+        * 4 linears x (4 Z all-gathers + 8 matmuls + 4 all-reduces + 4
+          bias adds) = 80;
+        * 2 LayerNorms x (4 Σx + 4 Σx² + 2 x 4 moment all-reduces + 8
+          normalizes) = 48;
+        * attention and GELU, 4 each (one per Y group); 2 x 4 residual
+          adds (one per X group): 16 — 144 per layer.
+
+        4 layers x 2 replicas = 1152; ``ln_f`` 2 x 24 = 48; embedding 2
+        x (4 gathers + 8 feature slices + 4 ``tok + pe``) = 32; LM head 2
+        x (4 x (slice + transpose) of ``wte`` + 8 matmuls + 4
+        all-reduces) = 40; the vocab-parallel loss 4 shards x 18 + 3 =
+        75; 198 parameters.  Total 1545 (3409 with a node per rank for
+        every collective output and the composite attention)."""
         cfg = tiny_config(
             name="bench", num_layers=4, hidden_size=128, num_heads=8,
             seq_len=64, vocab_size=512,
         )
         model = ParallelGPT(Grid4D(GridConfig(2, 2, 2, 2)), cfg, seed=0)
-        loss = model.loss(batch_for(cfg, 8))
-        seen, stack = set(), [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.extend(node._parents)
-        assert len(seen) == 3409
+        assert len(_loss_graph(model.loss(batch_for(cfg, 8)))) == 1545
 
     @pytest.mark.parametrize(
         "dims", [(1, 1, 1, 1), (2, 2, 2, 2), (2, 1, 2, 1), (1, 2, 1, 2, 2)]

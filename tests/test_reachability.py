@@ -213,3 +213,33 @@ def test_allowlist_has_no_stale_entries():
     stale = [e for e in ALLOWLIST
              if not any(_covers(e, key) for key in unreached)]
     assert not stale, "allowlisted but reachable or gone: " + ", ".join(stale)
+
+
+def _oracle_imports(tree: ast.Module) -> set[str]:
+    """The ``tests/oracles`` modules a test module imports."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[:2] == ["tests", "oracles"] and len(parts) > 2:
+                out.add(parts[2])
+    return out
+
+
+def test_every_oracle_has_a_test():
+    """An oracle outlives the code it was the reference for only on
+    purpose: each module under ``tests/oracles/`` is imported by a test."""
+    oracles = {p.stem for p in (ROOT / "tests" / "oracles").glob("*.py")
+               if p.stem != "__init__"}
+    imported: set[str] = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        imported |= _oracle_imports(ast.parse(path.read_text()))
+    assert oracles
+    assert not oracles - imported, "oracles no test imports: " + ", ".join(
+        sorted(oracles - imported))

@@ -77,6 +77,11 @@ def batch_for(cfg, b, s=None, seed=0):
     return rng.integers(0, cfg.vocab_size, (b, s or cfg.seq_len))
 
 
+def _fused(*arrays, requires_grad=False) -> Tensor:
+    """The ``[Q | K | V]`` projection :func:`causal_attention` takes."""
+    return Tensor(np.concatenate(arrays, axis=-1), requires_grad=requires_grad)
+
+
 def _ring_outputs(qd, kd, vd, num_heads, gs, tracer=None):
     """Run the ring on numpy q/k/v, returning (shard tensors, concat data)."""
     group = ProcessGroup(tuple(range(gs)))
@@ -100,11 +105,10 @@ class TestRingAttentionCore:
         qd, kd, vd = (rng.standard_normal((b, s, h)) for _ in range(3))
         w = rng.standard_normal((b, s, h))  # non-uniform upstream gradient
 
-        q, k, v = (
-            Tensor(a.copy(), requires_grad=True) for a in (qd, kd, vd)
-        )
-        ref = causal_attention(q, k, v, nh)
+        qkv = _fused(qd, kd, vd, requires_grad=True)
+        ref = causal_attention(qkv, nh)
         (ref * Tensor(w)).sum().backward()
+        serial_grads = np.split(qkv.grad, 3, axis=-1)
 
         shards, outs, full = _ring_outputs(qd, kd, vd, nh, gs)
         np.testing.assert_allclose(full, ref.data, rtol=0, atol=1e-12)
@@ -115,9 +119,7 @@ class TestRingAttentionCore:
         )
         loss.backward()
         qs, ks, vs = shards
-        for serial_grad, shard_list in (
-            (q.grad, qs), (k.grad, ks), (v.grad, vs)
-        ):
+        for serial_grad, shard_list in zip(serial_grads, (qs, ks, vs)):
             got = np.concatenate([t.grad for t in shard_list], axis=1)
             np.testing.assert_allclose(got, serial_grad, rtol=0, atol=1e-12)
 
@@ -132,7 +134,7 @@ class TestRingAttentionCore:
         rng = np.random.default_rng(seed)
         b, s, h, nh = 1, gs * mult * 2, 8, 2
         qd, kd, vd = (rng.standard_normal((b, s, h)) for _ in range(3))
-        ref = causal_attention(Tensor(qd), Tensor(kd), Tensor(vd), nh)
+        ref = causal_attention(_fused(qd, kd, vd), nh)
         _, _, full = _ring_outputs(qd, kd, vd, nh, gs)
         np.testing.assert_allclose(full, ref.data, rtol=0, atol=1e-12)
 
@@ -150,7 +152,7 @@ class TestRingAttentionCore:
         vd = np.zeros((b, s, h))
         vd[:, 0, :] = 2.0 ** rng.integers(-3, 4, size=(b, h))
 
-        ref = causal_attention(Tensor(qd), Tensor(kd), Tensor(vd), nh)
+        ref = causal_attention(_fused(qd, kd, vd), nh)
         _, _, full = _ring_outputs(qd, kd, vd, nh, gs)
         assert full.tobytes() == ref.data.tobytes()
 
@@ -231,17 +233,18 @@ class TestMaskFillBugfix:
     def test_float32_extreme_activations_preserve_causality(self):
         """S=2048 float32 regression: q/k at magnitude 1e17 push the
         legitimate scores to ~-2.8e34 — *below* the old -1e30 fill, which
-        therefore handed the softmax mass to future positions.  The -inf
-        fill keeps position 0 attending only to itself, with finite loss
-        and gradients."""
+        therefore handed the softmax mass to future positions.  Taking
+        the row max over the visible scores only (what a -inf fill gives)
+        keeps position 0 attending only to itself, with finite loss and
+        gradients."""
         s, h, nh = 2048, 8, 1
-        q = Tensor(np.full((1, s, h), -1e17, dtype=np.float32), requires_grad=True)
-        k = Tensor(np.full((1, s, h), 1e17, dtype=np.float32), requires_grad=True)
+        qd = np.full((1, s, h), -1e17, dtype=np.float32)
+        kd = np.full((1, s, h), 1e17, dtype=np.float32)
         rng = np.random.default_rng(0)
         vd = rng.standard_normal((1, s, h)).astype(np.float32)
-        v = Tensor(vd.copy(), requires_grad=True)
+        qkv = _fused(qd, kd, vd, requires_grad=True)
 
-        out = causal_attention(q, k, v, nh)
+        out = causal_attention(qkv, nh)
         assert np.isfinite(out.data).all()
         # All visible scores are equal, so row i is the mean of v[:i+1];
         # row 0 in particular is exactly v's first position.
@@ -250,8 +253,8 @@ class TestMaskFillBugfix:
         loss = out.sum()
         loss.backward()
         assert np.isfinite(loss.item())
-        for t in (q, k, v):
-            assert np.isfinite(t.grad).all()
+        assert qkv.grad.dtype == np.float32
+        assert np.isfinite(qkv.grad).all()
 
     def test_old_finite_fill_violates_causality_here(self):
         """The pre-fix failure mode, reproduced arithmetically: with the
@@ -312,8 +315,7 @@ class TestMaskCache:
         monkeypatch.setattr(np, "tril", counting_tril)
         rng = np.random.default_rng(0)
         for _ in range(4):
-            q, k, v = (Tensor(rng.standard_normal((1, 6, 8))) for _ in range(3))
-            causal_attention(q, k, v, 2)
+            causal_attention(Tensor(rng.standard_normal((1, 6, 24))), 2)
         assert len(calls) == 1  # one build serves every call at this S
 
 

@@ -17,6 +17,7 @@ from repro.nn import AdamW
 from repro.nn.module import Parameter
 from repro.nn.transformer import causal_attention
 from repro.tensor import Tensor, as_tensor, gelu, layer_norm, softmax
+from tests.oracles.attention import causal_attention_on_qkv
 
 DTYPES = st.sampled_from([np.float64, np.float32])
 SHAPES = st.lists(st.integers(1, 7), min_size=1, max_size=4).map(tuple)
@@ -176,6 +177,50 @@ class TestGelu:
         x.zero_grad()
         y.backward(np.ones((4, 6)))
         assert np.array_equal(x.grad, first)
+
+
+# -- causal attention: one node, the composite's operation order -----------------
+
+
+class TestFusedAttention:
+    """:func:`causal_attention` is one node over ``[Q | K | V]``; the
+    composite it replaced (``tests/oracles/attention.py``) is its oracle.
+    The forward runs the composite's ops in its order and skips only
+    ``exp`` of masked scores, whose result the composite multiplies by
+    nothing (it is exactly 0); the backward runs the composite's chain
+    on the same array views.  So both are bitwise, NaNs included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**16), dtype=DTYPES,
+           b=st.integers(1, 3), s=st.integers(1, 144),
+           num_heads=st.sampled_from([1, 2, 3, 4, 8]),
+           head_dim=st.sampled_from([1, 2, 5, 8, 16]),
+           scale=st.sampled_from([1.0, 1e3, 1e15, 1e30]))
+    @example(seed=0, dtype=np.float32, b=1, s=144, num_heads=4, head_dim=8, scale=1e30)
+    @example(seed=1, dtype=np.float64, b=2, s=64, num_heads=8, head_dim=16, scale=1.0)
+    @example(seed=2, dtype=np.float32, b=1, s=1, num_heads=1, head_dim=1, scale=1.0)
+    def test_matches_the_composite_bitwise(
+        self, seed, dtype, b, s, num_heads, head_dim, scale
+    ):
+        h = num_heads * head_dim
+        xd = draw_array(seed, (b, s, 3 * h), dtype, scale)
+        g = draw_array(seed + 1, (b, s, h), dtype)
+        fused, composite = leaf(xd.copy()), leaf(xd.copy())
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e30 in float32
+            out = causal_attention(fused, num_heads)
+            want = causal_attention_on_qkv(composite, num_heads)
+            out.backward(g)
+            want.backward(g)
+        assert out.dtype == want.dtype == dtype
+        assert fused.grad.dtype == composite.grad.dtype == dtype
+        np.testing.assert_array_equal(out.data, want.data)
+        np.testing.assert_array_equal(fused.grad, composite.grad)
+        assert np.array_equal(xd, fused.data)  # input untouched
+
+    def test_is_one_node(self):
+        qkv = leaf(draw_array(0, (2, 6, 12), np.float64))
+        out = causal_attention(qkv, 2)
+        assert out._parents == (qkv,) and out.name == "causal_attention"
 
 
 # -- softmax and layer_norm: same operation order, so bitwise -------------------
@@ -471,11 +516,11 @@ class TestScalarsAreWeak:
             assert y.dtype == np.float32
 
     def test_causal_attention_on_float32(self):
-        q, k, v = (leaf(draw_array(i, (2, 5, 8), np.float32)) for i in range(3))
-        out = causal_attention(q, k, v, num_heads=2)
+        qkv = leaf(draw_array(0, (2, 5, 24), np.float32))
+        out = causal_attention(qkv, num_heads=2)
         assert out.dtype == np.float32
         out.sum().backward()
-        assert q.grad.dtype == np.float32
+        assert qkv.grad.dtype == np.float32
 
     def test_as_tensor(self):
         assert as_tensor(3).dtype == np.float64  # no operand to take after
