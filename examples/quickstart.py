@@ -38,7 +38,7 @@ def main() -> None:
     print(f"grid: {ctx.config}  ({ctx.config.total} virtual GPUs)")
 
     # 2. The 4D-parallel model and its serial twin (same weights).
-    parallel = ctx.parallelize(cfg, seed=0)
+    parallel = ctx.parallelize(cfg)
     serial = parallel.gather_state_to_serial()
     print(f"model: {cfg.name}, {serial.num_parameters():,} parameters")
 

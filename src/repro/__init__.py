@@ -61,13 +61,11 @@ from .config import (
     get_model,
 )
 from .core import (
-    ACTIVATIONS,
     AxoNN,
     ElasticReport,
     Grid4D,
     GridConfig,
     ParallelGPT,
-    ParallelMLP,
     axonn_init,
     enumerate_grid_configs,
     train_elastic,
@@ -119,8 +117,6 @@ __all__ = [
     "GridConfig",
     "enumerate_grid_configs",
     "ParallelGPT",
-    "ParallelMLP",
-    "ACTIVATIONS",
     # collective algorithm selection
     "AlgorithmChoice",
     "choose_algorithm",

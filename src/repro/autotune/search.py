@@ -223,7 +223,6 @@ def autotune(
                     cfg, batch, config, machine, *inputs,
                     algo=key[1], kernel_tuning=key[0],
                     activation_checkpointing=True,
-                    compute_slowdown=1.0, comm_slowdown=1.0,
                 )
                 streams = (
                     any(lp.ar_bwd > 0 for lp in prices.layers),

@@ -63,7 +63,7 @@ class GPTConfig:
         """Width of the MLP's inner layer."""
         return self.ffn_mult * self.hidden_size
 
-    def num_parameters(self, include_embeddings: bool = True) -> int:
+    def num_parameters(self) -> int:
         """Exact trainable parameter count of the architecture.
 
         Per transformer layer: QKV projection ``3h^2 + 3h``, attention
@@ -81,9 +81,7 @@ class GPTConfig:
             + 4 * h  # 2 layernorms (scale + shift)
         )
         total = self.num_layers * per_layer + 2 * h  # + final layernorm
-        if include_embeddings:
-            total += self.vocab_size * h + self.seq_len * h
-        return total
+        return total + self.vocab_size * h + self.seq_len * h
 
     def scaled(self, **overrides) -> "GPTConfig":
         """Return a copy with some hyperparameters replaced."""

@@ -23,7 +23,6 @@ from .degenerate import (
     DegenerateScheme,
     make_degenerate_grid,
 )
-from .easy_api import ACTIVATIONS, ParallelMLP
 from .elastic import ElasticReport, shrink_grid, train_elastic
 from .grid import Grid4D, GridConfig, enumerate_grid_configs, infeasibility_reason
 from .parallel_layers import ParallelEmbedding, ParallelLayerNorm, ParallelLinear
@@ -35,7 +34,6 @@ from .pmm3d import (
     pmm3d_forward,
     shard_input,
     shard_weight,
-    unshard_output,
 )
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "pmm3d_backward",
     "shard_input",
     "shard_weight",
-    "unshard_output",
     "PMMCache",
     "ParallelLinear",
     "ParallelLayerNorm",
@@ -76,6 +73,4 @@ __all__ = [
     "DEGENERATE_SCHEMES",
     "DegenerateScheme",
     "make_degenerate_grid",
-    "ParallelMLP",
-    "ACTIVATIONS",
 ]

@@ -32,11 +32,11 @@ class AxoNN:
     def config(self) -> GridConfig:
         return self.grid.config
 
-    def parallelize(self, model_cfg: GPTConfig | str, seed: int = 0) -> ParallelGPT:
-        """Build a 4D-parallel GPT for this context."""
+    def parallelize(self, model_cfg: GPTConfig | str) -> ParallelGPT:
+        """Build a 4D-parallel GPT for this context (seed 0)."""
         if isinstance(model_cfg, str):
             model_cfg = get_model(model_cfg)
-        return ParallelGPT(self.grid, model_cfg, seed=seed)
+        return ParallelGPT(self.grid, model_cfg)
 
 
 def init(

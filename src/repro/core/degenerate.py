@@ -42,9 +42,6 @@ class DegenerateScheme:
     active_axes: frozenset[str]
     #: Collective tags that must appear in a training-step trace.
     expected_tags: frozenset[str]
-    #: Collective tags that must NOT appear (beyond trivial size-1 groups,
-    #: which the runtime elides from meaningful communication).
-    forbidden_tags: frozenset[str] = frozenset()
 
 
 DEGENERATE_SCHEMES: dict[str, DegenerateScheme] = {

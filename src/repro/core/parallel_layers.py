@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn.layers import INIT_STD
 from ..nn.module import Module, Parameter
 from ..telemetry.spans import get_tracer as _telemetry
 from ..tensor import Tensor
@@ -93,9 +94,7 @@ class ParallelLinear(Module):
         in_features: int,
         out_features: int,
         transposed: bool = False,
-        bias: bool = True,
         rng: np.random.Generator | None = None,
-        std: float = 0.02,
     ) -> None:
         rng = rng or np.random.default_rng()
         c = grid.config
@@ -121,14 +120,12 @@ class ParallelLinear(Module):
         for z in range(c.gz):
             for y in range(c.gy):
                 for x in range(c.gx):
-                    self.weight_shards[(x, y, z)] = Parameter(
-                        rng.normal(0.0, std, (self.shard_rows, self.out_block))
-                    )
-        self.bias_shards: dict[int, Parameter] | None = None
-        if bias:
-            self.bias_shards = {
-                i: Parameter(np.zeros(self.out_block)) for i in range(self.g_col)
-            }
+                    self.weight_shards[(x, y, z)] = Parameter(rng.normal(
+                        0.0, INIT_STD, (self.shard_rows, self.out_block)
+                    ))
+        self.bias_shards = {
+            i: Parameter(np.zeros(self.out_block)) for i in range(self.g_col)
+        }
 
     # -- whole-weight (de)serialization --------------------------------------
 
@@ -151,8 +148,6 @@ class ParallelLinear(Module):
             block = W[j * rb : (j + 1) * rb, i * cb : (i + 1) * cb]
             p.data = block[z * self.shard_rows : (z + 1) * self.shard_rows].copy()
         if bias is not None:
-            if self.bias_shards is None:
-                raise ValueError("layer has no bias")
             for i, p in self.bias_shards.items():
                 p.data = bias[i * cb : (i + 1) * cb].copy()
 
@@ -203,13 +198,11 @@ class ParallelLinear(Module):
             )
             out.update(dict(zip(g.ranks, reduced)))
 
-        if self.bias_shards is not None:
-            # Once per contraction group: its ranks share ``out`` and
-            # the column coordinate that picks the bias shard.
-            col = 1 if self.transposed else 0
-            bias = {r: self.bias_shards[grid.coords_of(r)[col]] for r in block}
-            out = _per_distinct(Tensor.__add__, block, out, bias)
-        return out
+        # Once per contraction group: its ranks share ``out`` and the
+        # column coordinate that picks the bias shard.
+        col = 1 if self.transposed else 0
+        bias = {r: self.bias_shards[grid.coords_of(r)[col]] for r in block}
+        return _per_distinct(Tensor.__add__, block, out, bias)
 
 
 class ParallelLayerNorm(Module):
@@ -230,14 +223,12 @@ class ParallelLayerNorm(Module):
         grid: Grid4D,
         dim: int,
         feature_axis: str = "y",
-        eps: float = 1e-5,
     ) -> None:
         if feature_axis not in ("x", "y"):
             raise ValueError("feature_axis must be 'x' or 'y'")
         c = grid.config
         self.grid = grid
         self.dim = dim
-        self.eps = eps
         self.feature_axis = feature_axis
         n = c.gy if feature_axis == "y" else c.gx
         _check_divisible(dim, n, "layernorm dim")
@@ -282,7 +273,7 @@ class ParallelLayerNorm(Module):
             i = y if self.feature_axis == "y" else x
             out[r] = _normalize(
                 x_parts[r], sums[r], sqs[r], self.weight_shards[i],
-                self.bias_shards[i], self.dim, self.eps,
+                self.bias_shards[i], self.dim, 1e-5,
             )
         return out
 
@@ -362,7 +353,6 @@ class ParallelEmbedding(Module):
         dim: int,
         feature_axis: str = "y",
         rng: np.random.Generator | None = None,
-        std: float = 0.02,
     ) -> None:
         rng = rng or np.random.default_rng()
         c = grid.config
@@ -375,7 +365,9 @@ class ParallelEmbedding(Module):
         n = c.gy if feature_axis == "y" else c.gx
         _check_divisible(dim, n, "embedding dim")
         self.block = dim // n
-        self.weight = Parameter(rng.normal(0.0, std, (num_embeddings, dim)))
+        self.weight = Parameter(
+            rng.normal(0.0, INIT_STD, (num_embeddings, dim))
+        )
 
     def forward(self, ids_by_z: dict, d: int = 0) -> RankDict:
         """``ids_by_z``: integer ids per shard, shape (B_loc, S_loc).

@@ -436,7 +436,6 @@ class ParallelGPT(Module):
 
     @staticmethod
     def _full_bias(lin: ParallelLinear) -> np.ndarray:
-        assert lin.bias_shards is not None
         return np.concatenate(
             [lin.bias_shards[i].data for i in sorted(lin.bias_shards)]
         )

@@ -39,7 +39,6 @@ from .grid import Grid4D
 __all__ = [
     "shard_input",
     "shard_weight",
-    "unshard_output",
     "pmm3d_forward",
     "pmm3d_backward",
     "PMMCache",
@@ -69,9 +68,9 @@ def _block(a: np.ndarray, axis: int, index: int, count: int) -> np.ndarray:
 
 
 def shard_input(
-    I: np.ndarray, grid: Grid4D, d: int = 0, transposed: bool = False
+    I: np.ndarray, grid: Grid4D, transposed: bool = False
 ) -> dict[int, np.ndarray]:
-    """Distribute the (m, k) input across the tensor block of replica ``d``.
+    """Distribute the (m, k) input across the tensor block of replica 0.
 
     Rows over Z; columns over the contraction axis (Y normally, X when
     transposed); replicated along the remaining tensor axis.
@@ -80,56 +79,34 @@ def shard_input(
     col_axis, contract_axis = _axes(transposed)
     parts: dict[int, np.ndarray] = {}
     for x, y, z, dd in grid.iter_coords():
-        if dd != d:
+        if dd:
             continue
         j = y if contract_axis == "y" else x
         rows = _block(I, 0, z, c.gz)
         n_contract = c.gy if contract_axis == "y" else c.gx
-        parts[grid.rank_of(x, y, z, d)] = _block(rows, 1, j, n_contract).copy()
+        parts[grid.rank_of(x, y, z, 0)] = _block(rows, 1, j, n_contract).copy()
     return parts
 
 
 def shard_weight(
-    W: np.ndarray, grid: Grid4D, d: int = 0, transposed: bool = False
+    W: np.ndarray, grid: Grid4D, transposed: bool = False
 ) -> dict[int, np.ndarray]:
-    """Distribute the (k, n) weight: rows over the contraction axis,
-    columns over the column axis, then rows of each block over Z."""
+    """Distribute the (k, n) weight of replica 0: rows over the
+    contraction axis, columns over the column axis, then rows of each
+    block over Z."""
     c = grid.config
     col_axis, contract_axis = _axes(transposed)
     n_contract = c.gy if contract_axis == "y" else c.gx
     n_col = c.gx if col_axis == "x" else c.gy
     parts: dict[int, np.ndarray] = {}
     for x, y, z, dd in grid.iter_coords():
-        if dd != d:
+        if dd:
             continue
         j = y if contract_axis == "y" else x  # row-block coordinate
         i = x if col_axis == "x" else y  # col-block coordinate
         block = _block(_block(W, 0, j, n_contract), 1, i, n_col)
-        parts[grid.rank_of(x, y, z, d)] = _block(block, 0, z, c.gz).copy()
+        parts[grid.rank_of(x, y, z, 0)] = _block(block, 0, z, c.gz).copy()
     return parts
-
-
-def unshard_output(
-    O_parts: dict[int, np.ndarray], grid: Grid4D, d: int = 0, transposed: bool = False
-) -> np.ndarray:
-    """Reassemble the full (m, n) output from its distributed blocks.
-
-    Uses the replica at contraction-coordinate 0 of each (Z, col) block.
-    """
-    c = grid.config
-    col_axis, _ = _axes(transposed)
-    n_col = c.gx if col_axis == "x" else c.gy
-    rows = []
-    for z in range(c.gz):
-        cols = []
-        for i in range(n_col):
-            if col_axis == "x":
-                rank = grid.rank_of(i, 0, z, d)
-            else:
-                rank = grid.rank_of(0, i, z, d)
-            cols.append(O_parts[rank])
-        rows.append(np.concatenate(cols, axis=1))
-    return np.concatenate(rows, axis=0)
 
 
 @dataclass
@@ -146,17 +123,16 @@ def pmm3d_forward(
     grid: Grid4D,
     I_parts: dict[int, np.ndarray],
     W_shards: dict[int, np.ndarray],
-    d: int = 0,
     transposed: bool = False,
     tracer: CommTracer | None = None,
 ) -> tuple[dict[int, np.ndarray], PMMCache]:
-    """Lines 1–7 of Algorithm 1 across a whole tensor block.
+    """Lines 1–7 of Algorithm 1 across replica 0's tensor block.
 
     Returns the per-rank output blocks and the backward cache.
     """
     tracer = tracer if tracer is not None else grid.tracer
     _, contract_axis = _axes(transposed)
-    block = grid.tensor_block_ranks(d)
+    block = grid.tensor_block_ranks(0)
 
     # Line 2: W_{j,i} = all-gather_z(W_hat_{j,i})
     W_full: dict[int, np.ndarray] = {}
@@ -202,7 +178,6 @@ def pmm3d_backward(
     grid: Grid4D,
     dO_parts: dict[int, np.ndarray],
     cache: PMMCache,
-    d: int = 0,
     transposed: bool = False,
     tracer: CommTracer | None = None,
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
@@ -213,7 +188,7 @@ def pmm3d_backward(
     """
     tracer = tracer if tracer is not None else grid.tracer
     col_axis, contract_axis = _axes(transposed)
-    block = grid.tensor_block_ranks(d)
+    block = grid.tensor_block_ranks(0)
 
     # Line 11: dI_hat = dO @ W^T  (local).
     dI_hat = {r: dO_parts[r] @ cache.W_full[r].T for r in block}

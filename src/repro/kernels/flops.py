@@ -42,12 +42,12 @@ def sustained_flops(
     cfg: GPTConfig,
     global_batch: int,
     batch_time_s: float,
-    checkpointing: bool = True,
 ) -> float:
-    """Achieved flop/s given a measured (or simulated) batch time."""
+    """Achieved flop/s given a measured (or simulated) batch time, with
+    activation checkpointing on (as in every run)."""
     if batch_time_s <= 0:
         raise ValueError("batch time must be positive")
-    return flops_per_iteration(cfg, global_batch, checkpointing) / batch_time_s
+    return flops_per_iteration(cfg, global_batch) / batch_time_s
 
 
 def percent_of_peak(achieved_flops: float, peak_flops: float) -> float:

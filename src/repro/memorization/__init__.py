@@ -2,8 +2,6 @@
 
 from .buckets import Bucket, BucketDesign
 from .corpus import Document, SyntheticCorpus
-from .text_corpus import TextCorpus, make_wordlist
-from .tokenizer import BPETokenizer
 from .evaluate import evaluate_buckets, exact_match_rate
 from .goldfish import GOLDFISH_H, GOLDFISH_K, goldfish_mask
 from .trainer import (
@@ -17,9 +15,6 @@ from .trainer import (
 __all__ = [
     "SyntheticCorpus",
     "Document",
-    "TextCorpus",
-    "make_wordlist",
-    "BPETokenizer",
     "Bucket",
     "BucketDesign",
     "goldfish_mask",

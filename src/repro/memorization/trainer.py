@@ -90,9 +90,10 @@ class ExperimentResult:
     losses: list[float] = field(default_factory=list)
 
 
-def scale_ladder(seq_len: int = 32, vocab_size: int = 128) -> list[GPTConfig]:
+def scale_ladder() -> list[GPTConfig]:
     """A family of GPTs of increasing capacity, playing the roles of the
-    paper's 1B/7B/13B/70B/405B checkpoints at laptop scale."""
+    paper's 1B/7B/13B/70B/405B checkpoints at laptop scale (context 32,
+    vocabulary 128)."""
     rows = [
         ("GPT-tiny", 2, 32, 4),
         ("GPT-small", 2, 64, 4),
@@ -105,8 +106,8 @@ def scale_ladder(seq_len: int = 32, vocab_size: int = 128) -> list[GPTConfig]:
             num_layers=layers,
             hidden_size=hidden,
             num_heads=heads,
-            seq_len=seq_len,
-            vocab_size=vocab_size,
+            seq_len=32,
+            vocab_size=128,
         )
         for name, layers, hidden, heads in rows
     ]
@@ -144,18 +145,11 @@ def run_experiment(
     goldfish: bool = False,
     pretrained: GPT | None = None,
     grid: Grid4D | None = None,
-    corpus=None,
 ) -> ExperimentResult:
     """One full memorization run for one model size.
 
     Pass ``pretrained`` to reuse a checkpoint across the goldfish /
     standard arms (the paper starts both from the same weights).
-
-    Pass ``corpus`` to substitute a different document source (e.g.
-    :class:`~repro.memorization.text_corpus.TextCorpus`, the tokenized
-    pseudo-English pipeline) for the default Markov token corpus; it
-    must expose the same interface and its ``doc_len``/vocabulary must
-    be compatible with ``exp`` and the model.
 
     Pass ``grid`` to run the continued pre-training through the
     4D-parallel model — the paper's actual setup ("we train the 1B, 7B,
@@ -168,21 +162,9 @@ def run_experiment(
             f"model seq_len {model_cfg.seq_len} shorter than documents "
             f"({exp.doc_len} tokens)"
         )
-    if corpus is None:
-        corpus = SyntheticCorpus(
-            exp.vocab_size, exp.doc_len, seed=exp.seed, branching=exp.branching
-        )
-    else:
-        if corpus.doc_len != exp.doc_len:
-            raise ValueError(
-                f"corpus doc_len {corpus.doc_len} != experiment doc_len "
-                f"{exp.doc_len}"
-            )
-        if corpus.vocab_size > model_cfg.vocab_size:
-            raise ValueError(
-                f"corpus vocabulary ({corpus.vocab_size}) exceeds the "
-                f"model's ({model_cfg.vocab_size})"
-            )
+    corpus = SyntheticCorpus(
+        exp.vocab_size, exp.doc_len, seed=exp.seed, branching=exp.branching
+    )
     design = BucketDesign(corpus, exp.docs_per_bucket, exp.epochs_schedule)
     assert design.no_overlap()
 

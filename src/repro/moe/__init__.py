@@ -9,7 +9,6 @@ the Switch load-balance loss — serially and under expert parallelism
 
 from .expert_parallel import ExpertParallelMoE
 from .schedule import MoEPerfResult, all_to_all_time, simulate_moe_layer
-from .transformer import MoEBlock, MoEGPT
 from .layer import Expert, MoELayer, TopKRouter, load_balance_loss
 
 __all__ = [
@@ -21,6 +20,4 @@ __all__ = [
     "MoEPerfResult",
     "all_to_all_time",
     "simulate_moe_layer",
-    "MoEBlock",
-    "MoEGPT",
 ]

@@ -60,13 +60,13 @@ def simulate_moe_layer(
     num_experts: int,
     expert_parallel: int,
     machine: MachineSpec,
-    k: int = 2,
 ) -> MoEPerfResult:
     """Price one forward+backward of an expert-parallel MoE layer.
 
     ``expert_parallel`` ranks each hold ``num_experts/expert_parallel``
-    experts and ``tokens_per_rank`` tokens.  Every token visits ``k``
-    experts, so each rank computes ~``tokens_per_rank * k`` expert-MLP
+    experts and ``tokens_per_rank`` tokens.  Every token visits 2
+    experts (top-2), so each rank computes ~``2 * tokens_per_rank``
+    expert-MLP
     evaluations after an even dispatch (the load-balanced steady state
     the auxiliary loss maintains).
     """
@@ -74,13 +74,13 @@ def simulate_moe_layer(
         raise ValueError(
             f"{num_experts} experts not divisible across {expert_parallel}"
         )
-    if tokens_per_rank < 1 or k < 1:
-        raise ValueError("tokens_per_rank and k must be >= 1")
+    if tokens_per_rank < 1:
+        raise ValueError("tokens_per_rank must be >= 1")
     # Nodes spanned by the expert-parallel group under block placement.
     nodes = max(1, -(-expert_parallel // machine.gpus_per_node))
 
     gemm = GemmModel(machine)
-    routed = tokens_per_rank * k  # expert evaluations per rank
+    routed = tokens_per_rank * 2  # expert evaluations per rank
     # Forward: fc1 + fc2; backward: 2x (dI and dW per GEMM).
     fwd = gemm.time(routed, dim, expert_hidden) + gemm.time(
         routed, expert_hidden, dim

@@ -63,13 +63,12 @@ class Embedding(Module):
         num_embeddings: int,
         dim: int,
         rng: np.random.Generator | None = None,
-        std: float = INIT_STD,
     ) -> None:
         rng = rng or np.random.default_rng()
         self.num_embeddings = num_embeddings
         self.dim = dim
         self.weight = Parameter(
-            init_normal(rng, (num_embeddings, dim), std), name="weight"
+            init_normal(rng, (num_embeddings, dim)), name="weight"
         )
 
     def forward(self, ids: np.ndarray) -> Tensor:

@@ -46,13 +46,11 @@ class AdamW:
         params: list[Parameter],
         lr: float = 3e-4,
         betas: tuple[float, float] = (0.9, 0.95),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         self.params = list(params)
         self.lr = lr
         self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -81,7 +79,7 @@ class AdamW:
             v += tmp
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += 1e-8
             update = np.divide(m, bc1, out=np.empty_like(m))
             update /= tmp
             if self.weight_decay:

@@ -61,7 +61,6 @@ def ring_causal_attention(
     num_heads: int,
     group: ProcessGroup,
     tracer: CommTracer | None = None,
-    tag: str = RING_KV_TAG,
 ) -> list[Tensor]:
     """Causal attention over a sequence sharded across a ring.
 
@@ -139,7 +138,7 @@ def ring_causal_attention(
                 src=group.ranks[(i - 1) % gs],
                 dst=group.ranks[i],
                 tracer=tracer,
-                tag=tag,
+                tag=RING_KV_TAG,
             )
             rotated.append(
                 (

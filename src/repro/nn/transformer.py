@@ -19,23 +19,21 @@ from .module import Module
 
 __all__ = ["CausalSelfAttention", "MLP", "Block", "GPT", "causal_mask"]
 
-_MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_MASK_CACHE: dict[int, np.ndarray] = {}
 
 
-def causal_mask(s: int, kv_len: int | None = None) -> np.ndarray:
-    """Read-only boolean causal mask of shape ``(s, kv_len or s)``.
+def causal_mask(s: int) -> np.ndarray:
+    """Read-only boolean causal mask of shape ``(s, s)``.
 
-    Memoized per shape: every block of every forward needs the same
+    Memoized per length: every block of every forward needs the same
     O(S^2) mask, so rebuilding it per call dominated allocation at long
-    S.  The rectangular form (``kv_len != s``) serves ring attention,
-    where a query shard attends to a KV block of a different length.
+    S.
     """
-    key = (s, s if kv_len is None else kv_len)
-    m = _MASK_CACHE.get(key)
+    m = _MASK_CACHE.get(s)
     if m is None:
-        m = np.tril(np.ones(key, dtype=bool))
+        m = np.tril(np.ones((s, s), dtype=bool))
         m.setflags(write=False)
-        _MASK_CACHE[key] = m
+        _MASK_CACHE[s] = m
     return m
 
 

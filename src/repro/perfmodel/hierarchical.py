@@ -150,8 +150,6 @@ def choose_algorithm(
     nbytes: float,
     ranks: Sequence[int],
     placement: Placement,
-    alpha_intra: float = INTRA_NODE_LATENCY,
-    alpha_inter: float = INTER_NODE_LATENCY,
 ) -> AlgorithmChoice:
     """Pick flat vs. hierarchical for one (group, message, placement).
 
@@ -167,7 +165,8 @@ def choose_algorithm(
         return AlgorithmChoice(op, nbytes, "flat", 0.0, math.inf)
     ring = build_ring(list(ranks), placement)
     beta_flat = ring_bottleneck_bandwidth(ring, placement)
-    alpha_flat = alpha_inter if inter_node_edges(ring, placement) else alpha_intra
+    inter = inter_node_edges(ring, placement)
+    alpha_flat = INTER_NODE_LATENCY if inter else INTRA_NODE_LATENCY
     t_flat = flat_time(op, nbytes, p, beta_flat, alpha_flat)
 
     dec = decompose_by_node(ranks, placement)
@@ -177,7 +176,8 @@ def choose_algorithm(
     beta_leaders = case2_bandwidth(machine, dec.L)
     t_hier = hierarchical_time(
         op, nbytes, dec.L, dec.Q,
-        machine.intra_node_bw, beta_leaders, alpha_intra, alpha_inter,
+        machine.intra_node_bw, beta_leaders,
+        INTRA_NODE_LATENCY, INTER_NODE_LATENCY,
     )
     algo = "hierarchical" if t_hier < t_flat else "flat"
     return AlgorithmChoice(op, nbytes, algo, t_flat, t_hier, L=dec.L, Q=dec.Q)
@@ -189,10 +189,8 @@ def _cached_choice(
     nbytes: float,
     ranks: tuple[int, ...],
     placement: Placement,
-    alpha_intra: float,
-    alpha_inter: float,
 ) -> AlgorithmChoice:
-    return choose_algorithm(op, nbytes, ranks, placement, alpha_intra, alpha_inter)
+    return choose_algorithm(op, nbytes, ranks, placement)
 
 
 def cached_choose_algorithm(
@@ -200,20 +198,16 @@ def cached_choose_algorithm(
     nbytes: float,
     ranks: Sequence[int],
     placement: Placement,
-    alpha_intra: float = INTRA_NODE_LATENCY,
-    alpha_inter: float = INTER_NODE_LATENCY,
 ) -> AlgorithmChoice:
     """Memoized :func:`choose_algorithm`.
 
-    The selector is a pure function of ``(op, nbytes, group, placement,
-    alphas)``, and a training step asks it the same question once per
+    The selector is a pure function of ``(op, nbytes, group,
+    placement)``, and a training step asks it the same question once per
     identical layer — a GPT stack's repeated blocks collapse to a
     handful of distinct keys.  Used by the runtime router so traced
     iterations don't rebuild rings per collective call.
     """
-    return _cached_choice(
-        op, float(nbytes), tuple(ranks), placement, alpha_intra, alpha_inter
-    )
+    return _cached_choice(op, float(nbytes), tuple(ranks), placement)
 
 
 def clear_choice_cache() -> None:

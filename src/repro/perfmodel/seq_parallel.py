@@ -52,14 +52,12 @@ def ring_kv_payload_bytes(
     )
 
 
-def ring_hop_time(payload_bytes: float, beta: float, alpha: float = 0.0) -> float:
-    """One p2p hop: ``alpha + payload / beta`` (alpha-beta model)."""
-    return alpha + payload_bytes / beta
+def ring_hop_time(payload_bytes: float, beta: float) -> float:
+    """One p2p hop's wire time, ``payload / beta`` (latency-free)."""
+    return payload_bytes / beta
 
 
-def seq_ring_time(
-    payload_bytes: float, gs: int, beta: float, alpha: float = 0.0
-) -> float:
+def seq_ring_time(payload_bytes: float, gs: int, beta: float) -> float:
     """Unoverlapped per-layer ring wire time, forward + backward.
 
     ``gs`` hops of ``P`` forward plus ``gs`` hops of ``2P`` backward
@@ -69,6 +67,6 @@ def seq_ring_time(
     if gs <= 1:
         return 0.0
     return gs * (
-        ring_hop_time(payload_bytes, beta, alpha)
-        + ring_hop_time(2.0 * payload_bytes, beta, alpha)
+        ring_hop_time(payload_bytes, beta)
+        + ring_hop_time(2.0 * payload_bytes, beta)
     )

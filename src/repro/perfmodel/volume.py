@@ -120,7 +120,6 @@ def seq_ring_volumes(
     batch_per_replica: int,
     config: GridConfig,
     dtype_bytes: int = 8,
-    seq_len: int | None = None,
 ) -> CollectiveVolumes:
     """Ring-attention KV-rotation p2p bytes of one replica's forward.
 
@@ -137,10 +136,13 @@ def seq_ring_volumes(
     """
     if config.gs <= 1:
         return CollectiveVolumes()
-    s = seq_len if seq_len is not None else cfg.seq_len
     b_loc = batch_per_replica / config.gz
     payload = (
-        2.0 * b_loc * (s / config.gs) * (cfg.hidden_size / config.gx) * dtype_bytes
+        2.0
+        * b_loc
+        * (cfg.seq_len / config.gs)
+        * (cfg.hidden_size / config.gx)
+        * dtype_bytes
     )
     n_rings = config.gx * config.gy * config.gz
     per_layer = n_rings * config.gs**2 * payload

@@ -331,10 +331,8 @@ class FaultPlan:
         seed: int,
         ranks: int,
         max_step: int,
-        n_faults: int = 3,
-        kinds: tuple[str, ...] = FAULT_KINDS,
     ) -> "FaultPlan":
-        """Draw ``n_faults`` faults from a seeded generator.
+        """Draw three faults from a seeded generator.
 
         Every parameter of every fault is a function of ``seed`` alone,
         so a chaos-test sweep over seeds is reproducible run to run.
@@ -343,8 +341,8 @@ class FaultPlan:
             raise ValueError("need at least 2 ranks to inject faults")
         rng = np.random.default_rng(seed)
         faults = []
-        for _ in range(n_faults):
-            kind = kinds[int(rng.integers(len(kinds)))]
+        for _ in range(3):
+            kind = FAULT_KINDS[int(rng.integers(len(FAULT_KINDS)))]
             rank = int(rng.integers(ranks))
             peer = int((rank + 1 + rng.integers(ranks - 1)) % ranks)
             faults.append(

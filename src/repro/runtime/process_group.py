@@ -270,10 +270,6 @@ class CommTracer:
         """The op names in issue order."""
         return [r.op for r in self.records]
 
-    def total_bytes(self, op: str | None = None) -> int:
-        """Sum of input-buffer bytes across records (optionally one op)."""
-        return sum(
-            r.bytes_per_rank
-            for r in self.records
-            if op is None or r.op == op
-        )
+    def total_bytes(self) -> int:
+        """Sum of input-buffer bytes across records."""
+        return sum(r.bytes_per_rank for r in self.records)

@@ -80,9 +80,8 @@ def _shard_owners(model) -> dict[int, int | None]:
         if isinstance(mod, ParallelLinear):
             for (x, y, z), p in mod.weight_shards.items():
                 owners[id(p)] = grid.rank_of(x, y, z, 0)
-            if mod.bias_shards is not None:
-                for i, p in mod.bias_shards.items():
-                    owners[id(p)] = axis_owner(mod.col_axis, i)
+            for i, p in mod.bias_shards.items():
+                owners[id(p)] = axis_owner(mod.col_axis, i)
         elif isinstance(mod, ParallelLayerNorm):
             for i, p in mod.weight_shards.items():
                 owners[id(p)] = axis_owner(mod.feature_axis, i)

@@ -66,11 +66,17 @@ class Request:
         return self.prompt_len + self.max_new_tokens
 
 
+def _check_rate(rate: float) -> None:
+    """Reject a zero, negative or NaN rate; an infinite rate is legal
+    (every request arrives at t = 0)."""
+    if not rate > 0:
+        raise ValueError(f"arrival rate must be positive, got {rate}")
+
+
 def _arrival_times_poisson(
     rng: np.random.Generator, rate: float, n: int
 ) -> np.ndarray:
-    if rate <= 0:
-        raise ValueError(f"arrival rate must be positive, got {rate}")
+    _check_rate(rate)
     return np.cumsum(rng.exponential(1.0 / rate, size=n))
 
 
@@ -118,6 +124,7 @@ def bursty_trace(
     sequence is itself seeded (geometric sojourns), so the trace is
     deterministic.
     """
+    _check_rate(rate)
     if burst_factor <= 1.0:
         raise ValueError("burst_factor must be > 1")
     if not 0.0 < burst_fraction < 1.0:

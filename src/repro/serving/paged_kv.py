@@ -252,9 +252,7 @@ class PagedKVCache:
             (pool_v.take(idx, axis=0).swapaxes(0, 1) for idx in spans),
         )
 
-    def gather(
-        self, seq_id: int, layer: int, include_uncommitted: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(heads, S, head_dim) keys and values of one sequence."""
-        keys, values = self.gather_rows([seq_id], layer, include_uncommitted)
+    def gather(self, seq_id: int, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """(heads, S, head_dim) committed keys and values of one sequence."""
+        keys, values = self.gather_rows([seq_id], layer)
         return next(keys), next(values)

@@ -265,11 +265,10 @@ class ResilientTPEngine(ServingLoop):
         *,
         injector: FaultInjector | None = None,
         eos_id: int | None = None,
-        max_recoveries: int = 8,
     ) -> None:
         config = config or BatchingConfig()
         super().__init__(
-            FaultAbsorbingDecoder(model, grid, config, injector, max_recoveries),
+            FaultAbsorbingDecoder(model, grid, config, injector, 8),
             config,
             context_len=model.cfg.seq_len,
             eos_id=eos_id,

@@ -76,9 +76,6 @@ class BatchingConfig:
     #: bound, arrivals past capacity are shed (typed, deterministic)
     #: instead of queueing without limit.
     max_waiting: int | None = None
-    #: End-to-end deadline per request, measured from arrival; a request
-    #: still waiting past it is shed with cause ``"deadline"``.
-    deadline: float | None = None
     #: Time-to-first-token budget per request, measured from arrival; a
     #: request not yet *admitted* past it can no longer meet the budget
     #: and is shed with cause ``"deadline"``.
@@ -93,8 +90,6 @@ class BatchingConfig:
             raise ValueError("num_blocks must be >= 1")
         if self.max_waiting is not None and self.max_waiting < 1:
             raise ValueError("max_waiting must be >= 1 (or None)")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be > 0 (or None)")
         if self.ttft_deadline is not None and self.ttft_deadline <= 0:
             raise ValueError("ttft_deadline must be > 0 (or None)")
 
@@ -117,12 +112,9 @@ class BatchingConfig:
 
     def expiry(self, request: Request) -> float:
         """Earliest time at which a still-waiting request is hopeless."""
-        bounds = []
-        if self.deadline is not None:
-            bounds.append(request.arrival_time + self.deadline)
-        if self.ttft_deadline is not None:
-            bounds.append(request.arrival_time + self.ttft_deadline)
-        return min(bounds) if bounds else float("inf")
+        if self.ttft_deadline is None:
+            return float("inf")
+        return request.arrival_time + self.ttft_deadline
 
 
 class ContinuousBatcher:
@@ -177,7 +169,7 @@ class ContinuousBatcher:
         head can never starve live requests behind it — this is the
         starvation bound of the deadline policy.
         """
-        if self.config.deadline is None and self.config.ttft_deadline is None:
+        if self.config.ttft_deadline is None:
             return []
         shed: list[RejectedRequest] = []
         kept: deque[Request] = deque()

@@ -424,8 +424,6 @@ def price_iteration(
     algo: str,
     kernel_tuning: bool,
     activation_checkpointing: bool,
-    compute_slowdown: float,
-    comm_slowdown: float,
 ) -> IterationPrices:
     """Stage 1: price every kernel and collective of one iteration.
 
@@ -446,8 +444,6 @@ def price_iteration(
         raise ValueError(
             f"seq_len {cfg.seq_len} not divisible by G_seq {config.gs}"
         )
-    if compute_slowdown < 1.0 or comm_slowdown < 1.0:
-        raise ValueError("slowdown factors must be >= 1")
     if algo not in ("flat", "hierarchical", "auto"):
         raise ValueError(
             f"collective_algo must be 'flat', 'hierarchical' or 'auto', got {algo!r}"
@@ -467,13 +463,12 @@ def price_iteration(
             t, pick = _priced_collective(
                 op, nbytes, p, timings[axis], hier_timings.get(axis), algo
             )
-            t = memo[key] = t * comm_slowdown
+            memo[key] = t
             if pick is not None:
                 picks.setdefault(axis, set()).add(pick)
         return t
 
     attn_blk = _attention_compute(cfg, config, batch_per_group, gemm)
-    attn_blk *= compute_slowdown
     # Full attention core = G_seq ring blocks (one block on classic grids).
     attn_fwd = config.gs * attn_blk
     # Ring-attention KV rotation: each of the G_seq steps overlaps one
@@ -491,11 +486,9 @@ def price_iteration(
             * (cfg.hidden_size / config.gx)
             * DTYPE_BYTES
         )
-        seq_hop_f = comm_slowdown * (ts.latency + ring_payload / ts.bandwidth)
+        seq_hop_f = ts.latency + ring_payload / ts.bandwidth
         # The backward hop carries the KV pair plus its gradients.
-        seq_hop_b = comm_slowdown * (
-            ts.latency + 2.0 * ring_payload / ts.bandwidth
-        )
+        seq_hop_b = ts.latency + 2.0 * ring_payload / ts.bandwidth
         seq_exp_fwd = config.gs * max(attn_blk, seq_hop_f) - attn_fwd
         seq_exp_bwd = (
             config.gs * max(2.0 * attn_blk, seq_hop_b) - 2.0 * attn_fwd
@@ -503,8 +496,6 @@ def price_iteration(
     elementwise, optimizer_time = _memory_bound_overheads(
         cfg, config, batch_per_group, machine
     )
-    elementwise *= compute_slowdown
-    optimizer_time *= compute_slowdown
 
     priced: list[LayerPrice] = []
     shard_bytes: list[float] = []
@@ -516,12 +507,11 @@ def price_iteration(
         # The layer only enters its GEMMs and collectives through this key.
         shape_key = (layer.m, layer.k, layer.n, layer.transposed)
         t_fwd, t_di, t_dw = gemm_times[shape_key][tuned]
-        fc = t_fwd * compute_slowdown + elementwise
+        fc = t_fwd + elementwise
         if qkv:
             fc += attn_fwd
         recompute = fc if activation_checkpointing else 0.0
-        dw = t_dw * compute_slowdown
-        bc = recompute + t_di * compute_slowdown + dw
+        bc = recompute + t_di + t_dw
         bc += elementwise
         if qkv:
             bc += 2.0 * attn_fwd  # attention backward ~ 2x forward
@@ -530,7 +520,7 @@ def price_iteration(
             c = shape_colls[shape_key] = _layer_collectives(
                 layer, config, collective
             )
-        priced.append(LayerPrice(name, fc, bc, dw, *c[0]))
+        priced.append(LayerPrice(name, fc, bc, t_dw, *c[0]))
         shard_bytes.append(c[1])
 
     dp_time = collective("all_reduce", sum(shard_bytes), config.gdata, "data")
@@ -776,8 +766,6 @@ def simulate_iteration(
     trace=None,
     run_salt: int = 0,
     placement_strategy: str = "block",
-    compute_slowdown: float = 1.0,
-    comm_slowdown: float = 1.0,
     collective_algo: str | None = None,
     timing_only: bool = False,
 ) -> IterationResult:
@@ -796,10 +784,6 @@ def simulate_iteration(
     repeated submissions of the same job (Section VI-B's run-to-run
     variability).  ``placement_strategy`` selects the rank -> device
     mapping (see :class:`repro.cluster.Placement`).
-    ``compute_slowdown``/``comm_slowdown`` (>= 1) stretch the compute
-    and communication streams respectively — a straggler node throttled
-    on clocks or sharing a congested switch slows *every* rank in the
-    SPMD program to its pace (see :mod:`repro.simulate.failures`).
     ``collective_algo`` (``"flat"`` | ``"hierarchical"`` | ``"auto"``)
     overrides ``config.collective_algo`` for pricing node-straddling
     collectives; the per-axis outcome is reported in
@@ -815,7 +799,6 @@ def simulate_iteration(
     prices = price_iteration(
         cfg, global_batch, config, machine, *inputs,
         algo, kernel_tuning, activation_checkpointing,
-        compute_slowdown, comm_slowdown,
     )
     total, num_events = schedule_iteration(
         prices, overlap, None if timing_only else trace

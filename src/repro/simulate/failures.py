@@ -179,12 +179,11 @@ def optimal_checkpoint_interval(
     ckpt_time: float,
     restart_time: float,
     mtbf: float,
-    num_points: int = 600,
 ) -> float:
-    """Empirical argmax of :func:`expected_goodput` on a log grid
-    spanning well past the Young/Daly optimum in both directions."""
+    """Empirical argmax of :func:`expected_goodput` on a 600-point log
+    grid spanning well past the Young/Daly optimum in both directions."""
     center = young_daly_interval(ckpt_time, mtbf)
-    grid = np.geomspace(center / 30.0, center * 30.0, num_points)
+    grid = np.geomspace(center / 30.0, center * 30.0, 600)
     best = max(grid, key=lambda tau: expected_goodput(
         float(tau), ckpt_time, restart_time, mtbf
     ))
@@ -194,24 +193,20 @@ def optimal_checkpoint_interval(
 # -- elastic continuation vs restart-and-wait ---------------------------------
 
 
-def shrunken_throughput(
-    num_nodes: int, lost_nodes: int = 1, comm_penalty: float = 0.0
-) -> float:
+def shrunken_throughput(num_nodes: int, comm_penalty: float = 0.0) -> float:
     """Relative throughput of the job after shrinking onto survivors.
 
-    Losing ``lost_nodes`` of ``num_nodes`` removes compute
-    proportionally; ``comm_penalty`` (fraction in [0, 1)) models the
-    additional efficiency loss of the smaller — possibly less regular,
-    e.g. non-power-of-two — grid (worse collective algorithms, a lumpier
-    batch split).
+    Losing one of ``num_nodes`` removes compute proportionally;
+    ``comm_penalty`` (fraction in [0, 1)) models the additional
+    efficiency loss of the smaller — possibly less regular, e.g.
+    non-power-of-two — grid (worse collective algorithms, a lumpier batch
+    split).
     """
-    if num_nodes < 1:
-        raise ValueError("num_nodes must be >= 1")
-    if not 0 <= lost_nodes < num_nodes:
-        raise ValueError("lost_nodes must be in [0, num_nodes)")
+    if num_nodes < 2:
+        raise ValueError("num_nodes must be >= 2 to survive losing one")
     if not 0.0 <= comm_penalty < 1.0:
         raise ValueError("comm_penalty must be in [0, 1)")
-    return (num_nodes - lost_nodes) / num_nodes * (1.0 - comm_penalty)
+    return (num_nodes - 1) / num_nodes * (1.0 - comm_penalty)
 
 
 def expected_restart_goodput(
@@ -295,7 +290,6 @@ def compare_recovery_strategies(
     mtbf: float,
     replacement_wait: float,
     num_nodes: int,
-    lost_nodes: int = 1,
     comm_penalty: float = 0.0,
     reshard_time: float | None = None,
 ) -> StrategyComparison:
@@ -308,7 +302,7 @@ def compare_recovery_strategies(
     full-stop loss of blocking ``wait`` seconds plus the rollback —
     i.e. almost always once ``wait`` rivals the MTBF.
     """
-    f = shrunken_throughput(num_nodes, lost_nodes, comm_penalty)
+    f = shrunken_throughput(num_nodes, comm_penalty)
     return StrategyComparison(
         elastic_goodput=expected_elastic_goodput(
             interval,

@@ -129,17 +129,12 @@ def max_batch_per_replica(
     config: GridConfig,
     machine: MachineSpec,
     checkpointing: bool = True,
-    headroom: float = 0.9,
 ) -> int:
     """Largest per-replica batch (sequences) that fits in device memory
     under this grid; 0 if even batch G_z does not fit."""
     batch = config.gz  # minimum useful batch: one sequence per Z shard
-    if not estimate_memory(cfg, config, batch, checkpointing).fits(
-        machine, headroom
-    ):
+    if not estimate_memory(cfg, config, batch, checkpointing).fits(machine):
         return 0
-    while estimate_memory(cfg, config, batch * 2, checkpointing).fits(
-        machine, headroom
-    ):
+    while estimate_memory(cfg, config, batch * 2, checkpointing).fits(machine):
         batch *= 2
     return batch

@@ -60,22 +60,18 @@ def effective_inter_node_bw(machine: MachineSpec, job_nodes: int) -> float:
     return machine.inter_node_bw / congestion_factor(job_nodes)
 
 
-def span_link(
-    machine: MachineSpec, span_nodes: int, job_nodes: int | None = None
-) -> tuple[float, float]:
+def span_link(machine: MachineSpec, span_nodes: int) -> tuple[float, float]:
     """``(bandwidth, per-step latency)`` for traffic spanning
-    ``span_nodes`` nodes of a ``job_nodes``-node job.
+    ``span_nodes`` nodes of a job that spans no more.
 
     Single-node spans use the intra-node fabric and NVLink latency —
     congestion models *inter-node* contention and never applies inside
     a node.  Multi-node spans get the congestion-degraded NIC aggregate
-    and NIC latency.  ``job_nodes`` defaults to ``span_nodes``.
+    and NIC latency.
     """
     if span_nodes <= 1:
         return machine.intra_node_bw, INTRA_NODE_LATENCY
-    if job_nodes is None:
-        job_nodes = span_nodes
-    return effective_inter_node_bw(machine, job_nodes), INTER_NODE_LATENCY
+    return effective_inter_node_bw(machine, span_nodes), INTER_NODE_LATENCY
 
 
 @dataclass(frozen=True)

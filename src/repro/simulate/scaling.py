@@ -75,12 +75,12 @@ class ScalingPoint:
     metrics: RunMetrics
 
 
-def default_global_batch(num_gpus: int, max_sequences: int = 8192) -> int:
+def default_global_batch(num_gpus: int) -> int:
     """Batch schedule used across the performance experiments: two
     sequences per device, capped at 8192 sequences — which reaches the
     paper's 16.8M-token batch (8192 x 2048) at 4096 devices and stays
     there for larger scales."""
-    return min(max_sequences, 2 * num_gpus)
+    return min(8192, 2 * num_gpus)
 
 
 def best_configuration(

@@ -283,13 +283,13 @@ class _SimLoop(ServingLoop):
     recomputed on resume) and the instance pays ``restart_time``.
     """
 
-    def __init__(self, decoder, config, failure_model, nodes, seed, start):
+    def __init__(self, decoder, config, failure_model, seed, start):
         super().__init__(
             decoder, config, context_len=decoder.model.cfg.seq_len,
             prefix="sim.serve.",
         )
         self.failure_model = failure_model
-        self._rate = failure_model.failure_rate(nodes) if failure_model else 0.0
+        self._rate = failure_model.failure_rate(1) if failure_model else 0.0
         self._rng = np.random.default_rng(seed)
         self.time = start  # the failure process starts with the trace
         self._next_failure = self._draw_failure()
@@ -322,17 +322,15 @@ def simulate_serving(
     config: BatchingConfig | None = None,
     *,
     slo_multiplier: float = 3.0,
-    max_steps: int = 1_000_000,
     failure_model: FailureModel | None = None,
-    num_instance_nodes: int = 1,
     chaos_seed: int = 0,
 ) -> ServingResult:
     """Run an arrival trace through the serving loop on modeled time.
 
     The schedule is :meth:`repro.serving.loop.ServingLoop.run`'s — the
     one the real engines execute — over an :class:`AnalyticDecoder`; only
-    the clock differs.  With ``failure_model`` set, instance failures
-    arrive at ``failure_model.failure_rate(num_instance_nodes)``.
+    the clock differs.  With ``failure_model`` set, failures of the
+    one-node instance arrive at ``failure_model.failure_rate(1)``.
     Requests that cannot complete end as typed rejections counted on the
     result, never exceptions.  Determinism: identical trace + config +
     seeds => identical result, bit for bit.
@@ -342,10 +340,10 @@ def simulate_serving(
     config = config or BatchingConfig()
     arrivals = [r.arrival_time for r in requests]
     loop = _SimLoop(
-        AnalyticDecoder(model, config), config, failure_model,
-        num_instance_nodes, chaos_seed, start=min(arrivals),
+        AnalyticDecoder(model, config), config, failure_model, chaos_seed,
+        start=min(arrivals),
     )
-    finished = loop.run(requests, step_time=0.0, max_steps=max_steps)
+    finished = loop.run(requests, step_time=0.0, max_steps=1_000_000)
 
     ttft_h = Histogram("sim.serve.ttft")
     e2e_h = Histogram("sim.serve.e2e")
@@ -414,7 +412,6 @@ def sweep_offered_load(
     max_new_tokens: tuple[int, int] = (16, 128),
     trace=poisson_trace,
     failure_model: FailureModel | None = None,
-    num_instance_nodes: int = 1,
     chaos_seed: int = 0,
 ) -> list[ServingResult]:
     """Throughput/latency frontier: one seeded trace per offered rate.
@@ -441,7 +438,6 @@ def sweep_offered_load(
                 config,
                 slo_multiplier=slo_multiplier,
                 failure_model=failure_model,
-                num_instance_nodes=num_instance_nodes,
                 chaos_seed=chaos_seed,
             )
         )
@@ -459,7 +455,6 @@ def chaos_sweep(
     chaos_seed: int = 0,
     slo_multiplier: float = 3.0,
     restart_time: float = 30.0,
-    num_instance_nodes: int = 1,
     prompt_lens: tuple[int, int] = (16, 256),
     max_new_tokens: tuple[int, int] = (16, 128),
     trace=poisson_trace,
@@ -492,7 +487,6 @@ def chaos_sweep(
                 max_new_tokens=max_new_tokens,
                 trace=trace,
                 failure_model=fm,
-                num_instance_nodes=num_instance_nodes,
                 chaos_seed=chaos_seed,
             )
         )

@@ -7,7 +7,6 @@ from .functional import (
     embedding,
     gelu,
     layer_norm,
-    relu,
     softmax,
     where_mask,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "to_bf16",
     "checkpoint",
     "gelu",
-    "relu",
     "softmax",
     "layer_norm",
     "embedding",

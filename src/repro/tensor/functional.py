@@ -14,7 +14,6 @@ from .tensor import Tensor, _scatter_add
 
 __all__ = [
     "gelu",
-    "relu",
     "softmax",
     "layer_norm",
     "embedding",
@@ -65,16 +64,6 @@ def gelu(x: Tensor) -> Tensor:
         return (d,)
 
     return Tensor._make(data, (x,), backward, "gelu")
-
-
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    data = np.maximum(x.data, 0.0)
-
-    def backward(g):
-        return (g * (x.data > 0),)
-
-    return Tensor._make(data, (x,), backward, "relu")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -103,8 +103,8 @@ class Tensor:
     # -- construction helpers --------------------------------------------
 
     @staticmethod
-    def zeros(shape, requires_grad: bool = False, dtype=np.float64) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad)
+    def zeros(shape, dtype=np.float64) -> "Tensor":
+        return Tensor(np.zeros(shape, dtype=dtype))
 
     @staticmethod
     def ones(shape, requires_grad: bool = False, dtype=np.float64) -> "Tensor":

@@ -21,13 +21,13 @@ def _scale(values: list[float], length: int) -> list[int]:
 def scatter(
     xs: list[float],
     ys: list[float],
-    width: int = 64,
-    height: int = 16,
     marks: list[str] | None = None,
     x_label: str = "x",
     y_label: str = "y",
 ) -> str:
-    """An ASCII scatter plot; ``marks`` optionally labels each point."""
+    """A 64 x 16 ASCII scatter plot; ``marks`` optionally labels each
+    point."""
+    width, height = 64, 16
     if len(xs) != len(ys) or not xs:
         raise ValueError("xs and ys must be equal-length and non-empty")
     if marks is not None and len(marks) != len(xs):
@@ -48,11 +48,11 @@ def scatter(
 def line_chart(
     xs: list[float],
     series: dict[str, list[float]],
-    width: int = 64,
-    height: int = 14,
     x_label: str = "x",
 ) -> str:
-    """Multiple named series over shared x values, one glyph per series."""
+    """Multiple named series over shared x values, one glyph per series,
+    on a 64 x 14 canvas."""
+    width, height = 64, 14
     if not series:
         raise ValueError("no series to plot")
     glyphs = "*#@%+x^~"

@@ -47,10 +47,13 @@ def planner_parent_parser(
 
 
 def _parse_grid(text: str) -> GridConfig:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) not in (4, 5):
-        raise argparse.ArgumentTypeError(
-            "grid must be four or five comma-separated integers: "
-            "GX,GY,GZ,GDATA[,GSEQ]"
-        )
-    return GridConfig(*parts)
+    try:
+        parts = [int(p) for p in text.split(",")]
+        if len(parts) not in (4, 5):
+            raise ValueError(
+                "grid must be four or five comma-separated integers: "
+                "GX,GY,GZ,GDATA[,GSEQ]"
+            )
+        return GridConfig(*parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None

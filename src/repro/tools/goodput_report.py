@@ -155,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     from .common import planner_parent_parser
 
     parser = argparse.ArgumentParser(
-        prog="repro.tools.goodput_report",
+        prog="repro.tools goodput",
         description=__doc__.splitlines()[0],
         parents=[
             planner_parent_parser(

@@ -29,7 +29,7 @@ __all__ = ["main"]
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro.tools.memory_report", description=__doc__.splitlines()[0]
+        prog="repro.tools memory", description=__doc__.splitlines()[0]
     )
     parser.add_argument("model")
     parser.add_argument("grid", type=_parse_grid)

@@ -104,7 +104,6 @@ def profile(
     name: str | None = None,
     width: int = 72,
     max_overhead_pct: float | None = None,
-    repeats: int = 3,
 ) -> int:
     """Run the profile; returns a process exit status (0 = all good)."""
     name = name or config
@@ -121,11 +120,11 @@ def profile(
     with telemetry_scope(tracer):
         _wall_seconds(trainer, ids, steps)
 
-    # Overhead: best-of-N wall clock, telemetry off vs on (fresh,
+    # Overhead: best-of-3 wall clock, telemetry off vs on (fresh,
     # throwaway tracers so the metrics pass above stays clean).
-    t_off = min(_wall_seconds(trainer, ids, steps) for _ in range(repeats))
+    t_off = min(_wall_seconds(trainer, ids, steps) for _ in range(3))
     t_on = []
-    for _ in range(repeats):
+    for _ in range(3):
         with telemetry_scope(Tracer()):
             t_on.append(_wall_seconds(trainer, ids, steps))
     t_on = min(t_on)
@@ -202,7 +201,7 @@ def profile(
     print(
         f"  telemetry overhead: {overhead_pct:+.1f}% "
         f"(on {t_on * 1e3:.1f} ms vs off {t_off * 1e3:.1f} ms, "
-        f"best of {repeats})"
+        "best of 3)"
     )
     total_ms = sum(step_ms.values())
     print(

@@ -188,7 +188,7 @@ def build_schedule(name: str) -> str:
     return dump_schedule(tracer)
 
 
-def regen_all(out_dir: Path | None = None, verbose: bool = True) -> list[Path]:
+def regen_all(out_dir: Path | None = None) -> list[Path]:
     """Regenerate every golden trace file; returns the written paths."""
     out_dir = golden_dir() if out_dir is None else Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -198,8 +198,7 @@ def regen_all(out_dir: Path | None = None, verbose: bool = True) -> list[Path]:
         path = out_dir / f"{name}.json"
         path.write_text(text)
         written.append(path)
-        if verbose:
-            print(f"wrote {path} ({len(text)} bytes)")
+        print(f"wrote {path} ({len(text)} bytes)")
     return written
 
 

@@ -100,7 +100,7 @@ def _benchmarks_dir() -> Path:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro.tools.reproduce", description=__doc__.splitlines()[0]
+        prog="repro.tools reproduce", description=__doc__.splitlines()[0]
     )
     parser.add_argument(
         "experiments",

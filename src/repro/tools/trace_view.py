@@ -34,7 +34,7 @@ __all__ = ["main"]
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro.tools.trace_view", description=__doc__.splitlines()[0]
+        prog="repro.tools trace", description=__doc__.splitlines()[0]
     )
     parser.add_argument("model")
     parser.add_argument("grid", type=_parse_grid)

@@ -48,7 +48,7 @@ def composite_layer_norm(
         x, y, _, _ = grid.coords_of(r)
         i = y if ln.feature_axis == "y" else x
         var = ex2[r] - mu[r] * mu[r]
-        inv = (var + ln.eps) ** -0.5
+        inv = (var + 1e-5) ** -0.5
         xhat = (x_parts[r] - mu[r]) * inv
         out[r] = xhat * ln.weight_shards[i] + ln.bias_shards[i]
     return out

@@ -1,9 +1,9 @@
-"""Reassembly of Algorithm 1's distributed gradients.
+"""Reassembly of Algorithm 1's distributed output and gradients.
 
 The inverse of :func:`repro.core.pmm3d.shard_input` /
-:func:`~repro.core.pmm3d.shard_weight` for the backward pass's outputs:
-``tests/test_pmm3d.py`` compares the gathered blocks with the serial
-gradients.
+:func:`~repro.core.pmm3d.shard_weight` for the forward and backward
+passes' outputs: ``tests/test_pmm3d.py`` compares the gathered blocks
+with the serial product and gradients.
 """
 
 from __future__ import annotations
@@ -12,6 +12,29 @@ import numpy as np
 
 from repro.core.grid import Grid4D
 from repro.core.pmm3d import _axes
+
+
+def unshard_output(
+    O_parts: dict[int, np.ndarray], grid: Grid4D, d: int = 0, transposed: bool = False
+) -> np.ndarray:
+    """Reassemble the full (m, n) output from its distributed blocks.
+
+    Uses the replica at contraction-coordinate 0 of each (Z, col) block.
+    """
+    c = grid.config
+    col_axis, _ = _axes(transposed)
+    n_col = c.gx if col_axis == "x" else c.gy
+    rows = []
+    for z in range(c.gz):
+        cols = []
+        for i in range(n_col):
+            if col_axis == "x":
+                rank = grid.rank_of(i, 0, z, d)
+            else:
+                rank = grid.rank_of(0, i, z, d)
+            cols.append(O_parts[rank])
+        rows.append(np.concatenate(cols, axis=1))
+    return np.concatenate(rows, axis=0)
 
 
 def unshard_input_grad(

@@ -7,18 +7,18 @@ from repro.tools.ascii_plot import line_chart, scatter
 
 class TestScatter:
     def test_renders_all_points(self):
-        out = scatter([1, 2, 3], [1.0, 2.0, 3.0], width=20, height=6)
+        out = scatter([1, 2, 3], [1.0, 2.0, 3.0])
         canvas = [l for l in out.splitlines() if l.startswith("|")]
         assert sum(l.count("o") for l in canvas) == 3
         assert "x: 1 .. 3" in out
         assert "top=3" in out
 
     def test_custom_marks(self):
-        out = scatter([1, 2], [1.0, 2.0], marks=["*", "."], width=10, height=4)
+        out = scatter([1, 2], [1.0, 2.0], marks=["*", "."])
         assert "*" in out and "." in out
 
     def test_flat_series(self):
-        out = scatter([1, 2, 3], [5.0, 5.0, 5.0], width=12, height=4)
+        out = scatter([1, 2, 3], [5.0, 5.0, 5.0])
         canvas = [l for l in out.splitlines() if l.startswith("|")]
         assert sum(l.count("o") for l in canvas) == 3  # one row, 3 points
 
@@ -36,8 +36,6 @@ class TestLineChart:
         out = line_chart(
             [1, 2, 3],
             {"a": [1.0, 2.0, 3.0], "b": [3.0, 2.0, 1.0]},
-            width=18,
-            height=6,
         )
         assert "*" in out and "#" in out
         assert "*=a" in out and "#=b" in out

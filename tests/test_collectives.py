@@ -231,9 +231,9 @@ class TestTracer:
         tr = CommTracer()
         bufs = _buffers(g, (8,))
         all_reduce(bufs, g, tracer=tr, tag="grad")
+        assert tr.total_bytes() == 8 * 8
         all_gather(bufs, g, tracer=tr)
         assert tr.ops() == ["all_reduce", "all_gather"]
-        assert tr.total_bytes("all_reduce") == 8 * 8
         assert [r.tag for r in tr.records].count("grad") == 1
         tr.clear()
         assert tr.records == []

@@ -71,8 +71,8 @@ class TestFaultSpec:
 
     def test_random_plan_faults_are_valid(self):
         for seed in range(20):
-            plan = FaultPlan.random(seed=seed, ranks=8, max_step=10, n_faults=5)
-            assert len(plan.faults) == 5
+            plan = FaultPlan.random(seed=seed, ranks=8, max_step=10)
+            assert len(plan.faults) == 3
 
 
 class TestRetryPolicy:

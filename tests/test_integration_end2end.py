@@ -1,7 +1,7 @@
 """Grand integration: most subsystems chained in one realistic workflow.
 
-Text corpus -> BPE tokenizer -> 4D-parallel GPT -> mixed-precision
-training with gradient accumulation -> checkpoint -> reshard onto a
+Synthetic corpus -> 4D-parallel GPT -> mixed-precision training with
+gradient accumulation -> checkpoint -> reshard onto a
 different grid -> resume -> KV-cached generation — the path a downstream
 user would actually walk, exercised end to end with correctness checks
 at every joint.
@@ -18,22 +18,18 @@ from repro.core import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.memorization import TextCorpus
+from repro.memorization import SyntheticCorpus
 from repro.nn import GPT, AdamW, MixedPrecisionTrainer
 from repro.nn.generation import generate_greedy
 from repro.runtime import CommTracer
 
 
 def test_full_user_workflow(tmp_path):
-    # --- data: tokenized pseudo-text articles --------------------------
-    corpus = TextCorpus(doc_len=16, seed=0, bpe_vocab=96)
+    # --- data: Markov token articles -----------------------------------
+    corpus = SyntheticCorpus(vocab_size=96, doc_len=16, seed=0)
     vocab = corpus.vocab_size
     rng = np.random.default_rng(0)
     batches = [corpus.background_batch(4, rng) for _ in range(6)]
-    roundtrip = corpus.tokenizer.decode(
-        corpus.tokenizer.encode(corpus.article_text(0))
-    )
-    assert roundtrip.split()[0] == corpus.article_text(0).split()[0]
 
     # --- model: serial reference and its 4D twin ------------------------
     cfg = GPTConfig(

@@ -325,78 +325,3 @@ class TestMoESchedule:
         with pytest.raises(ValueError):
             simulate_moe_layer(0, 64, 256, 4, 4, FRONTIER)
 
-
-class TestMoEGPT:
-    def _cfg(self, layers=4):
-        from repro.config import GPTConfig
-
-        return GPTConfig(
-            name="moegpt", num_layers=layers, hidden_size=16,
-            num_heads=4, seq_len=12, vocab_size=32,
-        )
-
-    def test_alternating_moe_blocks(self):
-        from repro.moe import MoEGPT
-
-        m = MoEGPT(self._cfg(4), num_experts=4, moe_every=2, seed=0)
-        assert m.num_moe_blocks == 2
-        m_all = MoEGPT(self._cfg(4), num_experts=4, moe_every=1, seed=0)
-        assert m_all.num_moe_blocks == 4
-
-    def test_forward_shapes_and_aux(self):
-        from repro.moe import MoEGPT
-
-        m = MoEGPT(self._cfg(), num_experts=4, seed=0)
-        ids = np.random.default_rng(0).integers(0, 32, (2, 8))
-        logits, aux = m.forward(ids)
-        assert logits.shape == (2, 8, 32)
-        assert aux is not None and aux.item() > 0
-
-    def test_sparse_has_more_params_than_dense(self):
-        from repro.moe import MoEGPT
-        from repro.nn import GPT
-
-        cfg = self._cfg()
-        dense = GPT(cfg, seed=0)
-        sparse = MoEGPT(cfg, num_experts=8, moe_every=1, seed=0)
-        assert sparse.num_parameters() > 2 * dense.num_parameters()
-
-    def test_training_reduces_loss(self):
-        from repro.moe import MoEGPT
-
-        m = MoEGPT(self._cfg(layers=2), num_experts=4, moe_every=1, seed=0)
-        opt = SGD(m.parameters(), lr=0.3)
-        ids = np.random.default_rng(1).integers(0, 32, (4, 10))
-        first = None
-        for _ in range(10):
-            loss = m.loss(ids)
-            if first is None:
-                first = loss.item()
-            m.zero_grad()
-            loss.backward()
-            opt.step()
-        assert loss.item() < first * 0.9
-
-    def test_goldfish_mask_compatible(self):
-        """The MoE LM accepts the same loss_mask hook as the dense GPT,
-        so the memorization lab could run on sparse models."""
-        from repro.memorization import goldfish_mask
-        from repro.moe import MoEGPT
-
-        m = MoEGPT(self._cfg(layers=2), num_experts=2, seed=0)
-        ids = np.random.default_rng(2).integers(0, 32, (2, 10))
-        mask = goldfish_mask(ids, k=2, h=3)
-        full = m.loss(ids).item()
-        masked = m.loss(ids, loss_mask=mask).item()
-        assert masked != full
-
-    def test_validation(self):
-        from repro.moe import MoEGPT
-
-        with pytest.raises(ValueError):
-            MoEGPT(self._cfg(), moe_every=0)
-        m = MoEGPT(self._cfg(), seed=0)
-        with pytest.raises(ValueError):
-            m.forward(np.zeros(5, dtype=int))
-        with pytest.raises(ValueError):
-            m.forward(np.zeros((1, 100), dtype=int))

@@ -14,11 +14,14 @@ from repro.core import (
     pmm3d_forward,
     shard_input,
     shard_weight,
-    unshard_output,
 )
 from repro.runtime import CommTracer
 
-from tests.oracles.pmm3d import unshard_input_grad, unshard_weight_grad
+from tests.oracles.pmm3d import (
+    unshard_input_grad,
+    unshard_output,
+    unshard_weight_grad,
+)
 
 
 def run_pmm(gx, gy, gz, m, k, n, transposed=False, seed=0, tracer=None):

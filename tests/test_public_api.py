@@ -166,7 +166,7 @@ class TestOneTimingEngine:
     def test_facade_stays_small(self):
         import repro
 
-        assert len(repro.__all__) <= 47
+        assert len(repro.__all__) <= 45
 
 
 class TestSignatureContracts:

@@ -38,7 +38,7 @@ def check_scheme_trace(scheme: str, tracer: CommTracer) -> list[str]:
     *and* the SPMD schedule validator.
 
     Returns a list of problem descriptions (empty = the trace both
-    matches the scheme's expected/forbidden collective tags and passes
+    has the scheme's expected collective tags and passes
     every static schedule check).  This is the validator-enabled mode of
     the degenerate-configuration tests: one call asserts the pattern the
     paper describes and that the schedule could not hang.
@@ -50,11 +50,6 @@ def check_scheme_trace(scheme: str, tracer: CommTracer) -> list[str]:
         problems.append(
             f"scheme {scheme!r}: expected collective tag {tag!r} absent "
             f"from the trace"
-        )
-    for tag in sorted(spec.forbidden_tags & meaningful):
-        problems.append(
-            f"scheme {scheme!r}: forbidden collective tag {tag!r} present "
-            f"in the trace"
         )
     problems.extend(str(v) for v in validate_schedule(tracer))
     return problems

@@ -298,10 +298,6 @@ class TestMaskCache:
         assert not m.flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
             m[0, 0] = False
-        rect = causal_mask(3, kv_len=5)
-        assert rect.shape == (3, 5)
-        assert rect is causal_mask(3, 5)
-        assert causal_mask(3) is not rect
 
     def test_repeated_attention_builds_each_shape_once(self, monkeypatch):
         calls = []
@@ -333,8 +329,8 @@ class TestRingScheduleVisibility:
             sum(r.bytes_per_rank for r in tracer.records if r.tag == RING_KV_TAG)
         )
         vol = seq_ring_volumes(
-            cfg, batch_per_replica=2, config=grid.config, dtype_bytes=8,
-            seq_len=6,
+            cfg.scaled(seq_len=6), batch_per_replica=2, config=grid.config,
+            dtype_bytes=8,
         )
         assert vol.seq_ring > 0
         assert got == vol.seq_ring

@@ -72,6 +72,16 @@ class TestArrivalTraces:
         b = bursty_trace(4.0, 400, seed=1, burst_factor=8.0)
         assert cv2(b) > cv2(p)
 
+    @pytest.mark.parametrize("trace", [poisson_trace, bursty_trace])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    def test_rate_must_be_positive(self, trace, rate):
+        with pytest.raises(ValueError, match="arrival rate must be positive"):
+            trace(rate, 3)
+
+    @pytest.mark.parametrize("trace", [poisson_trace, bursty_trace])
+    def test_infinite_rate_arrives_at_once(self, trace):
+        assert [r.arrival_time for r in trace(float("inf"), 3)] == [0.0] * 3
+
     def test_request_validation(self):
         with pytest.raises(ValueError):
             Request(0, np.zeros(0, dtype=np.int64), 4, 0.0)

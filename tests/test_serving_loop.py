@@ -36,7 +36,7 @@ PREFIXES = {"serial": "serve.", "tp": "serve.tp.", "analytic": "sim.serve."}
 TIGHT = BatchingConfig(max_batch=4, block_size=8, num_blocks=6)
 #: Overload: a bounded queue sheds, a deadline expires waiters.
 BOUNDED = BatchingConfig(
-    max_batch=2, block_size=8, num_blocks=16, max_waiting=2, deadline=6.0
+    max_batch=2, block_size=8, num_blocks=16, max_waiting=2, ttft_deadline=6.0
 )
 
 

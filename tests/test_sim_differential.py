@@ -174,7 +174,6 @@ def _prices(model, batch, config, machine, *, oracle, kernel_tuning=False,
     return price_iteration(
         model, batch, config, machine, layers, _shape_plan(layers, plan),
         timings, hier if algo != "flat" else {}, algo, kernel_tuning, True,
-        1.0, 1.0,
     )
 
 

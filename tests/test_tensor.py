@@ -16,7 +16,6 @@ from repro.tensor import (
     gelu,
     layer_norm,
     no_grad,
-    relu,
     softmax,
     to_bf16,
     where_mask,
@@ -167,11 +166,6 @@ class TestElementwiseGrads:
 
     def test_gelu(self):
         check_grad(gelu, [(5, 3)])
-
-    def test_relu(self):
-        t = Tensor(np.array([-1.0, 2.0, -3.0]), requires_grad=True)
-        relu(t).sum().backward()
-        np.testing.assert_array_equal(t.grad, [0.0, 1.0, 0.0])
 
 
 class TestFusedOps:

@@ -96,7 +96,7 @@ def old_adamw_step(opt, t):
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
         if opt.weight_decay:
             update = update + opt.weight_decay * p.data
         p.data -= opt.lr * update

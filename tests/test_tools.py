@@ -183,12 +183,30 @@ class TestInputErrors:
         "plan GPT-5B 0 frontier",
         "plan GPT-5B 64 frontier --optimize --prune-k 0",
         "serve-report GPT-5B 0 frontier",
+        "serve-report GPT-5B 4 frontier --trace bursty --rates 0 "
+        "--num-requests 4",
     ])
     def test_ends_in_a_message(self, argv, capsys):
         assert self._run(argv) == 2
         err = capsys.readouterr().err
         assert ": error: " in err.strip().splitlines()[-1]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid, reason", [
+        ("2,1,0,32", "G_z must be >= 1, got 0"),
+        ("a,b,c,d", "invalid literal for int()"),
+        ("1,2,3", "four or five comma-separated integers"),
+    ])
+    def test_grid_error_says_why(self, grid, reason, capsys):
+        assert self._run(f"memory GPT-5B {grid} frontier") == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith(f"repro.tools memory: error: argument grid: '{grid}': ")
+        assert reason in last
+
+    @pytest.mark.parametrize("command", ["memory", "trace", "goodput", "reproduce"])
+    def test_usage_names_the_subcommand(self, command, capsys):
+        assert self._run(f"{command} --no-such-flag") == 2
+        assert capsys.readouterr().err.startswith(f"usage: repro.tools {command} ")
 
     @pytest.mark.parametrize("command", ["trace", "memory"])
     def test_grid_breaking_the_rule_is_refused(self, command, capsys):
