@@ -19,6 +19,13 @@ Summing per consumer rather than per rank changes the order of the
 gradient additions, so grid gradients may move by ulps from a
 per-rank-node graph; the forward values do not move.
 
+Algorithm 1's line-4 all-reduce is not an :func:`all_reduce_t` node:
+:class:`~repro.core.parallel_layers.ParallelLinear` (and the LM head)
+fuse each contraction group's local products, their ring all-reduce and
+the bias into one node, so the per-rank partial products never enter
+the graph.  :func:`all_reduce_t` carries the LayerNorm moments and the
+loss's sums.
+
 The forward data movement goes through the traced ring implementations
 in :mod:`repro.runtime.collectives`, so communication-pattern tests see
 exactly the collectives the paper's Algorithm 1 issues.

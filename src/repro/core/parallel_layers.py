@@ -22,9 +22,12 @@ import numpy as np
 
 from ..nn.layers import INIT_STD
 from ..nn.module import Module, Parameter
+from ..runtime import CommTracer, ProcessGroup
+from ..runtime import collectives as rc
 from ..telemetry.spans import get_tracer as _telemetry
 from ..tensor import Tensor
 from ..tensor import functional as F
+from ..tensor.tensor import _matmul_grads, _unbroadcast
 from .collective_ops import all_gather_t, all_reduce_t
 from .grid import Grid4D
 
@@ -73,6 +76,39 @@ def _count_local_flops(x_parts: RankDict, block, n_local: int) -> None:
         )
 
 
+def _contract(
+    xs: list[Tensor],
+    ws: list[Tensor],
+    bias: Tensor | None,
+    group: ProcessGroup,
+    tracer: CommTracer | None,
+    tag: str,
+) -> Tensor:
+    """Algorithm 1's lines 3–4 for one contraction group, plus the
+    group's bias shard, as one autograd node.
+
+    Group position ``i`` multiplies its activations ``xs[i]`` by its
+    gathered weight ``ws[i]``; the products are plain arrays that the
+    traced ring all-reduce sums, and they die with this call.  The node
+    keeps its parents only.  The all-reduce's backward is the identity,
+    so every position's ``(dx, dW)`` comes from the one output gradient.
+    """
+    partials = {r: x.data @ w.data for r, x, w in zip(group.ranks, xs, ws)}
+    data = rc.all_reduce(partials, group, tracer=tracer, tag=tag)[group.ranks[0]]
+    del partials
+    parents = (*xs, *ws)
+    if bias is not None:
+        data = data + bias.data  # the ring's result is shared and read-only
+        parents += (bias,)
+
+    def backward(g):
+        pairs = [_matmul_grads(g, x.data, w.data) for x, w in zip(xs, ws)]
+        db = () if bias is None else (_unbroadcast(g, bias.shape),)
+        return (*(dx for dx, _ in pairs), *(dw for _, dw in pairs), *db)
+
+    return Tensor._make(data, parents, backward, "linear_group")
+
+
 class ParallelLinear(Module):
     """An FC layer parallelized with Algorithm 1 (3D PMM, Z-sharded W).
 
@@ -82,10 +118,12 @@ class ParallelLinear(Module):
     plays the role of the data-parallel all-reduce).
 
     The forward pass issues, per Algorithm 1: all-gather over Z (line 2),
-    a local matmul (line 3), and an all-reduce over the contraction axis
-    (line 4).  The backward communication — all-reduce over the column
-    axis (line 12) and reduce-scatter over Z (line 14) — emerges from the
-    differentiable collectives.
+    then, for each contraction group, the local matmuls (line 3), the
+    all-reduce over the contraction axis (line 4) and the bias add as one
+    autograd node whose per-rank products are never graph tensors.  The
+    backward communication — all-reduce over the column axis (line 12)
+    and reduce-scatter over Z (line 14) — emerges from the differentiable
+    collectives.
     """
 
     def __init__(
@@ -182,27 +220,23 @@ class ParallelLinear(Module):
             outs = all_gather_t(shards, zg, tracer=tracer, tag="linear.AG_z")
             W_full.update(dict(zip(zg.ranks, outs)))
 
-        # Line 3: local matmul.
-        out_hat = {r: x_parts[r] @ W_full[r] for r in block}
+        # Lines 3-4 and the bias, one node per contraction group: its
+        # ranks share the sum and the column coordinate that picks the
+        # bias shard.
         _count_local_flops(x_parts, block, self.out_block)
-
-        # Line 4: all-reduce over the contraction axis.
+        col = 1 if self.transposed else 0
         out: RankDict = {}
         for r in block:
             if r in out:
                 continue
             g = grid.group_along(self.contract_axis, r)
-            reduced = all_reduce_t(
-                [out_hat[s] for s in g.ranks], g, tracer=tracer,
-                tag=f"linear.AR_{self.contract_axis}",
+            y = _contract(
+                [x_parts[s] for s in g.ranks], [W_full[s] for s in g.ranks],
+                self.bias_shards[grid.coords_of(r)[col]], g, tracer,
+                f"linear.AR_{self.contract_axis}",
             )
-            out.update(dict(zip(g.ranks, reduced)))
-
-        # Once per contraction group: its ranks share ``out`` and the
-        # column coordinate that picks the bias shard.
-        col = 1 if self.transposed else 0
-        bias = {r: self.bias_shards[grid.coords_of(r)[col]] for r in block}
-        return _per_distinct(Tensor.__add__, block, out, bias)
+            out.update(dict.fromkeys(g.ranks, y))
+        return out
 
 
 class ParallelLayerNorm(Module):
@@ -306,7 +340,9 @@ def _normalize(
 
     The forward is the scalar-op composite's arithmetic in its order, so
     it is bit-identical to it; the backward differs from the composite's
-    chain of nodes by rounding only.
+    chain of nodes by rounding only.  The node keeps ``centered`` and
+    ``inv``; the backward recomputes ``xhat`` from them, the same
+    operation on the same operands.
     """
     xd = x.data
     scale = np.asarray(1.0 / dim, dtype=xd.dtype)
@@ -315,11 +351,12 @@ def _normalize(
     var_eps += np.asarray(eps, dtype=xd.dtype)
     inv = var_eps**-0.5
     centered = xd - mu
-    xhat = centered * inv
-    data = xhat * weight.data
+    data = centered * inv  # xhat
+    data *= weight.data
     data += bias.data
 
     def backward(g):
+        xhat = centered * inv
         n = xhat.shape[-1]
         gw = (g * xhat).reshape(-1, n).sum(axis=0)
         gb = g.reshape(-1, n).sum(axis=0)

@@ -17,13 +17,14 @@ shard) and X splits *heads*.
 
 Replicated work runs once.  A collective hands every rank of its group
 one shared :class:`Tensor`, and per-rank functions run once per distinct
-tuple of input objects: after the Y all-reduces of QKV and FC1 the bias
-adds, attention and GELU run once per Y group; after the X all-reduces
-of PROJ and FC2 the bias and residual adds, and the next LayerNorm's
-local moments, once per X group.  Only the local matmuls and the
-LayerNorm normalize (whose all-reduced moments are distinct per group)
-run on every rank.  The collectives issued, and so every rank's
-communication schedule, are the same as with all work per rank.
+tuple of input objects: each linear's local matmuls, all-reduce and bias
+add are one node per contraction group; after QKV and FC1 attention and
+GELU run once per Y group; after PROJ and FC2 the residual adds, and the
+next LayerNorm's local moments, once per X group.  Only the local
+products (inside their group's node) and the LayerNorm normalize (whose
+all-reduced moments are distinct per group) run on every rank.  The
+collectives issued, and so every rank's communication schedule, are the
+same as with all work per rank.
 
 Functional-model convention: parameters that a real deployment would
 replicate (embeddings, LayerNorm shards across non-feature axes, weight
@@ -51,6 +52,7 @@ from .parallel_layers import (
     ParallelLayerNorm,
     ParallelLinear,
     RankDict,
+    _contract,
     _count_local_flops,
     _per_distinct,
 )
@@ -265,10 +267,9 @@ class ParallelGPT(Module):
 
         Weight blocks are differentiable slices of the shared embedding
         table, so head gradients flow into ``wte`` exactly as with serial
-        weight tying.
+        weight tying.  Each Y group's products and all-reduce are one
+        node, as in :class:`ParallelLinear` (without a bias).
         """
-        from .collective_ops import all_reduce_t
-
         grid = self.grid
         c = grid.config
         h = self.cfg.hidden_size
@@ -277,7 +278,7 @@ class ParallelGPT(Module):
         vb = v // c.gx
         block = grid.tensor_block_ranks(d)
         w_blocks: dict[tuple[int, int], Tensor] = {}
-        out_hat: RankDict = {}
+        w_of: RankDict = {}
         for r in block:
             x_, y_, _, _ = grid.coords_of(r)
             w_block = w_blocks.get((x_, y_))
@@ -285,17 +286,18 @@ class ParallelGPT(Module):
                 w_block = w_blocks[(x_, y_)] = self.wte.weight[
                     x_ * vb : (x_ + 1) * vb, y_ * hb : (y_ + 1) * hb
                 ].t()  # (H/Gy, V/Gx)
-            out_hat[r] = x_parts[r] @ w_block
+            w_of[r] = w_block
         _count_local_flops(x_parts, block, vb)
         out: RankDict = {}
         for r in block:
             if r in out:
                 continue
             g = grid.group_along("y", r)
-            reduced = all_reduce_t(
-                [out_hat[s] for s in g.ranks], g, tracer=grid.tracer, tag="head.AR_y"
+            y = _contract(
+                [x_parts[s] for s in g.ranks], [w_of[s] for s in g.ranks],
+                None, g, grid.tracer, "head.AR_y",
             )
-            out.update(dict(zip(g.ranks, reduced)))
+            out.update(dict.fromkeys(g.ranks, y))
         return out
 
     def forward(self, ids: np.ndarray) -> Tensor:

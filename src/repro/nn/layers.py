@@ -11,6 +11,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from ..tensor import functional as F
+from ..tensor.tensor import _matmul_grads, _unbroadcast
 from .module import Module, Parameter
 
 __all__ = ["Linear", "Embedding", "LayerNorm", "init_normal"]
@@ -29,7 +30,10 @@ class Linear(Module):
     """Affine layer ``y = x @ W + b`` with ``W`` of shape (in, out).
 
     The (in, out) weight orientation matches Algorithm 1 of the paper,
-    where the forward pass computes ``I x W`` directly.
+    where the forward pass computes ``I x W`` directly.  With a bias the
+    layer is one autograd node over ``(x, W, b)``, so the pre-bias
+    product is never a graph tensor; its bits are those of
+    ``(x @ W) + b``.
     """
 
     def __init__(
@@ -49,10 +53,17 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        w, b = self.weight, self.bias
+        if b is None:
+            return x @ w
+        data = x.data @ w.data
+        data += b.data
+
+        def backward(g):
+            dx, dw = _matmul_grads(g, x.data, w.data)
+            return dx, dw, _unbroadcast(g, b.shape)
+
+        return Tensor._make(data, (x, w, b), backward, "linear")
 
 
 class Embedding(Module):

@@ -1,8 +1,10 @@
 """A small reverse-mode autograd engine over NumPy arrays.
 
 The engine is define-by-run: every operation on a :class:`Tensor` records
-its parents and a backward closure; :meth:`Tensor.backward` walks the
-graph in reverse topological order accumulating gradients.  It supports
+its parents and a backward closure that keeps only the arrays it reads;
+:meth:`Tensor.backward` walks the graph once, in reverse topological
+order, accumulating gradients and dropping each node's parents and
+closure as soon as it has run (a second walk raises).  It supports
 exactly the operations a GPT transformer needs, with NumPy-vectorized
 forward and backward passes (no per-element Python loops) and
 broadcasting-aware gradient reduction.
@@ -52,6 +54,28 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _matmul_grads(
+    g: np.ndarray, x: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dx, dw)`` of ``x @ w`` for ``x`` of shape ``(..., m, k)`` and a
+    2-d ``w`` of shape ``(k, n)``, given the output gradient ``g``.
+
+    The leading axes fold into the rows: one GEMM each, not a batched
+    GEMM and a sum of ``dw`` over the batch.  :meth:`Tensor.matmul` and
+    the one-node linear layers (:class:`repro.nn.Linear`,
+    :class:`repro.core.ParallelLinear`) all differentiate through here.
+    """
+    g2 = g.reshape(-1, w.shape[1])
+    dx = (g2 @ w.T).reshape(x.shape)
+    dw = x.reshape(-1, w.shape[0]).T @ g2
+    return dx, dw
+
+
+def _walked(g):
+    """The closure of a node :meth:`Tensor.backward` has already run."""
+    raise RuntimeError("backward through a graph that was already walked")
 
 
 def _is_basic_index(idx) -> bool:
@@ -184,16 +208,28 @@ class Tensor:
             self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor.
+        """Backpropagate from this tensor, once.
 
-        ``grad`` defaults to ones (scalar outputs usually pass nothing).
-        Gradients accumulate into ``.grad`` of every reachable leaf with
+        ``grad`` defaults to ones (scalar outputs usually pass nothing)
+        and must otherwise have this tensor's shape.  Gradients
+        accumulate into ``.grad`` of every reachable leaf with
         ``requires_grad=True``.
+
+        The walk frees the graph as it goes: once a node's closure has
+        run, the node drops its parents and closure, so an activation
+        dies as soon as the last node that reads it has run.  Leaves and
+        every node's ``.data`` are untouched; walking a node again
+        raises ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
         if grad is None:
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.shape:
+            raise ValueError(
+                f"gradient of shape {np.shape(grad)} for a tensor of "
+                f"shape {self.shape}"
+            )
 
         # Reverse topological order via iterative DFS.  Constants are
         # left out: no gradient ever flows to them.
@@ -212,19 +248,28 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
+        del visited  # the walk does not read it
 
+        # Popping keeps a node alive only while it is still to be
+        # walked, and ``grads`` holds ids of such nodes only: an id is
+        # never reused while it is a key, even by the tensors that
+        # ``checkpoint`` builds during the walk.
         grads: dict[int, np.ndarray] = {id(self): np.asarray(grad, dtype=self.data.dtype)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
             if node._backward is None:
-                node._accumulate(g)
+                if g is not None:
+                    node._accumulate(g)
+                continue
+            parents, backward = node._parents, node._backward
+            node._parents, node._backward = (), _walked
+            if g is None:
                 continue
             # Interior node: the backward closure maps the incoming
             # gradient to one gradient per parent (None for parents that
             # don't need one).
-            for parent, pg in zip(node._parents, node._backward(g)):
+            for parent, pg in zip(parents, backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 if parent._backward is None:
@@ -346,12 +391,7 @@ class Tensor:
                 gb = gb.reshape(-1, b.shape[0]).sum(axis=0) if gb.ndim > 1 else gb
                 return (_unbroadcast(ga, a.shape), gb)
             if b.ndim == 2 and a.ndim > 2:  # (..., m, k) @ (k, n)
-                # Fold the leading axes into the rows: one GEMM each,
-                # not a batched GEMM and a sum of ``gb`` over the batch.
-                g2 = g.reshape(-1, b.shape[1])
-                ga = (g2 @ b.T).reshape(a.shape)
-                gb = a.reshape(-1, b.shape[0]).T @ g2
-                return (ga, gb)
+                return _matmul_grads(g, a, b)
             ga = g @ np.swapaxes(b, -1, -2)
             gb = np.swapaxes(a, -1, -2) @ g
             return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))

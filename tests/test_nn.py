@@ -97,6 +97,33 @@ class TestLayers:
             out.data, x @ fc.weight.data + fc.bias.data, rtol=1e-12
         )
 
+    def test_linear_is_one_node_with_the_composite_bits(self):
+        """With a bias, ``Linear`` is one node whose output and gradients
+        are bit-for-bit those of ``(x @ W) + b``."""
+        rng = np.random.default_rng(2)
+        fc = Linear(3, 5, rng=rng)
+        fc.bias.data = rng.standard_normal(5)
+        xd = rng.standard_normal((2, 4, 3))
+        g = rng.standard_normal((2, 4, 5))
+        x = Tensor(xd, requires_grad=True)
+        out = fc(x)
+        assert out.name == "linear" and len(out._parents) == 3
+        out.backward(g)
+        got = [out.data, x.grad, fc.weight.grad, fc.bias.grad]
+        x = Tensor(xd, requires_grad=True)
+        w = Tensor(fc.weight.data, requires_grad=True)
+        b = Tensor(fc.bias.data, requires_grad=True)
+        ref = (x @ w) + b
+        ref.backward(g)
+        for a, r in zip(got, [ref.data, x.grad, w.grad, b.grad]):
+            np.testing.assert_array_equal(a, r)
+
+    def test_backward_rejects_a_seed_of_another_shape(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(3,\).*\(2, 3\)"):
+            (x * 2.0).backward(np.ones(3))
+        assert x.grad is None
+
     def test_linear_no_bias(self):
         fc = Linear(3, 2, bias=False, rng=np.random.default_rng(0))
         assert fc.bias is None

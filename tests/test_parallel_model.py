@@ -547,12 +547,19 @@ class TestReplicaSharing:
                 assert shared_along("x", residual) == c.gy * c.gz * c.gs
 
         # One graph node per traced collective: a node per rank would
-        # make these counts a group size larger.
+        # make these counts a group size larger.  A linear's (or the LM
+        # head's) all-reduce is inside its contraction group's one node.
         nodes = collections.Counter(n.name for n in _loss_graph(loss))
+        records = [
+            r for r in grid.tracer.records if r.tag and r.tag != "vpce.AR_max"
+        ]
+        fused = ("linear.AR_", "head.AR_y")
         calls = collections.Counter(
-            r.op for r in grid.tracer.records
-            if r.tag and r.tag != "vpce.AR_max"
+            r.op for r in records if not r.tag.startswith(fused)
         )
+        assert nodes["linear_group"] == sum(
+            r.op == "all_reduce" and r.tag.startswith(fused) for r in records
+        ) > 0
         assert nodes["all_reduce_t"] == calls["all_reduce"] > 0
         assert nodes["all_gather_t"] == calls["all_gather"] > 0
 
@@ -601,28 +608,31 @@ class TestGraphAndFlops:
         h=128, 8 heads, vocab 512, batch 8 x 64) on a (2, 2, 2, 2) grid
         builds exactly this many nodes that backward visits.
 
-        A collective is one node per group, and replicated work runs
-        once per distinct input.  Per data replica (8 ranks) and layer:
+        A collective is one node per group, replicated work runs once
+        per distinct input, and a contraction group's local matmuls,
+        all-reduce and bias add are one node.  Per data replica (8
+        ranks) and layer:
 
-        * 4 linears x (4 Z all-gathers + 8 matmuls + 4 all-reduces + 4
-          bias adds) = 80;
+        * 4 linears x (4 Z all-gathers + 4 contraction-group nodes) = 32;
         * 2 LayerNorms x (4 Σx + 4 Σx² + 2 x 4 moment all-reduces + 8
           normalizes) = 48;
         * attention and GELU, 4 each (one per Y group); 2 x 4 residual
-          adds (one per X group): 16 — 144 per layer.
+          adds (one per X group): 16 — 96 per layer.
 
-        4 layers x 2 replicas = 1152; ``ln_f`` 2 x 24 = 48; embedding 2
+        4 layers x 2 replicas = 768; ``ln_f`` 2 x 24 = 48; embedding 2
         x (4 gathers + 8 feature slices + 4 ``tok + pe``) = 32; LM head 2
-        x (4 x (slice + transpose) of ``wte`` + 8 matmuls + 4
-        all-reduces) = 40; the vocab-parallel loss 4 shards x 18 + 3 =
-        75; 198 parameters.  Total 1545 (3409 with a node per rank for
-        every collective output and the composite attention)."""
+        x (4 x (slice + transpose) of ``wte`` + 4 contraction-group
+        nodes) = 24; the vocab-parallel loss 4 shards x 18 + 3 = 75; 198
+        parameters.  Total 1145 (1545 with a node per rank for every
+        local matmul and one for every linear all-reduce and bias add;
+        3409 with a node per rank for every collective output and the
+        composite attention as well)."""
         cfg = tiny_config(
             name="bench", num_layers=4, hidden_size=128, num_heads=8,
             seq_len=64, vocab_size=512,
         )
         model = ParallelGPT(Grid4D(GridConfig(2, 2, 2, 2)), cfg, seed=0)
-        assert len(_loss_graph(model.loss(batch_for(cfg, 8)))) == 1545
+        assert len(_loss_graph(model.loss(batch_for(cfg, 8)))) == 1145
 
     @pytest.mark.parametrize(
         "dims", [(1, 1, 1, 1), (2, 2, 2, 2), (2, 1, 2, 1), (1, 2, 1, 2, 2)]

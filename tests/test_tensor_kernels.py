@@ -169,14 +169,14 @@ class TestGelu:
         assert y.data[0] == 0.0 and x.grad[0] == 0.0
 
     def test_backward_can_run_twice(self):
-        # The closure recomputes from x and tanh; it must not consume them.
+        # The closure recomputes from x and tanh; it must not consume
+        # them.  (A walk drops the closure, so call it directly.)
         x = leaf(draw_array(5, (4, 6), np.float64))
-        y = gelu(x)
-        y.backward(np.ones((4, 6)))
-        first = x.grad.copy()
-        x.zero_grad()
-        y.backward(np.ones((4, 6)))
-        assert np.array_equal(x.grad, first)
+        backward = gelu(x)._backward
+        (first,) = backward(np.ones((4, 6)))
+        first = first.copy()
+        (second,) = backward(np.ones((4, 6)))
+        assert np.array_equal(second, first)
 
 
 # -- causal attention: one node, the composite's operation order -----------------
