@@ -133,7 +133,11 @@ def test_seq_parallel(benchmark, report):
     }
     # The acceptance artifact, under its stable name (written on save).
     report.bench_name = "seq_parallel"
-    report.line(f"wrote {RESULTS_DIR / 'BENCH_seq_parallel.json'}")
+    # Repo-relative, so the committed table does not depend on where the
+    # repository is checked out.
+    repo = RESULTS_DIR.resolve().parents[1]
+    written = (RESULTS_DIR / "BENCH_seq_parallel.json").resolve().relative_to(repo)
+    report.line(f"wrote {written.as_posix()}")
 
     # The CI gates (hierarchical-smoke).
     for mname in MACHINES:

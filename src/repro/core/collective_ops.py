@@ -19,6 +19,15 @@ Summing per consumer rather than per rank changes the order of the
 gradient additions, so grid gradients may move by ulps from a
 per-rank-node graph; the forward values do not move.
 
+Sibling groups — groups at one call site that hand their rings the same
+input objects in the same order, such as the X siblings of a LayerNorm's
+Y-group moments or a weight's Z all-gathers in every data replica — may
+share one node: pass the call site's ``siblings`` memo, and a group
+whose ring returns exactly the bits an earlier sibling's did gets that
+sibling's node (:func:`_sibling_node`).  Every sibling's ring is still
+issued, traced and open to fault injection; a sibling whose payload was
+corrupted gets different bits and keeps its own node.
+
 Algorithm 1's line-4 all-reduce is not an :func:`all_reduce_t` node:
 :class:`~repro.core.parallel_layers.ParallelLinear` (and the LM head)
 fuse each contraction group's local products, their ring all-reduce and
@@ -59,11 +68,50 @@ def _as_buffer_dict(
     return {r: t.data for r, t in zip(group.ranks, tensors)}
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` hold the same bits and no NaN: ``==``
+    everywhere (a NaN is unequal to itself) with equal sign bits (which
+    ``==`` does not see on ``±0``)."""
+    return bool(np.array_equal(a, b)) and bool(
+        np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+def _sibling_node(
+    result: np.ndarray,
+    tensors: Sequence[Tensor],
+    backward,
+    name: str,
+    siblings: dict | None,
+) -> Tensor:
+    """The node over a group's ring ``result``: a new one, or the node of
+    an earlier sibling in ``siblings`` that handed its ring the same
+    input objects in the same order and got exactly these bits.
+
+    Sharing is sound because both nodes would be the same function of
+    the same tensors with the same value; the first sibling's node then
+    receives every sibling's consumers' gradients, as the one node of a
+    group receives its ranks'.  The memo keeps each key's inputs alive,
+    so no ``id`` in a key is reused while the memo lives.
+    """
+    if siblings is None:
+        return Tensor._make(result, tensors, backward, name)
+    key = tuple(map(id, tensors))
+    prior = siblings.get(key)
+    if prior is not None and _same_bits(prior[1].data, result):
+        return prior[1]
+    out = Tensor._make(result, tensors, backward, name)
+    if prior is None:
+        siblings[key] = (tuple(tensors), out)
+    return out
+
+
 def all_reduce_t(
     tensors: Sequence[Tensor],
     group: ProcessGroup,
     tracer: CommTracer | None = None,
     tag: str = "",
+    siblings: dict | None = None,
 ) -> list[Tensor]:
     """Differentiable sum all-reduce: every output is the elementwise sum
     of all inputs.  Inputs are ordered by group position.
@@ -72,6 +120,8 @@ def all_reduce_t(
     over the shared result: autograd sums the gradients of all its
     consumers into it (Algorithm 1's backward all-reduce, line 12), and
     d(sum)/d(input) is the identity, so each input receives that sum.
+    With a ``siblings`` memo, that node may be an earlier sibling
+    group's (:func:`_sibling_node`).
     """
     outs = rc.all_reduce(_as_buffer_dict(tensors, group), group, tracer=tracer, tag=tag)
     n = len(tensors)
@@ -79,7 +129,9 @@ def all_reduce_t(
     def backward(g):
         return (g,) * n
 
-    out = Tensor._make(outs[group.ranks[0]], tensors, backward, "all_reduce_t")
+    out = _sibling_node(
+        outs[group.ranks[0]], tensors, backward, "all_reduce_t", siblings
+    )
     return [out] * n
 
 
@@ -88,13 +140,16 @@ def all_gather_t(
     group: ProcessGroup,
     tracer: CommTracer | None = None,
     tag: str = "",
+    siblings: dict | None = None,
 ) -> list[Tensor]:
     """Differentiable all-gather along axis 0: every output is the
     concatenation of all inputs in group order.
 
     Every rank of the group gets the *same* :class:`Tensor`; the summed
     gradient of its consumers is sliced back to each contributor, which
-    is the reduce-scatter of Algorithm 1's line 14.
+    is the reduce-scatter of Algorithm 1's line 14.  With a ``siblings``
+    memo, that node may be an earlier sibling group's
+    (:func:`_sibling_node`).
     """
     outs = rc.all_gather(_as_buffer_dict(tensors, group), group, tracer=tracer, tag=tag)
     offsets = np.cumsum([0] + [t.shape[0] for t in tensors]).tolist()
@@ -103,7 +158,9 @@ def all_gather_t(
     def backward(g):
         return tuple(g[offsets[s] : offsets[s + 1]] for s in range(n))
 
-    out = Tensor._make(outs[group.ranks[0]], tensors, backward, "all_gather_t")
+    out = _sibling_node(
+        outs[group.ranks[0]], tensors, backward, "all_gather_t", siblings
+    )
     return [out] * n
 
 

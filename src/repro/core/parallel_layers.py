@@ -18,6 +18,8 @@ roles of the X and Y process groups.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..nn.layers import INIT_STD
@@ -49,9 +51,12 @@ def _per_distinct(fn, block, *inputs: RankDict) -> RankDict:
     A collective hands every rank of its group one shared output, so the
     ranks of that group hold the same tensors until something rank-local
     (a weight shard) enters; work on those tensors runs once and every
-    rank holding them gets the one result.  Identity, not value, decides:
-    a corrupted collective result is one object for its whole group, and
-    distinct objects with equal values still run per rank.
+    rank holding them gets the one result.  Here identity, not value,
+    decides: a corrupted collective result is one object for its whole
+    group, and distinct objects with equal values still run per rank.
+    Value decides in one place only, between sibling collectives over the
+    same inputs (:func:`~repro.core.collective_ops._sibling_node`): they
+    return one object when their rings agree bit for bit.
     """
     done: dict[tuple[int, ...], Tensor] = {}
     out: RankDict = {}
@@ -201,11 +206,21 @@ class ParallelLinear(Module):
 
     # -- forward ---------------------------------------------------------------
 
-    def forward(self, x_parts: RankDict, d: int = 0) -> RankDict:
-        """Apply the layer to the per-rank activations of replica ``d``."""
+    def forward(
+        self, x_parts: RankDict, d: int = 0, gathers: dict | None = None
+    ) -> RankDict:
+        """Apply the layer to the per-rank activations of replica ``d``.
+
+        ``gathers`` is the sibling memo of the Z all-gathers
+        (:func:`~repro.core.collective_ops.all_gather_t`), kept by the
+        caller for one forward over every replica: the Z groups of every
+        sequence shard and data replica gather the same shards, so each
+        gathered weight is one node while their rings agree."""
         grid = self.grid
         tracer = grid.tracer
         block = grid.tensor_block_ranks(d)
+        if gathers is None:
+            gathers = {}
 
         # Line 2: all-gather the Z-sharded weights.
         W_full: dict[int, Tensor] = {}
@@ -217,7 +232,9 @@ class ParallelLinear(Module):
             for s in zg.ranks:
                 sx, sy, sz, _ = grid.coords_of(s)
                 shards.append(self.weight_shards[(sx, sy, sz)])
-            outs = all_gather_t(shards, zg, tracer=tracer, tag="linear.AG_z")
+            outs = all_gather_t(
+                shards, zg, tracer=tracer, tag="linear.AG_z", siblings=gathers
+            )
             W_full.update(dict(zip(zg.ranks, outs)))
 
         # Lines 3-4 and the bias, one node per contraction group: its
@@ -244,12 +261,17 @@ class ParallelLayerNorm(Module):
 
     Mean and variance need the *full* feature dimension, so the layer
     all-reduces the local first and second moments over the feature
-    group before normalizing locally, one autograd node per rank (the
-    backward issues no collective: the moments' gradients flow back
-    through the all-reduce nodes); the local moments run once per
-    distinct input tensor.  Scale/shift parameters are
-    sharded the same way as the features (one Parameter per coordinate
-    along ``feature_axis``, shared by the ranks that hold that shard).
+    group before normalizing locally, one autograd node per distinct
+    input (the backward issues no collective: the moments' gradients
+    flow back through the all-reduce nodes); the local moments run once
+    per distinct input tensor.  The feature groups across the other
+    tensor axis (X for the residual stream) all-reduce the same moment
+    tensors: each issues its rings, and while they agree bit for bit
+    they share one node per moment, so the normalize runs once per
+    ``(y, z, d[, s])`` rather than once per rank.  Scale/shift
+    parameters are sharded the same way as the features (one Parameter
+    per coordinate along ``feature_axis``, shared by the ranks that hold
+    that shard).
     """
 
     def __init__(
@@ -288,28 +310,31 @@ class ParallelLayerNorm(Module):
         local_sq = _per_distinct(_sum_of_squares, block, x_parts)
         sums: dict[int, Tensor] = {}
         sqs: dict[int, Tensor] = {}
+        siblings: dict = {}
         for r in block:
             if r in sums:
                 continue
             g = grid.group_along(self.feature_axis, r)
             summed = all_reduce_t(
-                [local_sum[s] for s in g.ranks], g, tracer=tracer, tag="ln.AR_sum"
+                [local_sum[s] for s in g.ranks], g, tracer=tracer,
+                tag="ln.AR_sum", siblings=siblings,
             )
             squared = all_reduce_t(
-                [local_sq[s] for s in g.ranks], g, tracer=tracer, tag="ln.AR_sq"
+                [local_sq[s] for s in g.ranks], g, tracer=tracer,
+                tag="ln.AR_sq", siblings=siblings,
             )
             sums.update(zip(g.ranks, summed))
             sqs.update(zip(g.ranks, squared))
 
-        out: RankDict = {}
+        axis = 1 if self.feature_axis == "y" else 0
+        weight: RankDict = {}
+        bias: RankDict = {}
         for r in block:
-            x, y, _, _ = grid.coords_of(r)
-            i = y if self.feature_axis == "y" else x
-            out[r] = _normalize(
-                x_parts[r], sums[r], sqs[r], self.weight_shards[i],
-                self.bias_shards[i], self.dim, 1e-5,
-            )
-        return out
+            i = grid.coords_of(r)[axis]
+            weight[r] = self.weight_shards[i]
+            bias[r] = self.bias_shards[i]
+        normalize = partial(_normalize, dim=self.dim, eps=1e-5)
+        return _per_distinct(normalize, block, x_parts, sums, sqs, weight, bias)
 
 
 def _sum_last(x: Tensor) -> Tensor:

@@ -20,9 +20,14 @@ one shared :class:`Tensor`, and per-rank functions run once per distinct
 tuple of input objects: each linear's local matmuls, all-reduce and bias
 add are one node per contraction group; after QKV and FC1 attention and
 GELU run once per Y group; after PROJ and FC2 the residual adds, and the
-next LayerNorm's local moments, once per X group.  Only the local
-products (inside their group's node) and the LayerNorm normalize (whose
-all-reduced moments are distinct per group) run on every rank.  The
+next LayerNorm's local moments, once per X group.  Sibling collectives
+over the same inputs share one node while their rings agree bit for bit
+(:func:`~repro.core.collective_ops._sibling_node`): the X siblings'
+LayerNorm moments, so the normalize runs once per ``(y, z, d[, s])``,
+and each weight's Z all-gathers across sequence shards and data
+replicas, so a forward holds each gathered weight once; the LM head's
+weight blocks are likewise built once per forward.  Only the local
+products (inside their group's node) run on every rank.  The
 collectives issued, and so every rank's communication schedule, are the
 same as with all work per rank.
 
@@ -111,13 +116,18 @@ class ParallelBlock(Module):
         self.fc2 = ParallelLinear(grid, cfg.ffn_hidden, h, transposed=True, rng=rng)
 
     @_traced(name="block", cat="compute")
-    def forward(self, x_parts: RankDict, d: int = 0) -> RankDict:
+    def forward(
+        self, x_parts: RankDict, d: int = 0, gathers: dict | None = None
+    ) -> RankDict:
+        """Replica ``d``'s block; ``gathers`` is the forward's memo of
+        weight all-gathers (:meth:`ParallelLinear.forward`)."""
         grid = self.grid
         block = grid.tensor_block_ranks(d)
         hb = self.cfg.hidden_size // grid.config.gx
 
         h1 = self.ln1(x_parts, d)
-        qkv = self.qkv(h1, d)  # layout B: (B_loc, S, 3*H/Gx), cols = [Qi Ki Vi]
+        # Layout B: (B_loc, S, 3*H/Gx), cols = [Qi Ki Vi].
+        qkv = self.qkv(h1, d, gathers)
         if grid.config.gs == 1:
             # Once per Y group: its ranks share the all-reduced ``qkv``.
             attention = partial(causal_attention, num_heads=self.heads_local)
@@ -142,14 +152,14 @@ class ParallelBlock(Module):
                     qs, ks, vs, self.heads_local, ring, tracer=grid.tracer
                 )
                 attn_out.update(dict(zip(ring.ranks, outs)))
-        proj_out = self.proj(attn_out, d)  # B -> A
+        proj_out = self.proj(attn_out, d, gathers)  # B -> A
         # Residual adds once per X group, GELU once per Y group.
         x_parts = _per_distinct(Tensor.__add__, block, x_parts, proj_out)
 
         h2 = self.ln2(x_parts, d)
-        f1 = self.fc1(h2, d)  # A -> B
+        f1 = self.fc1(h2, d, gathers)  # A -> B
         act = _per_distinct(F.gelu, block, f1)
-        f2 = self.fc2(act, d)  # B -> A
+        f2 = self.fc2(act, d, gathers)  # B -> A
         return _per_distinct(Tensor.__add__, block, x_parts, f2)
 
     def load_from_serial(self, blk) -> None:
@@ -230,6 +240,10 @@ class ParallelGPT(Module):
         pos = np.arange(s)[None, :]
         sl = s // c.gs
 
+        # What the data replicas share for this forward only: the
+        # linears' weight all-gathers and the LM head's weight blocks.
+        gathers: dict = {}
+        head_blocks: dict[tuple[int, int], Tensor] = {}
         logits: RankDict = {}
         for d in range(c.gdata):
             if c.gs == 1:
@@ -256,19 +270,22 @@ class ParallelGPT(Module):
             pe = self.wpe(pos_by_z, d)
             x = _per_distinct(Tensor.__add__, grid.tensor_block_ranks(d), tok, pe)
             for blk in self.blocks:
-                x = blk(x, d)
+                x = blk(x, d, gathers)
             x = self.ln_f(x, d)
-            logits.update(self._lm_head(x, d))
+            logits.update(self._lm_head(x, d, head_blocks))
         return logits
 
     @_traced(name="gpt.lm_head", cat="compute")
-    def _lm_head(self, x_parts: RankDict, d: int) -> RankDict:
+    def _lm_head(
+        self, x_parts: RankDict, d: int, w_blocks: dict[tuple[int, int], Tensor]
+    ) -> RankDict:
         """Tied LM head as a normal-orientation 3D matmul.
 
         Weight blocks are differentiable slices of the shared embedding
         table, so head gradients flow into ``wte`` exactly as with serial
-        weight tying.  Each Y group's products and all-reduce are one
-        node, as in :class:`ParallelLinear` (without a bias).
+        weight tying; ``w_blocks`` keeps one per ``(x, y)`` for every
+        replica of the forward.  Each Y group's products and all-reduce
+        are one node, as in :class:`ParallelLinear` (without a bias).
         """
         grid = self.grid
         c = grid.config
@@ -277,7 +294,6 @@ class ParallelGPT(Module):
         hb = h // c.gy
         vb = v // c.gx
         block = grid.tensor_block_ranks(d)
-        w_blocks: dict[tuple[int, int], Tensor] = {}
         w_of: RankDict = {}
         for r in block:
             x_, y_, _, _ = grid.coords_of(r)

@@ -74,8 +74,21 @@ def saved_bytes(root: Tensor) -> int:
 #: parameters included (8 x 64 tokens).  With a matmul node per rank and
 #: ``xhat`` kept by every LayerNorm shard the grid graph held 165,205,305
 #: bytes, and with a matmul and an add node per linear the serial one
-#: 89,959,529.
-GRID_BYTES = 96_048_441
+#: 89,959,529.  With every sibling group's collective its own node the
+#: grid graph held 96,048,441 bytes, 15,872,064 more than now:
+#:
+#: * 9 LayerNorms x 2 replicas x 4 normalizes (the X siblings of each
+#:   (y, z) now share one) of 132,056 bytes each — the output and
+#:   ``centered`` at 2 x 63 x 64 fp64 (64,512 each), ``inv``,
+#:   ``var_eps`` and ``mu`` at 2 x 63 (1,008 each), and ``1/dim`` (8):
+#:   9,508,032;
+#: * 9 LayerNorms x 2 replicas x 4 moment all-reduces (of the 8, one
+#:   Σx and one Σx² per pair of X siblings remain) of 1,008 bytes:
+#:   72,576;
+#: * replica 1's copy of every gathered weight, 4 layers x 4 (x, y) x
+#:   (qkv 64 x 192 + proj 64 x 64 + fc1 64 x 256 + fc2 256 x 64) fp64:
+#:   6,291,456.
+GRID_BYTES = 80_176_377
 SERIAL_BYTES = 71_380_073
 
 

@@ -29,7 +29,14 @@ from repro.core import (
 )
 from repro.nn import GPT
 from repro.perfmodel import gpt_layer_shapes
-from repro.runtime import CommTracer, ProcessGroup
+from repro.runtime import (
+    CommTracer,
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+    ProcessGroup,
+    fault_scope,
+)
 from repro.telemetry import Tracer, telemetry_scope
 from repro.tensor import Tensor
 from repro.tensor import functional as F
@@ -486,9 +493,9 @@ class _Inputs:
         self.calls: list[tuple[object, dict]] = []
         real = cls.forward
 
-        def spy(layer, x_parts, d=0):
+        def spy(layer, x_parts, *args):
             self.calls.append((layer, x_parts))
-            return real(layer, x_parts, d)
+            return real(layer, x_parts, *args)
 
         monkeypatch.setattr(cls, "forward", spy)
 
@@ -518,6 +525,23 @@ class TestReplicaSharing:
 
     @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 1, 1, 2)])
     def test_replicas_hold_one_tensor(self, dims, monkeypatch):
+        """Downstream work is shared with ``is``, and the graph holds one
+        node per distinct ring result, not one per traced collective (a
+        node per rank would make the counts a group size larger again).
+
+        A linear's (or the LM head's) all-reduce is inside its
+        contraction group's one node: one per record.  The G_x Y-groups
+        of a LayerNorm's X siblings all-reduce the same moment tensors,
+        and the G_data x G_seq Z groups of a weight in every replica and
+        sequence shard gather the same shards; each such class of
+        siblings returns one result, so the moment records divide by
+        G_x and the gather records by G_data * G_seq.  The loss's
+        ``vpce.AR_sumexp`` sums are distinct per group
+        (``vpce.AR_max`` returns constants, no node).  On (2, 2, 2, 2):
+        80 / 2 + 4 = 44 ``all_reduce_t`` and 64 / 2 = 32
+        ``all_gather_t``; on (2, 2, 1, 1, 2): 40 / 2 + 2 = 22 and
+        64 / 2 = 32.
+        """
         cfg = tiny_config()
         grid = Grid4D(GridConfig(*dims), tracer=CommTracer())
         model = ParallelGPT(grid, cfg, seed=0)
@@ -546,22 +570,124 @@ class TestReplicaSharing:
             for residual in residuals:
                 assert shared_along("x", residual) == c.gy * c.gz * c.gs
 
-        # One graph node per traced collective: a node per rank would
-        # make these counts a group size larger.  A linear's (or the LM
-        # head's) all-reduce is inside its contraction group's one node.
+        # One graph node per distinct ring result (docstring).
         nodes = collections.Counter(n.name for n in _loss_graph(loss))
-        records = [
-            r for r in grid.tracer.records if r.tag and r.tag != "vpce.AR_max"
-        ]
+        tags = collections.Counter(r.tag for r in grid.tracer.records)
         fused = ("linear.AR_", "head.AR_y")
-        calls = collections.Counter(
-            r.op for r in records if not r.tag.startswith(fused)
-        )
         assert nodes["linear_group"] == sum(
-            r.op == "all_reduce" and r.tag.startswith(fused) for r in records
+            n for tag, n in tags.items() if tag.startswith(fused)
         ) > 0
-        assert nodes["all_reduce_t"] == calls["all_reduce"] > 0
-        assert nodes["all_gather_t"] == calls["all_gather"] > 0
+        moments = tags["ln.AR_sum"] + tags["ln.AR_sq"]
+        assert nodes["all_reduce_t"] == moments // c.gx + tags["vpce.AR_sumexp"]
+        assert nodes["all_gather_t"] == tags["linear.AG_z"] // (c.gdata * c.gs) > 0
+
+
+def _fault_match(records, rank: int, op: str, tag: str, nth: int) -> int:
+    """``FaultSpec.match`` of ``rank``'s ``nth`` ``tag`` collective: how
+    many ``op`` collectives ``rank`` joined before it."""
+    joined = seen = 0
+    for rec in records:
+        if rec.op != op or rank not in rec.group.ranks:
+            continue
+        if rec.tag == tag:
+            if seen == nth:
+                return joined
+            seen += 1
+        joined += 1
+    raise AssertionError(f"rank {rank} joins fewer than {nth + 1} {tag}")
+
+
+class TestSiblingSharing:
+    """Sibling groups at one call site — the X siblings of a LayerNorm's
+    Y-group moments, a weight's Z all-gathers in every replica and
+    sequence shard — share one node when their rings agree bit for bit,
+    and every sibling's ring is still issued and open to faults."""
+
+    def test_value_decides_and_nan_or_a_flipped_zero_never_shares(self):
+        """Siblings share on ``==`` everywhere with equal sign bits: a NaN
+        is unequal to itself, and a result bit-flipped from 0.0 to -0.0
+        (which ``==`` cannot tell apart) keeps its own node."""
+        zero = Tensor(np.zeros(1), requires_grad=True)
+        memo: dict = {}
+        first = all_reduce_t([zero], ProcessGroup((0,)), siblings=memo)[0]
+        assert all_reduce_t([zero], ProcessGroup((1,)), siblings=memo)[0] is first
+        # Plan seed 7 picks the sign byte of the one fp64 payload.
+        spec = FaultSpec("bitflip", rank=2, op="all_reduce", bit=7)
+        injector = FaultInjector(FaultPlan((spec,), seed=7))
+        with fault_scope(injector):
+            flipped = all_reduce_t([zero], ProcessGroup((2,)), siblings=memo)[0]
+        assert injector.stats["bitflips"] == 1 and np.signbit(flipped.data[0])
+        assert flipped is not first
+        nan = Tensor(np.array([np.nan]), requires_grad=True)
+        outs = [all_reduce_t([nan], ProcessGroup((r,)), siblings=memo)[0] for r in (0, 1)]
+        assert outs[0] is not outs[1]
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 1, 1, 2), (1, 2, 1, 2, 2)])
+    def test_one_normalize_per_row_shard_and_one_gather_per_weight_shard(self, dims):
+        cfg = tiny_config()
+        grid = Grid4D(GridConfig(*dims), tracer=CommTracer())
+        c = grid.config
+        model = ParallelGPT(grid, cfg, seed=0)
+        loss = model.loss(batch_for(cfg, b=2 * c.gz * c.gdata))
+        nodes = collections.Counter(n.name for n in _loss_graph(loss))
+        layer_norms = 2 * cfg.num_layers + 1
+        # One normalize per (y, z, d, s): the residual stream and both
+        # moments are shared along X.
+        assert nodes["layer_norm_shard"] == layer_norms * c.gy * c.gz * c.gdata * c.gs
+        # One gathered weight per linear and (x, y), held by the ranks
+        # (x, y, z) of every z, d and s.
+        assert nodes["all_gather_t"] == 4 * cfg.num_layers * c.gx * c.gy
+        # ... while every sibling's ring is issued.
+        tags = collections.Counter(r.tag for r in grid.tracer.records)
+        assert tags["linear.AG_z"] == 4 * cfg.num_layers * c.total // c.gz
+        assert tags["ln.AR_sum"] == layer_norms * c.total // c.gy
+
+    # (grid, victim coords (x, y, z, d, s), tag, which of the victim's
+    # ``tag`` collectives, the loss under the fault as computed with
+    # every sibling group its own node).  Corrupting the first sibling
+    # of a class (x = 0, d = 0) or a later one must both hold.
+    FAULTS = [
+        ((2, 2, 2, 2), (1, 0, 1, 0, 0), "ln.AR_sum", 2, "0x1.bbc064d0f14c5p+1"),
+        ((2, 2, 2, 2), (0, 0, 1, 0, 0), "ln.AR_sum", 2, "0x1.bbc064d0f14cbp+1"),
+        ((2, 2, 2, 2), (0, 1, 0, 1, 0), "linear.AG_z", 2, "0x1.bbbe089bef226p+1"),
+        ((2, 2, 2, 2), (0, 1, 0, 0, 0), "linear.AG_z", 2, "0x1.bbc272a41797bp+1"),
+        ((2, 2, 1, 1, 2), (1, 0, 0, 0, 1), "linear.AG_z", 2, "0x1.b90e761462c51p+1"),
+        ((2, 2, 1, 1, 2), (1, 0, 0, 0, 1), "ln.AR_sum", 1, "0x1.b90ee30b6460ep+1"),
+    ]
+
+    @pytest.mark.parametrize("dims,victim,tag,nth,want", FAULTS)
+    def test_a_bitflipped_sibling_keeps_its_own_node(self, dims, victim, tag, nth, want):
+        cfg = tiny_config()
+        c = GridConfig(*dims)
+        ids = batch_for(cfg, b=2 * c.gz * c.gdata)
+        clean_grid = Grid4D(c, tracer=CommTracer())
+        clean_loss = ParallelGPT(clean_grid, cfg, seed=0).loss(ids)
+        clean = collections.Counter(n.name for n in _loss_graph(clean_loss))
+
+        rank = clean_grid.rank_of(*victim)
+        op = "all_gather" if tag == "linear.AG_z" else "all_reduce"
+        spec = FaultSpec(
+            "bitflip", rank=rank, op=op, bit=5,
+            match=_fault_match(clean_grid.tracer.records, rank, op, tag, nth),
+        )
+        injector = FaultInjector(FaultPlan((spec,)))
+        grid = Grid4D(c, tracer=CommTracer())
+        with fault_scope(injector):
+            loss = ParallelGPT(grid, cfg, seed=0).loss(ids)
+        assert injector.stats["bitflips"] == 1
+        assert repr(grid.tracer.records) == repr(clean_grid.tracer.records)
+        assert loss.item().hex() == want != clean_loss.item().hex()
+        # The corrupted group's result is its own node, and with it the
+        # normalize of each of that Y group's ranks.
+        nodes = collections.Counter(n.name for n in _loss_graph(loss))
+        if tag == "ln.AR_sum":
+            assert nodes["all_reduce_t"] == clean["all_reduce_t"] + 1
+            assert nodes["layer_norm_shard"] == clean["layer_norm_shard"] + c.gy
+        else:
+            assert nodes["all_gather_t"] == clean["all_gather_t"] + 1
+        assert sum(nodes.values()) - sum(clean.values()) == (
+            1 + c.gy if tag == "ln.AR_sum" else 1
+        )
 
 
 class TestTokenIdRange:
@@ -608,31 +734,38 @@ class TestGraphAndFlops:
         h=128, 8 heads, vocab 512, batch 8 x 64) on a (2, 2, 2, 2) grid
         builds exactly this many nodes that backward visits.
 
-        A collective is one node per group, replicated work runs once
-        per distinct input, and a contraction group's local matmuls,
+        A collective is one node per group, and one per class of
+        sibling groups whose rings agree; replicated work runs once per
+        distinct input, and a contraction group's local matmuls,
         all-reduce and bias add are one node.  Per data replica (8
         ranks) and layer:
 
-        * 4 linears x (4 Z all-gathers + 4 contraction-group nodes) = 32;
-        * 2 LayerNorms x (4 Σx + 4 Σx² + 2 x 4 moment all-reduces + 8
-          normalizes) = 48;
+        * 4 linears x 4 contraction-group nodes = 16, plus 4 x 4 Z
+          all-gathers in replica 0 only (replica 1's gathers return the
+          same bits from the same shards and share its nodes);
+        * 2 LayerNorms x (4 Σx + 4 Σx² + 2 x 2 moment all-reduces (the
+          X siblings of each Y group share one) + 4 normalizes, one per
+          (y, z)) = 32;
         * attention and GELU, 4 each (one per Y group); 2 x 4 residual
-          adds (one per X group): 16 — 96 per layer.
+          adds (one per X group): 16 — 80 per layer in replica 0 and
+          64 in replica 1.
 
-        4 layers x 2 replicas = 768; ``ln_f`` 2 x 24 = 48; embedding 2
-        x (4 gathers + 8 feature slices + 4 ``tok + pe``) = 32; LM head 2
-        x (4 x (slice + transpose) of ``wte`` + 4 contraction-group
-        nodes) = 24; the vocab-parallel loss 4 shards x 18 + 3 = 75; 198
-        parameters.  Total 1145 (1545 with a node per rank for every
-        local matmul and one for every linear all-reduce and bias add;
-        3409 with a node per rank for every collective output and the
-        composite attention as well)."""
+        4 layers x (80 + 64) = 576; ``ln_f`` 2 x 16 = 32; embedding 2
+        x (4 gathers + 8 feature slices + 4 ``tok + pe``) = 32; LM head
+        4 x (slice + transpose) of ``wte``, built once per forward, + 2
+        x 4 contraction-group nodes = 16; the vocab-parallel loss 4
+        shards x 18 + 3 = 75; 198 parameters.  Total 929 (1145 with
+        every sibling group's collective its own node, the normalize on
+        every rank and the head's ``wte`` blocks per replica; 1545 with
+        a node per rank for every local matmul and one for every linear
+        all-reduce and bias add as well; 3409 with a node per rank for
+        every collective output and the composite attention too)."""
         cfg = tiny_config(
             name="bench", num_layers=4, hidden_size=128, num_heads=8,
             seq_len=64, vocab_size=512,
         )
         model = ParallelGPT(Grid4D(GridConfig(2, 2, 2, 2)), cfg, seed=0)
-        assert len(_loss_graph(model.loss(batch_for(cfg, 8)))) == 1145
+        assert len(_loss_graph(model.loss(batch_for(cfg, 8)))) == 929
 
     @pytest.mark.parametrize(
         "dims", [(1, 1, 1, 1), (2, 2, 2, 2), (2, 1, 2, 1), (1, 2, 1, 2, 2)]
