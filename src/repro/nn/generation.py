@@ -6,9 +6,9 @@ prefix each step costs O(n^2) forward passes; caching each layer's keys
 and values makes each step O(1) forward work on the single new token —
 the standard KV-cache inference optimization every serving stack uses.
 
-The cached path computes *exactly* the same logits as the full forward
-(same float64 arithmetic), which the test suite asserts, so evaluation
-results are unchanged — only faster.
+The cached path computes the same logits as the full forward to
+rounding (the tests hold them to 1e-12 relative in float64), and the
+same greedy tokens, so evaluation results are unchanged — only faster.
 
 The cached block math is written once, in :func:`_forward_cached`, for
 ragged batches over ``n >= 1`` weight shards.  :func:`prefill` and
@@ -18,15 +18,19 @@ shard (the serial decoder) or one per tensor-parallel rank.
 
 So is the attention under it: :func:`_attention_with_cache` takes a
 batch whose rows have different cached lengths, and is what the lone
-path, the serial decoder and every tensor-parallel rank call.  It pads
-the batch to one scores array for everything elementwise and keeps the
-three length-ordered reductions (``q @ k^T``, the softmax denominator,
-``att @ v``) per row, over exactly the row's live positions — padding
-those instead was measured and is not bitwise on this BLAS (ROADMAP
-item 1) — so served == lone stays an ``assert_array_equal``.
+path, the serial decoder and every tensor-parallel rank call.  For
+decode it pads the batch to one scores array for everything elementwise
+and keeps the three length-ordered reductions (``q @ k^T``, the softmax
+denominator, ``att @ v``) per row, over exactly the row's live
+positions — padding those instead was measured and is not bitwise on
+this BLAS (ROADMAP item 1).  A prefill row runs alone, in query tiles
+that score only the keys their queries can see and reduce over the
+tile's own live length.  Either way a row's bits are its own, so served
+== lone stays an ``assert_array_equal``.
 The FC products keep the same *batch invariance* by fixing the call
 shape: :func:`_fc`, the one place a decode row meets a weight, runs every
-decode row, lone or batched, on every decoder, as the same 4-row GEMM.
+decode row, lone or batched, on every decoder, as the same 4-row GEMM —
+and so does the LM head, which runs on the last position only.
 """
 
 from __future__ import annotations
@@ -118,6 +122,12 @@ def _split_heads(t: np.ndarray, num_heads: int) -> np.ndarray:
     return t.reshape(b, s, num_heads, h // num_heads).transpose(0, 2, 1, 3)
 
 
+#: Query rows per prefill attention tile.  Measured on ``serve_prefill``
+#: (DESIGN.md, "Kernel rewrite contract"): 24 to 64 tie within 1%, 16
+#: loses 2%, one untiled block per row 6%.
+_TILE_QUERIES = 32
+
+
 def _attention_with_cache(q, keys, values, pasts) -> np.ndarray:
     """Causal attention of ``q`` (B, nh, S_new, hd) over ragged caches:
     row ``j`` has ``pasts[j]`` cached positions, and ``keys`` /
@@ -125,21 +135,51 @@ def _attention_with_cache(q, keys, values, pasts) -> np.ndarray:
     order (a dense (B, nh, S, hd) array iterates as exactly that; a
     lazy iterable is read one row at a time, keys before values).
 
-    The batch shares one (B, nh, S_new, S_max) scores array whose hidden
-    entries — a query's future, and a shorter row's padding — are
-    ``-inf``, and everything elementwise (scale, mask, max-subtract,
-    ``exp``, normalise) runs over it once.  The three reductions whose
-    floating-point order depends on a row's length (``q @ k^T``, the
-    softmax denominator, ``att @ v``) run per row over exactly its live
-    positions, so a row's bits do not depend on what it is batched with.
+    The three reductions whose floating-point order depends on a length
+    (``q @ k^T``, the softmax denominator, ``att @ v``) never run over
+    another row's padding, so a row's bits do not depend on what it is
+    batched with.  The split is :func:`_fc`'s:
+
+    * Decode (``S_new == 1``): the batch shares one (B, nh, 1, S_max)
+      scores array whose hidden entries — a shorter row's padding — are
+      ``-inf``, and everything elementwise (scale, mask, max-subtract,
+      ``exp``, normalise) runs over it once; the reductions run per row
+      over exactly its live positions.
+    * Prefill and replay (``S_new >= 2``): each row runs alone, in tiles
+      of ``_TILE_QUERIES`` queries.  Tile ``[i0, i1)`` scores only keys
+      ``[0, past + i1)`` — nothing past its own last query — and reduces
+      over that live length, which depends on the row's own ``past`` and
+      ``S_new`` only.  The ``1/sqrt(hd)`` scale goes on ``q``, the max
+      and ``exp`` run over visible scores only, and the softmax
+      denominator divides the (tile, hd) output instead of the scores.
     """
     b, nh, s_new, hd = q.shape
+    if s_new != 1:
+        # A Python float divisor is weak under NEP 50: float32 stays.
+        q = q / float(np.sqrt(hd))
+        out = np.empty((b, s_new, nh, hd), dtype=q.dtype)
+        for j, (k, v) in enumerate(zip(keys, values)):
+            for i0 in range(0, s_new, _TILE_QUERIES):
+                i1 = min(i0 + _TILE_QUERIES, s_new)
+                n, t = pasts[j] + i1, i1 - i0
+                visible = np.arange(n) <= np.arange(n - t, n)[:, None]
+                att = q[j, :, i0:i1] @ k[:, :n].swapaxes(-1, -2)
+                att -= att.max(
+                    axis=-1, keepdims=True, where=visible, initial=-np.inf
+                )
+                np.exp(att, out=att, where=visible)
+                # Only the tile's own future is hidden: zero it.
+                np.copyto(att[..., n - t :], 0.0, where=~visible[:, n - t :])
+                tile = att @ v[:, :n]
+                tile /= att.sum(axis=-1, keepdims=True)
+                out[j, i0:i1] = tile.swapaxes(0, 1)
+        return out.reshape(b, s_new, nh * hd)
     totals = [past + s_new for past in pasts]
     scores = np.empty((b, nh, s_new, max(totals)), dtype=q.dtype)
     for j, k in enumerate(keys):
         np.matmul(q[j], k.swapaxes(-1, -2), out=scores[j, :, :, : totals[j]])
-    # Query i of row j (global position pasts[j] + i) sees keys
-    # 0..pasts[j]+i: one mask for causality and for padding.
+    # Row j's one query (global position pasts[j]) sees keys
+    # 0..pasts[j]: the mask hides the shorter rows' padding.
     reach = np.asarray(pasts)[:, None] + np.arange(s_new)
     visible = np.arange(scores.shape[-1]) <= reach[:, None, :, None]
     # -inf, not a finite fill: see ``causal_attention`` (a legitimate
@@ -255,8 +295,8 @@ def _forward_cached(
     all_reduce=_lone_shard,
     all_gather=_lone_shard,
 ) -> np.ndarray:
-    """Logits (B, S_new, V) for the new tokens ``ids`` (B, S_new), where
-    row ``j`` already has ``pasts[j]`` cached positions.
+    """Last-position logits (B, 1, V) for the new tokens ``ids`` (B,
+    S_new), where row ``j`` already has ``pasts[j]`` cached positions.
 
     The one cached forward: lone generation, the serial serving decoder
     and the tensor-parallel decoder all run this function and differ in
@@ -268,6 +308,12 @@ def _forward_cached(
     tag)`` concatenates their vocabulary slices of the logits along the
     last axis — how shards meet.  With one shard (``_shard_weights(model)``)
     both are the identity and every line below is the serial arithmetic.
+
+    Every caller keeps only the last position's logits (the next token),
+    so ``ln_f`` and the LM head run on that row alone: a prefill pays for
+    one head row, not ``S_new``.  Token ids outside the vocabulary raise
+    :class:`IndexError` (:func:`repro.tensor.functional.check_token_ids`)
+    before any key or value is stored.
     """
     cfg = model.cfg
     blocks, head = shards
@@ -278,6 +324,7 @@ def _forward_cached(
             f"sequence of {max(pasts)} cached + {s_new} new tokens exceeds "
             f"the model's context {cfg.seq_len}"
         )
+    F.check_token_ids(ids, cfg.vocab_size)
     pos = np.asarray(pasts)[:, None] + np.arange(s_new)[None, :]
 
     def ln(mod, arr):
@@ -303,15 +350,16 @@ def _forward_cached(
             ]
             fc2 = all_reduce(partials, "serve.mlp_AR_x")
             x = x + (fc2 + blk.mlp.fc2.bias.data)
-        x = ln(model.ln_f, x)
+        x = ln(model.ln_f, x[:, -1:])
         return all_gather([_fc(x, w.T) for w in head], "serve.head_AG_x")
 
 
 def _forward_lone(
     model: GPT, ids_new: np.ndarray, cache: KVCache
 ) -> np.ndarray:
-    """Logits (B, S_new, V) for the new tokens, extending the dense
-    cache: the one-shard forward whose keys/values live in ``cache``."""
+    """Last-position logits (B, 1, V) for the new tokens, extending the
+    dense cache: the one-shard forward whose keys/values live in
+    ``cache``."""
     past = cache.seq_len
 
     def attend(shard, layer, qh, kh, vh):

@@ -19,16 +19,18 @@ its batch: embedding rows are gathered per sequence,
 LayerNorm/GELU/residuals are row-local, every decode row's FC products
 are the same fixed 4-row GEMM call alone or in a batch
 (:func:`repro.nn.generation._fc`), and inside attention only three
-reductions have a floating-point order that depends on a row's length —
+reductions have a floating-point order that depends on a length —
 ``q @ k^T``, the softmax denominator, ``att @ v`` — and those run per
-row over exactly its live positions with the call shapes of a lone run;
-everything else is elementwise over the padded batch.  Keys/values are
-read from token-major pages (:mod:`repro.serving.paged_kv`): the lone
+row with the call shapes of a lone run: a decode row's over exactly its
+live positions (everything else elementwise over the padded batch), a
+prefill row's per query tile over that tile's live length.  Keys/values
+are read from token-major pages (:mod:`repro.serving.paged_kv`): the lone
 path's dense-cache values under other strides.  The tests assert logits
 with ``assert_array_equal``, not a tolerance:
 ``tests/test_serving_batch_invariance.py`` holds every row of a batch to
 the row decoded alone, ``tests/test_serving_paged_attention.py`` this
-path to the per-sequence loop it replaced.
+path to the per-sequence loop it replaced (bitwise for decode, to a
+stated budget for prefill's query tiles).
 """
 
 from __future__ import annotations
@@ -126,10 +128,11 @@ class PagedDecoder:
     # -- forward -----------------------------------------------------------
 
     def _forward(self, ids: np.ndarray, seq_ids: list[int]) -> np.ndarray:
-        """Logits (B, S_new, V) for new tokens ``ids`` (B, S_new), one
-        row per sequence, extending every shard's cache.  Keys/values
-        land at uncommitted offsets and are committed only after the
-        whole forward, so a forward that raises can simply be re-run.
+        """Last-position logits (B, 1, V) for new tokens ``ids`` (B,
+        S_new), one row per sequence, extending every shard's cache.
+        Keys/values land at uncommitted offsets and are committed only
+        after the whole forward, so a forward that raises can simply be
+        re-run.
         This is the one place sequence ids enter the forward: a repeated
         id is rejected here, before any byte is written."""
         if len(set(seq_ids)) != len(seq_ids):
@@ -242,7 +245,11 @@ class ServingEngine(ServingLoop):
             _shard_weights(model),
         )
         super().__init__(
-            decoder, config, context_len=model.cfg.seq_len, eos_id=eos_id
+            decoder,
+            config,
+            context_len=model.cfg.seq_len,
+            vocab_size=model.cfg.vocab_size,
+            eos_id=eos_id,
         )
         self.model = model
         (self.kv,) = decoder.kv

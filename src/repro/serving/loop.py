@@ -113,7 +113,9 @@ class ServingLoop:
     dry the youngest sequence is preempted (:meth:`_grow_blocks`) and
     later recompute-restarted (:meth:`_resume_preempted`).
 
-    Overload never raises: requests that cannot be served end as typed
+    Overload never raises: requests that cannot be served — too long for
+    the pool or the ``context_len``, a prompt id outside ``[0,
+    vocab_size)``, a full queue, an expired deadline — end as typed
     :class:`~repro.serving.scheduler.RejectedRequest` outcomes on
     ``self.rejected`` (causes ``rejected`` / ``shed`` / ``deadline``).
     Every event is counted on ``self.stats`` and, under a tracer, on the
@@ -126,6 +128,7 @@ class ServingLoop:
         config: BatchingConfig,
         *,
         context_len: int,
+        vocab_size: int,
         eos_id: int | None = None,
         prefix: str = "serve.",
     ) -> None:
@@ -133,7 +136,7 @@ class ServingLoop:
         self.config = config
         self.eos_id = eos_id
         self.prefix = prefix
-        self.batcher = ContinuousBatcher(config, context_len)
+        self.batcher = ContinuousBatcher(config, context_len, vocab_size)
         self.running: list[_Running] = []
         self.preempted: list[_Running] = []
         self.finished: list[FinishedRequest] = []

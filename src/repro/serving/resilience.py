@@ -271,6 +271,7 @@ class ResilientTPEngine(ServingLoop):
             FaultAbsorbingDecoder(model, grid, config, injector, 8),
             config,
             context_len=model.cfg.seq_len,
+            vocab_size=model.cfg.vocab_size,
             eos_id=eos_id,
             prefix="serve.tp.",
         )

@@ -21,7 +21,9 @@ Policy (deliberately simple and deterministic):
   fit, nothing behind it is admitted (preserves arrival-order fairness
   and makes admission order a pure function of the trace);
 * overload produces *typed outcomes*, never exceptions or unbounded
-  queues: a never-fitting request is ``"rejected"`` at enqueue, a
+  queues: a never-fitting request — over the pool or the model's
+  context, or with a prompt token outside the vocabulary — is
+  ``"rejected"`` at enqueue, a
   request arriving to a full bounded queue is ``"shed"``, and a request
   whose deadline / TTFT budget expires while waiting is swept out as
   ``"deadline"`` at the next admission pass.  The cause strings match
@@ -33,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from ..tensor.functional import check_token_ids
 from .arrivals import Request
 
 __all__ = [
@@ -125,11 +128,17 @@ class ContinuousBatcher:
     """
 
     def __init__(
-        self, config: BatchingConfig, context_len: float = float("inf")
+        self,
+        config: BatchingConfig,
+        context_len: float = float("inf"),
+        vocab_size: float = float("inf"),
     ) -> None:
         self.config = config
         #: The model's context: a longer request can never be served.
         self.context_len = context_len
+        #: The model's vocabulary: a prompt id outside ``[0, vocab_size)``
+        #: can never be served.
+        self.vocab_size = vocab_size
         self._waiting: deque[Request] = deque()
         self._rejected: list[RejectedRequest] = []
 
@@ -140,13 +149,16 @@ class ContinuousBatcher:
     def enqueue(self, request: Request, now: float | None = None) -> RejectedRequest | None:
         """Queue ``request``, or return its typed rejection.
 
-        A request that can never fit the pool or the model's context is
+        A request that can never fit the pool or the model's context, or
+        whose prompt holds an id outside the vocabulary, is
         ``"rejected"``; one arriving to a full bounded queue is
         ``"shed"``.  ``now`` defaults to the request's arrival time.
         """
         t = request.arrival_time if now is None else now
-        if not self.config.fits(request) or (
-            request.total_tokens > self.context_len
+        if (
+            not self.config.fits(request)
+            or request.total_tokens > self.context_len
+            or not self._in_vocabulary(request)
         ):
             return self._reject(request, REJECT_REJECTED, t)
         if (
@@ -156,6 +168,15 @@ class ContinuousBatcher:
             return self._reject(request, REJECT_SHED, t)
         self._waiting.append(request)
         return None
+
+    def _in_vocabulary(self, request: Request) -> bool:
+        """Whether every prompt id is a row of the embedding: the
+        forward's own check, asked before the request takes a slot."""
+        try:
+            check_token_ids(request.prompt, self.vocab_size)
+        except IndexError:
+            return False
+        return True
 
     def _reject(self, request: Request, cause: str, t: float) -> RejectedRequest:
         rej = RejectedRequest(request=request, cause=cause, time=t)

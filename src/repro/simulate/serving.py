@@ -286,7 +286,7 @@ class _SimLoop(ServingLoop):
     def __init__(self, decoder, config, failure_model, seed, start):
         super().__init__(
             decoder, config, context_len=decoder.model.cfg.seq_len,
-            prefix="sim.serve.",
+            vocab_size=decoder.model.cfg.vocab_size, prefix="sim.serve.",
         )
         self.failure_model = failure_model
         self._rate = failure_model.failure_rate(1) if failure_model else 0.0

@@ -9,6 +9,7 @@ from repro.config import GPTConfig
 from repro.nn import GPT, KVCache, decode_step, generate_greedy, prefill
 from repro.nn.generation import _attention_with_cache
 from repro.tensor import no_grad
+from tests.oracles.generation import assert_prefill_close
 
 
 def model_for(seed=0, layers=3, hidden=32, heads=4, seq=24, vocab=64):
@@ -107,13 +108,18 @@ class TestCachedAttentionMask:
     def test_inf_fill_is_bitwise_the_finite_fill_in_float64(
         self, seed, b, nh, hd, past, s_new, scale
     ):
+        """Decode (``S_new == 1``) is bitwise the first formula.  Prefill
+        runs in query tiles with the scale on ``q``: a tolerance-class
+        oracle (``tests/oracles/generation.py::PREFILL_ULPS``)."""
         rng = np.random.default_rng(seed)
         q = scale * rng.standard_normal((b, nh, s_new, hd))
         k, v = scale * rng.standard_normal((2, b, nh, past + s_new, hd))
-        np.testing.assert_array_equal(
-            _attention_with_cache(q, k, v, [past] * b),
-            _attention_finite_fill(q, k, v, past),
-        )
+        got = _attention_with_cache(q, k, v, [past] * b)
+        want = _attention_finite_fill(q, k, v, past)
+        if s_new == 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert_prefill_close(got, want, q, k)
 
     def test_float32_score_below_the_finite_fill_stays_causal(self):
         """Regression: the legitimate score -1e36 sits *below* -1e30, so
@@ -169,6 +175,20 @@ class TestCacheMechanics:
     def test_empty_cache_properties(self):
         c = KVCache()
         assert c.seq_len == 0
+
+    @pytest.mark.parametrize("bad", [-1, 64, 1000])
+    def test_token_ids_outside_the_vocabulary_raise(self, bad):
+        """Regression: ``-1`` was read from the end of ``wte`` (the same
+        tokens as ``63``), so a corrupt prompt decoded without a word.
+        The cached forward runs training's one range check before any
+        key or value is stored."""
+        model = model_for()
+        with pytest.raises(IndexError, match=f"token id {bad} out of range"):
+            generate_greedy(model, np.asarray([3, bad, 5]), 3)
+        _, cache = prefill(model, np.asarray([3, 4, 5]))
+        with pytest.raises(IndexError, match="out of range"):
+            decode_step(model, np.array([bad]), cache)
+        assert cache.seq_len == 3
 
 
 class TestNoStaleWeights:

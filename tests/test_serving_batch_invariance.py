@@ -1,4 +1,4 @@
-"""Batch invariance of the decode FC stream.
+"""Batch invariance of the decode FC stream and of prefill attention.
 
 DESIGN.md "Kernel rewrite contract", inference paragraph: a decode row's
 bits must not depend on what the row is batched with.  BLAS chooses its
@@ -16,6 +16,12 @@ of evidence, all ``assert_array_equal``:
 (iii) the formula the tile replaced, ``a @ w`` stacked, as the
       *tolerance-class* oracle: moving decode onto the tile re-associates
       a ``k``-term sum, so values move by rounding and no more.
+
+Prefill and replay rows (``S_new >= 2``) run attention in query tiles
+(``nn/generation.py::_attention_with_cache``) whose every reduction
+length is set by the row's own ``past`` and ``S_new``; (iv) holds a
+row of a B-row prefill to the row alone the same way, through the
+helper, the serial decoder, TP ranks and the lone dense-cache path.
 """
 
 import functools
@@ -28,10 +34,22 @@ from hypothesis import strategies as st
 from repro.config import GPTConfig
 from repro.core.grid import Grid4D, GridConfig
 from repro.nn import generation
-from repro.nn.generation import _fc, decode_step, prefill
+from repro.nn.generation import (
+    _TILE_QUERIES,
+    _attention_with_cache,
+    _fc,
+    decode_step,
+    generate_greedy,
+    prefill,
+)
 from repro.nn.transformer import GPT
 from repro.runtime import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
-from repro.serving import BatchingConfig, ServingEngine, TensorParallelDecoder
+from repro.serving import (
+    BatchingConfig,
+    Request,
+    ServingEngine,
+    TensorParallelDecoder,
+)
 from repro.serving.resilience import FaultAbsorbingDecoder
 
 #: Every residue mod the tile, one and two full tiles, and past them.
@@ -309,3 +327,146 @@ class TestToleranceAgainstTheStackedForward:
             atol = 64 * np.finfo(np.float64).eps * np.abs(want).max()
             np.testing.assert_allclose(got, want, rtol=0, atol=atol)
             np.testing.assert_array_equal(got.argmax(-1), want.argmax(-1))
+
+
+# -- (iv) prefill attention in query tiles ------------------------------------
+
+#: ``S_new`` either side of one tile and past two.
+PREFILL_LENGTHS = (
+    2, _TILE_QUERIES - 1, _TILE_QUERIES, _TILE_QUERIES + 1, 2 * _TILE_QUERIES + 3
+)
+
+
+def _long_model(hidden):
+    """Context for a cached past of up to 20 plus the longest prefill."""
+    return GPT(
+        GPTConfig(
+            name="prefill-invariance", num_layers=2, hidden_size=hidden,
+            num_heads=4, seq_len=96, vocab_size=64,
+        ),
+        seed=hidden + 1,
+    )
+
+
+def _ragged(decoder, rng, pasts):
+    """One sequence per entry of ``pasts``, each prefilled that far (a
+    zero past stays empty), with room for the longest prefill after."""
+    for s, past in enumerate(pasts):
+        decoder.add_sequence(s, past + max(PREFILL_LENGTHS))
+        if past:
+            decoder.prefill(s, rng.integers(0, 64, past))
+    return decoder
+
+
+#: Ragged pasts, a zero among them; one row; two equal pasts.
+PASTS_CASES = ([0, 7, 20, 1], [13], [5, 5, 0])
+
+
+class TestPrefillIsBatchInvariant:
+    @example(seed=0, pasts=[0, 17, 3, 40], s_new=2 * _TILE_QUERIES + 3,
+             heads=2, hd=16, dtype=np.float64)
+    @example(seed=1, pasts=[9, 0], s_new=_TILE_QUERIES + 1, heads=3, hd=8,
+             dtype=np.float32)
+    @given(
+        seed=st.integers(0, 2**16),
+        pasts=st.lists(st.integers(0, 40), min_size=1, max_size=5),
+        s_new=st.sampled_from(PREFILL_LENGTHS),
+        heads=st.integers(1, 4),
+        hd=st.sampled_from([1, 8, 16]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_attention_row_equals_the_row_alone(
+        self, seed, pasts, s_new, heads, hd, dtype
+    ):
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((len(pasts), heads, s_new, hd)).astype(dtype)
+        keys, values = (
+            [
+                rng.standard_normal((heads, p + s_new, hd)).astype(dtype)
+                for p in pasts
+            ]
+            for _ in range(2)
+        )
+        batched = _attention_with_cache(q, iter(keys), iter(values), pasts)
+        assert batched.shape == (len(pasts), s_new, heads * hd)
+        assert batched.dtype == dtype
+        for j, past in enumerate(pasts):
+            alone = _attention_with_cache(
+                q[j : j + 1], [keys[j]], [values[j]], [past]
+            )
+            np.testing.assert_array_equal(batched[j], alone[0])
+
+    @pytest.mark.parametrize("pasts", PASTS_CASES, ids=str)
+    @pytest.mark.parametrize("s_new", PREFILL_LENGTHS)
+    def test_paged_forward_rows_equal_each_row_alone(self, s_new, pasts):
+        model, rng = _long_model(32), np.random.default_rng(s_new)
+        batched, lone = (
+            _ragged(
+                ServingEngine(model, POOL).decoder, np.random.default_rng(0), pasts
+            )
+            for _ in range(2)
+        )
+        ids = rng.integers(0, 64, (len(pasts), s_new))
+        got = batched._forward(ids, list(range(len(pasts))))
+        for j in range(len(pasts)):
+            np.testing.assert_array_equal(
+                got[j], lone._forward(ids[j : j + 1], [j])[0]
+            )
+
+    @pytest.mark.parametrize("gx", [2, 4])
+    @pytest.mark.parametrize("s_new", PREFILL_LENGTHS)
+    def test_every_ranks_prefill_partials_are_batch_invariant(self, gx, s_new):
+        model, rng = _long_model(256), np.random.default_rng(gx)
+        pasts = PASTS_CASES[0]
+        batched, lone = (
+            _ragged(_RecordingTP(model, gx), np.random.default_rng(0), pasts)
+            for _ in range(2)
+        )
+        ids = rng.integers(0, 64, (len(pasts), s_new))
+        batched.seen = []
+        batched._forward(ids, list(range(len(pasts))))
+        assert len(batched.seen) == 2 * model.cfg.num_layers + 1
+        for j in range(len(pasts)):
+            lone.seen = []
+            lone._forward(ids[j : j + 1], [j])
+            for ours, theirs in zip(batched.seen, lone.seen, strict=True):
+                for rank in range(gx):
+                    np.testing.assert_array_equal(ours[rank][j], theirs[rank][0])
+
+    def test_lone_prefill_rows_equal_each_row_alone(self):
+        """The dense-cache path: a (B, S) ``prefill`` row by row."""
+        model, rng = _long_model(32), np.random.default_rng(3)
+        ids = rng.integers(0, 64, (3, 2 * _TILE_QUERIES + 3))
+        logits, cache = prefill(model, ids)
+        for j in range(3):
+            alone, alone_cache = prefill(model, ids[j : j + 1])
+            np.testing.assert_array_equal(logits[j], alone[0])
+            for ours, theirs in zip(cache.keys, alone_cache.keys):
+                np.testing.assert_array_equal(ours[j], theirs[0])
+
+    @pytest.mark.parametrize("length", [2 * _TILE_QUERIES + 3, 80])
+    def test_served_equals_lone_past_two_tiles(self, length):
+        """served == lone on logits with prompts longer than two tiles:
+        the paged prefill and the decode steps after it against
+        ``prefill`` / ``decode_step`` on a dense cache, and the engine's
+        tokens against ``generate_greedy``."""
+        model, rng = _long_model(32), np.random.default_rng(length)
+        prompts = [rng.integers(0, 64, n) for n in (length, length - 9, 5)]
+        served = ServingEngine(model, POOL).decoder
+        for s, p in enumerate(prompts):
+            served.add_sequence(s, len(p) + 4)
+            want, cache = prefill(model, p)
+            np.testing.assert_array_equal(served.prefill(s, p), want[0])
+            for t in rng.integers(0, 64, 3):
+                np.testing.assert_array_equal(
+                    served.decode_step(np.asarray([t]), [s])[0],
+                    decode_step(model, np.asarray([t]), cache)[0],
+                )
+        fins = ServingEngine(model, POOL).run(
+            [Request(i, p, 6, 0.0) for i, p in enumerate(prompts)]
+        )
+        for fin in fins:
+            np.testing.assert_array_equal(
+                fin.tokens, generate_greedy(model, fin.request.prompt, 6)
+            )

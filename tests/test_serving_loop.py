@@ -52,7 +52,8 @@ def make(kind, model, config):
         return ResilientTPEngine(model, Grid4D(GridConfig(2, 1, 1, 1)), config)
     decoder = AnalyticDecoder(ServingModel(CFG, PERLMUTTER, tp=2), config)
     return ServingLoop(
-        decoder, config, context_len=CFG.seq_len, prefix=PREFIXES[kind]
+        decoder, config, context_len=CFG.seq_len,
+        vocab_size=CFG.vocab_size, prefix=PREFIXES[kind],
     )
 
 
@@ -190,6 +191,25 @@ class TestOneScheduleThreeDecoders:
             "decode_steps", "decode_tokens", "preemptions", "resumes",
             "recompute_tokens", "finished", "e2e_steps",
         } == set(seen["serial"])
+
+    @pytest.mark.parametrize("kind", list(PREFIXES))
+    def test_out_of_vocabulary_prompt_is_a_typed_rejection(self, model, kind):
+        """Regression: a ``-1`` in a prompt was served as the last row of
+        ``wte``, and an id past the vocabulary raised NumPy's raw
+        ``IndexError`` out of ``run()``, losing the rest of the trace.
+        Both are ``rejected`` at enqueue, as an over-context prompt is."""
+        v = CFG.vocab_size
+        loop = make(kind, model, TIGHT)
+        poison = [
+            Request(0, np.asarray([3, -1, 5]), 3, 0.0),
+            Request(1, np.asarray([3, v, 5]), 3, 0.0),
+        ]
+        fins = loop.run(poison + [Request(2, np.asarray([3, v - 1, 5]), 3, 0.0)])
+        assert [f.request.request_id for f in fins] == [2]
+        assert [(r.request.request_id, r.cause) for r in loop.rejected] == [
+            (0, "rejected"), (1, "rejected"),
+        ]
+        assert loop.stats["rejected"] == 2 and loop.stats["admitted"] == 1
 
 
 class TestSimulatorRoundSemantics:

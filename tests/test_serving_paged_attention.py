@@ -7,7 +7,11 @@ and a per-sequence loop around a single-``past`` attention with
 ``np.where`` and a full ``exp``.  The token-major pool, the one scatter
 per layer and the ragged batched attention must reproduce it bit for bit
 (``assert_array_equal``): attention output, model logits, and every
-layer's gathered keys/values.
+layer's gathered keys/values.  Decode steps (``S_new == 1``) still do;
+a forward with ``S_new >= 2`` now runs the prefill attention in query
+tiles, so there the oracle is tolerance-class (``PREFILL_ULPS`` /
+``LOGIT_ULPS``) and batch invariance is pinned bitwise in
+``tests/test_serving_batch_invariance.py``.
 
 The second half pins what the new layout and batching promise on their
 own: batched writes across block edges over non-monotone slot arrays,
@@ -46,6 +50,7 @@ from repro.serving import (
     ServingEngine,
     TensorParallelDecoder,
 )
+from tests.oracles.generation import assert_prefill_close
 
 # -- the oracle: the pre-rewrite path, verbatim -------------------------------
 
@@ -152,6 +157,23 @@ def _per_sequence_attend(kv, seq_ids, pasts, s_new):
     return attend
 
 
+def _hand_over_kv(new, old, seq_id, num_layers):
+    """Overwrite the oracle pool's committed K/V of ``seq_id`` with the
+    paged cache's, layer by layer."""
+    n = old._lens[seq_id]
+    old._lens[seq_id] = 0  # ``write`` appends at the committed length
+    for layer in range(num_layers):
+        old.write(seq_id, layer, *new.gather(seq_id, layer))
+    old._lens[seq_id] = n
+
+
+#: The tolerance class of a tiny model's logits and K/V after a forward
+#: with ``S_new >= 2``, in ulp of the largest magnitude: the tiled
+#: attention's few-ulp differences carried through two layers.  Measured
+#: over 400 draws of the strategy below: 5.25 at worst.
+LOGIT_ULPS = 32
+
+
 # -- fixtures -----------------------------------------------------------------
 
 #: A batch's cached lengths: all different, some equal, one zero, and
@@ -231,7 +253,11 @@ class TestRaggedAttentionEqualsPerSequenceLoop:
         got = _attention_with_cache(q, keys, values, pasts)
         want = _per_sequence_attend(old, seq_ids, pasts, s_new)(0, 0, q, k, v)
 
-        np.testing.assert_array_equal(got, want)
+        if s_new == 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            row_keys = [old.gather(s, 0, s_new)[0] for s in seq_ids]
+            assert_prefill_close(got, want, q, row_keys)
         for s in seq_ids:
             keys, values = new.gather_rows([s], 0, s_new)
             for ours, theirs in zip(
@@ -247,7 +273,13 @@ class TestRaggedAttentionEqualsPerSequenceLoop:
     ):
         """A tiny model through ``PagedDecoder.prefill`` / ``decode_step``
         (and the (B, S_new) forward under both) == the same cached
-        forward over the oracle's ``attend``."""
+        forward over the oracle's ``attend``.
+
+        A step with ``S_new >= 2`` runs the tiled prefill attention, so
+        its logits and every later layer's K/V are tolerance-class
+        (:data:`LOGIT_ULPS`); each setup prefill then hands its K/V to
+        the oracle's pool, so the step under test starts from one state
+        and a decode step (``S_new == 1``) stays bitwise."""
         rng = np.random.default_rng(seed)
         model = tiny_model(heads, seed=seed % 7)
         cfg = model.cfg
@@ -273,24 +305,35 @@ class TestRaggedAttentionEqualsPerSequenceLoop:
                 old.advance(s, ids.shape[1])
             return logits
 
+        def assert_same(ours, theirs, bitwise):
+            if bitwise:
+                np.testing.assert_array_equal(ours, theirs)
+            else:
+                ulp = np.spacing(np.abs(theirs).max())
+                assert np.abs(ours - theirs).max() <= LOGIT_ULPS * ulp
+
         for s, past in zip(seq_ids, pasts):
             if past:
                 prompt = rng.integers(0, cfg.vocab_size, past)
-                np.testing.assert_array_equal(
-                    decoder.prefill(s, prompt), oracle(prompt[None, :], [s])[0, -1]
+                assert_same(
+                    decoder.prefill(s, prompt),
+                    oracle(prompt[None, :], [s])[0, -1],
+                    bitwise=past == 1,
                 )
+                _hand_over_kv(new, old, s, cfg.num_layers)
         ids = rng.integers(0, cfg.vocab_size, (len(pasts), s_new))
         got = (
             decoder.decode_step(ids[:, 0], seq_ids)[:, None]
             if s_new == 1
             else decoder._forward(ids, seq_ids)
         )
-        np.testing.assert_array_equal(got, oracle(ids, seq_ids))
+        assert_same(got, oracle(ids, seq_ids), bitwise=s_new == 1)
         for s in seq_ids:
             assert new.seq_len(s) == old._lens[s] == pasts[s] + s_new
             for layer in range(cfg.num_layers):
                 for ours, theirs in zip(new.gather(s, layer), old.gather(s, layer)):
-                    np.testing.assert_array_equal(ours, theirs)
+                    # Layer 0's K/V come before any attention.
+                    assert_same(ours, theirs, bitwise=s_new == 1 or layer == 0)
 
 
 # -- what the layout and the batching promise ---------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cluster import FRONTIER, PERLMUTTER
 from repro.config import get_model
+from repro.nn.generation import _TILE_QUERIES
 from repro.perfmodel.hierarchical import choose_algorithm, clear_choice_cache
 from repro.serving import BatchingConfig, Request, poisson_trace
 from repro.simulate import serving as serving_sim
@@ -280,6 +281,8 @@ class TestServeReportCLI:
         assert metrics["tokens_per_s_max"] > 0
         assert metrics["engine_smoke"]["token_mismatches_vs_greedy"] == 0
         assert metrics["engine_smoke"]["paged_copied_bytes"] > 0
+        # The smoke's prompts run the prefill attention in two tiles.
+        assert metrics["engine_smoke"]["longest_prompt"] > _TILE_QUERIES
 
     def test_chaos_end_to_end(self, tmp_path, capsys):
         from repro.tools.serve_report import main
