@@ -23,6 +23,7 @@ from repro.cluster import get_machine
 from repro.config import get_model
 from repro.perfmodel import rank_configurations
 from repro.simulate import simulate_iteration
+from repro.telemetry import bench_summary
 
 NUM_GPUS = 32
 BATCH = 8
@@ -139,7 +140,7 @@ def test_seq_parallel(benchmark, report):
     written = (RESULTS_DIR / "BENCH_seq_parallel.json").resolve().relative_to(repo)
     report.line(f"wrote {written.as_posix()}")
 
-    # The CI gates (hierarchical-smoke).
+    # The CI gates (the tier-1 figure step and hierarchical-smoke).
     for mname in MACHINES:
         short = next(
             p
@@ -158,3 +159,13 @@ def test_seq_parallel(benchmark, report):
         assert short["plain_config"] is not None
         assert long_pt["plain_config"] is None
         assert long_pt["sp_time_s"] is not None and long_pt["sp_time_s"] > 0
+
+    # The artifact document (what save() writes): its schema, a
+    # crossover no earlier than 8k on both machines, and a running 128k
+    # ring.
+    doc = bench_summary(report.bench_name, report.metrics, report.meta)
+    assert doc["schema"] == "repro.bench/v1", doc["schema"]
+    m = doc["metrics"]
+    for mname in MACHINES:
+        assert m[f"crossover_seq_len_{mname}"] >= 8192, m
+        assert m[f"sp_128k_tokens_per_s_{mname}"] > 0, m

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..nn.generation import decode_step, prefill
 from ..nn.transformer import GPT
-from ..tensor import no_grad
 from .buckets import Bucket
 
 __all__ = [
@@ -32,25 +31,15 @@ def _matches_suffix(
     """True if greedy decoding reproduces the document's suffix exactly.
 
     Early-exits on the first wrong token; decodes incrementally through
-    a KV cache (the document fits the context by construction).
+    a KV cache (the document fits the context: :func:`exact_match_rate`
+    checks).
     """
     prefix = np.asarray(tokens[:-suffix_len], dtype=np.int64)
-    target = tokens[-suffix_len:]
-    if len(tokens) <= model.cfg.seq_len:
-        logits, cache = prefill(model, prefix[None, :])
-        for t in target:
-            if int(np.argmax(logits[0])) != int(t):
-                return False
-            logits = decode_step(model, np.array([t]), cache)
-        return True
-    ids = prefix.copy()
-    with no_grad():
-        for t in target:
-            window = ids[-model.cfg.seq_len :]
-            logits = model(window[None, :]).data[0, -1]
-            if int(np.argmax(logits)) != int(t):
-                return False
-            ids = np.append(ids, t)
+    logits, cache = prefill(model, prefix[None, :])
+    for t in tokens[-suffix_len:]:
+        if int(np.argmax(logits[0])) != int(t):
+            return False
+        logits = decode_step(model, np.array([t]), cache)
     return True
 
 
@@ -64,6 +53,11 @@ def exact_match_rate(
         raise ValueError(
             f"suffix_len {suffix_len} invalid for documents of "
             f"{documents.shape[1]} tokens"
+        )
+    if documents.shape[1] > model.cfg.seq_len:
+        raise ValueError(
+            f"documents of {documents.shape[1]} tokens exceed the "
+            f"model's context of {model.cfg.seq_len}"
         )
     hits = sum(
         _matches_suffix(model, doc, suffix_len) for doc in documents

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 from ..cluster import MachineSpec
 from ..kernels import GemmModel
+from ..perfmodel.model import BF16_BYTES
 from ..simulate.network_sim import span_link
 
 __all__ = ["MoEPerfResult", "all_to_all_time", "simulate_moe_layer"]
-
-BF16 = 2
 
 
 def all_to_all_time(
@@ -89,7 +88,7 @@ def simulate_moe_layer(
 
     # Dispatch moves each routed token's activation once, combine moves
     # it back; backward repeats both with gradients.
-    payload = routed * dim * BF16
+    payload = routed * dim * BF16_BYTES
     a2a = all_to_all_time(payload, expert_parallel, machine, nodes)
     dispatch = 2.0 * a2a  # forward + backward
     combine = 2.0 * a2a

@@ -43,6 +43,7 @@ from ..cluster import (
 from ..runtime.hierarchical import decompose_by_node
 from .bandwidth import case2_bandwidth
 from .ring import (
+    TIME_FNS,
     all_gather_time,
     all_reduce_time,
     reduce_scatter_time,
@@ -60,12 +61,6 @@ __all__ = [
 #: Ops the two-level decomposition covers.
 HIERARCHICAL_OPS = ("all_reduce", "reduce_scatter", "all_gather")
 
-_FLAT = {
-    "all_reduce": all_reduce_time,
-    "reduce_scatter": reduce_scatter_time,
-    "all_gather": all_gather_time,
-}
-
 
 def flat_time(
     op: str, nbytes: float, p: int, beta: float, alpha: float = 0.0
@@ -77,7 +72,7 @@ def flat_time(
     bytes for ``all_gather``.
     """
     try:
-        fn = _FLAT[op]
+        fn = TIME_FNS[op]
     except KeyError:
         raise ValueError(f"unknown collective {op!r}") from None
     return fn(nbytes, p, beta, alpha)

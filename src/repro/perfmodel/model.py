@@ -12,7 +12,8 @@ iteration, in seconds):
 
 with sizes converted to bytes (bf16 = 2 bytes).  Layers with transposed
 weights swap ``G_x <-> G_y`` (and their bandwidths).  The network total
-is the sum over layers (Eq. 6).
+is the sum over layers (Eq. 6).  The byte terms are written once, in
+:func:`layer_collectives`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from ..cluster import MachineSpec
 from ..config import GPTConfig
 from ..core.grid import GridConfig
 from .bandwidth import BandwidthDatabase, effective_bandwidths
-from .ring import all_gather_time, all_reduce_time, reduce_scatter_time
+from .ring import TIME_FNS
+from .seq_parallel import ring_kv_payload_bytes, seq_ring_time
 
 __all__ = [
     "LayerShape",
@@ -33,8 +35,15 @@ __all__ = [
     "CommBreakdown",
 ]
 
-#: Bytes per element for half-precision activations/gradients.
+#: Bytes per bf16 element: the wire and activation width every cost
+#: model of the package prices.
 BF16_BYTES = 2
+
+#: One collective of Algorithm 1: ``(op, axis, p, groups, nbytes)`` --
+#: the op's name, the grid axis it runs over, the group size, the number
+#: of distinct groups one data-parallel replica's ranks take part in,
+#: and one rank's input-buffer bytes.
+Collective = tuple[str, str, int, int, float]
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,43 @@ class LayerShape:
     def flops(self) -> float:
         """Forward-pass multiply-add flops of the full layer."""
         return 2.0 * self.m * self.k * self.n
+
+
+def layer_collectives(
+    layer: LayerShape, config: GridConfig, dtype_bytes: int
+) -> tuple[Collective, ...]:
+    """Algorithm 1's collectives of one FC layer, in this order:
+
+    ``ag_z`` (line 2), ``rs_z`` (line 14), ``ar_fwd`` (line 4, over the
+    contraction axis), ``ar_bwd`` (line 12, over the column axis), the
+    data-parallel and the sequence-parallel weight-gradient all-reduces.
+
+    The one table of the package's byte terms: the perf model, the
+    volume count and the simulator all read it.  A transposed layer
+    swaps the roles (and axes) of X and Y.  Sequence shards hold
+    ``S / G_seq`` of every sequence, so they shrink the activation
+    blocks and multiply the group count, and replicate every weight, so
+    their gradients all-reduce over the sequence axis.
+    """
+    gx, gy, gz, gs = config.gx, config.gy, config.gz, config.gs
+    ax, ay = "x", "y"
+    if layer.transposed:
+        gx, gy = gy, gx
+        ax, ay = ay, ax
+    m, k, n = layer.m, layer.k, layer.n
+    shard = k * n / (gx * gy * gz) * dtype_bytes  # W_hat
+    block = k * n / (gx * gy) * dtype_bytes  # W_{j,i}
+    out_block = m * n / (gz * gx * gs) * dtype_bytes  # O_hat
+    in_block = m * k / (gz * gy * gs) * dtype_bytes  # dI_hat
+    z_groups = gx * gy * gs
+    return (
+        ("all_gather", "z", gz, z_groups, shard),
+        ("reduce_scatter", "z", gz, z_groups, block),
+        ("all_reduce", ay, gy, gx * gz * gs, out_block),
+        ("all_reduce", ax, gx, gy * gz * gs, in_block),
+        ("all_reduce", "data", config.gdata, z_groups * gz, shard),
+        ("all_reduce", "seq", gs, gx * gy * gz, shard),
+    )
 
 
 def gpt_layer_shapes(
@@ -116,38 +162,23 @@ def layer_comm_time(
     betas: dict[str, float],
     dtype_bytes: int = BF16_BYTES,
 ) -> CommBreakdown:
-    """Eqs. 1–5 for one layer.  For transposed layers the roles (and
-    bandwidths) of X and Y are swapped.
+    """Eqs. 1–5 for one layer, each record at its axis' bandwidth.
 
-    With the sequence axis active (``G_seq > 1``), activation blocks
-    shrink by ``G_seq`` (each shard holds ``S / G_seq`` of every
-    sequence) while weight shards are unchanged; the weight-gradient
-    reduction across sequence shards is charged like an extra
-    data-parallel all-reduce at the sequence axis' bandwidth.
+    The records are :func:`layer_collectives`'.  ``ar_y`` / ``ar_x``
+    are the forward / backward all-reduces (over Y and X for a normal
+    layer, X and Y for a transposed one).  With the sequence axis active
+    (``G_seq > 1``) the weight-gradient reduction across sequence shards
+    is charged into ``ar_data`` at the sequence axis' bandwidth.  A
+    size-1 group costs nothing, so its axis need not be in ``betas``.
     """
-    gx, gy = config.gx, config.gy
-    bx, by = betas["x"], betas["y"]
-    if layer.transposed:
-        gx, gy = gy, gx
-        bx, by = by, bx
-    gz, gd, gs = config.gz, config.gdata, config.gs
-    bz, bd = betas["z"], betas["data"]
-    bs = betas.get("seq", float("inf"))
-    m, k, n = layer.m, layer.k, layer.n
-
-    shard = k * n / (gx * gy * gz) * dtype_bytes  # W_hat bytes
-    block = k * n / (gx * gy) * dtype_bytes  # W_{j,i} bytes
-    out_block = m * n / (gz * gx * gs) * dtype_bytes  # O_hat bytes
-    in_block = m * k / (gz * gy * gs) * dtype_bytes  # dI_hat bytes
-
-    return CommBreakdown(
-        ag_z=all_gather_time(shard, gz, bz),
-        rs_z=reduce_scatter_time(block, gz, bz),
-        ar_y=all_reduce_time(out_block, gy, by),
-        ar_x=all_reduce_time(in_block, gx, bx),
-        ar_data=all_reduce_time(shard, gd, bd)
-        + all_reduce_time(shard, gs, bs),
-    )
+    # A loop, not a comprehension: this runs once per layer shape per
+    # ranked grid, and 3.10/3.11 give a comprehension a frame of its own.
+    times = []
+    records = layer_collectives(layer, config, dtype_bytes)
+    for op, axis, p, _, nbytes in records:
+        times.append(TIME_FNS[op](nbytes, p, betas[axis]) if p > 1 else 0.0)
+    ag_z, rs_z, ar_y, ar_x, ar_d, ar_s = times
+    return CommBreakdown(ag_z, rs_z, ar_y, ar_x, ar_d + ar_s)
 
 
 def _layers_comm_time(
@@ -187,8 +218,6 @@ def _layers_comm_time(
         ar_data += d
         ring_seq += s
     if config.gs > 1:
-        from .seq_parallel import ring_kv_payload_bytes, seq_ring_time
-
         payload = ring_kv_payload_bytes(cfg, config, per_group, dtype_bytes)
         # The other five fields would add 0.0: an accumulator that
         # starts at +0.0 never holds -0.0, so that add is the identity.

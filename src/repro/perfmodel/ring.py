@@ -64,3 +64,11 @@ def all_reduce_time(
     if p == 1:
         return 0.0
     return 2 * (p - 1) / p * buffer_bytes / beta + 2 * (p - 1) * alpha
+
+
+#: Each collective's flat-ring time function, by op name.
+TIME_FNS = {
+    "all_gather": all_gather_time,
+    "reduce_scatter": reduce_scatter_time,
+    "all_reduce": all_reduce_time,
+}

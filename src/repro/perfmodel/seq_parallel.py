@@ -30,16 +30,12 @@ __all__ = [
     "seq_ring_time",
 ]
 
-#: Bytes per element for half-precision activations (mirrors
-#: :data:`repro.perfmodel.model.BF16_BYTES` without the circular import).
-_BF16_BYTES = 2
-
 
 def ring_kv_payload_bytes(
     cfg: GPTConfig,
     config: GridConfig,
     batch_per_group: float,
-    dtype_bytes: int = _BF16_BYTES,
+    dtype_bytes: int,
 ) -> float:
     """Per-hop fused K+V payload of one rank's ring rotation, in bytes."""
     b_loc = batch_per_group / config.gz

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from ..config import GPTConfig
 from ..core.grid import GridConfig
-from .model import LayerShape, gpt_layer_shapes
+from .model import LayerShape, gpt_layer_shapes, layer_collectives
+from .seq_parallel import ring_kv_payload_bytes
 
 __all__ = [
     "CollectiveVolumes",
@@ -56,42 +57,25 @@ def layer_volumes(
 ) -> CollectiveVolumes:
     """Per-iteration collective input bytes for one FC layer.
 
-    Counting convention: a collective over a group of ``p`` ranks is one
-    record whose size is a single rank's input buffer; a layer runs one
-    such collective per distinct group.  For the forward pass of a
-    normal layer there are ``G_x * G_y`` Z-groups (each all-gathering a
-    ``k*n/(G_x*G_y*G_z)``-element shard), ``G_x * G_z`` Y-groups (each
-    all-reducing an ``m*n/(G_z*G_x)``-element partial output), etc.
+    Each family is ``groups x nbytes`` of its
+    :func:`~repro.perfmodel.model.layer_collectives` record.  Counting
+    convention: a collective over a group of ``p`` ranks is one record
+    whose size is a single rank's input buffer; a layer runs one such
+    collective per distinct group (for a normal layer's forward,
+    ``G_x * G_y`` Z-groups gather weight shards and ``G_x * G_z``
+    Y-groups all-reduce partial outputs, etc.; each sequence shard runs
+    its own copy of every family).
 
     ``dtype_bytes`` defaults to 8 because the functional runtime
     computes in float64; pass 2 for bf16 wire volumes.
-
-    With ``G_seq > 1`` every sequence shard runs its own copy of each
-    group family (the group count scales by ``G_seq``) while activation
-    blocks shrink by ``G_seq``; weight buffers are unchanged, so total
-    gather/scatter bytes grow with the ring degree and activation
-    all-reduce bytes stay constant.
     """
-    gx, gy = config.gx, config.gy
-    if layer.transposed:
-        gx, gy = gy, gx
-    gz, gs = config.gz, config.gs
-    m, k, n = layer.m, layer.k, layer.n
-
-    n_zgroups = config.gx * config.gy * gs
-    n_fwd_groups = gx * gz * gs  # contraction-axis groups
-    n_bwd_groups = gy * gz * gs  # column-axis groups
-
-    shard = k * n / (config.gx * config.gy * gz) * dtype_bytes
-    block = k * n / (config.gx * config.gy) * dtype_bytes
-    out_block = m * n / (gz * gx * gs) * dtype_bytes
-    in_block = m * k / (gz * gy * gs) * dtype_bytes
-
     return CollectiveVolumes(
-        ag_z=n_zgroups * shard,
-        rs_z=n_zgroups * block,
-        ar_fwd=n_fwd_groups * out_block,
-        ar_bwd=n_bwd_groups * in_block,
+        *(
+            groups * nbytes
+            for _, _, _, groups, nbytes in layer_collectives(
+                layer, config, dtype_bytes
+            )[:4]
+        )
     )
 
 
@@ -126,9 +110,7 @@ def seq_ring_volumes(
     Each of the ``G_x * G_y * G_z`` sequence rings per replica runs
     ``G_seq`` rotation steps per layer, each step one fused K+V message
     per member — ``G_seq^2`` p2p records of
-
-        P = 2 * B_loc * (S / G_seq) * (H / G_x) * dtype_bytes
-
+    :func:`~repro.perfmodel.seq_parallel.ring_kv_payload_bytes` bytes
     per ring per layer (counting convention: one record per traced
     ``send_recv``, sized by its payload, matching the tracer).  Zero on
     classic grids: the ``G_seq = 1`` self-copy ring is skipped entirely
@@ -136,13 +118,8 @@ def seq_ring_volumes(
     """
     if config.gs <= 1:
         return CollectiveVolumes()
-    b_loc = batch_per_replica / config.gz
-    payload = (
-        2.0
-        * b_loc
-        * (cfg.seq_len / config.gs)
-        * (cfg.hidden_size / config.gx)
-        * dtype_bytes
+    payload = ring_kv_payload_bytes(
+        cfg, config, batch_per_replica, dtype_bytes
     )
     n_rings = config.gx * config.gy * config.gz
     per_layer = n_rings * config.gs**2 * payload

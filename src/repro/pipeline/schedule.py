@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from ..cluster import MachineSpec
 from ..config import GPTConfig
 from ..kernels import GemmModel
+from ..perfmodel.model import BF16_BYTES
 from ..perfmodel.ring import all_reduce_time
 from ..simulate.network_sim import span_link
 from .partition import partition_layers
@@ -36,7 +37,6 @@ __all__ = [
     "bubble_fraction",
 ]
 
-BF16 = 2
 #: Training state bytes per parameter (bf16 + grads + fp32 master/Adam).
 STATE_BYTES = 16
 
@@ -159,7 +159,7 @@ def simulate_pipeline_iteration(
     # backward (plus the recompute's 2 with checkpointing), on
     # (rows x h) activations, within the node. ---------------------------
     tp_bw = machine.intra_node_bw
-    act_bytes = rows * h * BF16
+    act_bytes = rows * h * BF16_BYTES
     ar = all_reduce_time(act_bytes, config.tp, tp_bw)
     tp_fwd_comm = layers_per_stage * 2 * ar
     tp_bwd_comm = layers_per_stage * 2 * ar * (2 if activation_checkpointing else 1)
@@ -186,7 +186,7 @@ def simulate_pipeline_iteration(
     bubble = pipeline_time - ideal - p2p_time
 
     # --- data-parallel all-reduce over each stage's gradients -----------
-    grad_bytes = cfg.num_parameters() * layers_per_stage / cfg.num_layers / config.tp * BF16
+    grad_bytes = cfg.num_parameters() * layers_per_stage / cfg.num_layers / config.tp * BF16_BYTES
     dp_bw, _ = span_link(machine, nodes)
     dp_time = all_reduce_time(grad_bytes, config.dp, dp_bw)
 

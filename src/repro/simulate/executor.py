@@ -48,13 +48,15 @@ from ..cluster import MachineSpec, Placement
 from ..config import GPTConfig
 from ..core.grid import AXES5, Grid4D, GridConfig
 from ..kernels import GemmModel, MatmulOp, tune_matmuls_cached
-from ..perfmodel.model import LayerShape, gpt_layer_shapes
-from ..perfmodel.hierarchical import hierarchical_time
-from ..perfmodel.ring import (
-    all_gather_time,
-    all_reduce_time,
-    reduce_scatter_time,
+from ..perfmodel.model import (
+    BF16_BYTES,
+    LayerShape,
+    gpt_layer_shapes,
+    layer_collectives,
 )
+from ..perfmodel.hierarchical import hierarchical_time
+from ..perfmodel.ring import TIME_FNS
+from ..perfmodel.seq_parallel import ring_kv_payload_bytes
 from .engine import (
     deterministic_jitter,
     group_timings,
@@ -80,8 +82,6 @@ __all__ = [
 
 #: Per-parameter bytes of the training state (see perfmodel.configs).
 BYTES_PER_PARAM = 16
-#: bf16 bytes for activations/weights/grads on the wire.
-DTYPE_BYTES = 2
 #: Amplitude of the deterministic run-to-run variability applied to the
 #: final batch time (network congestion / filesystem interference, which
 #: the paper reports observing even inside reservations).
@@ -180,7 +180,8 @@ class IterationPrices:
     #: Wire time of every rotation hop of the iteration, hidden or not
     #: (one ring per attention core, i.e. per transformer block).
     seq_raw_time: float
-    #: Data-parallel gradient all-reduce and the optimizer step.
+    #: Gradient all-reduce (over data, then sequence shards) and the
+    #: optimizer step.
     dp_time: float
     optimizer_time: float
     tuning_speedup: float
@@ -301,17 +302,10 @@ def _memory_bound_overheads(
     h_local = max(1, cfg.hidden_size // max(config.gx, config.gy))
     # ~10 activation-sized HBM passes per transformer layer (2 LN, 2
     # residuals, GELU on 4h, biases), bf16.
-    elementwise = 10.0 * rows_local * h_local * DTYPE_BYTES / hbm
+    elementwise = 10.0 * rows_local * h_local * BF16_BYTES / hbm
     params_local = cfg.num_parameters() / config.gtensor
     optimizer = 2.0 * params_local * BYTES_PER_PARAM / hbm
     return elementwise, optimizer
-
-
-_FLAT_TIME_FNS = {
-    "all_gather": all_gather_time,
-    "reduce_scatter": reduce_scatter_time,
-    "all_reduce": all_reduce_time,
-}
 
 
 def _priced_collective(
@@ -330,7 +324,7 @@ def _priced_collective(
     no flat-vs-hierarchical decision was in play (forced flat, size-1,
     or non-decomposable group).
     """
-    t_flat = _FLAT_TIME_FNS[op](nbytes, p, link.bandwidth, link.latency)
+    t_flat = TIME_FNS[op](nbytes, p, link.bandwidth, link.latency)
     if algo == "flat" or hier is None or p <= 1:
         return t_flat, None
     t_hier = hierarchical_time(
@@ -345,26 +339,17 @@ def _priced_collective(
 
 def _layer_collectives(
     layer: LayerShape, config: GridConfig, collective
-) -> tuple[tuple[float, float, float, float], float]:
-    """``((ag_z, rs_z, ar_fwd, ar_bwd), dp shard bytes)`` of Algorithm 1
-    for one layer; ``collective(op, nbytes, p, axis)`` prices each."""
-    gx, gy, gz = config.gx, config.gy, config.gz
-    ax, ay = "x", "y"
-    if layer.transposed:
-        gx, gy = gy, gx
-        ax, ay = ay, ax
-    m, k, n = layer.m, layer.k, layer.n
-
-    shard = k * n / (config.gx * config.gy * gz) * DTYPE_BYTES
-    block = k * n / (config.gx * config.gy) * DTYPE_BYTES
-    out_block = m * n / (gz * gx) * DTYPE_BYTES
-    in_block = m * k / (gz * gy) * DTYPE_BYTES
-    return (
-        collective("all_gather", shard, gz, "z"),
-        collective("reduce_scatter", block, gz, "z"),
-        collective("all_reduce", out_block, gy, ay),
-        collective("all_reduce", in_block, gx, ax),
-    ), shard
+) -> tuple[tuple[float, ...], float]:
+    """``((ag_z, rs_z, ar_fwd, ar_bwd), gradient shard bytes)`` of one
+    layer: the first four :func:`~repro.perfmodel.model.layer_collectives`
+    priced by ``collective(op, nbytes, p, axis)``, and the bytes its
+    weight gradient adds to the data-parallel (and sequence) all-reduce.
+    """
+    records = layer_collectives(layer, config, BF16_BYTES)
+    return tuple(
+        collective(op, nbytes, p, axis)
+        for op, axis, p, _, nbytes in records[:4]
+    ), records[4][4]
 
 
 def job_inputs(
@@ -478,13 +463,8 @@ def price_iteration(
     seq_exp_fwd = seq_exp_bwd = 0.0
     if config.gs > 1:
         ts = timings["seq"]
-        b_loc = max(1, batch_per_group // config.gz)
-        ring_payload = (
-            2.0
-            * b_loc
-            * (cfg.seq_len / config.gs)
-            * (cfg.hidden_size / config.gx)
-            * DTYPE_BYTES
+        ring_payload = ring_kv_payload_bytes(
+            cfg, config, batch_per_group, BF16_BYTES
         )
         seq_hop_f = ts.latency + ring_payload / ts.bandwidth
         # The backward hop carries the KV pair plus its gradients.
@@ -523,7 +503,12 @@ def price_iteration(
         priced.append(LayerPrice(name, fc, bc, t_dw, *c[0]))
         shard_bytes.append(c[1])
 
-    dp_time = collective("all_reduce", sum(shard_bytes), config.gdata, "data")
+    # Sequence shards replicate every weight, so their gradients are
+    # all-reduced over the sequence axis as well as the data axis.
+    grad_bytes = sum(shard_bytes)
+    dp_time = collective("all_reduce", grad_bytes, config.gdata, "data")
+    if config.gs > 1:
+        dp_time += collective("all_reduce", grad_bytes, config.gs, "seq")
     return IterationPrices(
         config=config,
         job_key=f"{machine.name}|{config}|{cfg.name}|{global_batch}",

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from ..cluster import MachineSpec
 from ..config import GPTConfig
 from ..core.grid import GridConfig
+from ..perfmodel.model import BF16_BYTES
 
 __all__ = ["MemoryBreakdown", "estimate_memory", "max_batch_per_replica"]
 
-BF16 = 2
 FP32 = 4
 
 
@@ -86,12 +86,12 @@ def _activation_bytes(
     # scores + probs (2 x b*heads*S^2), attention output (B), proj output
     # (A), LN2 (A), FC1 output (ffn/ Gx), GELU (same), FC2 output (A).
     block_ws = (
-        rows * h_y * BF16 * 4  # ln1, proj out, ln2, fc2 out (layout A)
-        + rows * h_x * BF16 * 4  # q, k, v, attn out (layout B)
-        + 2 * b_loc * heads_loc * s_loc**2 * BF16  # scores, probs
-        + 2 * rows * (cfg.ffn_hidden / config.gx) * BF16  # fc1 out, gelu
+        rows * h_y * BF16_BYTES * 4  # ln1, proj out, ln2, fc2 out (layout A)
+        + rows * h_x * BF16_BYTES * 4  # q, k, v, attn out (layout B)
+        + 2 * b_loc * heads_loc * s_loc**2 * BF16_BYTES  # scores, probs
+        + 2 * rows * (cfg.ffn_hidden / config.gx) * BF16_BYTES  # fc1 out, gelu
     )
-    boundary = rows * h_y * BF16  # the residual stream entering a block
+    boundary = rows * h_y * BF16_BYTES  # the residual stream entering a block
     if checkpointing:
         # Boundaries for every block + one block being recomputed.
         return cfg.num_layers * boundary + block_ws
@@ -110,12 +110,12 @@ def estimate_memory(
     params_local = cfg.num_parameters() / config.gtensor
     h = cfg.hidden_size
     # Largest gathered W block: FC layers have k*n up to h * ffn_hidden.
-    largest_block = h * cfg.ffn_hidden / (config.gx * config.gy) * BF16
+    largest_block = h * cfg.ffn_hidden / (config.gx * config.gy) * BF16_BYTES
     workspace = 2.0 * largest_block  # gathered W + staging
 
     return MemoryBreakdown(
-        weights=params_local * BF16,
-        gradients=params_local * BF16,
+        weights=params_local * BF16_BYTES,
+        gradients=params_local * BF16_BYTES,
         master_and_optimizer=params_local * 3 * FP32,
         activations=_activation_bytes(
             cfg, config, batch_per_replica, checkpointing

@@ -44,6 +44,7 @@ from ..cluster.topology import Placement
 from ..config import GPTConfig
 from ..core.grid import GridConfig, infeasibility_reason
 from ..perfmodel.hierarchical import cached_choose_algorithm
+from ..perfmodel.model import BF16_BYTES
 from ..serving.arrivals import Request, poisson_trace
 from ..serving.loop import ServingLoop, count
 from ..serving.paged_kv import CacheOutOfBlocks
@@ -75,7 +76,7 @@ class ServingModel:
     cfg: GPTConfig
     machine: MachineSpec
     tp: int = 1
-    dtype_bytes: int = 2
+    dtype_bytes: int = BF16_BYTES
     #: "flat", "hierarchical", or "auto" — mirrors GridConfig.
     collective_algo: str = "flat"
 

@@ -216,6 +216,9 @@ class TestEvaluate:
             exact_match_rate(model, docs, suffix_len=16)
         with pytest.raises(ValueError):
             exact_match_rate(model, docs, suffix_len=0)
+        too_long = np.zeros((2, model.cfg.seq_len + 1), dtype=int)
+        with pytest.raises(ValueError, match="exceed the model's context"):
+            exact_match_rate(model, too_long, suffix_len=8)
 
     def test_evaluate_buckets_keys(self):
         model = tiny_model()

@@ -262,3 +262,48 @@ class TestRanking:
             rank_grids(
                 get_model("GPT-5B"), 10, [GridConfig(1, 1, 1, 3)], PERLMUTTER, db
             )
+
+
+class TestSimulatorPricesTheModelsTable:
+    """Cross-layer: at the perf model's bandwidths and zero latency, the
+    simulator's flat price of every FC-layer collective is Eqs. 1-5
+    term by term, and its data-parallel all-reduce is the model's
+    ``ar_data`` summed over the layers (the ``G_seq`` gradient
+    all-reduce included)."""
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2, 1, 1), (2, 1, 2, 1, 2), (2, 2, 1, 2, 4)]
+    )
+    def test_flat_prices_equal_layer_comm_time(self, dims):
+        from repro.simulate import job_inputs, price_iteration
+        from repro.simulate.network_sim import LinkTiming
+
+        cfg = get_model("GPT-5B")
+        config = GridConfig(*dims)
+        batch = 8 * config.gdata
+        betas = effective_bandwidths(config, PERLMUTTER)
+        inputs = job_inputs(cfg, batch, config, PERLMUTTER, "block", False)
+        timings = {
+            axis: LinkTiming(betas[axis], 0.0, link.group_size)
+            for axis, link in inputs.timings.items()
+        }
+        prices = price_iteration(
+            cfg, batch, config, PERLMUTTER,
+            *inputs._replace(timings=timings),
+            "flat", False, False,
+        )
+        mismatches = []
+        ar_data = 0.0
+        for layer, price in zip(inputs.layers, prices.layers):
+            bd = layer_comm_time(layer, config, betas)
+            ar_data += bd.ar_data
+            for term, sim, model in (
+                ("ag_z", price.ag_z, bd.ag_z),
+                ("rs_z", price.rs_z, bd.rs_z),
+                ("ar_fwd", price.ar_fwd, bd.ar_y),
+                ("ar_bwd", price.ar_bwd, bd.ar_x),
+            ):
+                if sim != pytest.approx(model, rel=1e-12, abs=0.0):
+                    mismatches.append((layer.name, term, sim, model))
+        assert mismatches == []
+        assert prices.dp_time == pytest.approx(ar_data, rel=1e-9)

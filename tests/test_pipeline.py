@@ -283,13 +283,13 @@ class TestCongestionOwnership:
         Fabric (50 GB/s), not the NIC aggregate (100 GB/s).  The old
         model charged inter-node bandwidth and NIC latency."""
         from repro.perfmodel.ring import all_reduce_time
-        from repro.pipeline.schedule import BF16
+        from repro.perfmodel.model import BF16_BYTES
 
         cfg = get_model("GPT-5B")
         pc = PipelineConfig(tp=2, pp=2, dp=2)
         assert FRONTIER.num_nodes(pc.total) == 1
         r = simulate_pipeline_iteration(cfg, 64, pc, FRONTIER, num_microbatches=8)
-        grad_bytes = cfg.num_parameters() / 2 / pc.tp * BF16  # 2 stages
+        grad_bytes = cfg.num_parameters() / 2 / pc.tp * BF16_BYTES  # 2 stages
         expected_dp = all_reduce_time(grad_bytes, pc.dp, FRONTIER.intra_node_bw)
         assert r.dp_time == pytest.approx(expected_dp)
         # Pre-fix value (inter-node bw, 2x faster on Frontier) must NOT
@@ -301,7 +301,7 @@ class TestCongestionOwnership:
         """Cross-check: dp/p2p times equal a manual composition from
         span_link — i.e. exactly one congestion division, no more."""
         from repro.perfmodel.ring import all_reduce_time
-        from repro.pipeline.schedule import BF16
+        from repro.perfmodel.model import BF16_BYTES
         from repro.simulate.network_sim import span_link
 
         cfg = get_model("GPT-20B")
@@ -312,12 +312,12 @@ class TestCongestionOwnership:
 
         bw, lat = span_link(FRONTIER, nodes)
         grad_bytes = (
-            cfg.num_parameters() * 8 / cfg.num_layers / pc.tp * BF16
+            cfg.num_parameters() * 8 / cfg.num_layers / pc.tp * BF16_BYTES
         )  # 8 layers on the largest stage
         assert r.dp_time == pytest.approx(all_reduce_time(grad_bytes, pc.dp, bw))
 
         micro = 128 // pc.dp // 8
-        act_bytes = micro * cfg.seq_len * cfg.hidden_size * BF16
+        act_bytes = micro * cfg.seq_len * cfg.hidden_size * BF16_BYTES
         expected_p2p = 2 * (pc.pp - 1) * (act_bytes / bw + lat)
         assert r.p2p_time == pytest.approx(expected_p2p)
 

@@ -22,6 +22,7 @@ from repro.core import (
     shard_weight,
 )
 from repro.nn import GPT
+from repro.nn.sequence_parallel import RING_KV_TAG
 from repro.perfmodel import (
     CollectiveVolumes,
     LayerShape,
@@ -117,32 +118,50 @@ class TestPMM3DVolumes:
 
 
 class TestParallelGPTVolumes:
-    @pytest.mark.parametrize("gx,gy,gz", [(2, 1, 1), (1, 2, 1), (2, 2, 2)])
-    def test_forward_collective_bytes_match(self, gx, gy, gz):
+    @pytest.mark.parametrize(
+        "gx,gy,gz,gs,s",
+        [
+            pytest.param(2, 1, 1, 1, 6, id="2-1-1"),
+            pytest.param(1, 2, 1, 1, 6, id="1-2-1"),
+            pytest.param(2, 2, 2, 1, 6, id="2-2-2"),
+            pytest.param(2, 1, 1, 2, 6, id="2-1-1-seq2"),
+            pytest.param(2, 2, 1, 2, 6, id="2-2-1-seq2"),
+            pytest.param(1, 2, 1, 4, 8, id="1-2-1-seq4"),
+        ],
+    )
+    def test_forward_collective_bytes_match(self, gx, gy, gz, gs, s):
         """The functional ParallelGPT's forward-pass collectives (weight
-        gathers and activation reduces) carry exactly the analytic byte
-        volumes.  (Backward communication materializes as autograd
-        accumulation, so only the forward is traced — see
-        repro.core.collective_ops.)"""
+        gathers, activation reduces and, with a sequence axis, the KV
+        ring's p2p hops) carry exactly the analytic byte volumes of a
+        traced length ``s`` divisible by ``G_seq``.  (Backward
+        communication materializes as autograd accumulation, so only
+        the forward is traced — see repro.core.collective_ops.)"""
         cfg = GPTConfig(
             name="t", num_layers=2, hidden_size=8 * gx * gy * gz,
             num_heads=gx * 2, seq_len=8, vocab_size=16 * gx,
         )
         tracer = CommTracer()
-        grid = Grid4D(GridConfig(gx, gy, gz), tracer=tracer)
+        grid = Grid4D(GridConfig(gx, gy, gz, 1, gs), tracer=tracer)
         serial = GPT(cfg, seed=0)
         par = ParallelGPT.from_serial(serial, grid)
         batch = 2 * gz
-        ids = np.random.default_rng(0).integers(0, cfg.vocab_size, (batch, 7))
+        # A classic grid runs the forward on ids[:, :-1]; a sequence
+        # grid shards all of ids and drops the last logit instead.
+        ids = np.random.default_rng(0).integers(
+            0, cfg.vocab_size, (batch, s + 1 if gs == 1 else s)
+        )
         par.loss(ids)
 
         vol = gpt_forward_backward_volumes(
-            cfg, batch, grid.config, dtype_bytes=8, seq_len=6
+            cfg, batch, grid.config, dtype_bytes=8, seq_len=s
         )
         assert traced_bytes(tracer, {"linear.AG_z"}) == pytest.approx(vol.ag_z)
         assert traced_bytes(
             tracer, {"linear.AR_x", "linear.AR_y"}
         ) == pytest.approx(vol.ar_fwd)
+        assert traced_bytes(tracer, {RING_KV_TAG}) == pytest.approx(
+            vol.seq_ring
+        )
 
     def test_more_sharding_means_less_gather_per_record(self):
         """Z-sharding shrinks each gather record's payload by G_z while
